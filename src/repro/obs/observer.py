@@ -69,7 +69,7 @@ class Observer:
         self._links = sum(
             1
             for router in network.active_routers()
-            for port in range(4)
+            for port in range(router.local)
             if router.output_links[port] is not None
         )
         stats = network.stats

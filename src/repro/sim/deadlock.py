@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
-from repro.core.turns import OPPOSITE_PORT, Port
 from repro.obs.events import ORACLE_DEADLOCK
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,6 +35,7 @@ def build_wait_graph(network: "Network", now: int) -> Dict[int, List[int]]:
         if router.occupancy == 0:
             continue
         adaptive = router._adaptive_lookup is not None
+        local = router.local
         for vc in router.all_vcs():
             if not vc.has_switchable_packet(now):
                 continue
@@ -52,7 +52,7 @@ def build_wait_graph(network: "Network", now: int) -> Dict[int, List[int]]:
             blocked = True
             live_candidates = False
             for out in outs:
-                if out == Port.LOCAL:
+                if out == local:
                     blocked = False  # ejection always drains
                     break
                 link = router.output_links[out]
@@ -61,10 +61,9 @@ def build_wait_graph(network: "Network", now: int) -> Dict[int, List[int]]:
                     continue
                 live_candidates = True
                 downstream = network.router_at(link.dest_node)
-                in_port = OPPOSITE_PORT[out]
                 wanted_kind = 1 if packet.is_escape else 0  # ESCAPE / NORMAL
                 port_free = False
-                for cand in downstream.cached_port_vcs(in_port):
+                for cand in downstream.cached_port_vcs(link.dest_in_port):
                     if cand.kind == 2:  # bubble: usable by normal packets
                         usable = not packet.is_escape
                     elif cand.kind == wanted_kind and cand.vnet == packet.vnet:

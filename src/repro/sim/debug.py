@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.messages import MsgType, SpecialMessage
-from repro.core.turns import Port
 from repro.sim.deadlock import find_wait_cycle
 from repro.sim.network import Network
 
@@ -29,8 +28,9 @@ class WaitingPacket:
 
     pid: int
     node: int
-    in_port: Port
-    wants: Port
+    #: Port display names (``network._port_names``; topology-specific).
+    in_port: str
+    wants: str
     vc_kind: int
     router_sealed: bool
     seal_source: Optional[int]
@@ -38,8 +38,8 @@ class WaitingPacket:
     def describe(self) -> str:
         seal = f" sealed(src={self.seal_source})" if self.router_sealed else ""
         return (
-            f"pid={self.pid} node={self.node} in={self.in_port.name} "
-            f"wants={self.wants.name}{seal}"
+            f"pid={self.pid} node={self.node} in={self.in_port} "
+            f"wants={self.wants}{seal}"
         )
 
 
@@ -59,6 +59,7 @@ def describe_wait_cycle(network: Network) -> List[WaitingPacket]:
     if cycle is None:
         return []
     located = locate_packets(network)
+    names = network._port_names
     result = []
     for pid in cycle:
         router, vc = located[pid]
@@ -66,8 +67,8 @@ def describe_wait_cycle(network: Network) -> List[WaitingPacket]:
             WaitingPacket(
                 pid=pid,
                 node=router.node,
-                in_port=Port(vc.port),
-                wants=Port(router._requested_output(vc.packet)),
+                in_port=names[vc.port],
+                wants=names[router._requested_output(vc.packet)],
                 vc_kind=vc.kind,
                 router_sealed=router.is_deadlock,
                 seal_source=router.source_id,
@@ -133,7 +134,7 @@ class SpecialMessageTracer:
             line = (
                 f"cycle {self.network.cycle:5d}: {msg.mtype.name:11s} "
                 f"sender={msg.sender:3d} at node {from_node:3d} "
-                f"out {Port(out_port).name:5s} turns={len(msg.turns)} "
+                f"out {self.network._port_names[out_port]:5s} turns={len(msg.turns)} "
                 f"{'sent' if ok else 'no-link'}"
             )
             self.lines.append(line)
@@ -152,8 +153,9 @@ class SpecialMessageTracer:
             self.network.send_special = self._original  # type: ignore[method-assign]
 
 
-def seal_census(network: Network) -> List[Tuple[int, int, Port, Port]]:
-    """All currently sealed routers: (node, source, in_port, out_port)."""
+def seal_census(network: Network) -> List[Tuple[int, int, str, str]]:
+    """All currently sealed routers: (node, source, in_port, out_port names)."""
+    names = network._port_names
     result = []
     for router in network.active_routers():
         if router.is_deadlock:
@@ -161,8 +163,8 @@ def seal_census(network: Network) -> List[Tuple[int, int, Port, Port]]:
                 (
                     router.node,
                     router.source_id,
-                    Port(router.io_in_port),
-                    Port(router.io_out_port),
+                    names[router.io_in_port],
+                    names[router.io_out_port],
                 )
             )
     return result

@@ -23,23 +23,26 @@ with a handful of masked array ops over all slots at once:
     compare answers "does the downstream port have a usable buffer".
 
 The surviving mask is an *over-approximation* of the grantable set:
-during the reference engine's ascending-node allocation sweep,
-availability only shrinks (grants fill downstream buffers, specials
-claim links, bubbles deactivate — nothing mid-sweep creates new
-candidates; ``CounterFsm.on_bubble_reclaimed`` never activates a
-bubble).  So a cycle-start filter never *misses* a grantable VC, and the
-scalar grant stage — a verbatim restriction of
-``Network._allocate_router`` to the surviving ports, re-checking every
-condition against the live objects — produces bit-identical grants,
-round-robin pointer movement, and stats.  IO-priority restrictions
-(Static Bubble seals) are deliberately *not* vectorized: they are
-re-checked live only, so seal churn needs no mirror maintenance.
+during the ascending-node allocation sweep, availability only shrinks
+(grants fill downstream buffers, specials claim links, bubbles
+deactivate — nothing mid-sweep creates new candidates;
+``CounterFsm.on_bubble_reclaimed`` never activates a bubble).  So a
+cycle-start filter never *misses* a grantable VC.  The survivors go to
+the one grant stage both engines share —
+``Network._allocate_router(router, now, candidates)`` — which re-checks
+every condition against the live objects, so grants, round-robin
+pointer movement, stats and trace events are bit-identical to the
+reference sweep.  IO-priority restrictions (Static Bubble seals) are
+deliberately *not* vectorized: they are checked live only, so seal churn
+needs no mirror maintenance.
 
-Mid-cycle bookkeeping never touches numpy: every mutable plane has a
-plain-list shadow updated in place (transfers, injections, resyncs), and
-dirtied indices are pushed into the real arrays in one fancy-indexed
-batch right before the next filter (``_apply_pending``) — the filter is
-the only reader of the arrays, so one batch per cycle is exact.
+The planes are ``array('q')`` buffers, each with a zero-copy numpy view:
+bookkeeping writes single elements at plain-Python cost, the filter
+reads the same memory vectorized, and nothing is ever copied between
+the two.  No grant is mirrored as it happens: nothing reads the planes
+between a grant and the next filter (the grant stage checks the live
+objects), so the ``_transfer`` override only notes what moved and the
+next cycle start replays the notes in one pass (``_flush_moved``).
 
 Scheme hooks need no changes: membership mutations funnel through
 ``Router.invalidate_vc_cache`` which fires ``Router._dirty_hook`` — the
@@ -48,29 +51,35 @@ start.  In-place packet mutations (the escape-VC scheme flipping
 ``packet.is_escape`` on buffered packets) fire the same hook directly,
 so only the affected routers resync.
 
-Fallbacks: a tracing observer (``Observer(trace=True)``), or
-``full_scan``, permanently route ``step()`` through the reference path
-(the mirror is rebuilt if the fast path resumes).  ``apply_faults`` /
-``restore`` rebuild the mirror wholesale.  Set ``REPRO_FAST_PARANOID=1``
-to resync every router every cycle (slow; for debugging mirror drift).
+The mirror is exact whichever sweep ran: ``full_scan`` runs the base
+sweep through the same ``_transfer`` override.  ``apply_faults`` /
+``restore`` rebuild the mirror wholesale.  Setting ``_paranoid`` on an
+instance resyncs every router every cycle (slow; for debugging mirror
+drift).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Tuple
+from array import array
+from itertools import groupby
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.messages import SpecialMessage
-from repro.obs.events import PACKET_TRANSFER
 from repro.sim.network import Network
-from repro.sim.packet import Packet
-from repro.sim.router import Router, VC_BUBBLE, VC_ESCAPE, VC_NORMAL, VirtualChannel
+from repro.sim.router import Router, VC_ESCAPE, VC_NORMAL, VirtualChannel
 
 #: Time sentinel: larger than any reachable cycle count, small enough to
 #: survive int64 arithmetic headroom.
 BIG = 1 << 60
+
+
+def _plane(values: List[int]):
+    """An ``array('q')`` and the numpy view sharing its memory."""
+    cells = array("q", values)
+    return cells, np.frombuffer(cells, dtype=np.int64)
+
 
 class FastNetwork(Network):
     """Struct-of-arrays engine; constructed via ``Network(..., engine="fast")``."""
@@ -79,12 +88,9 @@ class FastNetwork(Network):
 
     def _engine_setup(self) -> None:
         self.engine = "fast"
-        #: Permanent fallback to the reference step (tracing observer).
-        self._force_reference = False
-        #: The mirror no longer matches the objects (delegated steps,
-        #: escape flips); triggers a full resync at the next fast step.
-        self._mirror_stale = False
-        self._paranoid = os.environ.get("REPRO_FAST_PARANOID", "") not in ("", "0")
+        #: Debugging aid: resync every router every cycle (slow) to rule
+        #: out mirror drift.
+        self._paranoid = False
         #: Node ids whose router mutated VC membership since the last sync.
         self._dirty: set = set()
         #: VC *structure* changed post-warm (``add_escape_vcs`` /
@@ -95,37 +101,28 @@ class FastNetwork(Network):
         self._build_mirror()
 
     def _build_mirror(self) -> None:
-        """(Re)build the slot layout, shadows, and value arrays."""
+        """(Re)build the slot layout and the planes."""
         P = self._num_ports
         local = self._local
         routers = self.routers
         rlist = [routers[node] for node in sorted(routers)]
         self._mrouters: List[Router] = rlist
         self._rpos: Dict[int, int] = {r.node: i for i, r in enumerate(rlist)}
-        R = len(rlist)
 
         slot_vcs: List[VirtualChannel] = []
         slot_rpos: List[int] = []
         slot_port: List[int] = []
         rslots: List[Tuple[int, int]] = []
-        ravail: List[Tuple[int, int]] = []
         rlocal: List[Tuple[int, int]] = []
         avail_index: Dict[Tuple[int, int, int, int], int] = {}
         avail_members: List[List[int]] = []
-        avail_kind: List[int] = []
-        avail_port: List[int] = []
-        avail_rpos: List[int] = []
+        comb_bub: List[int] = []
         avail_of_slot: List[int] = []
-
-        pstart: List[int] = []
-        bslot: List[int] = []
 
         for rpos, router in enumerate(rlist):
             slot_lo = len(slot_vcs)
-            alo = len(avail_members)
             local_lo = local_hi = 0
             for port in range(P):
-                pstart.append(len(slot_vcs))
                 if port == local:
                     local_lo = len(slot_vcs)
                 for vc in router.input_vcs[port]:
@@ -135,9 +132,11 @@ class FastNetwork(Network):
                         c = len(avail_members)
                         avail_index[key] = c
                         avail_members.append([])
-                        avail_kind.append(vc.kind)
-                        avail_port.append(port)
-                        avail_rpos.append(rpos)
+                        # Normal classes fold in their port's bubble
+                        # availability; escape packets never use the bubble.
+                        comb_bub.append(
+                            rpos * P + port if vc.kind == VC_NORMAL else -1
+                        )
                     avail_members[c].append(len(slot_vcs))
                     avail_of_slot.append(c)
                     slot_vcs.append(vc)
@@ -149,34 +148,28 @@ class FastNetwork(Network):
                 # The bubble gets its own slot with port -1: its attachment
                 # port is resolved live at grant time.
                 avail_of_slot.append(-1)
-                bslot.append(len(slot_vcs))
                 slot_vcs.append(router.bubble)
                 slot_rpos.append(rpos)
                 slot_port.append(-1)
-            else:
-                bslot.append(-1)
             rslots.append((slot_lo, len(slot_vcs)))
-            ravail.append((alo, len(avail_members)))
             rlocal.append((local_lo, local_hi))
 
         S = len(slot_vcs)
         C = len(avail_members)
-        L = R * P  # sentinel link/bubble cell (always unavailable)
+        L = len(rlist) * P  # sentinel link/bubble cell (always unavailable)
         self._S = S
         self._slot_vcs = slot_vcs
+        self._slot_of: Dict[VirtualChannel, int] = {
+            vc: i for i, vc in enumerate(slot_vcs)
+        }
         self._slot_rpos = slot_rpos
         self._slot_port = slot_port
         self._avail_members = [tuple(m) for m in avail_members]
         self._avail_of_slot = avail_of_slot
         self._avail_index = avail_index
+        self._comb_bub = comb_bub
         self._rslots = rslots
-        self._ravail = ravail
         self._rlocal = rlocal
-        #: Slot of ``input_vcs[port][0]`` per (rpos, port); with a VC's
-        #: stable ``index`` this recovers its slot without a dict lookup.
-        self._pstart = pstart
-        #: The bubble's slot per router (-1 when it has none).
-        self._bslot = bslot
         self._sent_link = L
         self._sent_true = C  # always-available comb cell (LOCAL ejection)
         self._sent_false = C + 1
@@ -185,47 +178,24 @@ class FastNetwork(Network):
         #: single (outc, downc) pair, so stage 2 evaluates it live.
         self._sent_pass = L + 1
 
-        # Which bubble-availability cell folds into each class cell (the
-        # class's own (router, port) for normal classes; escape packets
-        # never use the bubble).  Inverse map for bubble-side updates.
-        self._comb_bub: List[int] = [
-            avail_rpos[c] * P + avail_port[c] if avail_kind[c] == VC_NORMAL else -1
-            for c in range(C)
-        ]
-        bub_combs: List[List[int]] = [[] for _ in range(L)]
-        for c, b in enumerate(self._comb_bub):
-            if b >= 0:
-                bub_combs[b].append(c)
-        self._bub_combs = [tuple(cs) for cs in bub_combs]
-
-        # Shadows (plain lists; the numpy arrays below mirror them).
-        self._ready_py: List[int] = [BIG] * S
-        self._outc_py: List[int] = [L] * S
-        self._downc_py: List[int] = [C + 1] * S
-        self._free_py: List[int] = [0] * S
-        self._lbusy_py: List[int] = [0] * L + [BIG, 0]
-        self._avail_py: List[int] = [0] * C
-        self._bubav_py: List[int] = [BIG] * (L + 1)
-        self._comb_py: List[int] = [0] * C + [0, BIG]
-
-        self._ready = np.full(S, BIG, dtype=np.int64)
-        self._outc = np.full(S, L, dtype=np.intp)
-        self._downc = np.full(S, C + 1, dtype=np.intp)
-        self._lbusy = np.zeros(L + 2, dtype=np.int64)
-        self._lbusy[L] = BIG  # [L + 1] stays 0: the always-free cell
-        self._comb = np.zeros(C + 2, dtype=np.int64)
-        self._comb[C + 1] = BIG
+        # The planes the filter reads (see the module docstring).
+        self._ready, self._ready_np = _plane([BIG] * S)
+        self._outc, self._outc_np = _plane([L] * S)
+        self._downc, self._downc_np = _plane([C + 1] * S)
+        self._lbusy, self._lbusy_np = _plane([0] * L + [BIG, 0])
+        self._comb, self._comb_np = _plane([0] * C + [0, BIG])
+        # Inputs of ``comb`` the filter never reads: per-slot ``free_at``
+        # (BIG while occupied) and per-(router, port) bubble availability.
+        self._free: List[int] = [0] * S
+        self._bubav: List[int] = [BIG] * (L + 1)
         self._t1 = np.empty(S, dtype=np.int64)
         self._t2 = np.empty(S, dtype=np.int64)
         self._b0 = np.empty(S, dtype=bool)
 
-        # Indices whose shadow changed since the last batch apply (plain
-        # lists, duplicates allowed: the apply reads values from the
-        # shadows, so writing an index twice is harmless and appending is
-        # cheaper than set insertion on the hot path).
-        self._tslots: List[int] = []
-        self._tlinks: List[int] = []
-        self._tcomb: List[int] = []
+        # What changed since the last cycle start, for ``_flush_moved``:
+        # ``(router, vc, out, target)`` per grant, and slots injected into.
+        self._moved: List[tuple] = []
+        self._filled: List[int] = []
 
         for router in rlist:
             router._dirty_hook = self._dirty.add
@@ -234,132 +204,110 @@ class FastNetwork(Network):
         # Injection prefilter: with one vnet every queued packet wants the
         # (LOCAL, normal, vnet 0) class, so the class cell decides "is a
         # VC free" exactly and `try_inject` is only entered when it can
-        # succeed (its failure path is side-effect- and RNG-free).
-        if self.config.vnets == 1:
-            cells = []
-            for ni in self._ni_list:
-                rp = self._rpos.get(ni.node)
-                cells.append(
-                    avail_index.get((rp, local, VC_NORMAL, 0), C + 1)
-                    if rp is not None
-                    else C + 1
-                )
-            self._inj_cells: Optional[List[int]] = cells
-        else:
-            self._inj_cells = None
+        # succeed (its failure path is side-effect- and RNG-free).  With
+        # several vnets there is no single cell: always try.
+        one_vnet = self.config.vnets == 1
+        self._inj_cells = [
+            (
+                ni,
+                avail_index.get((self._rpos.get(ni.node), local, VC_NORMAL, 0), C + 1)
+                if one_vnet
+                else C,
+            )
+            for ni in self._ni_list
+        ]
 
-        for rpos in range(R):
-            self._resync_router(rpos)
+        self._resync_all()
         self._dirty.clear()
         self._structure_stale = False
-        self._apply_pending()
 
     # -- mirror synchronization ---------------------------------------------
 
-    def _apply_pending(self) -> None:
-        """Push shadow changes into the numpy planes (one batch per cycle)."""
-        idx = self._tslots
-        if idx:
-            ready = self._ready_py
-            outc = self._outc_py
-            downc = self._downc_py
-            self._ready[idx] = [ready[i] for i in idx]
-            self._outc[idx] = [outc[i] for i in idx]
-            self._downc[idx] = [downc[i] for i in idx]
-            self._tslots = []
-        idx = self._tlinks
-        if idx:
-            lbusy = self._lbusy_py
-            self._lbusy[idx] = [lbusy[i] for i in idx]
-            self._tlinks = []
-        idx = self._tcomb
-        if idx:
-            comb = self._comb_py
-            self._comb[idx] = [comb[i] for i in idx]
-            self._tcomb = []
-
-    def _sync_slot(self, i: int) -> None:
-        """Refresh one slot's shadow values from its live VC."""
-        vc = self._slot_vcs[i]
-        packet = vc.packet
-        self._tslots.append(i)
-        if packet is None:
-            self._ready_py[i] = BIG
-            self._free_py[i] = vc.free_at
-            self._outc_py[i] = self._sent_link
-            self._downc_py[i] = self._sent_false
-            return
-        self._ready_py[i] = vc.ready_at
-        self._free_py[i] = BIG
-        rpos = self._slot_rpos[i]
-        router = self._mrouters[rpos]
-        if not packet.is_escape and router._adaptive_lookup is not None:
-            # Multi-candidate request: no single (outc, downc) pair can
-            # express "grantable via any minimal hop", so the filter
-            # passes whenever the packet is switchable and stage 2 walks
-            # the candidates live (the shared ``_adaptive_request``).
-            self._outc_py[i] = self._sent_pass
-            self._downc_py[i] = self._sent_true
-            return
-        out = router._requested_output(packet)
-        link = router.output_links[out]
-        if link is None:
-            # Dead link (transient mid-reconfig state): never a candidate.
-            self._outc_py[i] = self._sent_link
-            self._downc_py[i] = self._sent_false
-            return
-        self._outc_py[i] = rpos * self._num_ports + out
-        if out == self._local:
-            self._downc_py[i] = self._sent_true
-            return
-        kind = VC_ESCAPE if packet.is_escape else VC_NORMAL
-        self._downc_py[i] = self._avail_index.get(
-            (self._rpos[link.dest_node], link.dest_in_port, kind, packet.vnet),
-            self._sent_false,
-        )
-
-    def _set_avail(self, c: int) -> None:
-        """Recompute one class cell's availability (and its comb merge)."""
-        free = self._free_py
-        best = BIG
-        for s in self._avail_members[c]:
-            v = free[s]
-            if v < best:
-                best = v
-        self._avail_py[c] = best
-        b = self._comb_bub[c]
-        if b >= 0:
-            bv = self._bubav_py[b]
-            if bv < best:
-                best = bv
-        self._comb_py[c] = best
-        self._tcomb.append(c)
-
-    def _set_bubav(self, b: int, value: int) -> None:
-        self._bubav_py[b] = value
-        avail = self._avail_py
-        comb = self._comb_py
-        touched = self._tcomb
-        for c in self._bub_combs[b]:
-            comb[c] = value if value < avail[c] else avail[c]
-            touched.append(c)
+    def _sync(self, slots) -> None:
+        """Refresh slots, and the class cells they belong to, from the live VCs."""
+        slot_vcs = self._slot_vcs
+        slot_rpos = self._slot_rpos
+        rlist = self._mrouters
+        rpos_map = self._rpos
+        avail_index_get = self._avail_index.get
+        ready = self._ready
+        free = self._free
+        outc = self._outc
+        downc = self._downc
+        sent_link = self._sent_link
+        sent_false = self._sent_false
+        sent_true = self._sent_true
+        P = self._num_ports
+        local = self._local
+        for i in slots:
+            vc = slot_vcs[i]
+            packet = vc.packet
+            if packet is None:
+                # ``ready`` alone keeps an empty slot out of the filter.
+                ready[i] = BIG
+                free[i] = vc.free_at
+                continue
+            ready[i] = vc.ready_at
+            free[i] = BIG
+            rpos = slot_rpos[i]
+            router = rlist[rpos]
+            if not packet.is_escape and router._adaptive_lookup is not None:
+                # Multi-candidate request: no single (outc, downc) pair can
+                # express "grantable via any minimal hop", so the filter
+                # passes whenever the packet is switchable and stage 2 walks
+                # the candidates live (the shared ``_adaptive_request``).
+                outc[i] = self._sent_pass
+                downc[i] = sent_true
+                continue
+            # Past the adaptive case, only escape packets need the lookup.
+            out = (
+                router._requested_output(packet)
+                if packet.is_escape
+                else packet.route[packet.hop]
+            )
+            link = router.output_links[out]
+            if link is None:
+                # Dead link (transient mid-reconfig state): never a candidate.
+                outc[i] = sent_link
+                downc[i] = sent_false
+                continue
+            outc[i] = rpos * P + out
+            if out == local:
+                downc[i] = sent_true
+                continue
+            kind = VC_ESCAPE if packet.is_escape else VC_NORMAL
+            downc[i] = avail_index_get(
+                (rpos_map[link.dest_node], link.dest_in_port, kind, packet.vnet),
+                sent_false,
+            )
+        # Class availability: the min ``free_at`` over the class's empty
+        # VCs, merged with the attached bubble's for normal classes.
+        avail_of_slot = self._avail_of_slot
+        members = self._avail_members
+        comb_bub = self._comb_bub
+        bubav = self._bubav
+        comb = self._comb
+        free_at = free.__getitem__
+        for c in {avail_of_slot[i] for i in slots}:
+            if c < 0:
+                continue  # the bubble's own slot backs no class
+            best = min(map(free_at, members[c]))
+            b = comb_bub[c]
+            if b >= 0 and bubav[b] < best:
+                best = bubav[b]
+            comb[c] = best
 
     def _resync_router(self, rpos: int) -> None:
         """Refresh every mirrored value owned by one router."""
-        lo, hi = self._rslots[rpos]
-        for i in range(lo, hi):
-            self._sync_slot(i)
         router = self._mrouters[rpos]
         now = self.cycle
         P = self._num_ports
         base = rpos * P
-        lbusy = self._lbusy_py
-        tlinks = self._tlinks
+        lbusy = self._lbusy
         for port in range(P):
-            cell = base + port
             link = router.output_links[port]
             if link is None:
-                lbusy[cell] = BIG
+                lbusy[base + port] = BIG
             else:
                 # Fold a live special-message claim (for this cycle or a
                 # later one) into the busy time; past claims are inert.
@@ -367,8 +315,7 @@ class FastNetwork(Network):
                 sblock = link.special_blocked_at
                 if sblock >= now and sblock + 1 > busy:
                     busy = sblock + 1
-                lbusy[cell] = busy
-            tlinks.append(cell)
+                lbusy[base + port] = busy
         bubble = router.bubble
         bub_port = -1
         if (
@@ -379,12 +326,8 @@ class FastNetwork(Network):
         ):
             bub_port = bubble.port
         for port in range(P):
-            self._bubav_py[base + port] = (
-                bubble.free_at if port == bub_port else BIG
-            )
-        alo, ahi = self._ravail[rpos]
-        for c in range(alo, ahi):
-            self._set_avail(c)
+            self._bubav[base + port] = bubble.free_at if port == bub_port else BIG
+        self._sync(range(*self._rslots[rpos]))
 
     def _resync_all(self) -> None:
         for rpos in range(len(self._mrouters)):
@@ -402,133 +345,98 @@ class FastNetwork(Network):
         """
         self._structure_stale = True
 
-    def _flush_dirty(self) -> None:
-        if self._paranoid or self._mirror_stale:
+    # -- per-cycle machinery -------------------------------------------------
+
+    def _begin_cycle(self, now: int) -> None:
+        if self._structure_stale:
+            self._build_mirror()
+        if self._paranoid:
             self._resync_all()
-            self._mirror_stale = False
-        elif self._dirty:
-            rpos_of = self._rpos
+            self._moved.clear()
+            self._filled.clear()
+        else:
+            if self._moved or self._filled:
+                self._flush_moved()
             for node in self._dirty:
-                rpos = rpos_of.get(node)
+                rpos = self._rpos.get(node)
                 if rpos is not None:
                     self._resync_router(rpos)
         self._dirty.clear()
 
-    # -- per-cycle machinery -------------------------------------------------
+    def _flush_moved(self) -> None:
+        """Replay last cycle's injections and grants on the planes, in one pass."""
+        P = self._num_ports
+        slot_of = self._slot_of
+        slot_rpos = self._slot_rpos
+        lbusy = self._lbusy
+        slots = self._filled
+        for router, vc, out, target in self._moved:
+            i = slot_of[vc]
+            slots.append(i)
+            link = router.output_links[out]
+            cell = slot_rpos[i] * P + out
+            if link.busy_until > lbusy[cell]:
+                lbusy[cell] = link.busy_until
+            if target is not None:
+                slots.append(slot_of[target])
+                if target.index < 0:
+                    # A claimed bubble stops backing its port.
+                    self._dirty.add(link.dest_node)
+        self._moved.clear()
+        self._sync(slots)
+        slots.clear()
 
-    def step(self) -> None:
-        if self._force_reference or self.full_scan:
-            # Reference path shares all state with this engine, so results
-            # stay bit-identical; the mirror is rebuilt on resumption.
-            super().step()
-            self._mirror_stale = True
-            return
-        now = self.cycle
-        self._deliver_specials(now)
-        if self._structure_stale:
-            self._build_mirror()
-        if self._dirty or self._mirror_stale or self._paranoid:
-            self._flush_dirty()
-        if self._tslots or self._tlinks or self._tcomb:
-            self._apply_pending()
-        self._inject_traffic(now)
-        self._fast_inject(now)
-        if self._active_nodes:
-            self._fast_alloc(now)
-        self._post_alloc = True
-        self.scheme.on_cycle(self, now)
-        self._post_alloc = False
-        # In-place packet mutations (escape diversions) fire the router's
-        # ``_dirty_hook``, queuing a targeted resync for the next cycle.
-        obs = self.obs
-        if obs is not None:
-            obs.end_cycle(self, now)
-        self.stats.cycles += 1
-        self.cycle += 1
-
-    def _fast_inject(self, now: int) -> None:
-        nis = self._ni_list
-        if not nis:
-            return
-        cells = self._inj_cells
-        if cells is None:
-            # Multi-vnet: no exact single-cell test; fall back to per-NI
-            # attempts, resyncing only after an actual injection (the
-            # failure path of ``try_inject`` mutates nothing).
-            for ni in nis:
-                if ni.queue and ni.try_inject(now):
-                    self._after_injection(ni)
-            return
-        comb = self._comb_py
-        for k, ni in enumerate(nis):
+    def _inject_queued(self, now: int) -> None:
+        # Heads on a nonzero vnet (defensive; the prefilter cell is only
+        # exact with one vnet) bypass the prefilter rather than trust the
+        # vnet-0 cell.
+        comb = self._comb
+        for ni, cell in self._inj_cells:
             queue = ni.queue
-            if not queue:
-                continue
-            # Heads on a nonzero vnet (defensive; vnets == 1 here) bypass
-            # the prefilter rather than trust the vnet-0 cell.
-            if comb[cells[k]] <= now or queue[0].vnet:
-                if ni.try_inject(now):
-                    self._after_injection(ni)
+            if (
+                queue
+                and (comb[cell] <= now or queue[0].vnet)
+                and ni.try_inject(now)
+            ):
+                self._after_injection(ni)
 
     def _after_injection(self, ni) -> None:
-        # Exactly one VC gained a packet; its shadow still shows the
-        # empty-slot sentinel, so a scan of the local span finds it and
-        # only that slot (plus its class cell) needs a resync.
+        # Exactly one VC gained a packet; its slot still reads as empty,
+        # so a scan of the local span finds it.
         rpos = self._rpos[ni.node]
         lo, hi = self._rlocal[rpos]
-        ready = self._ready_py
+        ready = self._ready
         slot_vcs = self._slot_vcs
         for i in range(lo, hi):
             if ready[i] == BIG and slot_vcs[i].packet is not None:
-                self._sync_slot(i)
-                c = self._avail_of_slot[i]
-                if c >= 0:
-                    self._set_avail(c)
+                self._filled.append(i)
                 return
         # The claimed VC sits outside the local span (an attached bubble,
-        # possible only if one is ever parked on the local port): fall back
-        # to a full-router resync.
-        self._resync_router(rpos)
+        # possible only if one is ever parked on the local port).
+        self._dirty.add(ni.node)
 
-    def _fast_alloc(self, now: int) -> None:
-        """Filter + switch allocation + transfer, fused into one frame.
+    def _allocate(self, now: int) -> None:
+        """Vector filter, then the shared grant stage on the survivors.
 
-        Stage 1 (vector): ``max(ready, lbusy[outc], comb[downc]) <= now``
-        over every slot at once; the survivors are an exact superset of
-        the grantable VCs (see the module docstring).
-
-        Stage 2 (scalar): a verbatim restriction of
-        ``Network._allocate_router`` + ``Network._transfer`` to the
-        surviving slots, grouped per router in ascending node order.  The
-        live objects are still consulted for every grant condition the
-        mirror cannot answer exactly mid-sweep (seals, mid-sweep link
-        claims, bubble deactivation).  Everything is inlined into this
-        one frame so the per-grant cost is list indexing and attribute
-        writes, not method dispatch; the sweep-wide flit counters are
-        accumulated in locals and flushed to ``stats`` once at the end
-        (nothing reads them mid-sweep: ``NetworkInterface.eject`` and the
-        scheme hooks touch disjoint fields).
-
-        Grant semantics proven equal to the reference:
-
-        * requests are latched per port in round-robin order before any
-          grant of the same router executes, and rejected scans have no
-          side effects — identical pointer movement;
-        * output arbitration per ``out`` only reads ``_out_rr[out]`` and
-          the latched requests, so selecting every winner before running
-          the transfers cannot change any outcome (a transfer never
-          touches another output's rr pointer or its contender list);
-        * transfers execute in the same ``by_out`` insertion order as the
-          reference's interleaved loop.
+        ``max(ready, lbusy[outc], comb[downc]) <= now`` over every slot at
+        once; the survivors are an exact superset of the grantable VCs
+        (see the module docstring).  They are partitioned per router, in
+        ascending node order, into the ``{input port: [VC positions]}``
+        map ``Network._allocate_router`` takes.  ``full_scan`` runs the
+        base sweep instead; the mirror stays exact either way because
+        every grant lands in :meth:`_transfer`.
         """
-        if not self._S:
+        if self.full_scan:
+            super()._allocate(now)
+            return
+        if not self._active_nodes or not self._S:
             return
         t1 = self._t1
         t2 = self._t2
         b0 = self._b0
-        np.take(self._lbusy, self._outc, out=t1)
-        np.maximum(t1, self._ready, out=t1)
-        np.take(self._comb, self._downc, out=t2)
+        np.take(self._lbusy_np, self._outc_np, out=t1)
+        np.maximum(t1, self._ready_np, out=t1)
+        np.take(self._comb_np, self._downc_np, out=t2)
         np.maximum(t1, t2, out=t1)
         np.less_equal(t1, now, out=b0)
         hits = np.nonzero(b0)[0]
@@ -536,359 +444,38 @@ class FastNetwork(Network):
             return
         hits = hits.tolist()
 
-        # Sweep-wide locals (bound once per cycle, not per router/grant).
-        slot_rpos = self._slot_rpos
         slot_port = self._slot_port
         slot_vcs = self._slot_vcs
         rlist = self._mrouters
-        routers = self.routers
-        rpos_map = self._rpos
-        nis = self.nis
-        scheme = self.scheme
-        obs = self.obs
-        dirty = self._dirty
-        pstart = self._pstart
-        bslot = self._bslot
-        avail_of_slot = self._avail_of_slot
-        avail_members = self._avail_members
-        avail_index_get = self._avail_index.get
-        comb_bub = self._comb_bub
-        sent_link = self._sent_link
-        sent_true = self._sent_true
-        sent_false = self._sent_false
-        sent_pass = self._sent_pass
-        tslots = self._tslots
-        tlinks = self._tlinks
-        tcomb = self._tcomb
-        P = self._num_ports
         local = self._local
-        port_names = self._port_names
-        ready = self._ready_py
-        free = self._free_py
-        outc = self._outc_py
-        downc = self._downc_py
-        lbusy = self._lbusy_py
-        avail_py = self._avail_py
-        bubav = self._bubav_py
-        comb = self._comb_py
-        now2 = now + 2
-        b_reads = b_xbar = b_linkc = b_writes = 0
-
-        idx = 0
-        nhits = len(hits)
-        while idx < nhits:
-            s = hits[idx]
-            rpos = slot_rpos[s]
-            slots = [s]
-            idx += 1
-            while idx < nhits and slot_rpos[hits[idx]] == rpos:
-                slots.append(hits[idx])
-                idx += 1
+        for rpos, slots in groupby(hits, self._slot_rpos.__getitem__):
             router = rlist[rpos]
-            pbase = rpos * P
-
-            # -- partition this router's candidates by input port --------
             by_port: Dict[int, List[int]] = {}
-            saw_bubble = False
             for s in slots:
                 p = slot_port[s]
-                if p < 0:
-                    # The bubble competes under its live attachment port,
-                    # as the last entry of that port's VC tuple.
-                    bubble = router.bubble
-                    if bubble is None:
-                        continue
-                    p = bubble.port
-                    if not 0 <= p <= local:
-                        continue
-                    k = -1  # resolved to len(vcs) - 1 below
-                    saw_bubble = True
-                else:
-                    k = s - pstart[pbase + p]
-                ks = by_port.get(p)
-                if ks is None:
-                    by_port[p] = [k]
-                else:
-                    ks.append(k)
-            nports = len(by_port)
-            if nports == 0:
-                continue
-
-            # -- request latch: first grantable VC per port, rr order ----
-            vc_cache = router._vc_cache
-            in_rr = router._in_rr
-            output_links = router.output_links
-            restricted = router.is_deadlock
-            adaptive = router._adaptive_lookup is not None
-            requests = None
-            # Slots ascend within a router, so insertion order is already
-            # port-ascending unless a bubble candidate (whose port is
-            # resolved live) landed out of sequence.
-            for port, ks in (
-                sorted(by_port.items())
-                if saw_bubble and nports > 1
-                else by_port.items()
-            ):
-                vcs = vc_cache[port]
-                if vcs is None:
-                    vcs = router.cached_port_vcs(port)
-                n = len(vcs)
-                if n == 0:
+                if p >= 0:
+                    by_port.setdefault(p, []).append(slot_vcs[s].index)
                     continue
-                start = in_rr[port] % n
-                if len(ks) > 1:
-                    ks = sorted(
-                        ((k if k >= 0 else n - 1) for k in ks),
-                        key=lambda k: (k - start) % n,
+                # The bubble competes under its live attachment port, as
+                # the last entry of that port's VC tuple.
+                p = router.bubble.port
+                if 0 <= p <= local:
+                    by_port.setdefault(p, []).append(
+                        len(router.cached_port_vcs(p)) - 1
                     )
-                elif ks[0] < 0:
-                    ks = (n - 1,)
-                for k in ks:
-                    vc = vcs[k]
-                    packet = vc.packet
-                    if packet is None or now < vc.ready_at:
-                        continue
-                    if adaptive and not packet.is_escape:
-                        # The shared multi-candidate scan: same method,
-                        # same live objects, same side effects as the
-                        # reference engine (adapt_out caching included).
-                        grant = self._adaptive_request(router, port, packet, now)
-                        if grant is None:
-                            continue
-                        out, target = grant
-                        if requests is None:
-                            requests = [
-                                (port, vc, packet, out, target, (k + 1) % n)
-                            ]
-                        else:
-                            requests.append(
-                                (port, vc, packet, out, target, (k + 1) % n)
-                            )
-                        break
-                    if packet.is_escape:
-                        out = router._requested_output(packet)
-                    else:
-                        out = packet.route[packet.hop]
-                    link = output_links[out]
-                    if (
-                        link is None
-                        or now < link.busy_until
-                        or link.special_blocked_at == now
-                    ):
-                        continue
-                    if restricted and not router.injection_allowed(port, out):
-                        continue
-                    if out == local:
-                        target = None
-                    else:
-                        # Downstream re-check off the shadow mirror: the
-                        # comb cells are maintained synchronously and
-                        # availability only shrinks mid-sweep, so a failing
-                        # compare proves ``free_vc_for`` would return None.
-                        i = pstart[pbase + port] + k if vc.index >= 0 else bslot[rpos]
-                        c = downc[i]
-                        if comb[c] > now:
-                            continue
-                        if dirty:
-                            # A VC-membership mutation (e.g. a bubble
-                            # deactivating mid-sweep) queued a lazy resync:
-                            # the shadow may be stale-available, so defer
-                            # to the live object scan.
-                            target = routers[link.dest_node].free_vc_for(
-                                link.dest_in_port, packet, now
-                            )
-                            if target is None:
-                                continue
-                        else:
-                            # Shadows are exact: pick the same VC the live
-                            # scan would — first free class member in VC
-                            # order, else the attached active bubble whose
-                            # availability is merged into this comb cell.
-                            target = None
-                            for s2 in avail_members[c]:
-                                if free[s2] <= now:
-                                    target = slot_vcs[s2]
-                                    break
-                            if target is None:
-                                target = routers[link.dest_node].bubble
-                    if requests is None:
-                        requests = [(port, vc, packet, out, target, (k + 1) % n)]
-                    else:
-                        requests.append(
-                            (port, vc, packet, out, target, (k + 1) % n)
-                        )
-                    break
-            if requests is None:
-                continue
+                    # Slots ascend within a router, so the keys already
+                    # ascend unless the bubble (last slot, live port)
+                    # landed out of sequence.
+                    by_port = dict(sorted(by_port.items()))
+            if by_port:
+                self._allocate_router(router, now, by_port)
 
-            # -- output arbitration: pick every winner, move every rr
-            # pointer, then run the transfers in the same order ----------
-            if len(requests) == 1:
-                port, vc, packet, out, target, advance = requests[0]
-                router._out_rr[out] = (port + 1) % P
-                in_rr[port] = advance
-                if adaptive and not packet.is_escape:
-                    router._adapt_rr[port] = (out + 1) % P
-                winners = requests
-            else:
-                by_out: Dict[int, list] = {}
-                for req in requests:
-                    by_out.setdefault(req[3], []).append(req)
-                winners = []
-                for out, contenders in by_out.items():
-                    if len(contenders) == 1:
-                        winner = contenders[0]
-                    else:
-                        rr = router._out_rr[out]
-                        winner = min(contenders, key=lambda c: (c[0] - rr) % P)
-                    router._out_rr[out] = (winner[0] + 1) % P
-                    in_rr[winner[0]] = winner[5]
-                    if adaptive and not winner[2].is_escape:
-                        router._adapt_rr[winner[0]] = (out + 1) % P
-                    winners.append(winner)
-
-            # -- transfer (``Network._transfer`` fused with the shadow
-            # updates).  The object mutations are statement-for-statement
-            # the reference's; the only deliberate difference is the
-            # direct ``_occupancy`` decrement — the wake hook matters for
-            # increments only, since any router with residents is already
-            # in the active set. ----------------------------------------
-            for port, vc, packet, out, target, advance in winners:
-                link = output_links[out]
-                size = packet.size
-                end = now + size
-                link.busy_until = end
-                vc.packet = None
-                vc.free_at = end
-                router._occupancy -= 1
-                b_reads += size
-                b_xbar += size
-                # Mirror: the source slot frees; its class cell can only
-                # improve.
-                vidx = vc.index
-                i = pstart[pbase + vc.port] + vidx if vidx >= 0 else bslot[rpos]
-                tslots.append(i)
-                ready[i] = BIG
-                free[i] = end
-                outc[i] = sent_link
-                downc[i] = sent_false
-                c = avail_of_slot[i]
-                if c >= 0:
-                    if end < avail_py[c]:
-                        avail_py[c] = end
-                        if end < comb[c]:
-                            comb[c] = end
-                            tcomb.append(c)
-                # else: the source was a bubble — its drain fires
-                # invalidate_vc_cache below, so its bubav cell resyncs
-                # next cycle.
-                cell = pbase + out
-                if end > lbusy[cell]:
-                    lbusy[cell] = end
-                tlinks.append(cell)
-                if target is None:
-                    nis[router.node].eject(packet, now)
-                else:
-                    b_linkc += size
-                    b_writes += size
-                    target.packet = packet
-                    target.ready_at = now2
-                    dest = link.dest_node
-                    dpos = rpos_map[dest]
-                    r2 = rlist[dpos]
-                    r2._occupancy += 1
-                    wake = r2._wake
-                    if wake is not None:
-                        wake(dest)
-                    escape = packet.is_escape
-                    if not escape:
-                        packet.hop += 1
-                        # Matches Network._transfer: the cached adaptive
-                        # preference died with the router just left.
-                        packet.adapt_out = -1
-                    if obs is not None:
-                        obs.emit(
-                            now,
-                            PACKET_TRANSFER,
-                            router.node,
-                            {
-                                "pid": packet.pid,
-                                "to": dest,
-                                "out": port_names[out],
-                                "size": size,
-                            },
-                        )
-                    # Mirror: the target slot is now occupied.
-                    tidx = target.index
-                    j = (
-                        pstart[dpos * P + target.port] + tidx
-                        if tidx >= 0
-                        else bslot[dpos]
-                    )
-                    tslots.append(j)
-                    ready[j] = now2
-                    free[j] = BIG
-                    if not escape and r2._adaptive_lookup is not None:
-                        # Adaptive arrival: always-pass sentinels, same
-                        # as ``_sync_slot``.
-                        outc[j] = sent_pass
-                        downc[j] = sent_true
-                    else:
-                        out2 = (
-                            r2._requested_output(packet)
-                            if escape
-                            else packet.route[packet.hop]
-                        )
-                        link2 = r2.output_links[out2]
-                        if link2 is None:
-                            outc[j] = sent_link
-                            downc[j] = sent_false
-                        else:
-                            outc[j] = dpos * P + out2
-                            if out2 == local:
-                                downc[j] = sent_true
-                            else:
-                                downc[j] = avail_index_get(
-                                    (
-                                        rpos_map[link2.dest_node],
-                                        link2.dest_in_port,
-                                        VC_ESCAPE if escape else VC_NORMAL,
-                                        packet.vnet,
-                                    ),
-                                    sent_false,
-                                )
-                    c2 = avail_of_slot[j]
-                    if c2 >= 0:
-                        # ``_set_avail`` inlined: class min, bubble merge.
-                        best = BIG
-                        for s2 in avail_members[c2]:
-                            v = free[s2]
-                            if v < best:
-                                best = v
-                        avail_py[c2] = best
-                        b = comb_bub[c2]
-                        if b >= 0:
-                            bv = bubav[b]
-                            if bv < best:
-                                best = bv
-                        comb[c2] = best
-                        tcomb.append(c2)
-                    else:
-                        # Claimed the downstream static bubble.
-                        self._set_bubav(dpos * P + target.port, BIG)
-                if vc.kind == VC_BUBBLE:
-                    # A drained bubble may leave the port's VC membership
-                    # (it is only attached while active or occupied).
-                    router.invalidate_vc_cache()
-                    scheme.on_bubble_drained(self, router, now)
-
-        if b_reads:
-            stats = self.stats
-            stats.buffer_reads += b_reads
-            stats.crossbar_flits += b_xbar
-            stats.link_flit_cycles += b_linkc
-            stats.buffer_writes += b_writes
     # -- overrides that keep the mirror coherent -----------------------------
+
+    def _transfer(self, router, vc, packet, out, target, now) -> None:
+        """``Network._transfer``; the mirror catches up in :meth:`_flush_moved`."""
+        super()._transfer(router, vc, packet, out, target, now)
+        self._moved.append((router, vc, out, target))
 
     def send_special(self, from_node: int, out_port: int, msg: SpecialMessage) -> bool:
         sent = super().send_special(from_node, out_port, msg)
@@ -897,18 +484,9 @@ class FastNetwork(Network):
             if rpos is not None:
                 claimed = self.cycle + 1 if self._post_alloc else self.cycle
                 cell = rpos * self._num_ports + out_port
-                if claimed + 1 > self._lbusy_py[cell]:
-                    self._lbusy_py[cell] = claimed + 1
-                    self._tlinks.append(cell)
+                if claimed + 1 > self._lbusy[cell]:
+                    self._lbusy[cell] = claimed + 1
         return sent
-
-    def attach_obs(self, observer) -> None:
-        super().attach_obs(observer)
-        if getattr(observer, "tracer", None) is not None:
-            # Event *ordering* inside a cycle can differ between engines
-            # even though grants are identical; traces must come from the
-            # reference path.
-            self._force_reference = True
 
     def apply_faults(self, links=(), routers=()):
         summary = super().apply_faults(links, routers)

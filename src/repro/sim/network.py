@@ -21,6 +21,7 @@ observer is attached each emission site costs one attribute check.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.messages import MsgType, SpecialMessage
@@ -59,13 +60,16 @@ ENGINES = ("reference", "fast")
 class Network:
     """A simulated NoC over one (possibly irregular) topology.
 
-    ``engine`` selects the cycle-loop implementation:
+    ``engine`` selects which VCs switch allocation visits each cycle;
+    the allocator itself (:meth:`_allocate_router`, :meth:`_transfer`)
+    is shared:
 
-    * ``"reference"`` (default): the object-per-VC engine in this module —
-      the semantic ground truth every other engine must match bit-for-bit.
-    * ``"fast"``: the struct-of-arrays engine in :mod:`repro.sim.fastcore`
-      (requires numpy).  ``Network(..., engine="fast")`` transparently
-      constructs a :class:`~repro.sim.fastcore.FastNetwork`.
+    * ``"reference"`` (default): every VC of every occupied router — the
+      semantic ground truth every other engine must match bit-for-bit.
+    * ``"fast"``: only the VCs that pass the struct-of-arrays filter in
+      :mod:`repro.sim.fastcore` (requires numpy).
+      ``Network(..., engine="fast")`` transparently constructs a
+      :class:`~repro.sim.fastcore.FastNetwork`.
     """
 
     def __new__(
@@ -128,6 +132,8 @@ class Network:
         #: mux, because this cycle's arbitration has already happened
         #: (paper footnote 10).
         self._post_alloc = False
+        #: ``_allocate_router``'s default candidates: every VC of every port.
+        self._every_port: Dict[int, None] = dict.fromkeys(range(self._num_ports))
 
         # Routers for active nodes only.
         self.routers: Dict[int, Router] = {}
@@ -632,10 +638,30 @@ class Network:
     def step(self) -> None:
         now = self.cycle
         self._deliver_specials(now)
+        self._begin_cycle(now)
         self._inject_traffic(now)
+        self._inject_queued(now)
+        self._allocate(now)
+        self._post_alloc = True
+        self.scheme.on_cycle(self, now)
+        self._post_alloc = False
+        obs = self.obs
+        if obs is not None:
+            obs.end_cycle(self, now)
+        self.stats.cycles += 1
+        self.cycle += 1
+
+    def _begin_cycle(self, now: int) -> None:
+        """Engine hook between special delivery and injection (mirror flush)."""
+
+    def _inject_queued(self, now: int) -> None:
+        """Move queued packets into free local-port VCs."""
         for ni in self._ni_list:
             if ni.queue:
                 ni.try_inject(now)
+
+    def _allocate(self, now: int) -> None:
+        """Switch allocation at every occupied router, ascending node order."""
         if self.full_scan:
             for router in self._router_list:
                 if router._occupancy:
@@ -653,14 +679,6 @@ class Network:
                     self._allocate_router(router, now)
                 else:
                     active.discard(node)
-        self._post_alloc = True
-        self.scheme.on_cycle(self, now)
-        self._post_alloc = False
-        obs = self.obs
-        if obs is not None:
-            obs.end_cycle(self, now)
-        self.stats.cycles += 1
-        self.cycle += 1
 
     def run(self, cycles: int) -> None:
         for _ in range(cycles):
@@ -682,12 +700,32 @@ class Network:
 
     # -- switch allocation ---------------------------------------------------
 
-    def _allocate_router(self, router: Router, now: int) -> None:
-        requests: List[Tuple[int, VirtualChannel, Packet, int, object, int]] = []
+    def _allocate_router(
+        self,
+        router: Router,
+        now: int,
+        candidates: Optional[Dict[int, Optional[List[int]]]] = None,
+    ) -> None:
+        """Request latch, output arbitration and transfers for one router.
+
+        The only switch-allocation code, shared by both engines.
+        ``candidates`` maps input port -> the positions to visit in that
+        port's :meth:`Router.cached_port_vcs` tuple, ascending; ``None``
+        for a port means every position, and ``candidates=None`` means
+        every position of every port (the reference sweep).  The fast
+        engine passes its vector-filter survivors, keys in ascending port
+        order.  Each port's positions are visited in round-robin order
+        from its pointer.  Every grant condition is checked against the
+        live objects, and a rejected VC has no side effects, so leaving
+        out VCs that cannot be granted changes nothing.
+        """
         # Input arbitration: one candidate VC per input port (round-robin).
         # This is the simulator's hottest loop — it runs once per occupied
         # router per cycle — so it works off the router's cached per-port
         # VC tuples and plain-int port arithmetic (no enum construction).
+        requests: List[Tuple[int, VirtualChannel, Packet, int, object, int]] = []
+        if candidates is None:
+            candidates = self._every_port
         routers = self.routers
         vc_cache = router._vc_cache
         in_rr = router._in_rr
@@ -696,7 +734,7 @@ class Network:
         adaptive = router._adaptive_lookup is not None
         num_ports = self._num_ports
         local = self._local
-        for port in range(num_ports):
+        for port, order in candidates.items():
             vcs = vc_cache[port]
             if vcs is None:
                 vcs = router.cached_port_vcs(port)
@@ -704,8 +742,13 @@ class Network:
             if n == 0:
                 continue
             start = in_rr[port] % n
-            for k in range(n):
-                vc = vcs[(start + k) % n]
+            if order is None:
+                order = range(start, start + n)
+            elif len(order) > 1:
+                cut = bisect_left(order, start)
+                order = order[cut:] + order[:cut]
+            for k in order:
+                vc = vcs[k % n]
                 packet = vc.packet
                 if packet is None or now < vc.ready_at:
                     continue
@@ -714,9 +757,7 @@ class Network:
                     if grant is None:
                         continue
                     out, target = grant
-                    requests.append(
-                        (port, vc, packet, out, target, (start + k + 1) % n)
-                    )
+                    requests.append((port, vc, packet, out, target, (k + 1) % n))
                     break
                 if packet.is_escape:
                     out = router._requested_output(packet)
@@ -738,7 +779,7 @@ class Network:
                     target = downstream.free_vc_for(link.dest_in_port, packet, now)
                     if target is None:
                         continue
-                requests.append((port, vc, packet, out, target, (start + k + 1) % n))
+                requests.append((port, vc, packet, out, target, (k + 1) % n))
                 break
         if not requests:
             return
@@ -777,10 +818,6 @@ class Network:
         cycle.  ``packet.adapt_out`` is updated to the winning candidate
         — or the top preference when nothing is grantable — so probes,
         the deadlock oracle, and seal checks see a concrete outport.
-
-        Shared verbatim by both engines: the fast engine's scalar grant
-        stage calls this method too, which is what keeps adaptive outport
-        choice bit-identical across engines.
         """
         order = router.adaptive_order(port, packet, self.routers, now)
         if not order:

@@ -2,7 +2,10 @@
 
 import random
 
+import pytest
+
 from repro.protocols.none import MinimalUnprotected
+from repro.service.spec import SimSpec, run_sim_spec
 from repro.sim.config import SimConfig
 from repro.sim.deadlock import DeadlockMonitor, find_wait_cycle
 from repro.sim.engine import deadlocks_within
@@ -159,3 +162,33 @@ class TestEndToEnd:
         traffic = UniformRandomTraffic(topo, rate=0.7, seed=11)
         net = Network(topo, config, SpanningTreeAvoidance(), traffic, seed=11)
         assert not deadlocks_within(net, 2500)
+
+
+class TestOffMesh:
+    """The oracle reads port geometry from the router and its links."""
+
+    @pytest.mark.parametrize(
+        "topology", ["mesh3d:4x4x4", "torus3d:4x4x4", "circulant:64,1,8"]
+    )
+    def test_saturated_unprotected_network_reports_a_wait_cycle(self, topology):
+        # 6-port routers eject on port 6 and a circulant's arrival port is
+        # not the mesh's OPPOSITE_PORT: hard-coded mesh ports raised
+        # KeyError here, or looked at the wrong downstream buffers and
+        # found no cycle.
+        spec = SimSpec(
+            topology=topology, scheme="minimal-unprotected", rate=0.9, monitor=True
+        )
+        payload = run_sim_spec(spec.to_dict())
+        assert payload["result"]["deadlocked"]
+        assert payload["stats"]["deadlocks_observed"] >= 1
+
+    @pytest.mark.parametrize(
+        "scheme, rate, deadlocks",
+        [("minimal-unprotected", 0.9, 1), ("static-bubble", 0.3, 4)],
+    )
+    def test_mesh_verdicts_unchanged(self, scheme, rate, deadlocks):
+        """Pinned from the mesh-only oracle on the 8-fault 8x8."""
+        spec = SimSpec(scheme=scheme, rate=rate, link_faults=8, monitor=True)
+        payload = run_sim_spec(spec.to_dict())
+        assert payload["result"]["deadlocked"]
+        assert payload["stats"]["deadlocks_observed"] == deadlocks

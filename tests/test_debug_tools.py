@@ -3,6 +3,7 @@
 from repro.core.messages import MsgType
 from repro.protocols.none import MinimalUnprotected
 from repro.sim.config import SimConfig
+from repro.sim.deadlock import DeadlockMonitor
 from repro.sim.debug import (
     SpecialMessageTracer,
     describe_wait_cycle,
@@ -11,7 +12,9 @@ from repro.sim.debug import (
     seal_census,
 )
 from repro.sim.network import Network
+from repro.topology.generators import parse_topology
 from repro.topology.mesh import mesh
+from repro.traffic.synthetic import UniformRandomTraffic
 
 from tests.conftest import build_2x2_ring_deadlock
 
@@ -29,6 +32,22 @@ class TestDescribeWaitCycle:
         assert {w.pid for w in waiting} == {100, 101, 102, 103}
         for w in waiting:
             assert "wants" in w.describe()
+
+    def test_six_port_topology_uses_its_own_port_names(self):
+        """``Port(...)`` has no member for ports 5/6 and misnames the rest."""
+        topo = parse_topology("mesh3d:4x4x4")
+        net = Network(topo, SimConfig(), MinimalUnprotected(),
+                      UniformRandomTraffic(topo, rate=0.9, seed=1), seed=1)
+        monitor = DeadlockMonitor()
+        while not monitor.check(net, net.cycle):
+            assert net.cycle < 2500
+            net.step()
+        waiting = describe_wait_cycle(net)
+        assert waiting
+        names = {topo.port_name(p) for p in range(topo.num_ports)}
+        for w in waiting:
+            assert w.in_port in names and w.wants in names
+            assert f"wants={w.wants}" in w.describe()
 
     def test_locate_packets(self):
         net, _ = build_2x2_ring_deadlock(scheme=MinimalUnprotected())

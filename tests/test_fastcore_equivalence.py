@@ -21,12 +21,13 @@ import random
 
 import pytest
 
+from repro.obs import Observer
 from repro.protocols import make_scheme
 from repro.sim.config import SimConfig
 from repro.sim.deadlock import DeadlockMonitor
 from repro.sim.network import Network
 from repro.topology.faults import inject_link_faults
-from repro.topology.mesh import mesh
+from repro.topology.generators import parse_topology
 from repro.traffic.synthetic import UniformRandomTraffic
 
 try:
@@ -60,11 +61,15 @@ def _need_numpy():
         pytest.skip("numpy unavailable; fast engine cannot run")
 
 
-def _make_pair(scheme_name, *, rate=0.25, faults=8, seed=1, fault_seed=1):
-    """Identically-seeded (reference, fast) networks on a faulted 8x8."""
+def _make_pair(
+    scheme_name, *, rate=0.25, faults=8, seed=1, fault_seed=1, topology="8x8"
+):
+    """Identically-seeded (reference, fast) networks on a faulted topology."""
     nets = []
     for engine in ("reference", "fast"):
-        topo = inject_link_faults(mesh(8, 8), faults, random.Random(fault_seed))
+        topo = inject_link_faults(
+            parse_topology(topology), faults, random.Random(fault_seed)
+        )
         traffic = UniformRandomTraffic(topo, rate=rate, seed=seed)
         nets.append(
             Network(
@@ -101,6 +106,21 @@ def test_per_cycle_stats_identical(scheme_name):
         r, f = _stats_dict(ref), _stats_dict(fast)
         assert f == r, f"stats diverged at cycle {cycle} for {scheme_name}"
     assert fast.stats.summary() == ref.stats.summary()
+
+
+@pytest.mark.parametrize("scheme_name", ["static-bubble", "escape-vc", "adaptive"])
+@pytest.mark.parametrize("topology", ["torus3d:4x4x4", "circulant:64,1,8"])
+def test_per_cycle_stats_identical_off_mesh(topology, scheme_name):
+    """The same per-cycle identity on 6- and 4-port non-mesh generators."""
+    ref, fast = _make_pair(scheme_name, rate=0.90, faults=4, topology=topology)
+    for cycle in range(400):
+        ref.step()
+        fast.step()
+        assert _stats_dict(fast) == _stats_dict(ref), (
+            f"stats diverged at cycle {cycle} for {scheme_name} on {topology}"
+        )
+    # The run must reach the recovery machinery, not just route packets.
+    assert ref.stats.probes_sent + ref.stats.escape_diversions > 0
 
 
 @pytest.mark.parametrize("scheme_name", ["static-bubble", "escape-vc"])
@@ -161,14 +181,74 @@ def test_live_reconfig_identical_on_fast_engine(scheme_name):
     assert _stats_dict(fast) == _stats_dict(ref)
 
 
-def test_paranoid_mode_matches(monkeypatch):
-    """REPRO_FAST_PARANOID=1 (resync-every-cycle) changes nothing."""
-    monkeypatch.setenv("REPRO_FAST_PARANOID", "1")
+@pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
+def test_traced_event_stream_identical(scheme_name):
+    """A traced fast network emits the reference's exact event stream.
+
+    Every emission site lives in code both engines share, so the fast
+    engine runs its own sweep under a tracer (no fallback) and still
+    produces the same events in the same order.
+    """
+    ref, fast = _make_pair(scheme_name, rate=0.30, faults=10, fault_seed=3)
+    streams = []
+    for net in (ref, fast):
+        observer = Observer(trace=True, metrics=False, ring_capacity=1 << 20)
+        net.attach_obs(observer)
+        net.run(900)
+        streams.append([e.to_dict() for e in observer.tracer.events])
+    assert type(fast).__name__ == "FastNetwork"
+    assert len(streams[0]) > 1000
+    assert streams[1] == streams[0]
+
+
+def test_paranoid_mode_matches():
+    """Resyncing the whole mirror every cycle changes nothing."""
     ref, fast = _make_pair("static-bubble", rate=0.20)
-    assert fast._paranoid
+    fast._paranoid = True
     ref.run(250)
     fast.run(250)
     assert _stats_dict(fast) == _stats_dict(ref)
+
+
+def test_full_scan_toggle_keeps_mirror_exact():
+    """Grants of either sweep land in the mirror: no resync on switching."""
+    ref, fast = _make_pair("static-bubble", rate=0.30, faults=10, fault_seed=3)
+    for cycle in range(600):
+        fast.full_scan = (cycle // 40) % 2 == 1
+        ref.step()
+        fast.step()
+        assert _stats_dict(fast) == _stats_dict(ref), f"diverged at cycle {cycle}"
+    assert ref.stats.probes_sent > 0
+
+
+def _mirror_state(fast):
+    """Everything the filter can still observe of the mirror from ``fast.cycle`` on."""
+    from repro.sim.fastcore import BIG
+
+    now = fast.cycle
+    slots = [
+        (ready, outc, downc) if ready < BIG else None
+        for ready, outc, downc in zip(fast._ready, fast._outc, fast._downc)
+    ]
+    # Times at or before ``now`` all mean "available now".
+    return (
+        slots,
+        [max(v, now) for v in fast._lbusy],
+        [max(v, now) for v in fast._comb],
+    )
+
+
+@pytest.mark.parametrize("scheme_name", ["static-bubble", "escape-vc", "adaptive"])
+def test_replayed_mirror_matches_full_resync(scheme_name):
+    """Replaying the noted grants leaves exactly what a full resync builds."""
+    _, fast = _make_pair(scheme_name, rate=0.30, faults=10, fault_seed=3)
+    for _ in range(12):
+        fast.run(50)
+        fast._begin_cycle(fast.cycle)
+        replayed = _mirror_state(fast)
+        fast._resync_all()
+        assert _mirror_state(fast) == replayed
+    assert fast.stats.packets_ejected > 0
 
 
 def test_engine_tag_and_selection():
@@ -176,5 +256,5 @@ def test_engine_tag_and_selection():
     assert type(fast).__name__ == "FastNetwork"
     assert type(ref) is Network
     with pytest.raises(ValueError):
-        topo = mesh(4, 4)
+        topo = parse_topology("4x4")
         Network(topo, SimConfig(), make_scheme("xy"), engine="warp")

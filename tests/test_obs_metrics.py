@@ -23,6 +23,7 @@ from repro.sim.engine import run_with_window
 from repro.sim.network import Network
 from repro.experiments.common import run_synthetic
 from repro.protocols.none import MinimalUnprotected
+from repro.topology.generators import parse_topology
 from repro.topology.mesh import mesh
 from repro.traffic.synthetic import UniformRandomTraffic
 
@@ -126,6 +127,17 @@ class TestEngineIntegration:
         assert obs.metrics.counters["sims"] == 1
         assert obs.metrics.counters["net.cycles"] == 150
         assert obs.metrics.histogram("packet.latency", LATENCY_BOUNDS).count > 0
+
+    def test_link_utilization_counts_every_network_port_off_mesh(self):
+        """A 6-port router has six network links, not the mesh's four."""
+        topo = parse_topology("torus3d:4x4x4")
+        traffic = UniformRandomTraffic(topo, rate=0.3, seed=2)
+        net = Network(topo, SimConfig(), MinimalUnprotected(), traffic, seed=2)
+        obs = Observer(trace=False, sample_every=64)
+        net.attach_obs(obs)
+        net.run(65)
+        cycle, sample = obs.link_util_series[0]
+        assert sample["flit"] == net.stats.link_flit_cycles / (64 * 6 * cycle) > 0
 
     def test_run_synthetic_uses_proc_registry_when_enabled(self, monkeypatch):
         monkeypatch.setenv(OBS_ENV_VAR, "1")
