@@ -23,9 +23,7 @@ def place(net, node, in_port, pid, src, dst, route):
     packet = Packet(pid, src, dst, 0, 1, route, 0)
     packet.injected_at = 0
     packet.hop = 1
-    vc.packet = packet
-    vc.ready_at = 0
-    router.occupancy += 1
+    router.place(vc, packet, 0)
     return packet
 
 

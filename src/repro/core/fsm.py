@@ -106,6 +106,9 @@ class CounterFsm:
     trace: Optional[Callable[["CounterFsm", FsmState, FsmState], None]] = field(
         default=None, repr=False, compare=False
     )
+    #: The owning scheme's set of nodes whose FSM is not in ``S_OFF`` —
+    #: its per-cycle work list — kept current by :meth:`transition`.
+    awake: Optional[set] = field(default=None, repr=False, compare=False)
 
     # -- counter -----------------------------------------------------------
 
@@ -113,6 +116,11 @@ class CounterFsm:
         """Move to ``new_state``, notifying the trace hook if installed."""
         old = self.state
         self.state = new_state
+        if self.awake is not None:
+            if new_state is FsmState.S_OFF:
+                self.awake.discard(self.node)
+            else:
+                self.awake.add(self.node)
         if self.trace is not None and old is not new_state:
             self.trace(self, old, new_state)
 

@@ -94,8 +94,12 @@ class EscapeVcRecovery(DeadlockScheme):
         allocation on it requests the escape output port and an escape VC.
         """
         threshold = self._t_detect
-        for router in network.active_routers():
-            if router.occupancy == 0:
+        # Diversions commute (a flag flip and a counter), so the occupied
+        # set is walked in whatever order it iterates.
+        routers = network.routers
+        for node in network._active_nodes:
+            router = routers[node]
+            if not router._occupancy:
                 continue
             for vc in router.all_vcs():
                 packet = vc.packet

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.core.fsm import COUNTING_STATES, CounterFsm, FsmAction, FsmState
+from repro.core.fsm import CounterFsm, FsmAction, FsmState
 from repro.core.messages import (
     MsgType,
     SpecialMessage,
@@ -124,7 +124,12 @@ class StaticBubbleScheme(DeadlockScheme):
         #: Optional explicit set of static-bubble node ids (ablations:
         #: bubble-at-every-router, random sparse placements, ...).
         self.placement_override = placement_override
+        #: Per-SB-router state, in ascending node order (the order
+        #: ``on_cycle`` drives the FSMs in).
         self.states: Dict[int, _SbRouterState] = {}
+        #: Nodes whose FSM is not in ``S_OFF``; every ``CounterFsm`` shares
+        #: this set and updates it in ``transition``.
+        self._awake: set = set()
         #: Over-approximating set of sealed (``is_deadlock``) router ids,
         #: fed by the routers' seal hook; members whose seal is gone are
         #: discarded lazily by ``_collect_stale_seals``.  Avoids scanning
@@ -179,26 +184,42 @@ class StaticBubbleScheme(DeadlockScheme):
     def setup(self, network: "Network") -> None:
         config = network.config
         self._install_codec(network.topo)
-        t_dd = self._t_dd_override or config.sb_t_dd
         sb_nodes = self._placed_nodes(network.topo)
         self._placement = sb_nodes
         for router in network.routers.values():
             router._seal_hook = self._sealed.add
         for node, router in network.routers.items():
             if node in sb_nodes:
-                router.add_static_bubble()
-                # Per-router detection thresholds are configurable in the
-                # paper's design; staggering them by node id desynchronizes
-                # probe retries so that concurrent probes do not collide in
-                # the same deterministic pattern every period (collisions
-                # drop the lower-id probe, Section IV-B).
-                stagger = (node * 7) % 13
-                fsm = CounterFsm(
-                    node,
-                    t_dd + stagger,
-                    max_enable_retries=config.sb_enable_retries,
-                )
-                self.states[node] = _SbRouterState(fsm)
+                self._provision(router, config)
+
+    def _provision(self, router: "Router", config: SimConfig) -> None:
+        """Give ``router`` its static bubble and counter FSM."""
+        node = router.node
+        router.add_static_bubble()
+        # Per-router detection thresholds are configurable in the paper's
+        # design; staggering them by node id desynchronizes probe retries
+        # so that concurrent probes do not collide in the same
+        # deterministic pattern every period (collisions drop the lower-id
+        # probe, Section IV-B).
+        stagger = (node * 7) % 13
+        fsm = CounterFsm(
+            node,
+            (self._t_dd_override or config.sb_t_dd) + stagger,
+            max_enable_retries=config.sb_enable_retries,
+            awake=self._awake,
+        )
+        self.states[node] = _SbRouterState(fsm)
+
+    def resync_awake(self) -> None:
+        """Re-derive the running-FSM set after FSM states were written
+        directly (``verify.model.restore``) rather than through
+        ``CounterFsm.transition``."""
+        self._awake.clear()
+        self._awake.update(
+            node
+            for node, state in self.states.items()
+            if state.fsm.state is not FsmState.S_OFF
+        )
 
     def is_sb_router(self, node: int) -> bool:
         return node in self.states
@@ -247,28 +268,20 @@ class StaticBubbleScheme(DeadlockScheme):
         removed_set = set(removed)
         for node in removed_set:
             self.states.pop(node, None)
+            self._awake.discard(node)
 
         if added:
-            t_dd = self._t_dd_override or config.sb_t_dd
             sb_nodes = self._placed_nodes(network.topo)
-            provisioned = False
             for node in added:
                 network.routers[node]._seal_hook = self._sealed.add
-            for node in added:
-                if node not in sb_nodes:
-                    continue
-                router = network.routers[node]
-                router.add_static_bubble()
-                stagger = (node * 7) % 13
-                fsm = CounterFsm(
-                    node,
-                    t_dd + stagger,
-                    max_enable_retries=config.sb_enable_retries,
-                )
-                self.states[node] = _SbRouterState(fsm)
-                provisioned = True
-            if provisioned and network.obs is not None:
-                self.attach_obs(network, network.obs)
+            restored = [node for node in added if node in sb_nodes]
+            for node in restored:
+                self._provision(network.routers[node], config)
+            if restored:
+                # Same FSM visit order as a network rebuilt on this topology.
+                self.states = dict(sorted(self.states.items()))
+                if network.obs is not None:
+                    self.attach_obs(network, network.obs)
 
         fsms_reset = 0
         broken_senders = set(removed_set)
@@ -362,18 +375,24 @@ class StaticBubbleScheme(DeadlockScheme):
     # -- per-cycle FSM driving ---------------------------------------------
 
     def on_cycle(self, network: "Network", now: int) -> None:
-        # This loop runs for every SB router every cycle; the guards of
-        # `_relocate_bubble_resident` / `_update_watch` /
-        # `_sb_active_watchdog` / `CounterFsm.tick` are inlined here so the
-        # common case (nothing to do) costs a few attribute reads instead
-        # of four method calls per router.  Behaviour is identical.
+        # Only two kinds of SB router have anything to do in a cycle: one
+        # whose FSM is running, and one that holds a packet (its first
+        # flit arms the FSM; a bubble resident may relocate).  They are
+        # driven in ascending node order.  The guards of
+        # `_relocate_bubble_resident` / `_sb_active_watchdog` /
+        # `CounterFsm.tick` are inlined so a visit with nothing to do
+        # costs a few attribute reads, not a method call each.
+        states = self.states
+        visit = self._awake.union(
+            filter(states.__contains__, network._active_nodes)
+        )
         routers = network.routers
         s_off = FsmState.S_OFF
         s_dd = FsmState.S_DD
         s_active = FsmState.S_SB_ACTIVE
-        counting = COUNTING_STATES
         none_action = FsmAction.NONE
-        for node, state in self.states.items():
+        for node in sorted(visit):
+            state = states[node]
             router = routers[node]
             fsm = state.fsm
             bubble = router.bubble
@@ -414,9 +433,9 @@ class StaticBubbleScheme(DeadlockScheme):
             elif st is s_active:
                 self._sb_active_watchdog(network, router, state, now)
                 st = fsm.state
-            if st in counting:
-                # ``fsm.tick()`` unrolled: the no-timeout path is by far
-                # the common case and runs every cycle for every armed FSM.
+            if st is not s_off and st is not s_active:
+                # ``fsm.tick()`` unrolled (every state but these two
+                # counts): the no-timeout path is by far the common case.
                 fsm.count += 1
                 if fsm.count >= fsm.threshold:
                     action = fsm._on_timeout()
@@ -495,10 +514,9 @@ class StaticBubbleScheme(DeadlockScheme):
                     and vc.vnet == resident.vnet
                     and vc.is_free(now)
                 ):
-                    vc.packet = resident
-                    vc.ready_at = now + 1
-                    bubble.packet = None
+                    router.remove(bubble)
                     bubble.free_at = now + 1
+                    router.place(vc, resident, now + 1)
                     router.invalidate_vc_cache()
                     self._emit(
                         network, BUBBLE_RELOCATE, router.node, pid=resident.pid
@@ -509,37 +527,6 @@ class StaticBubbleScheme(DeadlockScheme):
     @staticmethod
     def _compass_vcs(router: "Router") -> Tuple:
         return router.compass_vcs
-
-    def _update_watch(self, router: "Router", state: _SbRouterState, now: int) -> None:
-        fsm = state.fsm
-        if fsm.state == FsmState.S_OFF:
-            if router._occupancy == 0:
-                return  # no packets anywhere, so no compass VC is occupied
-            vcs = router.compass_vcs
-            idx = self._next_occupied(vcs, state.watch_index)
-            if idx is not None:
-                state.watch_index = idx
-                state.watched_pid = vcs[idx].packet.pid
-                fsm.on_first_flit()
-            return
-        if fsm.state != FsmState.S_DD:
-            return
-        vcs = router.compass_vcs
-        current = vcs[state.watch_index] if state.watch_index < len(vcs) else None
-        if (
-            current is not None
-            and current.packet is not None
-            and current.packet.pid == state.watched_pid
-        ):
-            return  # still waiting on the same packet; keep counting
-        idx = self._next_occupied(vcs, state.watch_index + 1)
-        if idx is not None:
-            state.watch_index = idx
-            state.watched_pid = vcs[idx].packet.pid
-            fsm.on_watched_vc_progress(True)
-        else:
-            state.watched_pid = None
-            fsm.on_watched_vc_progress(False)
 
     @staticmethod
     def _next_occupied(vcs: List, start: int) -> Optional[int]:

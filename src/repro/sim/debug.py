@@ -10,11 +10,14 @@ types, different flow control) will need exactly them.
   counter, watch target, bubble occupancy.
 * :class:`SpecialMessageTracer` — wrap a network to log every special
   message launch (optionally filtered by sender).
+* :func:`phase_budget` — where one simulated cycle's time goes, by phase
+  of ``Network.step``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.messages import MsgType, SpecialMessage
@@ -168,3 +171,55 @@ def seal_census(network: Network) -> List[Tuple[int, int, str, str]]:
                 )
             )
     return result
+
+
+#: The phases of ``Network.step`` that :func:`phase_budget` times: the
+#: network's own hooks, then the scheme's per-cycle work.
+STEP_PHASES = (
+    "_deliver_specials",
+    "_begin_cycle",
+    "_inject_traffic",
+    "_inject_queued",
+    "_allocate",
+    "on_cycle",
+)
+
+
+def phase_budget(network: Network, cycles: int) -> Dict[str, float]:
+    """Run ``cycles`` cycles and return microseconds per cycle by phase.
+
+    Times each hook ``Network.step`` calls by wrapping it on the
+    *instance* for the duration of the run, so ``step`` stays the only
+    place that spells the phase order and whichever engine the network
+    runs is the one measured.  Keys are :data:`STEP_PHASES` plus
+    ``"step"``, the wall time of a whole cycle (phases, timer overhead
+    and ``step``'s own bookkeeping).
+    """
+    spent = dict.fromkeys(STEP_PHASES, 0.0)
+    owners = {
+        name: network.scheme if name == "on_cycle" else network
+        for name in STEP_PHASES
+    }
+
+    def timed(owner, name):
+        hook = getattr(owner, name)
+
+        def wrapper(*args):
+            begin = perf_counter()
+            hook(*args)
+            spent[name] += perf_counter() - begin
+
+        setattr(owner, name, wrapper)
+
+    for name, owner in owners.items():
+        timed(owner, name)
+    try:
+        begin = perf_counter()
+        network.run(cycles)
+        wall = perf_counter() - begin
+    finally:
+        for name, owner in owners.items():
+            del owner.__dict__[name]
+    budget = {name: spent[name] / cycles * 1e6 for name in STEP_PHASES}
+    budget["step"] = wall / cycles * 1e6
+    return budget

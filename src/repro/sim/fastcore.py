@@ -6,8 +6,8 @@ that walk rejects candidates: the VC is empty, its packet is not yet
 switchable, the output link is busy, or the downstream port has no free
 buffer.  :class:`FastNetwork` keeps the object model as the source of
 truth but mirrors the *rejection tests* into flat preallocated numpy
-arrays — a packet/VC side table indexed by slot — so each cycle opens
-with a handful of masked array ops over all slots at once:
+arrays — a packet/VC side table indexed by slot — so a cycle on a busy
+network opens with a handful of masked array ops over all slots at once:
 
 ``ready[slot]``
     ``vc.ready_at`` while occupied, else a ``BIG`` sentinel (so plain
@@ -51,11 +51,19 @@ start.  In-place packet mutations (the escape-VC scheme flipping
 ``packet.is_escape`` on buffered packets) fire the same hook directly,
 so only the affected routers resync.
 
-The mirror is exact whichever sweep ran: ``full_scan`` runs the base
-sweep through the same ``_transfer`` override.  ``apply_faults`` /
-``restore`` rebuild the mirror wholesale.  Setting ``_paranoid`` on an
-instance resyncs every router every cycle (slow; for debugging mirror
-drift).
+The filter costs the same whatever the load, and on a nearly empty
+network the reference's sweep of the few occupied routers is cheaper.
+So the sweep is chosen every cycle from packets in flight
+(:meth:`FastNetwork._begin_cycle`, :data:`DENSE_ABOVE` /
+:data:`SPARSE_BELOW`).  Both are exact, so the choice only moves time.
+A *sparse* cycle is the base class's in every respect and maintains
+nothing here; the first *dense* cycle after one resyncs the whole
+mirror, or builds it — a network that never fills never has one.  On
+dense cycles the mirror is exact whichever sweep ran: ``full_scan`` runs
+the base sweep through the same ``_transfer`` override.
+``apply_faults`` / ``restore`` mark the layout stale and the next dense
+cycle rebuilds it.  Setting ``_paranoid`` on an instance resyncs every
+router every dense cycle (slow; for debugging mirror drift).
 """
 
 from __future__ import annotations
@@ -74,6 +82,15 @@ from repro.sim.router import Router, VC_ESCAPE, VC_NORMAL, VirtualChannel
 #: survive int64 arithmetic headroom.
 BIG = 1 << 60
 
+#: Packets in flight above which a cycle runs the vector filter, and
+#: below which a dense run falls back to the base sweep.  The filter
+#: costs the same whatever the load and the base sweep costs per occupied
+#: router, so the two cross once; on the faulted 8x8 that is a broad
+#: plateau around 65-110 in flight (rate 0.02 holds ~6, saturation ~680),
+#: and the gap between the two constants is the hysteresis.
+DENSE_ABOVE = 110
+SPARSE_BELOW = 65
+
 
 def _plane(values: List[int]):
     """An ``array('q')`` and the numpy view sharing its memory."""
@@ -88,17 +105,22 @@ class FastNetwork(Network):
 
     def _engine_setup(self) -> None:
         self.engine = "fast"
-        #: Debugging aid: resync every router every cycle (slow) to rule
-        #: out mirror drift.
+        #: Which sweep this cycle runs, chosen in :meth:`_begin_cycle`:
+        #: True = vector filter with the mirror kept current, False = the
+        #: base sweep with nothing maintained.
+        self._dense = False
+        #: Vector-filter passes run so far (a count, for tests and probes).
+        self.filter_passes = 0
+        #: Debugging aid: resync every router every dense cycle (slow) to
+        #: rule out mirror drift.
         self._paranoid = False
         #: Node ids whose router mutated VC membership since the last sync.
         self._dirty: set = set()
-        #: VC *structure* changed post-warm (``add_escape_vcs`` /
-        #: ``add_static_bubble`` outside apply_faults/restore): the slot
-        #: layout and class cells are wrong, not just their values, so a
-        #: value-level resync cannot help — rebuild wholesale.
-        self._structure_stale = False
-        self._build_mirror()
+        #: The slot layout does not describe the routers: no mirror built
+        #: yet, ``apply_faults`` / ``restore``, or VC *structure* changed
+        #: post-warm (``add_escape_vcs`` / ``add_static_bubble``).  A
+        #: value-level resync cannot help — the next dense cycle rebuilds.
+        self._structure_stale = True
 
     def _build_mirror(self) -> None:
         """(Re)build the slot layout and the planes."""
@@ -348,9 +370,29 @@ class FastNetwork(Network):
     # -- per-cycle machinery -------------------------------------------------
 
     def _begin_cycle(self, now: int) -> None:
+        """Choose this cycle's sweep from packets in flight; ready the mirror.
+
+        Both sweeps are exact, so the choice only moves time.  A sparse
+        cycle maintains nothing; the first dense cycle after one pays a
+        full resync (or the build, if the layout is stale).
+        """
+        # ``total_occupancy()``, inlined: this runs every cycle.
+        routers = self.routers
+        in_flight = 0
+        for node in self._active_nodes:
+            in_flight += routers[node]._occupancy
+        if self._dense:
+            if in_flight < SPARSE_BELOW:
+                self._dense = False
+                return
+            resync = self._paranoid
+        elif in_flight > DENSE_ABOVE:
+            self._dense = resync = True
+        else:
+            return
         if self._structure_stale:
             self._build_mirror()
-        if self._paranoid:
+        elif resync:
             self._resync_all()
             self._moved.clear()
             self._filled.clear()
@@ -387,6 +429,9 @@ class FastNetwork(Network):
         slots.clear()
 
     def _inject_queued(self, now: int) -> None:
+        if not self._dense:
+            Network._inject_queued(self, now)
+            return
         # Heads on a nonzero vnet (defensive; the prefilter cell is only
         # exact with one vnet) bypass the prefilter rather than trust the
         # vnet-0 cell.
@@ -422,15 +467,15 @@ class FastNetwork(Network):
         once; the survivors are an exact superset of the grantable VCs
         (see the module docstring).  They are partitioned per router, in
         ascending node order, into the ``{input port: [VC positions]}``
-        map ``Network._allocate_router`` takes.  ``full_scan`` runs the
-        base sweep instead; the mirror stays exact either way because
-        every grant lands in :meth:`_transfer`.
+        map ``Network._allocate_router`` takes.  A sparse cycle and
+        ``full_scan`` run the base sweep instead; on a dense cycle the
+        mirror stays exact either way because every grant lands in
+        :meth:`_transfer`.
         """
-        if self.full_scan:
-            super()._allocate(now)
+        if self.full_scan or not self._dense:
+            Network._allocate(self, now)
             return
-        if not self._active_nodes or not self._S:
-            return
+        self.filter_passes += 1
         t1 = self._t1
         t2 = self._t2
         b0 = self._b0
@@ -474,12 +519,13 @@ class FastNetwork(Network):
 
     def _transfer(self, router, vc, packet, out, target, now) -> None:
         """``Network._transfer``; the mirror catches up in :meth:`_flush_moved`."""
-        super()._transfer(router, vc, packet, out, target, now)
-        self._moved.append((router, vc, out, target))
+        Network._transfer(self, router, vc, packet, out, target, now)
+        if self._dense:
+            self._moved.append((router, vc, out, target))
 
     def send_special(self, from_node: int, out_port: int, msg: SpecialMessage) -> bool:
         sent = super().send_special(from_node, out_port, msg)
-        if sent:
+        if sent and self._dense:
             rpos = self._rpos.get(from_node)
             if rpos is not None:
                 claimed = self.cycle + 1 if self._post_alloc else self.cycle
@@ -490,10 +536,10 @@ class FastNetwork(Network):
 
     def apply_faults(self, links=(), routers=()):
         summary = super().apply_faults(links, routers)
-        self._build_mirror()
+        self._structure_stale = True
         return summary
 
     def restore(self, links=(), routers=()):
         summary = super().restore(links, routers)
-        self._build_mirror()
+        self._structure_stale = True
         return summary

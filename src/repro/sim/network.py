@@ -53,6 +53,9 @@ _SPECIAL_STAT_KEY = {
 }
 
 
+#: Later than any reachable cycle.
+_NEVER = 1 << 60
+
 #: Engines selectable at :class:`Network` construction.
 ENGINES = ("reference", "fast")
 
@@ -135,23 +138,19 @@ class Network:
         #: ``_allocate_router``'s default candidates: every VC of every port.
         self._every_port: Dict[int, None] = dict.fromkeys(range(self._num_ports))
 
-        # Routers for active nodes only.
-        self.routers: Dict[int, Router] = {}
-        for node in topo.active_nodes():
-            self.routers[node] = Router(
-                node, config.vnets, config.vcs_per_vnet, self._num_ports
-            )
-        self._router_list: List[Router] = list(self.routers.values())
-
-        #: Nodes whose router currently holds (or just received) a packet.
-        #: Routers enter on injection/arrival (via the occupancy wake hook)
-        #: and leave lazily when the allocation sweep sees ``occupancy == 0``
-        #: — so switch allocation skips idle routers without a full scan.
+        #: Nodes whose router holds a packet — the one "has work" view the
+        #: allocator, the schemes and both engines share.  ``Router.place``
+        #: enters a router on every arrival; the allocation sweep evicts it
+        #: lazily once it sees ``occupancy == 0``, so the set is always a
+        #: superset of the occupied routers.  *When* an occupied router
+        #: next has something switchable is its ``wake_at``.
         self._active_nodes: Set[int] = set()
-        for router in self._router_list:
-            router._wake = self._active_nodes.add
-        #: Verification escape hatch: force the pre-active-set full scan of
-        #: every router each cycle (bit-identical results, slower).
+        #: Nodes whose NI queue is non-empty, kept the same way:
+        #: ``NetworkInterface.create_packet`` enters, ``_inject_queued``
+        #: evicts.
+        self._queued_nodes: Set[int] = set()
+        #: Verification escape hatch: visit every occupied router every
+        #: cycle, ignoring ``wake_at`` (bit-identical results, slower).
         self.full_scan = False
         #: Re-certify the scheme's deadlock-freedom claim after every
         #: ``apply_faults`` / ``restore`` (chaos campaigns opt in).
@@ -161,10 +160,13 @@ class Network:
         #: Failed certificates accumulated over this network's lifetime.
         self.cert_failures = 0
 
-        # Output links (ejection link on every router; inter-router links
-        # only where the topology is active).
+        # Routers for active nodes only, each with its ejection link;
+        # inter-router links only where the topology is active.
+        self.routers: Dict[int, Router] = {}
+        for node in topo.active_nodes():
+            self._add_router(node)
+        self._router_list: List[Router] = list(self.routers.values())
         for node, router in self.routers.items():
-            router.output_links[self._local] = OutputLink(None)
             for direction, neighbor in topo.active_neighbors(node):
                 router.output_links[direction] = OutputLink(
                     neighbor, topo.arrival_port(node, direction)
@@ -173,34 +175,44 @@ class Network:
         # Routing tables + NIs.
         tables = scheme.build_tables(topo, config)
         self.nis: Dict[int, NetworkInterface] = {}
-        for node, router in self.routers.items():
+        for node in self.routers:
             table = tables.get(node)
-            if table is None:
-                continue
-            self.nis[node] = NetworkInterface(
-                node,
-                table,
-                router,
-                self.stats,
-                spawn_rng(seed, "ni", node),
-                queue_cap=config.injection_queue_cap,
-            )
+            if table is not None:
+                self._add_ni(node, table)
         self._ni_list: List[NetworkInterface] = list(self.nis.values())
 
         #: Special messages in flight: arrival cycle -> [(node, in_port, msg)].
         self._special_arrivals: Dict[int, List[Tuple[int, int, SpecialMessage]]] = {}
 
-        # Closed-loop traffic sources react to packet deliveries.
-        if traffic is not None and hasattr(traffic, "on_packet_ejected"):
-            hook = traffic.on_packet_ejected
-            for ni in self._ni_list:
-                ni.eject_hook = hook
-
         scheme.setup(self)
         self._engine_setup()
 
     def _engine_setup(self) -> None:
-        """Engine-specific post-construction hook (mirror build in fastcore)."""
+        """Engine-specific post-construction hook."""
+
+    def _add_router(self, node: int) -> None:
+        """A fresh (empty) router wired to this network's occupied set."""
+        config = self.config
+        router = Router(node, config.vnets, config.vcs_per_vnet, self._num_ports)
+        router._active = self._active_nodes
+        router.output_links[self._local] = OutputLink(None)
+        self.routers[node] = router
+
+    def _add_ni(self, node: int, table: RoutingTable) -> None:
+        """A fresh NI on ``node``'s router, wired like every other NI."""
+        ni = NetworkInterface(
+            node,
+            table,
+            self.routers[node],
+            self.stats,
+            spawn_rng(self._seed, "ni", node),
+            queue_cap=self.config.injection_queue_cap,
+        )
+        ni._queued = self._queued_nodes
+        # Closed-loop traffic sources react to packet deliveries.
+        ni.eject_hook = getattr(self.traffic, "on_packet_ejected", None)
+        ni.obs = self.obs
+        self.nis[node] = ni
 
     # -- access --------------------------------------------------------
 
@@ -224,7 +236,12 @@ class Network:
         return self._router_list
 
     def total_occupancy(self) -> int:
-        return sum(router.occupancy for router in self._router_list)
+        """Packets in flight (resident in some router's VC)."""
+        routers = self.routers
+        total = 0
+        for node in self._active_nodes:
+            total += routers[node]._occupancy
+        return total
 
     def queued_packets(self) -> int:
         return sum(len(ni.queue) for ni in self._ni_list)
@@ -362,6 +379,7 @@ class Network:
         for node in dead_routers:
             router = self.routers.pop(node)
             self._active_nodes.discard(node)
+            self._queued_nodes.discard(node)
             for vc in router.all_vcs():
                 if vc.packet is not None:
                     dropped += self._count_drop(vc.packet, "dead_router", now)
@@ -395,8 +413,7 @@ class Network:
                     dropped += self._count_drop(
                         packet, "reconfig_unreachable", now
                     )
-                    vc.packet = None
-                    router.occupancy -= 1
+                    router.remove(vc)
                     continue
                 if packet.is_escape:
                     continue  # follows the (rebuilt) per-router escape tables
@@ -472,33 +489,15 @@ class Network:
         for u, v in link_list:
             self.topo.activate_link(u, v)
 
-        config = self.config
         for node in new_routers:
-            router = Router(node, config.vnets, config.vcs_per_vnet, self._num_ports)
-            router._wake = self._active_nodes.add
-            router.output_links[self._local] = OutputLink(None)
-            self.routers[node] = router
+            self._add_router(node)
         self.routers = dict(sorted(self.routers.items()))
         self._router_list = list(self.routers.values())
 
         self._sync_links()
         tables = self._rebuild_tables()
-        eject_hook = None
-        if self.traffic is not None and hasattr(self.traffic, "on_packet_ejected"):
-            eject_hook = self.traffic.on_packet_ejected
         for node in new_routers:
-            ni = NetworkInterface(
-                node,
-                tables.get(node) or RoutingTable(node),
-                self.routers[node],
-                self.stats,
-                spawn_rng(self._seed, "ni", node),
-                queue_cap=config.injection_queue_cap,
-            )
-            if eject_hook is not None:
-                ni.eject_hook = eject_hook
-            ni.obs = self.obs
-            self.nis[node] = ni
+            self._add_ni(node, tables.get(node) or RoutingTable(node))
         self.nis = dict(sorted(self.nis.items()))
         self._ni_list = list(self.nis.values())
 
@@ -637,11 +636,15 @@ class Network:
 
     def step(self) -> None:
         now = self.cycle
-        self._deliver_specials(now)
+        # A phase with nothing to act on is not entered at all.
+        if self._special_arrivals:
+            self._deliver_specials(now)
         self._begin_cycle(now)
         self._inject_traffic(now)
-        self._inject_queued(now)
-        self._allocate(now)
+        if self._queued_nodes:
+            self._inject_queued(now)
+        if self._active_nodes:
+            self._allocate(now)
         self._post_alloc = True
         self.scheme.on_cycle(self, now)
         self._post_alloc = False
@@ -655,30 +658,36 @@ class Network:
         """Engine hook between special delivery and injection (mirror flush)."""
 
     def _inject_queued(self, now: int) -> None:
-        """Move queued packets into free local-port VCs."""
-        for ni in self._ni_list:
-            if ni.queue:
-                ni.try_inject(now)
+        """Move queued packets into free local-port VCs, ascending node order."""
+        queued = self._queued_nodes
+        nis = self.nis
+        for node in sorted(queued):
+            ni = nis[node]
+            ni.try_inject(now)
+            if not ni.queue:
+                queued.discard(node)
 
     def _allocate(self, now: int) -> None:
-        """Switch allocation at every occupied router, ascending node order."""
+        """Switch allocation at every router that can act, ascending node order."""
         if self.full_scan:
             for router in self._router_list:
                 if router._occupancy:
                     self._allocate_router(router, now)
-        elif self._active_nodes:
+        else:
             # Node order matches the full scan (active_nodes() ascends),
-            # so both paths are bit-identical.  Routers drained to zero
-            # are evicted here; mid-sweep arrivals re-wake their router
-            # for the next cycle (their packets are not yet switchable).
+            # so both paths are bit-identical.  A router whose packets are
+            # all still in flight to it (``wake_at`` ahead of ``now``) is
+            # skipped: a sweep there rejects every VC and has no side
+            # effect.  Routers drained to zero are evicted; a mid-sweep
+            # arrival re-enters its router through ``Router.place``.
             active = self._active_nodes
             routers = self.routers
             for node in sorted(active):
                 router = routers[node]
-                if router._occupancy:
-                    self._allocate_router(router, now)
-                else:
+                if not router._occupancy:
                     active.discard(node)
+                elif router.wake_at <= now:
+                    self._allocate_router(router, now)
 
     def run(self, cycles: int) -> None:
         for _ in range(cycles):
@@ -718,14 +727,22 @@ class Network:
         from its pointer.  Every grant condition is checked against the
         live objects, and a rejected VC has no side effects, so leaving
         out VCs that cannot be granted changes nothing.
+
+        A sweep over every position that found every resident packet
+        still in flight to this router raises ``router.wake_at`` to the
+        earliest ``ready_at`` among them.
         """
         # Input arbitration: one candidate VC per input port (round-robin).
         # This is the simulator's hottest loop — it runs once per occupied
         # router per cycle — so it works off the router's cached per-port
         # VC tuples and plain-int port arithmetic (no enum construction).
         requests: List[Tuple[int, VirtualChannel, Packet, int, object, int]] = []
-        if candidates is None:
+        every_vc = candidates is None
+        if every_vc:
             candidates = self._every_port
+        # Resident packets not yet switchable, and the earliest of them.
+        waiting = 0
+        wake_at = _NEVER
         routers = self.routers
         vc_cache = router._vc_cache
         in_rr = router._in_rr
@@ -750,7 +767,12 @@ class Network:
             for k in order:
                 vc = vcs[k % n]
                 packet = vc.packet
-                if packet is None or now < vc.ready_at:
+                if packet is None:
+                    continue
+                if now < vc.ready_at:
+                    if vc.ready_at < wake_at:
+                        wake_at = vc.ready_at
+                    waiting += 1
                     continue
                 if adaptive and not packet.is_escape:
                     grant = self._adaptive_request(router, port, packet, now)
@@ -782,6 +804,8 @@ class Network:
                 requests.append((port, vc, packet, out, target, (k + 1) % n))
                 break
         if not requests:
+            if every_vc and waiting == router._occupancy:
+                router.wake_at = wake_at
             return
         # Output arbitration: one grant per output port (round-robin on
         # input port index).  The input pointer advances only for *granted*
@@ -859,9 +883,8 @@ class Network:
         link = router.output_links[out]
         size = packet.size
         link.busy_until = now + size
-        vc.packet = None
+        router.remove(vc)
         vc.free_at = now + size
-        router.occupancy -= 1
         self.stats.buffer_reads += size
         self.stats.crossbar_flits += size
         if out == router.local:
@@ -869,9 +892,7 @@ class Network:
         else:
             self.stats.link_flit_cycles += size
             self.stats.buffer_writes += size
-            target.packet = packet
-            target.ready_at = now + 2
-            self.routers[link.dest_node].occupancy += 1
+            self.routers[link.dest_node].place(target, packet, now + 2)
             if not packet.is_escape:
                 packet.hop += 1
                 # Any cached adaptive preference referred to the router

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Optional, TYPE_CHECKING
+from typing import Deque, Optional, Set, TYPE_CHECKING
 
 from repro.obs.events import PACKET_DROP, PACKET_INJECT, PACKET_REROUTE
 from repro.routing.table import RoutingTable
@@ -40,6 +40,10 @@ class NetworkInterface:
         self.rng = rng
         self.queue_cap = queue_cap
         self.queue: Deque[Packet] = deque()
+        #: The owning network's set of nodes with a non-empty NI queue
+        #: (``_queued_nodes``): :meth:`create_packet` enters this node,
+        #: ``Network._inject_queued`` evicts it once the queue is empty.
+        self._queued: Set[int] = set()
         self._next_pid = node * 10_000_000
         self.packets_refused = 0
         #: Optional callback invoked on every delivery (closed-loop traffic).
@@ -70,6 +74,7 @@ class NetworkInterface:
         self._next_pid += 1
         packet = Packet(self._next_pid, self.node, dst, vnet, size, route, now)
         self.queue.append(packet)
+        self._queued.add(self.node)
         self.stats.packets_created += 1
         return packet
 
@@ -87,9 +92,7 @@ class NetworkInterface:
             # packet at the NI rather than occupying a VC it cannot leave.
             return False
         self.queue.popleft()
-        vc.packet = packet
-        vc.ready_at = now + 1
-        self.router.occupancy += 1
+        self.router.place(vc, packet, now + 1)
         packet.injected_at = now
         self.stats.packets_injected += 1
         self.stats.flits_injected += packet.size

@@ -18,7 +18,7 @@ Model (Section "DESIGN.md §4"):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.core.turns import Port
 from repro.sim.packet import Packet
@@ -109,13 +109,19 @@ class Router:
         #: Per-input-port round-robin pointer breaking credit ties in the
         #: adaptive outport selection (unused by deterministic schemes).
         self._adapt_rr = [0] * num_ports
-        #: Number of packets resident in this router (fast idle skip).
+        #: Number of packets resident in this router; only :meth:`place`
+        #: and :meth:`remove` change it.
         self._occupancy = 0
-        #: Wake hook installed by the owning network: called with this
-        #: router's node id whenever occupancy becomes positive, so the
-        #: network's active-router set tracks every occupancy mutation
-        #: (including hand-placed packets in tests) without a full scan.
-        self._wake: Optional[Callable[[int], None]] = None
+        #: A lower bound on the earliest cycle at which a resident packet
+        #: is switchable.  :meth:`place` lowers it to the arrival's
+        #: ``ready_at``; an allocation sweep that visited every VC and
+        #: found none switchable raises it to the smallest ``ready_at`` it
+        #: saw.  ``Network._allocate`` skips the router until then.
+        self.wake_at = 0
+        #: The owning network's occupied-router set (``_active_nodes``):
+        #: :meth:`place` enters this router, the allocation sweep evicts
+        #: it once drained.  A private set for a router built standalone.
+        self._active: Set[int] = set()
         #: Lazily built ``tuple(port_vcs(port))`` per port; invalidated on
         #: bubble activation/deactivation, bubble drain, and escape-VC
         #: provisioning — the only events that change VC membership.
@@ -157,14 +163,28 @@ class Router:
 
     @property
     def occupancy(self) -> int:
-        """Packets resident in this router (fast idle skip)."""
+        """Packets resident in this router."""
         return self._occupancy
 
-    @occupancy.setter
-    def occupancy(self, value: int) -> None:
-        self._occupancy = value
-        if value > 0 and self._wake is not None:
-            self._wake(self.node)
+    def place(self, vc: VirtualChannel, packet: Packet, ready_at: int) -> None:
+        """Put ``packet`` into ``vc``, switchable from cycle ``ready_at``.
+
+        The one way a packet arrives at a router — link transfer, NI
+        injection, bubble relocation, snapshot restore, a scenario
+        placing packets by hand — so occupancy, :attr:`wake_at` and the
+        network's occupied-router set cannot disagree with the VCs.
+        """
+        vc.packet = packet
+        vc.ready_at = ready_at
+        if self._occupancy == 0 or ready_at < self.wake_at:
+            self.wake_at = ready_at
+        self._occupancy += 1
+        self._active.add(self.node)
+
+    def remove(self, vc: VirtualChannel) -> None:
+        """Take the resident packet out of ``vc`` (departure or drop)."""
+        vc.packet = None
+        self._occupancy -= 1
 
     # -- VC caches ----------------------------------------------------------
 

@@ -44,9 +44,7 @@ def place_packet(
     packet = Packet(pid, src, dst, 0, size, tuple(route), 0)
     packet.injected_at = 0
     packet.hop = 1
-    vc.packet = packet
-    vc.ready_at = 0
-    router.occupancy += 1
+    router.place(vc, packet, 0)
     return packet
 
 

@@ -236,10 +236,14 @@ def _vc_snap(vc) -> Tuple:
     return (_packet_key(vc.packet), vc.ready_at, vc.free_at)
 
 
-def _vc_restore(vc, snap: Tuple) -> int:
+def _vc_restore(router, vc, snap: Tuple) -> None:
+    if vc.packet is not None:
+        router.remove(vc)
     pkt, vc.ready_at, vc.free_at = snap
-    vc.packet = None if pkt is None else _packet_from_key(pkt)
-    return 0 if pkt is None else 1
+    if pkt is not None:
+        # The one arrival path: occupancy, ``wake_at`` and the network's
+        # occupied-router set are re-derived by the placement itself.
+        router.place(vc, _packet_from_key(pkt), vc.ready_at)
 
 
 def _packet_from_key(key: Tuple):
@@ -316,18 +320,18 @@ def restore(net, snap: Tuple) -> None:
     """Write a snapshot back into ``net`` (the shared working network)."""
     cycle, routers, specials, fsms = snap
     net.cycle = cycle
+    net._active_nodes.clear()
     for node, vcs, bubble, links, seal, in_rr, out_rr in routers:
         r = net.routers[node]
-        occupancy = 0
         it = iter(vcs)
         for port in range(r.num_ports):
             for vc in r.input_vcs[port]:
-                occupancy += _vc_restore(vc, next(it))
+                _vc_restore(r, vc, next(it))
         if r.bubble is not None:
             port, active, vc_snap = bubble
             r.bubble.port = port
             r.bubble_active = active
-            occupancy += _vc_restore(r.bubble, vc_snap)
+            _vc_restore(r, r.bubble, vc_snap)
         for port, link_snap in enumerate(links):
             link = r.output_links[port]
             if link_snap is not None:
@@ -346,19 +350,11 @@ def restore(net, snap: Tuple) -> None:
             r._seal_hook(r.node)
         r._in_rr[:] = in_rr
         r._out_rr[:] = out_rr
-        r._occupancy = occupancy
         # Bubble activation changes port-VC membership; drop the cache.
         r.invalidate_vc_cache()
     net._special_arrivals = {
         arrival: list(entries) for arrival, entries in specials
     }
-    # Rebuild in place: every router's wake hook is the bound ``add`` of
-    # *this* set object, so it must never be replaced.
-    active = net._active_nodes
-    active.clear()
-    for node, r in net.routers.items():
-        if r._occupancy:
-            active.add(node)
     scheme_states = getattr(net.scheme, "states", None)
     if isinstance(scheme_states, dict):
         for (
@@ -385,6 +381,8 @@ def restore(net, snap: Tuple) -> None:
             st.watch_index = watch_index
             st.watched_pid = watched_pid
             st.bubble_active_since = active_since
+        # ``fsm.state`` was written directly, not through ``transition``.
+        net.scheme.resync_awake()
 
 
 # -- transition function --------------------------------------------------
@@ -393,21 +391,11 @@ def restore(net, snap: Tuple) -> None:
 def clone_network(net):
     """Deep-copy a network so the copy can be stepped independently.
 
-    ``deepcopy`` handles everything except the occupancy wake hook:
-    ``router._wake`` is the *bound builtin* ``set.add`` of the original
-    network's active-router set, which deepcopy treats as atomic — the
-    copy's routers would keep waking the original's set.  Rebind it, and
-    rebuild the copy's active set from occupancy (a superset of the
-    original's lazily-evicted set is behaviourally identical).
+    Routers, NIs and FSMs hold the network's occupied / queued / awake
+    *sets* (not bound ``set.add`` methods, which ``deepcopy`` treats as
+    atomic), so the copy's members point at the copy's sets.
     """
-    clone = copy.deepcopy(net)
-    clone._active_nodes = {
-        node for node, router in clone.routers.items() if router._occupancy
-    }
-    add = clone._active_nodes.add
-    for router in clone._router_list:
-        router._wake = add
-    return clone
+    return copy.deepcopy(net)
 
 
 def successor_states(net, max_due_specials: int = 8):

@@ -46,9 +46,9 @@ def _fill_normal_vcs(router: Router, port: int, count: int, vnet: int = 0) -> in
         if filled == count:
             break
         if vc.kind == VC_NORMAL and vc.vnet == vnet and vc.packet is None:
-            vc.packet = Packet(9000 + filled, router.node, router.node, vnet, 1, (L,), 0)
-            vc.ready_at = 0
-            router.occupancy += 1
+            router.place(
+                vc, Packet(9000 + filled, router.node, router.node, vnet, 1, (L,), 0), 0
+            )
             filled += 1
     return filled
 

@@ -1,17 +1,25 @@
 """Tests for the diagnostic tooling (repro.sim.debug)."""
 
+import random
+
+import pytest
+
 from repro.core.messages import MsgType
+from repro.protocols import make_scheme
 from repro.protocols.none import MinimalUnprotected
 from repro.sim.config import SimConfig
 from repro.sim.deadlock import DeadlockMonitor
 from repro.sim.debug import (
+    STEP_PHASES,
     SpecialMessageTracer,
     describe_wait_cycle,
     fsm_snapshot,
     locate_packets,
+    phase_budget,
     seal_census,
 )
 from repro.sim.network import Network
+from repro.topology.faults import inject_link_faults
 from repro.topology.generators import parse_topology
 from repro.topology.mesh import mesh
 from repro.traffic.synthetic import UniformRandomTraffic
@@ -119,3 +127,34 @@ class TestSealCensus:
         net = Network(mesh(2, 2), SimConfig(width=2, height=2),
                       MinimalUnprotected(), None, seed=1)
         assert seal_census(net) == []
+
+
+class TestPhaseBudget:
+    @staticmethod
+    def _net(engine):
+        topo = inject_link_faults(mesh(8, 8), 8, random.Random(1))
+        traffic = UniformRandomTraffic(topo, rate=0.10, seed=1)
+        return Network(topo, SimConfig(), make_scheme("static-bubble"), traffic,
+                       seed=1, engine=engine)
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_phases_account_for_the_cycle(self, engine):
+        net = self._net(engine)
+        net.run(200)
+        # The least disturbed of a few runs: interference only adds time,
+        # and it lands in ``step`` and the phases alike or in neither.
+        budget = min(
+            (phase_budget(net, 300) for _ in range(3)), key=lambda b: b["step"]
+        )
+        assert set(budget) == set(STEP_PHASES) | {"step"}
+        phases = sum(budget[name] for name in STEP_PHASES)
+        assert 0.85 * budget["step"] <= phases <= budget["step"]
+        assert budget["_allocate"] == max(budget[name] for name in STEP_PHASES)
+
+    def test_wrappers_are_removed_and_change_nothing(self):
+        net, twin = self._net("fast"), self._net("fast")
+        phase_budget(net, 250)
+        twin.run(250)
+        assert net.stats == twin.stats
+        assert not set(STEP_PHASES) & set(net.__dict__)
+        assert "on_cycle" not in net.scheme.__dict__

@@ -251,6 +251,141 @@ def test_replayed_mirror_matches_full_resync(scheme_name):
     assert fast.stats.packets_ejected > 0
 
 
+# -- the per-cycle sweep choice ----------------------------------------------
+#
+# The fast engine picks the base sweep or the vector filter each cycle
+# from packets in flight.  Correctness must not depend on the choice, so
+# these runs are driven across both edges (sparse -> dense -> sparse) and
+# compared cycle by cycle with the reference and with ``full_scan=True``,
+# the sweep that skips nothing.
+
+#: (topology, link faults, offered rate that fills it past ``DENSE_ABOVE``)
+RAMP_TOPOLOGIES = [("8x8", 8, 0.30), ("torus3d:4x4x4", 4, 0.90)]
+
+
+def _set_rate(net, rate):
+    """Re-aim a synthetic source mid-run (``packets_at`` reads the
+    probability every cycle, so the RNG draw order is unchanged)."""
+    traffic = net.traffic
+    traffic.rate = rate
+    traffic.packet_prob = min(1.0, rate / traffic.mean_flits) if rate else 0.0
+
+
+def _make_trio(scheme_name, topology, faults):
+    """(reference, fast, reference with ``full_scan``), seeded identically."""
+    ref, fast = _make_pair(scheme_name, rate=0.02, faults=faults, topology=topology)
+    oracle, _ = _make_pair(scheme_name, rate=0.02, faults=faults, topology=topology)
+    oracle.full_scan = True
+    return ref, fast, oracle
+
+
+@pytest.mark.parametrize("scheme_name", ["static-bubble", "escape-vc", "adaptive"])
+@pytest.mark.parametrize("topology,faults,high", RAMP_TOPOLOGIES)
+def test_rate_ramp_crosses_both_edges_identically(topology, faults, high, scheme_name):
+    """Rate 0.02 -> saturating -> 0: stats every cycle, monitor verdicts
+    and the traced event stream agree across reference / fast / full_scan."""
+    nets = _make_trio(scheme_name, topology, faults)
+    fast = nets[1]
+    monitors = [DeadlockMonitor(interval=32) for _ in nets]
+    observers = [
+        Observer(trace=True, metrics=False, ring_capacity=1 << 21) for _ in nets
+    ]
+    for net, observer in zip(nets, observers):
+        net.attach_obs(observer)
+    modes = []
+    for phase_rate, cycles in ((0.02, 150), (high, 300), (0.0, 700)):
+        for net in nets:
+            _set_rate(net, phase_rate)
+        for _ in range(cycles):
+            verdicts = []
+            for net, monitor in zip(nets, monitors):
+                net.step()
+                verdicts.append(monitor.check(net, net.cycle))
+            cycle = nets[0].cycle
+            assert verdicts[1] == verdicts[0] == verdicts[2], cycle
+            reference = _stats_dict(nets[0])
+            assert _stats_dict(fast) == reference, f"fast diverged at {cycle}"
+            assert _stats_dict(nets[2]) == reference, f"full_scan diverged at {cycle}"
+            if not modes or modes[-1] != fast._dense:
+                modes.append(fast._dense)
+    # The run really crossed sparse -> dense -> sparse on the fast engine.
+    assert modes == [False, True, False]
+    assert 0 < fast.filter_passes < fast.cycle
+    streams = [[e.to_dict() for e in obs.tracer.events] for obs in observers]
+    assert len(streams[0]) > 1000
+    assert streams[1] == streams[0]
+    assert streams[2] == streams[0]
+    assert monitors[1].deadlocked_pids == monitors[0].deadlocked_pids
+
+
+@pytest.mark.parametrize("scheme_name", ["static-bubble", "escape-vc", "adaptive"])
+def test_live_reconfig_in_each_mode(scheme_name):
+    """``apply_faults`` / ``restore`` issued on sparse and on dense cycles."""
+    ref, fast = _make_pair(scheme_name, rate=0.02, faults=4)
+    seen = []
+
+    def both(action, **what):
+        seen.append((action, fast._dense))
+        for net in (ref, fast):
+            getattr(net, action)(**what)
+
+    def run(cycles):
+        for _ in range(cycles):
+            ref.step()
+            fast.step()
+            assert _stats_dict(fast) == _stats_dict(ref), ref.cycle
+
+    run(100)
+    both("apply_faults", routers=[27], links=[(9, 10)])   # sparse
+    run(60)
+    both("restore", routers=[27])                          # sparse
+    for net in (ref, fast):
+        _set_rate(net, 0.30)
+    run(200)
+    both("apply_faults", routers=[36], links=[(20, 21)])  # dense
+    run(80)
+    both("restore", routers=[36], links=[(9, 10), (20, 21)])  # dense
+    run(80)
+    for net in (ref, fast):
+        _set_rate(net, 0.0)
+    run(500)
+    both("apply_faults", links=[(50, 51)])                 # sparse again
+    run(40)
+    assert [dense for _, dense in seen] == [False, False, True, True, False]
+    assert ref.stats.packets_dropped_reconfig > 0
+
+
+def test_drained_network_evicts_routers_and_stops_filtering():
+    """After a burst drains, neither engine keeps a router active and the
+    fast engine runs no further filter pass."""
+    ref, fast = _make_pair("static-bubble", rate=0.05)
+    for net in (ref, fast):
+        net.run(400)
+        net.traffic = None
+        for _ in range(2000):
+            if net.is_drained():
+                break
+            net.step()
+        assert net.is_drained()
+        net.run(2)  # the sweep after the last departure evicts lazily
+    assert [len(net._active_nodes) for net in (ref, fast)] == [0, 0]
+    assert not ref._queued_nodes and not fast._queued_nodes
+    passes = fast.filter_passes
+    fast.run(50)
+    assert fast.filter_passes == passes
+
+
+def test_mirror_is_built_on_the_first_dense_cycle():
+    """Construction builds no mirror; low load never builds one."""
+    _, fast = _make_pair("static-bubble", rate=0.02)
+    assert fast._structure_stale and not hasattr(fast, "_ready")
+    fast.run(300)
+    assert fast.filter_passes == 0 and not hasattr(fast, "_ready")
+    _set_rate(fast, 0.30)
+    fast.run(200)
+    assert fast._dense and fast.filter_passes > 0 and not fast._structure_stale
+
+
 def test_engine_tag_and_selection():
     ref, fast = _make_pair("xy", rate=0.05)
     assert type(fast).__name__ == "FastNetwork"

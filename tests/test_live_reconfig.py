@@ -32,6 +32,7 @@ from repro.sim.config import SimConfig
 from repro.sim.deadlock import DeadlockMonitor
 from repro.sim.engine import run_to_drain, run_with_faults
 from repro.sim.network import Network
+from repro.sim.packet import Packet
 from repro.sim.scenarios import build_fig6_walkthrough, place_packet
 from repro.topology.faults import FaultEvent, FaultSchedule, random_fault_schedule
 from repro.topology.mesh import mesh
@@ -312,6 +313,53 @@ def test_gate_ungate_round_trip_restores_full_service():
     assert net.nis[0].create_packet(dst=gated, vnet=0, size=1, now=net.cycle)
     assert _drive_to_drain(net, 200)
     assert net.stats.packets_ejected == 1
+
+
+def _gate_and_restore(node):
+    """A healthy 8x8 static-bubble network, with and without a
+    fail -> restore round trip of ``node`` before any traffic."""
+    nets = []
+    for round_trip in (True, False):
+        net = Network(
+            mesh(8, 8), SimConfig(sb_t_dd=6), make_scheme("static-bubble"),
+            traffic=None, seed=5,
+        )
+        if round_trip:
+            net.apply_faults(routers=(node,))
+            net.restore(routers=(node,))
+        nets.append(net)
+    return nets
+
+
+def test_restored_fsm_keeps_ascending_visit_order():
+    restored, rebuilt = _gate_and_restore(15)
+    assert list(restored.scheme.states) == sorted(restored.scheme.states)
+    assert list(restored.scheme.states) == list(rebuilt.scheme.states)
+
+
+def test_restored_run_matches_rebuild_when_fsms_time_out_together():
+    """Routers 15 and 41 share a detection threshold ((node * 7) % 13 == 1),
+    so with a stuck packet each from cycle 0 their FSMs launch probes in
+    the same cycle — in FSM visit order, which must not remember that 15
+    was once gated."""
+    streams = []
+    for net in _gate_and_restore(15):
+        observer = Observer(trace=True, metrics=False)
+        net.attach_obs(observer)
+        for node in (15, 41):
+            router = net.routers[node]
+            packet = Packet(900 + node, node, node - 1, 0, 1, (W, W, L), 0)
+            packet.hop = 1
+            # Resident but never switchable: the FSM watches it time out.
+            router.place(router.input_vcs[E][0], packet, 10_000)
+        net.run(40)
+        fsms = [net.scheme.states[node].fsm for node in (15, 41)]
+        assert [fsm.probes_sent for fsm in fsms] == [fsms[0].probes_sent] * 2
+        assert fsms[0].probes_sent >= 2
+        streams.append([e.to_dict() for e in observer.tracer.events])
+    assert streams[0] == streams[1]
+    sends = [e for e in streams[0] if e["kind"] == "special.send"]
+    assert [e["node"] for e in sends[:2]] == [15, 41]
 
 
 # -- FaultSchedule / random_fault_schedule --------------------------------

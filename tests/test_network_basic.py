@@ -12,6 +12,7 @@ from repro.protocols.spanning_tree import SpanningTreeAvoidance
 from repro.sim.config import SimConfig
 from repro.sim.engine import run_to_drain, run_with_window
 from repro.sim.network import Network
+from repro.sim.packet import Packet
 from repro.topology.faults import inject_link_faults
 from repro.topology.mesh import mesh
 from repro.traffic.trace import TraceTraffic
@@ -169,3 +170,72 @@ def test_property_no_packet_lost_or_duplicated(seed, rate, faults):
         net.stats.packets_injected
         == net.stats.packets_ejected + net.total_occupancy()
     )
+
+
+class TestRouterWakeTime:
+    """``Router.wake_at``: the allocator sleeps a router until one of its
+    packets can be switched, and every arrival goes through ``place``."""
+
+    @staticmethod
+    def _net(engine="reference"):
+        config = SimConfig(width=4, height=4)
+        return Network(
+            mesh(4, 4), config, MinimalUnprotected(), None, seed=1, engine=engine
+        )
+
+    @staticmethod
+    def _place(net, node, vc_index, pid, ready_at):
+        """A one-flit packet at ``node``'s West port, bound one hop East."""
+        router = net.routers[node]
+        vc = router.input_vcs[Port.WEST][vc_index]
+        packet = Packet(pid, node - 1, node + 1, 0, 1, (Port.EAST, Port.EAST, Port.LOCAL), 0)
+        packet.injected_at = 0
+        packet.hop = 1
+        router.place(vc, packet, ready_at)
+        return vc
+
+    def test_sweep_raises_wake_to_the_earliest_waiting_packet(self):
+        net = self._net()
+        sweeps = []
+        allocate_router = net._allocate_router
+        net._allocate_router = lambda router, now, *rest: (
+            sweeps.append((router.node, now)),
+            allocate_router(router, now, *rest),
+        )
+        first = self._place(net, 5, 0, 1, ready_at=0)
+        late = self._place(net, 5, 1, 2, ready_at=20)
+        assert net.routers[5].wake_at == 0
+        net.run(30)
+        # Cycle 0 grants the ready packet; cycle 1 finds only the late one
+        # and raises wake_at to its ready_at; nothing until then.
+        assert [now for node, now in sweeps if node == 5] == [0, 1, 20]
+        assert first.packet is None and late.packet is None
+        assert net.stats.packets_ejected == 2
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_packet_placed_on_a_sleeping_router_moves_when_ready(self, engine):
+        net = self._net(engine)
+        oracle = self._net()
+        oracle.full_scan = True
+        for n in (net, oracle):
+            self._place(n, 5, 0, 1, ready_at=12)
+            n.run(3)
+        assert net.routers[5].wake_at == 12  # asleep: skipped since cycle 0
+        vcs = [self._place(n, 5, 1, 2, ready_at=6) for n in (net, oracle)]
+        assert net.routers[5].wake_at == 6
+        for cycle in range(3, 20):
+            for n in (net, oracle):
+                n.step()
+            assert net.stats == oracle.stats, cycle
+            # Granted in the step of cycle 6, exactly when ready_at says.
+            assert (vcs[0].packet is None) == (cycle >= 6)
+        assert net.stats.packets_ejected == 2
+
+    def test_full_scan_ignores_wake_time(self):
+        """The oracle sweep visits every occupied router every cycle."""
+        net = self._net()
+        net.full_scan = True
+        self._place(net, 5, 0, 1, ready_at=0)
+        net.routers[5].wake_at = 1 << 40  # a lie the oracle must not believe
+        net.run(10)
+        assert net.stats.packets_ejected == 1

@@ -301,8 +301,8 @@ def test_active_set_static_bubble_recovery_unchanged():
 
 
 def test_hand_placed_packets_wake_router():
-    # conftest.place_packet mutates router.occupancy directly; the wake
-    # hook must still register the router in the active set.
+    # conftest.place_packet goes through Router.place, the one arrival
+    # path, which registers the router in the active set.
     net, _ = build_2x2_ring_deadlock()
     assert set(net._active_nodes) == {0, 1, 2, 3}
 
