@@ -18,6 +18,7 @@ from repro.routing.table import (
     build_minimal_tables,
     build_updown_tables,
     clear_table_cache,
+    escape_next_hop_tables,
 )
 from repro.sim.config import SimConfig
 from repro.sim.deadlock import find_wait_cycle
@@ -133,6 +134,29 @@ def test_build_updown_tables_8x8(benchmark):
         return build_updown_tables(topo)
 
     tables = benchmark.pedantic(build_cold, rounds=3, iterations=1)
+    assert len(tables) == 64
+
+
+def test_build_escape_tables_8x8(benchmark):
+    # Spanning trees (root choice included) + per-router tree next hops:
+    # what an escape-vc cell derives on top of its minimal tables.
+    topo = inject_link_faults(mesh(8, 8), 8, random.Random(1))
+
+    def build_cold():
+        clear_table_cache()
+        return escape_next_hop_tables(topo)
+
+    tables = benchmark.pedantic(build_cold, rounds=3, iterations=1)
+    assert len(tables) == 64
+
+
+def test_build_escape_tables_8x8_cached(benchmark):
+    topo = inject_link_faults(mesh(8, 8), 8, random.Random(1))
+    clear_table_cache()
+    escape_next_hop_tables(topo)  # prime
+    tables = benchmark.pedantic(
+        lambda: escape_next_hop_tables(topo), rounds=5, iterations=1
+    )
     assert len(tables) == 64
 
 

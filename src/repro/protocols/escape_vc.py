@@ -18,8 +18,11 @@ from __future__ import annotations
 from typing import Dict, TYPE_CHECKING
 
 from repro.protocols.base import DeadlockScheme
-from repro.routing.spanning_tree import build_spanning_trees, tree_next_hop_tables
-from repro.routing.table import RoutingTable, build_minimal_tables
+from repro.routing.table import (
+    RoutingTable,
+    build_minimal_tables,
+    escape_next_hop_tables,
+)
 from repro.sim.config import SimConfig
 from repro.topology.base import BaseTopology as Topology
 
@@ -51,10 +54,9 @@ class EscapeVcRecovery(DeadlockScheme):
         self._t_detect = config.escape_t_detect
         self._local = topo.local_port
         self._num_ports = topo.num_ports
-        # Escape layer: pure tree routing per component.
-        self.escape_tables = {}
-        for tree in build_spanning_trees(topo):
-            self.escape_tables.update(tree_next_hop_tables(topo, tree))
+        # Escape layer: pure tree routing per component (shared with every
+        # scheme instance on this topology; never written through here).
+        self.escape_tables = escape_next_hop_tables(topo)
         return build_minimal_tables(topo, config.max_minimal_routes)
 
     def setup(self, network: "Network") -> None:

@@ -130,10 +130,11 @@ class StaticBubbleScheme(DeadlockScheme):
         #: Nodes whose FSM is not in ``S_OFF``; every ``CounterFsm`` shares
         #: this set and updates it in ``transition``.
         self._awake: set = set()
-        #: Over-approximating set of sealed (``is_deadlock``) router ids,
-        #: fed by the routers' seal hook; members whose seal is gone are
-        #: discarded lazily by ``_collect_stale_seals``.  Avoids scanning
-        #: every active router every cycle for the seal-GC watchdog.
+        #: Over-approximating set of sealed (``is_deadlock``) router ids;
+        #: every router shares it and enters itself when sealed, members
+        #: whose seal is gone are discarded lazily by
+        #: ``_collect_stale_seals``.  Avoids scanning every active router
+        #: every cycle for the seal-GC watchdog.
         self._sealed: set = set()
         #: Placement actually provisioned at ``setup`` (None before).
         self._placement: Optional[set] = None
@@ -187,7 +188,7 @@ class StaticBubbleScheme(DeadlockScheme):
         sb_nodes = self._placed_nodes(network.topo)
         self._placement = sb_nodes
         for router in network.routers.values():
-            router._seal_hook = self._sealed.add
+            router._sealed = self._sealed
         for node, router in network.routers.items():
             if node in sb_nodes:
                 self._provision(router, config)
@@ -273,7 +274,7 @@ class StaticBubbleScheme(DeadlockScheme):
         if added:
             sb_nodes = self._placed_nodes(network.topo)
             for node in added:
-                network.routers[node]._seal_hook = self._sealed.add
+                network.routers[node]._sealed = self._sealed
             restored = [node for node in added if node in sb_nodes]
             for node in restored:
                 self._provision(network.routers[node], config)

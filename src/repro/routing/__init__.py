@@ -19,11 +19,9 @@ from repro.routing.spanning_tree import (
 )
 from repro.routing.table import (
     RoutingTable,
-    TABLE_CACHE_ENV_VAR,
     build_minimal_tables,
     build_updown_tables,
     clear_table_cache,
-    table_cache_enabled,
 )
 
 __all__ = [
@@ -42,9 +40,7 @@ __all__ = [
     "tree_next_hop_tables",
     "updown_route",
     "RoutingTable",
-    "TABLE_CACHE_ENV_VAR",
     "build_minimal_tables",
     "build_updown_tables",
     "clear_table_cache",
-    "table_cache_enabled",
 ]

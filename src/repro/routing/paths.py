@@ -20,20 +20,37 @@ from repro.topology.base import BaseTopology as Topology
 
 Route = Tuple[int, ...]
 
+#: Snapshot of the active links: active node -> its ``(port, neighbor)``
+#: pairs in ``active_neighbors`` order.  Every batch derivation (tables,
+#: trees, next hops) takes one snapshot and indexes it instead of asking
+#: the topology again per visit.
+Adjacency = Dict[int, Tuple[Tuple[int, int], ...]]
 
-def bfs_distances(topo: Topology, source: int) -> Dict[int, int]:
-    """Hop distances from ``source`` over active links (same component)."""
-    if not topo.node_is_active(source):
+
+def active_adjacency(topo: Topology) -> Adjacency:
+    """One :data:`Adjacency` snapshot of ``topo``'s current fault state."""
+    return {node: tuple(topo.active_neighbors(node)) for node in topo.active_nodes()}
+
+
+def adjacency_distances(adjacency: Adjacency, source: int) -> Dict[int, int]:
+    """Hop distances from ``source`` within its component, in BFS order."""
+    if source not in adjacency:
         return {}
     dist = {source: 0}
     queue = deque([source])
     while queue:
         node = queue.popleft()
-        for _, neighbor in topo.active_neighbors(node):
+        here = dist[node] + 1
+        for _, neighbor in adjacency[node]:
             if neighbor not in dist:
-                dist[neighbor] = dist[node] + 1
+                dist[neighbor] = here
                 queue.append(neighbor)
     return dist
+
+
+def bfs_distances(topo: Topology, source: int) -> Dict[int, int]:
+    """Hop distances from ``source`` over active links (same component)."""
+    return adjacency_distances(active_adjacency(topo), source)
 
 
 def minimal_node_paths(
@@ -91,6 +108,39 @@ def minimal_routes(
         node_path_to_route(topo, path)
         for path in minimal_node_paths(topo, src, dst, max_paths, dist_to_dst)
     ]
+
+
+def minimal_routes_to(
+    adjacency: Adjacency, dst: int, local_port: int, max_paths: int = 4
+) -> Dict[int, List[Route]]:
+    """:func:`minimal_routes` from every node of ``dst``'s component at once.
+
+    Keys are in BFS order from ``dst`` (``dst`` itself first, with the
+    bare ejection route); each list equals ``minimal_routes(topo, src,
+    dst, max_paths)`` route for route.  :func:`minimal_node_paths` is a
+    LIFO depth-first walk that pushes a node's downhill neighbors in
+    ``active_neighbors`` order, so the paths of ``src`` are, in order,
+    those of its *last* downhill neighbor, then the one before it, ...;
+    and the first ``max_paths`` of that concatenation need only the first
+    ``max_paths`` of each neighbor.  Filling nodes in BFS order from
+    ``dst`` has every downhill neighbor ready when its uphill node asks.
+    """
+    dist = adjacency_distances(adjacency, dst)
+    routes: Dict[int, List[Route]] = {}
+    for node, here in dist.items():
+        if node == dst:
+            routes[node] = [(local_port,)]
+            continue
+        found: List[Route] = []
+        for port, neighbor in reversed(adjacency[node]):
+            if dist[neighbor] == here - 1:
+                for tail in routes[neighbor]:
+                    found.append((port,) + tail)
+                if len(found) >= max_paths:
+                    del found[max_paths:]
+                    break
+        routes[node] = found
+    return routes
 
 
 def route_node_sequence(topo: Topology, src: int, route: Route) -> List[int]:

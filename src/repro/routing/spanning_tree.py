@@ -25,17 +25,30 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.routing.paths import Route, bfs_distances, node_path_to_route
+from repro.routing.paths import (
+    Adjacency,
+    Route,
+    active_adjacency,
+    adjacency_distances,
+    node_path_to_route,
+)
 from repro.topology.base import BaseTopology as Topology
 
 
 class SpanningTree:
-    """BFS spanning tree of one connected component with up/down ordering."""
+    """BFS spanning tree of one connected component with up/down ordering.
 
-    def __init__(self, topo: Topology, root: int) -> None:
-        if not topo.node_is_active(root):
+    ``adjacency`` (here and below) is an :func:`active_adjacency` snapshot
+    of ``topo`` the caller already holds; one is taken when omitted.
+    """
+
+    def __init__(
+        self, topo: Topology, root: int, adjacency: Optional[Adjacency] = None
+    ) -> None:
+        if adjacency is None:
+            adjacency = active_adjacency(topo)
+        if root not in adjacency:
             raise ValueError(f"root {root} is not active")
-        self.topo = topo
         self.root = root
         self.parent: Dict[int, Optional[int]] = {root: None}
         self.depth: Dict[int, int] = {root: 0}
@@ -43,12 +56,13 @@ class SpanningTree:
         queue = deque([root])
         while queue:
             node = queue.popleft()
-            for _, neighbor in sorted(topo.active_neighbors(node), key=lambda p: p[1]):
+            below = self.depth[node] + 1
+            for neighbor in sorted(n for _, n in adjacency[node]):
                 if neighbor not in self.depth:
-                    self.depth[neighbor] = self.depth[node] + 1
+                    self.depth[neighbor] = below
                     self.parent[neighbor] = node
-                    self.children.setdefault(node, []).append(neighbor)
-                    self.children.setdefault(neighbor, [])
+                    self.children[node].append(neighbor)
+                    self.children[neighbor] = []
                     queue.append(neighbor)
 
     def covers(self, node: int) -> bool:
@@ -81,16 +95,20 @@ class SpanningTree:
         return up_src + up_dst[-2::-1]
 
 
-def choose_root(topo: Topology, component: Set[int]) -> int:
+def choose_root(
+    topo: Topology, component: Set[int], adjacency: Optional[Adjacency] = None
+) -> int:
     """Pick the node minimizing total BFS distance within its component.
 
     A centroid-ish root keeps up*/down* detours short — the standard
     heuristic stand-in for the exponential optimal-root search the paper
     mentions.
     """
+    if adjacency is None:
+        adjacency = active_adjacency(topo)
     best_node, best_cost = None, None
     for node in sorted(component):
-        dist = bfs_distances(topo, node)
+        dist = adjacency_distances(adjacency, node)
         cost = sum(dist[n] for n in component if n in dist)
         if best_cost is None or cost < best_cost:
             best_node, best_cost = node, cost
@@ -99,15 +117,32 @@ def choose_root(topo: Topology, component: Set[int]) -> int:
     return best_node
 
 
-def build_spanning_trees(topo: Topology) -> List[SpanningTree]:
-    """One spanning tree per connected component (largest first)."""
-    from repro.topology.graph import connected_components
+def _components(adjacency: Adjacency) -> List[Set[int]]:
+    """Connected components, largest first (ties: lowest member first).
 
-    trees = []
-    for component in connected_components(topo):
-        root = choose_root(topo, component)
-        trees.append(SpanningTree(topo, root))
-    return trees
+    The order :func:`repro.topology.graph.connected_components` gives.
+    """
+    seen: Set[int] = set()
+    components = []
+    for node in adjacency:
+        if node not in seen:
+            component = set(adjacency_distances(adjacency, node))
+            seen |= component
+            components.append(component)
+    components.sort(key=len, reverse=True)
+    return components
+
+
+def build_spanning_trees(
+    topo: Topology, adjacency: Optional[Adjacency] = None
+) -> List[SpanningTree]:
+    """One spanning tree per connected component (largest first)."""
+    if adjacency is None:
+        adjacency = active_adjacency(topo)
+    return [
+        SpanningTree(topo, choose_root(topo, component, adjacency), adjacency)
+        for component in _components(adjacency)
+    ]
 
 
 def updown_route(
@@ -146,12 +181,6 @@ def updown_route(
                 break
             queue.append(state)
     if goal is None:
-        # Both down-state goals missed; check the other polarity too.
-        for flag in (False, True):
-            if (dst, flag) in parent_state:
-                goal = (dst, flag)
-                break
-    if goal is None:
         return None
     nodes: List[int] = []
     state = goal
@@ -165,8 +194,48 @@ def updown_route(
     return node_path_to_route(topo, nodes)
 
 
+def updown_routes_from(
+    adjacency: Adjacency, tree: SpanningTree, src: int, local_port: int
+) -> Dict[int, Route]:
+    """:func:`updown_route` from ``src`` to every other node of its tree.
+
+    :func:`updown_route` returns the path to the first *discovered* state
+    whose node is ``dst``, and the order in which its ``(node,
+    gone_down)`` search discovers states does not depend on ``dst`` — so
+    one full search from ``(src, False)`` that remembers each node's
+    first-discovered state yields every destination's route.
+    """
+    if not tree.covers(src):
+        return {}
+    depth = tree.depth
+    start = (src, False)
+    #: state -> ports taken from ``src`` to reach it.
+    ports_to: Dict[Tuple[int, bool], Route] = {start: ()}
+    routes: Dict[int, Route] = {}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        node, gone_down = state
+        taken = ports_to[state]
+        here = (depth[node], node)
+        for port, neighbor in adjacency[node]:
+            if neighbor not in depth:
+                continue
+            edge_up = (depth[neighbor], neighbor) < here
+            if gone_down and edge_up:
+                continue  # the forbidden down -> up turn
+            reached = (neighbor, gone_down or not edge_up)
+            if reached in ports_to:
+                continue
+            ports_to[reached] = through = taken + (port,)
+            if neighbor != src and neighbor not in routes:
+                routes[neighbor] = through + (local_port,)
+            queue.append(reached)
+    return routes
+
+
 def tree_next_hop_tables(
-    topo: Topology, tree: SpanningTree
+    topo: Topology, tree: SpanningTree, adjacency: Optional[Adjacency] = None
 ) -> Dict[int, Dict[int, int]]:
     """Per-router next-hop (output port) tables for pure tree routing.
 
@@ -176,39 +245,31 @@ def tree_next_hop_tables(
     up*/down*-valid and hence deadlock-free — it is the escape path used
     by the escape-VC baseline.
     """
-    # For each node, which subtree (child) each destination lives under.
-    tables: Dict[int, Dict[int, int]] = {n: {} for n in tree.nodes()}
+    if adjacency is None:
+        adjacency = active_adjacency(topo)
+    nodes = tree.nodes()
 
-    # Iterative post-order to avoid recursion limits on long chains.
+    # Which destinations live under each node: children are discovered
+    # after their parent, so reversed BFS order is a post-order.
     subtree: Dict[int, Set[int]] = {}
-    stack: List[Tuple[int, bool]] = [(tree.root, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            acc = {node}
-            for child in tree.children.get(node, []):
-                acc |= subtree[child]
-            subtree[node] = acc
-        else:
-            stack.append((node, True))
-            for child in tree.children.get(node, []):
-                stack.append((child, False))
+    for node in reversed(list(tree.depth)):
+        acc = {node}
+        for child in tree.children[node]:
+            acc |= subtree[child]
+        subtree[node] = acc
 
     local = topo.local_port
-    for node in tree.nodes():
+    tables: Dict[int, Dict[int, int]] = {}
+    for node in nodes:
+        port_to = {neighbor: port for port, neighbor in adjacency[node]}
         parent = tree.parent[node]
-        for dst in tree.nodes():
-            if dst == node:
-                tables[node][dst] = local
-                continue
-            port: Optional[int] = None
-            for child in tree.children.get(node, []):
-                if dst in subtree[child]:
-                    port = topo.port_between(node, child)
-                    break
-            if port is None:
-                if parent is None:
-                    raise RuntimeError("destination not under root subtree")
-                port = topo.port_between(node, parent)
-            tables[node][dst] = port
+        # Everything not below ``node`` is reached through its parent.
+        table = dict.fromkeys(nodes, local if parent is None else port_to[parent])
+        # Subtrees are disjoint: at most one child claims a destination.
+        for child in tree.children[node]:
+            port = port_to[child]
+            for dst in subtree[child]:
+                table[dst] = port
+        table[node] = local
+        tables[node] = table
     return tables

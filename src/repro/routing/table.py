@@ -12,21 +12,26 @@ Builders:
   destination (Static Bubble / escape-VC normal path / unprotected).
 * :func:`build_updown_tables` — single up*/down* route per destination
   (spanning-tree avoidance baseline).
+
+Both, and the spanning trees and escape next-hop tables the escape-VC
+baseline needs (:func:`cached_spanning_trees`,
+:func:`escape_next_hop_tables`), are derived in one pass each over one
+adjacency snapshot and memoized together, one entry per topology.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
 from collections import OrderedDict
 from typing import Dict, List, Optional
 
-from repro.routing.paths import Route, bfs_distances, minimal_routes
+from repro.routing.paths import Adjacency, Route, active_adjacency, minimal_routes_to
 from repro.routing.spanning_tree import (
     SpanningTree,
     build_spanning_trees,
-    updown_route,
+    tree_next_hop_tables,
+    updown_routes_from,
 )
 from repro.topology.mesh import Topology
 
@@ -60,50 +65,51 @@ class RoutingTable:
         return options[rng.randrange(len(options))]
 
 
-#: Set ``REPRO_TABLE_CACHE=0`` to disable table memoization (debugging,
-#: or workloads that mutate tables in place — none in this tree do).
-TABLE_CACHE_ENV_VAR = "REPRO_TABLE_CACHE"
+class _Derived:
+    """What has been derived so far from one topology state.
 
-#: Per-process memo: canonical topology spec -> built tables.  Batched
-#: campaign workers run many cells that differ only in rate/seed on the
-#: same sampled topology; table construction (hundreds of ms at 8x8) is
-#: a pure function of the topology, so one build serves the whole batch.
-#: Bounded LRU so a long-lived campaign worker cannot grow unboundedly.
-_TABLE_CACHE_MAX = 64
-_table_cache: "OrderedDict[tuple, Dict[int, RoutingTable]]" = OrderedDict()
+    Everything here is a pure function of the topology spec and is shared
+    read-only by every caller that asks for the same topology.
+    """
+
+    __slots__ = ("adjacency", "minimal", "updown", "trees", "escape")
+
+    def __init__(self, adjacency: Adjacency) -> None:
+        self.adjacency = adjacency
+        #: ``max_paths`` -> minimal tables.
+        self.minimal: Dict[int, Dict[int, RoutingTable]] = {}
+        self.updown: Optional[Dict[int, RoutingTable]] = None
+        self.trees: Optional[List[SpanningTree]] = None
+        self.escape: Optional[Dict[int, Dict[int, int]]] = None
 
 
-def table_cache_enabled() -> bool:
-    return os.environ.get(TABLE_CACHE_ENV_VAR, "").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
+#: Per-process memo: canonical topology spec -> :class:`_Derived`.
+#: Campaign workers run many cells that differ only in scheme/rate/seed
+#: on one sampled topology, so one pass per topology serves them all.  A
+#: rebuild is tens of ms at 8x8, so the bound only has to cover the
+#: topologies a caller alternates between; beyond that it is memory.
+_MEMO_MAX = 8
+_memo: "OrderedDict[str, _Derived]" = OrderedDict()
 
 
 def clear_table_cache() -> None:
-    _table_cache.clear()
+    """Forget every topology's tables, trees and escape next-hop tables."""
+    _memo.clear()
 
 
-def _cache_key(kind: str, topo: Topology, extra: object) -> tuple:
-    # ``to_spec`` records only sorted deviations from the healthy mesh,
-    # so equal post-fault states key identically regardless of the fault
-    # order that produced them.
-    return (kind, json.dumps(topo.to_spec(), sort_keys=True), extra)
-
-
-def _cache_get(key: tuple) -> Optional[Dict[int, RoutingTable]]:
-    tables = _table_cache.get(key)
-    if tables is not None:
-        _table_cache.move_to_end(key)
-        # Share the (read-only) RoutingTable objects but not the dict, so
-        # a caller reshaping its mapping cannot corrupt the cache.
-        return dict(tables)
-    return None
-
-
-def _cache_put(key: tuple, tables: Dict[int, RoutingTable]) -> None:
-    _table_cache[key] = dict(tables)
-    while len(_table_cache) > _TABLE_CACHE_MAX:
-        _table_cache.popitem(last=False)
+def _derived(topo: Topology) -> _Derived:
+    # ``to_spec`` records only sorted deviations from the healthy
+    # topology, so equal post-fault states key identically regardless of
+    # the fault order that produced them.
+    key = json.dumps(topo.to_spec(), sort_keys=True)
+    entry = _memo.get(key)
+    if entry is not None:
+        _memo.move_to_end(key)
+        return entry
+    entry = _memo[key] = _Derived(active_adjacency(topo))
+    while len(_memo) > _MEMO_MAX:
+        _memo.popitem(last=False)
+    return entry
 
 
 def build_minimal_tables(
@@ -111,28 +117,60 @@ def build_minimal_tables(
 ) -> Dict[int, RoutingTable]:
     """Minimal-route tables for every active node.
 
-    Per-destination BFS keeps this at ``O(nodes * edges)`` plus path
-    enumeration; adequate up to the 16x16 meshes used here.  Results are
-    memoized per process on the canonical topology spec (tables are pure
-    functions of the topology and read-only after construction); disable
-    with ``REPRO_TABLE_CACHE=0``.
+    One :func:`minimal_routes_to` pass per destination.  Memoized per
+    process on the canonical topology spec; the :class:`RoutingTable`
+    objects are shared (read-only after construction) but not the dict,
+    so a caller reshaping its mapping cannot corrupt the memo.
     """
-    caching = table_cache_enabled()
-    if caching:
-        key = _cache_key("minimal", topo, max_paths)
-        cached = _cache_get(key)
-        if cached is not None:
-            return cached
-    tables = {node: RoutingTable(node) for node in topo.active_nodes()}
-    for dst in topo.active_nodes():
-        dist = bfs_distances(topo, dst)
-        for src in dist:
-            if src == dst:
-                continue
-            for route in minimal_routes(topo, src, dst, max_paths, dist):
-                tables[src].add_route(dst, route)
-    if caching:
-        _cache_put(key, tables)
+    entry = _derived(topo)
+    tables = entry.minimal.get(max_paths)
+    if tables is None:
+        adjacency, local = entry.adjacency, topo.local_port
+        tables = {node: RoutingTable(node) for node in adjacency}
+        # Equal port sequences recur across pairs (~7x at 8x8): keep one
+        # tuple of each, a table is then mostly references.
+        shared: Dict[Route, Route] = {}
+        for dst in adjacency:
+            for src, routes in minimal_routes_to(adjacency, dst, local, max_paths).items():
+                if src != dst and routes:
+                    tables[src]._routes[dst] = [shared.setdefault(r, r) for r in routes]
+        entry.minimal[max_paths] = tables
+    return dict(tables)
+
+
+def cached_spanning_trees(topo: Topology) -> List[SpanningTree]:
+    """:func:`build_spanning_trees`, memoized per topology (shared trees)."""
+    entry = _derived(topo)
+    if entry.trees is None:
+        entry.trees = build_spanning_trees(topo, entry.adjacency)
+    return entry.trees
+
+
+def escape_next_hop_tables(topo: Topology) -> Dict[int, Dict[int, int]]:
+    """Tree next hops of every component, memoized per topology (shared)."""
+    entry = _derived(topo)
+    if entry.escape is None:
+        escape: Dict[int, Dict[int, int]] = {}
+        for tree in cached_spanning_trees(topo):
+            escape.update(tree_next_hop_tables(topo, tree, entry.adjacency))
+        entry.escape = escape
+    return entry.escape
+
+
+def _updown_tables(
+    topo: Topology, trees: List[SpanningTree], adjacency: Adjacency
+) -> Dict[int, RoutingTable]:
+    local = topo.local_port
+    tables = {node: RoutingTable(node) for node in adjacency}
+    shared: Dict[Route, Route] = {}  # as in ``build_minimal_tables``
+    for tree in trees:
+        members = sorted(tree.nodes())
+        for src in members:
+            routes = updown_routes_from(adjacency, tree, src, local)
+            for dst in members:
+                route = routes.get(dst)
+                if route is not None:
+                    tables[src].add_route(dst, shared.setdefault(route, route))
     return tables
 
 
@@ -141,28 +179,16 @@ def build_updown_tables(
 ) -> Dict[int, RoutingTable]:
     """Up*/down* route tables (one route per destination) per active node.
 
-    Memoized like :func:`build_minimal_tables`, but only for the default
-    tree derivation — caller-supplied ``trees`` bypass the cache (their
+    One :func:`updown_routes_from` search per source.  Memoized like
+    :func:`build_minimal_tables`, but only for the default tree
+    derivation — caller-supplied ``trees`` bypass the memo (their
     identity is not part of the topology spec).
     """
-    caching = trees is None and table_cache_enabled()
-    if caching:
-        key = _cache_key("updown", topo, None)
-        cached = _cache_get(key)
-        if cached is not None:
-            return cached
-    if trees is None:
-        trees = build_spanning_trees(topo)
-    tables = {node: RoutingTable(node) for node in topo.active_nodes()}
-    for tree in trees:
-        members = sorted(tree.nodes())
-        for src in members:
-            for dst in members:
-                if src == dst:
-                    continue
-                route = updown_route(topo, tree, src, dst)
-                if route is not None:
-                    tables[src].add_route(dst, route)
-    if caching:
-        _cache_put(key, tables)
-    return tables
+    if trees is not None:
+        return _updown_tables(topo, trees, active_adjacency(topo))
+    entry = _derived(topo)
+    if entry.updown is None:
+        entry.updown = _updown_tables(
+            topo, cached_spanning_trees(topo), entry.adjacency
+        )
+    return dict(entry.updown)

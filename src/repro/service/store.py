@@ -17,7 +17,8 @@ Durability and concurrency:
   rather than least-recently-written;
 * the store is capped (``max_bytes``, default ``$REPRO_STORE_MAX_BYTES``
   or 256 MiB); :meth:`ResultStore.put` evicts oldest-touched blobs until
-  the cap holds.
+  the cap holds.  Each store object keeps a running total of the bytes on
+  disk and only lists the directory when that total crosses the cap.
 
 Hit/miss/put/evict counters land in a
 :class:`repro.obs.metrics.MetricsRegistry` (the per-process registry by
@@ -83,6 +84,11 @@ class ResultStore:
         self.max_bytes = max_bytes if max_bytes is not None else _default_max_bytes()
         self.registry = registry if registry is not None else proc_registry()
         self.root.mkdir(parents=True, exist_ok=True)
+        #: Running estimate of the bytes on disk: scanned once here, then
+        #: adjusted by this object's own puts and evictions.  Blobs other
+        #: writers add under the same root go unseen until the estimate
+        #: crosses the cap and ``_enforce_cap`` rescans, which corrects it.
+        self._bytes = self.size_bytes()
 
     # -- paths -----------------------------------------------------------
 
@@ -110,6 +116,7 @@ class ResultStore:
             # writes, but disks happen): drop it and report a miss so the
             # caller recomputes rather than crashes.
             path.unlink(missing_ok=True)
+            self._bytes -= len(raw)
             self.registry.counter("service.store.corrupt").inc()
             self.registry.counter("service.store.miss").inc()
             return None
@@ -126,6 +133,10 @@ class ResultStore:
         path = self.path_for(fp)
         path.parent.mkdir(parents=True, exist_ok=True)
         data = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        try:
+            replaced = path.stat().st_size
+        except FileNotFoundError:
+            replaced = 0
         fd, tmp = tempfile.mkstemp(
             dir=path.parent, prefix=f".{fp[:8]}-", suffix=".tmp"
         )
@@ -140,7 +151,9 @@ class ResultStore:
                 pass
             raise
         self.registry.counter("service.store.put").inc()
-        self._enforce_cap()
+        self._bytes += len(data) - replaced  # ``data`` is ASCII
+        if self._bytes > self.max_bytes:
+            self._enforce_cap()
         return path
 
     # -- maintenance -----------------------------------------------------
@@ -151,7 +164,13 @@ class ResultStore:
                 yield from shard.glob("*.json")
 
     def size_bytes(self) -> int:
-        return sum(blob.stat().st_size for blob in self._blobs())
+        total = 0
+        for blob in self._blobs():
+            try:
+                total += blob.stat().st_size
+            except FileNotFoundError:
+                pass  # concurrent eviction
+        return total
 
     def __len__(self) -> int:
         return sum(1 for _ in self._blobs())
@@ -206,18 +225,18 @@ class ResultStore:
                 continue  # concurrent eviction
             blobs.append((stat.st_mtime, stat.st_size, blob))
             total += stat.st_size
-        if total <= self.max_bytes:
-            return
-        blobs.sort()  # oldest-touched first
-        for _, size, blob in blobs:
-            if total <= self.max_bytes:
-                break
-            try:
-                blob.unlink()
-            except FileNotFoundError:
-                continue
-            total -= size
-            self.registry.counter("service.store.evict").inc()
+        if total > self.max_bytes:
+            blobs.sort()  # oldest-touched first
+            for _, size, blob in blobs:
+                if total <= self.max_bytes:
+                    break
+                try:
+                    blob.unlink()
+                except FileNotFoundError:
+                    continue
+                total -= size
+                self.registry.counter("service.store.evict").inc()
+        self._bytes = total
 
     def clear(self) -> int:
         """Remove every blob; returns how many were removed."""
@@ -225,4 +244,5 @@ class ResultStore:
         for blob in list(self._blobs()):
             blob.unlink(missing_ok=True)
             removed += 1
+        self._bytes = 0
         return removed

@@ -135,10 +135,12 @@ class Router:
         #: ``add_static_bubble`` running post-warm), which a value-level
         #: resync cannot absorb — the mirror must rebuild its slot layout.
         self._structure_hook: Optional[Callable[[int], None]] = None
-        #: Seal hook installed by the Static Bubble scheme: called with the
-        #: node id from ``set_io_restriction`` so the scheme's sealed-router
-        #: set tracks every install site (including direct calls in tests).
-        self._seal_hook: Optional[Callable[[int], None]] = None
+        #: The Static Bubble scheme's sealed-router set (shared by all its
+        #: routers): ``set_io_restriction`` enters this router, so the set
+        #: tracks every install site (including direct calls in tests).
+        #: The set itself rather than a bound ``add``, so a deep copy of
+        #: the network seals into its own copy.  A private set otherwise.
+        self._sealed: Set[int] = set()
         #: Flat tuple of all compass-port (E/N/W/S) input VCs, rebuilt with
         #: the class index — the SB watch logic walks this every cycle.
         self.compass_vcs: Tuple[VirtualChannel, ...] = ()
@@ -333,8 +335,7 @@ class Router:
         self.io_out_port = out_port
         self.source_id = source
         self.io_set_at = now
-        if self._seal_hook is not None:
-            self._seal_hook(self.node)
+        self._sealed.add(self.node)
 
     def clear_io_restriction(self) -> None:
         self.is_deadlock = False

@@ -37,11 +37,12 @@ microseconds.
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.energy.model import EnergyParams
+from repro.routing.paths import active_adjacency
 from repro.routing.table import build_minimal_tables, build_updown_tables
 from repro.sim.config import SimConfig
 from repro.topology.base import BaseTopology as Topology
@@ -246,7 +247,12 @@ class AnalyticalModel:
         else:
             tables = build_minimal_tables(topo, config.max_minimal_routes)
         demand = _demand(topo, pattern)
-        g: Dict[Tuple[int, int], float] = {}
+        #: node -> port -> (neighbor, the directed channel's key in ``g``).
+        hop = {
+            node: {port: (nxt, (node, nxt)) for port, nxt in pairs}
+            for node, pairs in active_adjacency(topo).items()
+        }
+        g: Dict[Tuple[int, int], float] = defaultdict(float)
         weight = 0.0
         routable = 0.0
         hops_total = 0.0
@@ -262,10 +268,8 @@ class AnalyticalModel:
                 for route in routes:
                     node = src
                     for port in route[:-1]:  # last element is ejection
-                        nxt = topo.neighbor(node, port)
-                        edge = (node, nxt)
-                        g[edge] = g.get(edge, 0.0) + route_share
-                        node = nxt
+                        node, edge = hop[node][port]
+                        g[edge] += route_share
                     hops_total += route_share * (len(route) - 1)
         # 0.5/0.5 ctrl/data mix, as repro.traffic.synthetic defaults.
         mean_flits = 0.5 * (config.data_packet_flits + config.ctrl_packet_flits)
@@ -285,7 +289,7 @@ class AnalyticalModel:
             family=topology_family(topo),
             scheme=scheme,
             pattern=pattern,
-            g=g,
+            g=dict(g),
             weight=weight,
             routable_weight=routable,
             hops_total=hops_total,

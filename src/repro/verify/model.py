@@ -343,11 +343,11 @@ def restore(net, snap: Tuple) -> None:
             r.source_id,
             r.io_set_at,
         ) = seal
-        # Direct attribute writes bypass ``set_io_restriction``; re-fire
-        # the seal hook so scheme-side sealed-router sets stay supersets
+        # Direct attribute writes bypass ``set_io_restriction``; enter
+        # the router so the scheme-side sealed-router set stays a superset
         # of the truth (stale members are discarded lazily).
-        if r.is_deadlock and r._seal_hook is not None:
-            r._seal_hook(r.node)
+        if r.is_deadlock:
+            r._sealed.add(r.node)
         r._in_rr[:] = in_rr
         r._out_rr[:] = out_rr
         # Bubble activation changes port-VC membership; drop the cache.
@@ -391,9 +391,9 @@ def restore(net, snap: Tuple) -> None:
 def clone_network(net):
     """Deep-copy a network so the copy can be stepped independently.
 
-    Routers, NIs and FSMs hold the network's occupied / queued / awake
-    *sets* (not bound ``set.add`` methods, which ``deepcopy`` treats as
-    atomic), so the copy's members point at the copy's sets.
+    Routers, NIs and FSMs hold the network's occupied / queued / awake /
+    sealed *sets* (not bound ``set.add`` methods, which ``deepcopy`` treats
+    as atomic), so the copy's members point at the copy's sets.
     """
     return copy.deepcopy(net)
 

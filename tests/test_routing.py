@@ -19,8 +19,9 @@ from repro.routing.table import (
     RoutingTable,
     build_minimal_tables,
     build_updown_tables,
+    cached_spanning_trees,
     clear_table_cache,
-    table_cache_enabled,
+    escape_next_hop_tables,
 )
 from repro.routing.xy import xy_route, xy_route_is_usable
 from repro.topology.faults import inject_link_faults
@@ -175,14 +176,22 @@ class TestTableCache:
             before[0].routes(1)[0] is not after[0].routes(1)[0]
         )
 
-    def test_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TABLE_CACHE", "0")
-        assert not table_cache_enabled()
+    def test_clear_drops_tables_trees_and_escape_together(self):
         clear_table_cache()
         topo = mesh(3, 3)
-        first = build_minimal_tables(topo)
-        second = build_minimal_tables(topo)
-        assert first[0].routes(1)[0] is not second[0].routes(1)[0]
+
+        def derive():
+            return (
+                build_minimal_tables(topo)[0].routes(1)[0],
+                build_updown_tables(topo)[0].routes(1)[0],
+                cached_spanning_trees(topo)[0],
+                escape_next_hop_tables(topo),
+            )
+
+        first, warm = derive(), derive()
+        assert all(a is b for a, b in zip(first, warm))
+        clear_table_cache()
+        assert not any(a is b for a, b in zip(first, derive()))
 
     def test_updown_custom_trees_bypass_cache(self):
         clear_table_cache()

@@ -16,6 +16,7 @@ from repro.core.fsm import FsmState
 from repro.core.turns import Port, Turn
 from repro.obs import Observer
 from repro.obs.events import SEAL_EXPIRE, SEAL_REFRESH
+from repro.verify.model import clone_network
 
 from tests.conftest import build_2x2_ring_deadlock
 
@@ -78,6 +79,19 @@ class TestCollectStaleSeals:
         for _ in range(3 * net.config.sb_seal_timeout):
             net.step()
         assert router.is_deadlock
+
+    def test_seal_on_a_clone_stays_in_the_clone(self):
+        """A deep copy seals into its own scheme's set, and collects it."""
+        net, scheme = build_2x2_ring_deadlock(t_dd=FROZEN)
+        net.config.sb_seal_timeout = 8
+        clone = clone_network(net)
+        router = clone.routers[0]
+        router.set_io_restriction(E, N, source=3, now=clone.cycle)
+        assert clone.scheme._sealed == {0}
+        assert scheme._sealed == set()
+        for _ in range(clone.config.sb_seal_timeout + 2):
+            clone.step()
+        assert not router.is_deadlock and clone.scheme._sealed == set()
 
 
 def _arm_sb_active(net, scheme, in_port):

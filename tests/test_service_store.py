@@ -201,6 +201,37 @@ class TestLruEviction:
         store.get(fp)
         assert store.path_for(fp).stat().st_mtime > past + 500
 
+    def test_put_under_the_cap_lists_nothing_and_crossing_it_evicts_oldest(
+        self, tmp_path, monkeypatch
+    ):
+        now = time.time()
+        fps = [spec_fingerprint({"i": i}) for i in range(1000)]
+        for age, fp in enumerate(fps):
+            path = tmp_path / fp[:2] / f"{fp}.json"
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(b'{"v":1}')
+            os.utime(path, (now - 5000 + age, now - 5000 + age))
+        store = ResultStore(root=tmp_path, max_bytes=10**9, registry=MetricsRegistry())
+        assert store._bytes == 7 * 1000
+
+        scans = []
+        listing = store._blobs
+        monkeypatch.setattr(store, "_blobs", lambda: scans.append(1) or listing())
+        new = spec_fingerprint({"i": "new"})
+        store.put(new, {"pad": "x" * 100})
+        store.put(new, {"pad": "x" * 50})  # an overwrite replaces, not adds
+        assert not scans
+        assert store._bytes == store.size_bytes() == 7000 + len('{"pad":""}') + 50
+
+        store.max_bytes = 7000  # the next put crosses: rescan, oldest go first
+        del scans[:]
+        store.put(spec_fingerprint({"i": "newer"}), {"v": 2})
+        assert len(scans) == 1
+        assert store._bytes == store.size_bytes() <= 7000
+        gone = [fp for fp in fps if not store.contains(fp)]
+        assert gone and gone == fps[: len(gone)]
+        assert store.contains(new)
+
     def test_under_cap_keeps_everything(self, tmp_path):
         store = ResultStore(root=tmp_path, max_bytes=10**9, registry=MetricsRegistry())
         for i in range(4):
