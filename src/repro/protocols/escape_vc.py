@@ -113,8 +113,10 @@ class EscapeVcRecovery(DeadlockScheme):
                     packet.is_escape = True
                     network.stats.escape_diversions += 1
                     # The mode flip changes which output/VC class this
-                    # buffered packet requests; engines that mirror
-                    # per-slot routing state need to refresh this router.
+                    # buffered packet requests: a sleeping router must
+                    # reconsider it, and engines that mirror per-slot
+                    # routing state need to refresh this router.
+                    router.wake()
                     hook = router._dirty_hook
                     if hook is not None:
                         hook(router.node)

@@ -515,8 +515,7 @@ class StaticBubbleScheme(DeadlockScheme):
                     and vc.vnet == resident.vnet
                     and vc.is_free(now)
                 ):
-                    router.remove(bubble)
-                    bubble.free_at = now + 1
+                    router.remove(bubble, now + 1)
                     router.place(vc, resident, now + 1)
                     router.invalidate_vc_cache()
                     self._emit(

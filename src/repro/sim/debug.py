@@ -12,6 +12,8 @@ types, different flow control) will need exactly them.
   message launch (optionally filtered by sender).
 * :func:`phase_budget` — where one simulated cycle's time goes, by phase
   of ``Network.step``.
+* :func:`overslept` — packets a sleeping router or NI could move right
+  now (a wake event is missing if there are any).
 """
 
 from __future__ import annotations
@@ -223,3 +225,45 @@ def phase_budget(network: Network, cycles: int) -> Dict[str, float]:
     budget = {name: spent[name] / cycles * 1e6 for name in STEP_PHASES}
     budget["step"] = wall / cycles * 1e6
     return budget
+
+
+def overslept(network: Network) -> List[Tuple[int, int]]:
+    """``(node, pid)`` of every packet asleep although it could move now.
+
+    The wake-time invariant, checked read-only between two steps: no
+    router whose ``wake_at`` is ahead of ``network.cycle`` holds a packet
+    that passes every grant condition of ``Network._allocate_router``,
+    and no such NI a queue head ``try_inject`` would accept.  ``[]`` on a
+    healthy network, whichever engine or sweep ran.
+    """
+    now = network.cycle
+    found = []
+    for router in network.active_routers():
+        if router.wake_at <= now:
+            continue
+        for vc in router.all_vcs():
+            packet = vc.packet
+            if packet is None or now < vc.ready_at:
+                continue
+            # (A switchable adaptive packet's request updates ``adapt_out``
+            # even when refused: its router may not sleep at all.)
+            if router._adaptive_lookup is None or packet.is_escape:
+                out = router._requested_output(packet)
+                link = router.output_links[out]
+                if link is None or not link.is_free(now):
+                    continue
+                if not router.injection_allowed(vc.port, out):
+                    continue
+                peer = network.routers.get(link.dest_node)
+                if peer is not None and (
+                    peer.free_vc_for(link.dest_in_port, packet, now) is None
+                ):
+                    continue
+            found.append((router.node, packet.pid))
+    for ni in network.nis.values():
+        if ni.queue and ni.wake_at > now:
+            packet, local = ni.queue[0], ni.router.local
+            vc = ni.router.free_vc_for(local, packet, now)
+            if vc is not None and ni.router.injection_allowed(local, packet.route[0]):
+                found.append((ni.node, packet.pid))
+    return found

@@ -84,12 +84,12 @@ BIG = 1 << 60
 
 #: Packets in flight above which a cycle runs the vector filter, and
 #: below which a dense run falls back to the base sweep.  The filter
-#: costs the same whatever the load and the base sweep costs per occupied
-#: router, so the two cross once; on the faulted 8x8 that is a broad
-#: plateau around 65-110 in flight (rate 0.02 holds ~6, saturation ~680),
-#: and the gap between the two constants is the hysteresis.
-DENSE_ABOVE = 110
-SPARSE_BELOW = 65
+#: costs the same whatever the load and the base sweep costs per router
+#: awake, so the two cross once; on the faulted 8x8 that is a plateau
+#: around 125-175 in flight (rate 0.02 holds ~6, saturation ~680), and
+#: the gap between the two constants is the hysteresis.
+DENSE_ABOVE = 175
+SPARSE_BELOW = 125
 
 
 def _plane(values: List[int]):
@@ -118,9 +118,10 @@ class FastNetwork(Network):
         self._dirty: set = set()
         #: The slot layout does not describe the routers: no mirror built
         #: yet, ``apply_faults`` / ``restore``, or VC *structure* changed
-        #: post-warm (``add_escape_vcs`` / ``add_static_bubble``).  A
-        #: value-level resync cannot help — the next dense cycle rebuilds.
-        self._structure_stale = True
+        #: post-warm (``add_escape_vcs`` / ``add_static_bubble``; the
+        #: mirrored routers share this cell).  A value-level resync
+        #: cannot help — the next dense cycle rebuilds.
+        self._structure_stale = [True]
 
     def _build_mirror(self) -> None:
         """(Re)build the slot layout and the planes."""
@@ -221,27 +222,11 @@ class FastNetwork(Network):
 
         for router in rlist:
             router._dirty_hook = self._dirty.add
-            router._structure_hook = self._on_structure_change
-
-        # Injection prefilter: with one vnet every queued packet wants the
-        # (LOCAL, normal, vnet 0) class, so the class cell decides "is a
-        # VC free" exactly and `try_inject` is only entered when it can
-        # succeed (its failure path is side-effect- and RNG-free).  With
-        # several vnets there is no single cell: always try.
-        one_vnet = self.config.vnets == 1
-        self._inj_cells = [
-            (
-                ni,
-                avail_index.get((self._rpos.get(ni.node), local, VC_NORMAL, 0), C + 1)
-                if one_vnet
-                else C,
-            )
-            for ni in self._ni_list
-        ]
+            router._structure_stale = self._structure_stale
 
         self._resync_all()
         self._dirty.clear()
-        self._structure_stale = False
+        self._structure_stale[0] = False
 
     # -- mirror synchronization ---------------------------------------------
 
@@ -355,18 +340,6 @@ class FastNetwork(Network):
         for rpos in range(len(self._mrouters)):
             self._resync_router(rpos)
 
-    def _on_structure_change(self, node: int) -> None:
-        """``Router._structure_hook``: VC membership/classing mutated.
-
-        ``add_escape_vcs`` / ``add_static_bubble`` running post-warm
-        (e.g. scheme reconciliation outside the apply_faults/restore
-        rebuild path) change the slot *layout* — ``avail_members`` and
-        ``avail_index`` still class converted VCs under their old kind,
-        which a value-level ``_resync_router`` cannot repair.  Schedule a
-        wholesale mirror rebuild for the next step.
-        """
-        self._structure_stale = True
-
     # -- per-cycle machinery -------------------------------------------------
 
     def _begin_cycle(self, now: int) -> None:
@@ -376,6 +349,9 @@ class FastNetwork(Network):
         cycle maintains nothing; the first dense cycle after one pays a
         full resync (or the build, if the layout is stale).
         """
+        if not self._active_nodes:
+            self._dense = False  # idle: nothing in flight
+            return
         # ``total_occupancy()``, inlined: this runs every cycle.
         routers = self.routers
         in_flight = 0
@@ -390,7 +366,7 @@ class FastNetwork(Network):
             self._dense = resync = True
         else:
             return
-        if self._structure_stale:
+        if self._structure_stale[0]:
             self._build_mirror()
         elif resync:
             self._resync_all()
@@ -428,24 +404,9 @@ class FastNetwork(Network):
         self._sync(slots)
         slots.clear()
 
-    def _inject_queued(self, now: int) -> None:
-        if not self._dense:
-            Network._inject_queued(self, now)
-            return
-        # Heads on a nonzero vnet (defensive; the prefilter cell is only
-        # exact with one vnet) bypass the prefilter rather than trust the
-        # vnet-0 cell.
-        comb = self._comb
-        for ni, cell in self._inj_cells:
-            queue = ni.queue
-            if (
-                queue
-                and (comb[cell] <= now or queue[0].vnet)
-                and ni.try_inject(now)
-            ):
-                self._after_injection(ni)
-
     def _after_injection(self, ni) -> None:
+        if not self._dense:
+            return
         # Exactly one VC gained a packet; its slot still reads as empty,
         # so a scan of the local span finds it.
         rpos = self._rpos[ni.node]
@@ -536,10 +497,10 @@ class FastNetwork(Network):
 
     def apply_faults(self, links=(), routers=()):
         summary = super().apply_faults(links, routers)
-        self._structure_stale = True
+        self._structure_stale[0] = True
         return summary
 
     def restore(self, links=(), routers=()):
         summary = super().restore(links, routers)
-        self._structure_stale = True
+        self._structure_stale[0] = True
         return summary

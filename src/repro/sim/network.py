@@ -40,7 +40,7 @@ from repro.routing.table import RoutingTable
 from repro.sim.config import SimConfig
 from repro.sim.ni import NetworkInterface
 from repro.sim.packet import Packet
-from repro.sim.router import Router, VC_BUBBLE, VirtualChannel, OutputLink
+from repro.sim.router import NEVER, Router, VC_BUBBLE, VirtualChannel, OutputLink
 from repro.sim.stats import NetworkStats
 from repro.topology.base import BaseTopology as Topology
 from repro.utils.rng import spawn_rng
@@ -52,9 +52,6 @@ _SPECIAL_STAT_KEY = {
     MsgType.CHECK_PROBE: "check_probe",
 }
 
-
-#: Later than any reachable cycle.
-_NEVER = 1 << 60
 
 #: Engines selectable at :class:`Network` construction.
 ENGINES = ("reference", "fast")
@@ -143,8 +140,12 @@ class Network:
         #: enters a router on every arrival; the allocation sweep evicts it
         #: lazily once it sees ``occupancy == 0``, so the set is always a
         #: superset of the occupied routers.  *When* an occupied router
-        #: next has something switchable is its ``wake_at``.
+        #: next has something it could be granted is its ``wake_at``.
         self._active_nodes: Set[int] = set()
+        #: The wake table every router and NI shares (``Router._wake``).
+        self._wake: Dict[int, int] = {}
+        #: ``_allocate_router`` calls so far (a count, for tests and probes).
+        self.sweeps = 0
         #: Nodes whose NI queue is non-empty, kept the same way:
         #: ``NetworkInterface.create_packet`` enters, ``_inject_queued``
         #: evicts.
@@ -166,11 +167,7 @@ class Network:
         for node in topo.active_nodes():
             self._add_router(node)
         self._router_list: List[Router] = list(self.routers.values())
-        for node, router in self.routers.items():
-            for direction, neighbor in topo.active_neighbors(node):
-                router.output_links[direction] = OutputLink(
-                    neighbor, topo.arrival_port(node, direction)
-                )
+        self._sync_links()
 
         # Routing tables + NIs.
         tables = scheme.build_tables(topo, config)
@@ -195,6 +192,8 @@ class Network:
         config = self.config
         router = Router(node, config.vnets, config.vcs_per_vnet, self._num_ports)
         router._active = self._active_nodes
+        router._wake = self._wake
+        router.wake()
         router.output_links[self._local] = OutputLink(None)
         self.routers[node] = router
 
@@ -383,7 +382,7 @@ class Network:
             for vc in router.all_vcs():
                 if vc.packet is not None:
                     dropped += self._count_drop(vc.packet, "dead_router", now)
-                    vc.packet = None
+                    router.remove(vc)
             ni = self.nis.pop(node, None)
             if ni is not None:
                 for packet in ni.queue:
@@ -449,6 +448,7 @@ class Network:
             dropped += ni_dropped
         for router in self._router_list:
             router.invalidate_vc_cache()
+        self.wake_all()
 
         summary = {
             "links": len(link_list),
@@ -506,6 +506,7 @@ class Network:
         )
         for router in self._router_list:
             router.invalidate_vc_cache()
+        self.wake_all()
 
         summary = {"links": len(link_list), "routers": len(new_routers)}
         if self.obs is not None:
@@ -513,6 +514,16 @@ class Network:
         if self.verify_on_reconfig:
             self.certify()
         return summary
+
+    def wake_all(self) -> None:
+        """Have the next sweep reconsider every router and NI.
+
+        For state rewritten wholesale — links, routes, tables, seals: a
+        reconfiguration, or a model-checker snapshot written back.
+        """
+        wake = self._wake
+        for key in wake:
+            wake[key] = 0
 
     def certify(self):
         """Machine-check the scheme's deadlock-freedom claim right now.
@@ -555,12 +566,15 @@ class Network:
 
         Links that stayed active keep their :class:`OutputLink` object
         (preserving ``busy_until`` for tails still draining); dead links
-        drop to ``None``; restored links get a fresh object.
+        drop to ``None``; restored links get a fresh object.  Links are
+        bidirectional, so the peer behind an output port is also the
+        feeder of that input port (the router itself behind a dead one).
         """
         for node, router in self.routers.items():
             active = {port: peer for port, peer in self.topo.active_neighbors(node)}
             for port in range(self._local):
                 peer = active.get(port)
+                router._feeders[port] = node if peer is None else peer
                 if peer is None:
                     router.output_links[port] = None
                 elif router.output_links[port] is None:
@@ -661,11 +675,19 @@ class Network:
         """Move queued packets into free local-port VCs, ascending node order."""
         queued = self._queued_nodes
         nis = self.nis
+        wake = self._wake
+        sleepers = not self.full_scan
         for node in sorted(queued):
+            if sleepers and wake[~node] > now:
+                continue  # ``try_inject`` refused the head; it cannot have lapsed
             ni = nis[node]
-            ni.try_inject(now)
+            if ni.try_inject(now):
+                self._after_injection(ni)
             if not ni.queue:
                 queued.discard(node)
+
+    def _after_injection(self, ni: NetworkInterface) -> None:
+        """Engine hook: ``ni`` just moved its queue head into a VC."""
 
     def _allocate(self, now: int) -> None:
         """Switch allocation at every router that can act, ascending node order."""
@@ -675,19 +697,21 @@ class Network:
                     self._allocate_router(router, now)
         else:
             # Node order matches the full scan (active_nodes() ascends),
-            # so both paths are bit-identical.  A router whose packets are
-            # all still in flight to it (``wake_at`` ahead of ``now``) is
-            # skipped: a sweep there rejects every VC and has no side
-            # effect.  Routers drained to zero are evicted; a mid-sweep
-            # arrival re-enters its router through ``Router.place``.
+            # so both paths are bit-identical.  A router asleep (``wake_at``
+            # ahead of ``now``) is skipped: a sweep there rejects every VC
+            # and has no side effect.  Routers drained to zero are evicted;
+            # a mid-sweep arrival re-enters its router through
+            # ``Router.place``.
             active = self._active_nodes
             routers = self.routers
+            wake = self._wake
             for node in sorted(active):
-                router = routers[node]
-                if not router._occupancy:
-                    active.discard(node)
-                elif router.wake_at <= now:
-                    self._allocate_router(router, now)
+                if wake[node] <= now:
+                    router = routers[node]
+                    if router._occupancy:
+                        self._allocate_router(router, now)
+                    else:
+                        active.discard(node)
 
     def run(self, cycles: int) -> None:
         for _ in range(cycles):
@@ -728,10 +752,15 @@ class Network:
         live objects, and a rejected VC has no side effects, so leaving
         out VCs that cannot be granted changes nothing.
 
-        A sweep over every position that found every resident packet
-        still in flight to this router raises ``router.wake_at`` to the
-        earliest ``ready_at`` among them.
+        A sweep over every position that issued no request raises
+        ``router.wake_at`` to the earliest cycle at which one of the
+        rejections lapses on its own: a ``ready_at``, a link's
+        ``busy_until``, the cycle after a special's claim, the earliest
+        ``free_at`` of an empty downstream buffer.  A dead link, a seal
+        and a downstream class full of packets never do; the event that
+        ends them wakes the router (see ``Router._wake``).
         """
+        self.sweeps += 1
         # Input arbitration: one candidate VC per input port (round-robin).
         # This is the simulator's hottest loop — it runs once per occupied
         # router per cycle — so it works off the router's cached per-port
@@ -740,9 +769,8 @@ class Network:
         every_vc = candidates is None
         if every_vc:
             candidates = self._every_port
-        # Resident packets not yet switchable, and the earliest of them.
-        waiting = 0
-        wake_at = _NEVER
+        # The earliest cycle at which a rejection seen so far lapses.
+        wake_at = NEVER
         routers = self.routers
         vc_cache = router._vc_cache
         in_rr = router._in_rr
@@ -772,11 +800,13 @@ class Network:
                 if now < vc.ready_at:
                     if vc.ready_at < wake_at:
                         wake_at = vc.ready_at
-                    waiting += 1
                     continue
                 if adaptive and not packet.is_escape:
                     grant = self._adaptive_request(router, port, packet, now)
                     if grant is None:
+                        # Not side-effect free (``packet.adapt_out``):
+                        # the rejected request is made again every cycle.
+                        wake_at = now + 1
                         continue
                     out, target = grant
                     requests.append((port, vc, packet, out, target, (k + 1) % n))
@@ -786,11 +816,14 @@ class Network:
                 else:
                     out = packet.route[packet.hop]
                 link = output_links[out]
-                if (
-                    link is None
-                    or now < link.busy_until
-                    or link.special_blocked_at == now
-                ):
+                if link is None:
+                    continue
+                if now < link.busy_until:
+                    if link.busy_until < wake_at:
+                        wake_at = link.busy_until
+                    continue
+                if link.special_blocked_at == now:
+                    wake_at = now + 1
                     continue
                 if restricted and not router.injection_allowed(port, out):
                     continue
@@ -800,12 +833,15 @@ class Network:
                     downstream = routers[link.dest_node]
                     target = downstream.free_vc_for(link.dest_in_port, packet, now)
                     if target is None:
+                        lapse = downstream.claimable_from(link.dest_in_port, packet)
+                        if lapse < wake_at:
+                            wake_at = lapse
                         continue
                 requests.append((port, vc, packet, out, target, (k + 1) % n))
                 break
         if not requests:
-            if every_vc and waiting == router._occupancy:
-                router.wake_at = wake_at
+            if every_vc:
+                self._wake[router.node] = wake_at
             return
         # Output arbitration: one grant per output port (round-robin on
         # input port index).  The input pointer advances only for *granted*
@@ -883,8 +919,7 @@ class Network:
         link = router.output_links[out]
         size = packet.size
         link.busy_until = now + size
-        router.remove(vc)
-        vc.free_at = now + size
+        router.remove(vc, now + size)
         self.stats.buffer_reads += size
         self.stats.crossbar_flits += size
         if out == router.local:

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Optional, Set, TYPE_CHECKING
+from typing import Deque, Optional, Set
 
 from repro.obs.events import PACKET_DROP, PACKET_INJECT, PACKET_REROUTE
 from repro.routing.table import RoutingTable
 from repro.sim.packet import Packet
+from repro.sim.router import NEVER, Router
 from repro.sim.stats import NetworkStats
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.router import Router
 
 
 class NetworkInterface:
@@ -28,7 +26,7 @@ class NetworkInterface:
         self,
         node: int,
         table: RoutingTable,
-        router: "Router",
+        router: Router,
         stats: NetworkStats,
         rng: random.Random,
         queue_cap: int = 0,
@@ -78,21 +76,34 @@ class NetworkInterface:
         self.stats.packets_created += 1
         return packet
 
+    @property
+    def wake_at(self) -> int:
+        """The queue head cannot be injected before this cycle."""
+        return self.router._wake[~self.node]
+
     def try_inject(self, now: int) -> bool:
-        """Move the queue head into a free local-port VC (one per cycle)."""
+        """Move the queue head into a free local-port VC (one per cycle).
+
+        A refusal records when it lapses on its own in the router's wake
+        table (the NI is the local port's feeder);
+        ``Network._inject_queued`` skips this NI until then.
+        """
         if not self.queue:
             return False
         packet = self.queue[0]
-        local = self.router.local
-        vc = self.router.free_vc_for(local, packet, now)
+        router = self.router
+        local = router.local
+        vc = router.free_vc_for(local, packet, now)
         if vc is None:
+            router._wake[~self.node] = router.claimable_from(local, packet)
             return False
-        if not self.router.injection_allowed(local, packet.route[0]):
+        if not router.injection_allowed(local, packet.route[0]):
             # The local port is sealed out of a deadlocked chain; hold the
             # packet at the NI rather than occupying a VC it cannot leave.
+            router._wake[~self.node] = NEVER
             return False
         self.queue.popleft()
-        self.router.place(vc, packet, now + 1)
+        router.place(vc, packet, now + 1)
         packet.injected_at = now
         self.stats.packets_injected += 1
         self.stats.flits_injected += packet.size

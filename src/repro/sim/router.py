@@ -26,6 +26,9 @@ from repro.sim.packet import Packet
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.network import Network
 
+#: Later than any reachable cycle.
+NEVER = 1 << 60
+
 #: VC kinds.
 VC_NORMAL = 0
 VC_ESCAPE = 1
@@ -112,12 +115,20 @@ class Router:
         #: Number of packets resident in this router; only :meth:`place`
         #: and :meth:`remove` change it.
         self._occupancy = 0
-        #: A lower bound on the earliest cycle at which a resident packet
-        #: is switchable.  :meth:`place` lowers it to the arrival's
-        #: ``ready_at``; an allocation sweep that visited every VC and
-        #: found none switchable raises it to the smallest ``ready_at`` it
-        #: saw.  ``Network._allocate`` skips the router until then.
-        self.wake_at = 0
+        #: The owning network's wake table: ``node`` -> a lower bound on
+        #: the earliest cycle at which a packet resident in that router
+        #: could be granted (:attr:`wake_at`), ``~node`` -> the same for
+        #: the head of that node's NI queue.  A sweep that granted nothing
+        #: raises an entry to the earliest cycle at which a reject reason
+        #: lapses on its own; whatever else can make a grant possible
+        #: lowers it (:meth:`place`, :meth:`remove`, :meth:`wake`).  Plain
+        #: ints in a shared dict, so routers never reference each other.
+        #: A private table for a router built standalone.
+        self._wake: Dict[int, int] = {node: 0, ~node: 0}
+        #: Per input port, the wake-table key of whoever feeds it: the
+        #: upstream router's node, ``~node`` (the NI) for the local port,
+        #: and this router itself where nothing does.
+        self._feeders: List[int] = [node] * self.local + [~node]
         #: The owning network's occupied-router set (``_active_nodes``):
         #: :meth:`place` enters this router, the allocation sweep evicts
         #: it once drained.  A private set for a router built standalone.
@@ -130,11 +141,12 @@ class Router:
         #: this router's node id from ``invalidate_vc_cache`` so mirrored
         #: state can be resynchronized lazily.
         self._dirty_hook: Optional[Callable[[int], None]] = None
-        #: Structure hook, also installed by a fast engine: fired when VC
-        #: *membership or classing* changes (``add_escape_vcs`` /
-        #: ``add_static_bubble`` running post-warm), which a value-level
-        #: resync cannot absorb — the mirror must rebuild its slot layout.
-        self._structure_hook: Optional[Callable[[int], None]] = None
+        #: A fast engine's stale-layout flag (one cell shared by all its
+        #: routers), set when VC *membership or classing* changes
+        #: (``add_escape_vcs`` / ``add_static_bubble`` running post-warm),
+        #: which a value-level resync cannot absorb — the mirror must
+        #: rebuild its slot layout.  A private cell otherwise.
+        self._structure_stale: List[bool] = [False]
         #: The Static Bubble scheme's sealed-router set (shared by all its
         #: routers): ``set_io_restriction`` enters this router, so the set
         #: tracks every install site (including direct calls in tests).
@@ -168,6 +180,24 @@ class Router:
         """Packets resident in this router."""
         return self._occupancy
 
+    @property
+    def wake_at(self) -> int:
+        """No resident packet can be granted before this cycle."""
+        return self._wake[self.node]
+
+    @wake_at.setter
+    def wake_at(self, cycle: int) -> None:
+        self._wake[self.node] = cycle
+
+    def wake(self) -> None:
+        """Have the next sweep reconsider this router and its NI.
+
+        For a change other than the passing of time to what a resident
+        or the NI's queue head may be granted: a seal set or cleared, a
+        buffered packet diverted to the escape layer.
+        """
+        self._wake[self.node] = self._wake[~self.node] = 0
+
     def place(self, vc: VirtualChannel, packet: Packet, ready_at: int) -> None:
         """Put ``packet`` into ``vc``, switchable from cycle ``ready_at``.
 
@@ -178,15 +208,29 @@ class Router:
         """
         vc.packet = packet
         vc.ready_at = ready_at
-        if self._occupancy == 0 or ready_at < self.wake_at:
-            self.wake_at = ready_at
+        wake = self._wake
+        if self._occupancy == 0 or ready_at < wake[self.node]:
+            wake[self.node] = ready_at
         self._occupancy += 1
         self._active.add(self.node)
 
-    def remove(self, vc: VirtualChannel) -> None:
-        """Take the resident packet out of ``vc`` (departure or drop)."""
+    def remove(self, vc: VirtualChannel, free_at: Optional[int] = None) -> None:
+        """Take the resident packet out of ``vc`` (departure or drop).
+
+        ``free_at`` is the cycle from which the emptied VC may be claimed
+        again (tail drain); ``None`` keeps the VC's current one.  Whoever
+        feeds ``vc.port`` is woken for that cycle.
+        """
         vc.packet = None
+        if free_at is None:
+            free_at = vc.free_at
+        else:
+            vc.free_at = free_at
         self._occupancy -= 1
+        wake = self._wake
+        feeder = self._feeders[vc.port]
+        if free_at < wake[feeder]:
+            wake[feeder] = free_at
 
     # -- VC caches ----------------------------------------------------------
 
@@ -245,15 +289,13 @@ class Router:
                     )
         self._rebuild_class_index()
         self.invalidate_vc_cache()
-        if self._structure_hook is not None:
-            self._structure_hook(self.node)
+        self._structure_stale[0] = True
 
     def add_static_bubble(self) -> None:
         """Attach the (initially off) static bubble buffer."""
         self.bubble = VirtualChannel(-1, -1, 0, VC_BUBBLE)
         self.invalidate_vc_cache()
-        if self._structure_hook is not None:
-            self._structure_hook(self.node)
+        self._structure_stale[0] = True
 
     def activate_bubble(self, in_port: int) -> None:
         if self.bubble is None:
@@ -261,6 +303,10 @@ class Router:
         self.bubble.port = in_port
         self.bubble_active = True
         self.invalidate_vc_cache()
+        # A buffer became claimable behind ``in_port``, and a resident of
+        # the bubble now competes under that port.
+        self._wake[self._feeders[in_port]] = 0
+        self.wake()
 
     def deactivate_bubble(self) -> None:
         self.bubble_active = False
@@ -314,6 +360,22 @@ class Router:
             return self.bubble
         return None
 
+    def claimable_from(self, port: int, packet: Packet) -> int:
+        """When :meth:`free_vc_for` can next succeed with no departure here.
+
+        The earliest ``free_at`` among the buffers it would consider that
+        are already empty; :data:`NEVER` when every one holds a packet.
+        """
+        wanted_kind = VC_ESCAPE if packet.is_escape else VC_NORMAL
+        vcs = self._class_vcs[port].get((wanted_kind, packet.vnet), ())
+        if not packet.is_escape and self.bubble_active and self.bubble.port == port:
+            vcs += (self.bubble,)
+        best = NEVER
+        for vc in vcs:
+            if vc.packet is None and vc.free_at < best:
+                best = vc.free_at
+        return best
+
     def injection_allowed(self, in_port: int, out_port: int) -> bool:
         """Apply the IO-priority restriction installed by a disable.
 
@@ -336,12 +398,14 @@ class Router:
         self.source_id = source
         self.io_set_at = now
         self._sealed.add(self.node)
+        self.wake()
 
     def clear_io_restriction(self) -> None:
         self.is_deadlock = False
         self.io_in_port = None
         self.io_out_port = None
         self.source_id = None
+        self.wake()
 
     def vc_wants_output(self, port: int, out_port: int, now: int) -> bool:
         """Buffer Dependency Check unit: any VC at ``port`` wanting ``out_port``?"""

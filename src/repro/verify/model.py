@@ -321,6 +321,8 @@ def restore(net, snap: Tuple) -> None:
     cycle, routers, specials, fsms = snap
     net.cycle = cycle
     net._active_nodes.clear()
+    # Links, seals and free times are written directly below.
+    net.wake_all()
     for node, vcs, bubble, links, seal, in_rr, out_rr in routers:
         r = net.routers[node]
         it = iter(vcs)

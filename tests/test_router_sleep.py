@@ -1,0 +1,264 @@
+"""Event-driven switch allocation: a blocked router sleeps until a grant
+became possible.
+
+``Router.wake_at`` (and the NI's) is a lower bound on the next cycle at
+which anything there could be granted; the default sweep skips a router
+until then and ``full_scan=True`` sweeps everything, so the two must
+agree cycle for cycle, and :func:`repro.sim.debug.overslept` must find no
+sleeper that could have moved.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import random
+
+import pytest
+
+from repro.core.turns import Port
+from repro.protocols import make_scheme
+from repro.sim.config import SimConfig
+from repro.sim.debug import overslept
+from repro.sim.network import Network
+from repro.sim.packet import Packet
+from repro.sim.router import NEVER
+from repro.topology.faults import inject_link_faults
+from repro.topology.generators import parse_topology
+from repro.topology.mesh import mesh
+from repro.traffic.synthetic import UniformRandomTraffic
+from repro.verify import model
+
+
+def _saturated(scheme, topology="8x8", faults=8, rate=0.30, seed=1, engine="reference"):
+    topo = inject_link_faults(parse_topology(topology), faults, random.Random(seed))
+    traffic = UniformRandomTraffic(topo, rate=rate, seed=seed)
+    return Network(
+        topo, SimConfig(), make_scheme(scheme), traffic, seed=seed, engine=engine
+    )
+
+
+def _lockstep(nets, cycles):
+    """Step (default, oracle) together; stats equal and nobody overslept."""
+    default, oracle = nets
+    for _ in range(cycles):
+        assert overslept(default) == [], default.cycle
+        default.step()
+        oracle.step()
+        assert dataclasses.asdict(default.stats) == dataclasses.asdict(
+            oracle.stats
+        ), default.cycle
+
+
+# -- (a) per-cycle differential against the sweep that skips nothing ---------
+
+
+@pytest.mark.parametrize(
+    "scheme", ["static-bubble", "escape-vc", "spanning-tree", "adaptive"]
+)
+@pytest.mark.parametrize(
+    "topology,faults,rate", [("8x8", 8, 0.30), ("torus3d:4x4x4", 4, 0.90)]
+)
+def test_sleeping_sweep_matches_full_scan_through_reconfiguration(
+    topology, faults, rate, scheme
+):
+    nets = [_saturated(scheme, topology, faults, rate) for _ in range(2)]
+    nets[1].full_scan = True
+    link = tuple(sorted(sorted(map(sorted, nets[0].topo.active_links()))[5]))
+    _lockstep(nets, 500)
+    for net in nets:
+        net.apply_faults(routers=[27], links=[link])
+    _lockstep(nets, 500)
+    for net in nets:
+        net.restore(routers=[27], links=[link])
+    _lockstep(nets, 600)
+    default, oracle = nets
+    assert default.stats.packets_ejected > 1000
+    assert default.stats.packets_dropped_reconfig > 0
+    assert default.sweeps < oracle.sweeps
+
+
+def test_saturated_sweeps_are_at_most_055_of_full_scan():
+    """The harness's seed-1 ``sim-sat`` spec (``inputs.sim_specs``)."""
+    seed = random.Random("harness:1:sim-sat").randrange(1, 2**31)
+    nets = [_saturated("static-bubble", seed=seed) for _ in range(2)]
+    nets[1].full_scan = True
+    for net in nets:
+        net.run(1000)
+    assert nets[0].stats == nets[1].stats
+    assert nets[0].sweeps <= 0.55 * nets[1].sweeps
+
+
+# -- (c) one test per wake event ----------------------------------------------
+
+
+def _idle_pair(scheme="minimal-unprotected", **config):
+    """(default, ``full_scan`` oracle): idle 4x4 meshes, no traffic source."""
+    nets = [
+        Network(mesh(4, 4), SimConfig(width=4, height=4, **config),
+                make_scheme(scheme), None, seed=1)
+        for _ in range(2)
+    ]
+    nets[1].full_scan = True
+    return nets
+
+
+def _mover(net, node=5, pid=1):
+    """A one-flit packet at ``node``'s West port, bound one hop East."""
+    router = net.routers[node]
+    vc = router.input_vcs[Port.WEST][0]
+    packet = Packet(pid, node - 1, node + 1, 0, 1, (Port.EAST, Port.EAST, Port.LOCAL), 0)
+    packet.injected_at = 0
+    packet.hop = 1
+    router.place(vc, packet, 0)
+    return vc
+
+
+def _park(net, node=6, count=4):
+    """Fill ``count`` West-port VCs of ``node`` with packets that never move."""
+    router = net.routers[node]
+    for i, vc in enumerate(router.input_vcs[Port.WEST][:count]):
+        packet = Packet(100 + i, node - 1, node, 0, 1, (Port.EAST, Port.LOCAL), 0)
+        packet.injected_at = 0
+        packet.hop = 1
+        router.place(vc, packet, 10_000)
+
+
+def _blocked_mover(net, count=4):
+    """:func:`_mover` at node 5, behind a West port of node 6 parked full."""
+    _park(net, count=count)
+    return _mover(net)
+
+
+def test_downstream_departure_wakes_the_feeder_for_free_at():
+    nets = _idle_pair()
+    movers = [_blocked_mover(net) for net in nets]
+    _lockstep(nets, 2)
+    assert nets[0].routers[5].wake_at == NEVER  # nothing but a departure helps
+    for net in nets:
+        router = net.routers[6]
+        router.remove(router.input_vcs[Port.WEST][2], free_at=6)
+    assert nets[0].routers[5].wake_at == 6
+    sweeps = nets[0].sweeps
+    _lockstep(nets, 4)
+    assert nets[0].sweeps == sweeps and movers[0].packet is not None  # cycles 2-5
+    _lockstep(nets, 1)
+    assert movers[0].packet is None  # granted in cycle 6, when the VC is free
+    _lockstep(nets, 5)
+    assert nets[0].stats.packets_ejected == 1
+
+
+def test_bubble_activation_wakes_the_feeder():
+    nets = _idle_pair()
+    for net in nets:
+        net.routers[6].add_static_bubble()
+    movers = [_blocked_mover(net) for net in nets]
+    _lockstep(nets, 2)
+    assert nets[0].routers[5].wake_at == NEVER
+    for net in nets:
+        net.routers[6].activate_bubble(Port.WEST)
+    assert nets[0].routers[5].wake_at <= nets[0].cycle
+    _lockstep(nets, 1)
+    assert movers[0].packet is None
+    assert nets[0].routers[6].bubble.packet.pid == 1
+    _lockstep(nets, 5)
+
+
+def test_bubble_reattachment_wakes_its_own_router():
+    """A switched-off bubble keeps its resident, which competes under the
+    port the bubble is attached to; re-attaching it can lift a seal."""
+    nets = _idle_pair()
+    for net in nets:
+        router = net.routers[5]
+        router.add_static_bubble()
+        router.bubble.port = Port.WEST
+        packet = Packet(1, 4, 6, 0, 1, (Port.EAST, Port.EAST, Port.LOCAL), 0)
+        packet.injected_at = 0
+        packet.hop = 1
+        router.place(router.bubble, packet, 0)
+        router.invalidate_vc_cache()
+        router.set_io_restriction(Port.NORTH, Port.EAST, 0)
+    _lockstep(nets, 2)
+    assert nets[0].routers[5].wake_at == NEVER  # West may not send East
+    for net in nets:
+        net.routers[5].activate_bubble(Port.NORTH)
+    assert nets[0].routers[5].wake_at <= nets[0].cycle
+    _lockstep(nets, 1)
+    assert nets[0].routers[5].bubble.packet is None
+    _lockstep(nets, 5)
+    assert nets[0].stats.packets_ejected == 1
+
+
+@pytest.mark.parametrize("event", ["clear", "reseal"])
+def test_seal_change_wakes_the_router_and_its_ni(event):
+    nets = _idle_pair()
+    movers = []
+    for net in nets:
+        # Only the North port may send East: West and the NI are sealed out.
+        net.routers[5].set_io_restriction(Port.NORTH, Port.EAST, 0)
+        movers.append(_mover(net))
+        assert net.nis[5].create_packet(6, 0, 1, 0) is not None
+    _lockstep(nets, 2)
+    router, ni = nets[0].routers[5], nets[0].nis[5]
+    assert router.wake_at == NEVER and ni.wake_at == NEVER
+    for net in nets:
+        if event == "clear":
+            net.routers[5].clear_io_restriction()
+        else:
+            net.routers[5].set_io_restriction(Port.WEST, Port.EAST, 0)
+    assert router.wake_at <= nets[0].cycle and ni.wake_at <= nets[0].cycle
+    _lockstep(nets, 1)
+    assert movers[0].packet is None
+    _lockstep(nets, 8)
+    assert nets[0].stats.packets_ejected == (2 if event == "clear" else 1)
+    assert len(ni.queue) == (0 if event == "clear" else 1)
+
+
+def test_escape_diversion_wakes_the_router():
+    nets = _idle_pair("escape-vc", escape_t_detect=5)
+    # Three normal VCs per port (the fourth is the reserved escape VC).
+    movers = [_blocked_mover(net, count=3) for net in nets]
+    _lockstep(nets, 4)
+    assert nets[0].routers[5].wake_at == NEVER
+    _lockstep(nets, 2)  # on_cycle of cycle 5 diverts the mover
+    assert movers[0].packet.is_escape
+    assert nets[0].routers[5].wake_at <= nets[0].cycle
+    _lockstep(nets, 1)
+    assert movers[0].packet is None
+    _lockstep(nets, 12)
+    assert nets[0].stats.packets_ejected == 1
+
+
+def test_reconfiguration_and_snapshot_restore_wake_everything():
+    nets = _idle_pair()
+    for net in nets:
+        _blocked_mover(net)
+    _lockstep(nets, 2)
+    default = nets[0]
+    for action in (
+        lambda net: net.apply_faults(links=[(0, 1)]),
+        lambda net: net.restore(links=[(0, 1)]),
+        lambda net: model.restore(net, model.snapshot(net)),
+    ):
+        assert default.routers[5].wake_at == NEVER
+        for net in nets:
+            action(net)
+        assert all(wake <= default.cycle for wake in default._wake.values())
+        _lockstep(nets, 2)
+
+
+# -- no reference cycles --------------------------------------------------------
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_dropped_network_is_not_cyclic_garbage(engine):
+    """Routers share plain sets, dicts and flags with their network, never
+    each other or a bound method of it: refcounts alone free a network."""
+    if engine == "fast":
+        pytest.importorskip("numpy")
+    net = _saturated("static-bubble", engine=engine)
+    net.run(300)
+    assert engine != "fast" or net.filter_passes > 0  # the mirror was built
+    gc.collect()
+    del net
+    assert gc.collect() == 0

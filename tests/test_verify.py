@@ -315,7 +315,9 @@ class TestModelChecker:
         )
         assert res.ok, res.describe()
         assert res.livelock_path is None
-        assert res.states > 10_000
+        # Exact: the space is a property of the model, not of how the
+        # allocator skips work (39,853 with the default knobs, CI smoke).
+        assert res.states == 18_176
         assert res.transitions >= res.states - 1
         assert res.recovered_states >= 1
         assert res.sb_active_states > 0  # recovery actually fired...
