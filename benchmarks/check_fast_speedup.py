@@ -4,9 +4,12 @@
 Reads a ``pytest-benchmark`` JSON containing, for each gated workload,
 the reference benchmark and its ``*_fast`` twin (struct-of-arrays
 engine) from the *same run* — same machine, same load — and fails when
-``reference_mean / fast_mean`` drops below :data:`MIN_RATIO` on any of
-them.  Comparing within one run sidesteps machine-to-machine baseline
-drift entirely.
+``reference_median / fast_median`` drops below :data:`MIN_RATIO` on any
+of them.  Comparing within one run sidesteps machine-to-machine baseline
+drift entirely.  Medians over the rounds, not means: a benchmark is five
+rounds of a few milliseconds, and one round that catches a host stall
+(7-11 ms against a 2.9 ms median, about every other run) moves the mean
+ratio to 0.5-0.7 and the median not at all.
 
 One minimum for all three workloads.  At low load and idle the fast
 engine runs the reference's own sweep, so the ratio is ~1.  Saturated it
@@ -42,18 +45,18 @@ def main(argv) -> int:
         print(__doc__)
         return 2
     doc = json.loads(open(argv[1]).read())
-    means = {r["name"]: r["stats"]["mean"] for r in doc.get("benchmarks", [])}
+    medians = {r["name"]: r["stats"]["median"] for r in doc.get("benchmarks", [])}
     failures = []
     for ref_name, fast_name in GATED_PAIRS:
-        if ref_name not in means or fast_name not in means:
+        if ref_name not in medians or fast_name not in medians:
             print(f"missing benchmark(s): need {ref_name} and {fast_name}")
             failures.append((ref_name, 0.0))
             continue
-        speedup = means[ref_name] / means[fast_name]
+        speedup = medians[ref_name] / medians[fast_name]
         status = "ok" if speedup >= MIN_RATIO else "FAIL"
         print(
-            f"{ref_name}: reference {means[ref_name] * 1e3:.2f} ms, "
-            f"fast {means[fast_name] * 1e3:.2f} ms -> {speedup:.2f}x "
+            f"{ref_name}: median reference {medians[ref_name] * 1e3:.2f} ms, "
+            f"fast {medians[fast_name] * 1e3:.2f} ms -> {speedup:.2f}x "
             f"(min {MIN_RATIO:g}x) {status}"
         )
         if speedup < MIN_RATIO:

@@ -24,6 +24,7 @@ from repro.routing.table import (
     escape_next_hop_tables,
 )
 from repro.sim.config import SimConfig
+from repro.sim.router import NEVER
 from repro.topology.base import BaseTopology as Topology
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,25 +102,29 @@ class EscapeVcRecovery(DeadlockScheme):
         routers = network.routers
         for node in network._active_nodes:
             router = routers[node]
-            if not router._occupancy:
-                continue
-            for vc in router.all_vcs():
+            if not router._occupancy or now - router._ready_floor < threshold:
+                continue  # nobody here can have waited long enough yet
+            floor = NEVER
+            for vc in router.residents():
                 packet = vc.packet
-                if (
-                    packet is not None
-                    and not packet.is_escape
-                    and now - vc.ready_at >= threshold
-                ):
-                    packet.is_escape = True
-                    network.stats.escape_diversions += 1
-                    # The mode flip changes which output/VC class this
-                    # buffered packet requests: a sleeping router must
-                    # reconsider it, and engines that mirror per-slot
-                    # routing state need to refresh this router.
-                    router.wake()
-                    hook = router._dirty_hook
-                    if hook is not None:
-                        hook(router.node)
+                if packet.is_escape:
+                    continue
+                if now - vc.ready_at < threshold:
+                    if vc.ready_at < floor:
+                        floor = vc.ready_at
+                    continue
+                packet.is_escape = True
+                network.stats.escape_diversions += 1
+                # The mode flip changes which output/VC class this
+                # buffered packet requests: a sleeping router must
+                # reconsider it, and engines that mirror per-slot
+                # routing state need to refresh this router.
+                router.wake()
+                hook = router._dirty_hook
+                if hook is not None:
+                    hook(router.node)
+            # Every resident was just read: the bound is exact again.
+            router._ready_floor = floor
 
     def extra_vcs_per_router(self, node: int, config: SimConfig) -> int:
         # One escape VC per vnet per input port (incl. local), Table I.

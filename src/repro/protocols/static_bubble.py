@@ -295,9 +295,7 @@ class StaticBubbleScheme(DeadlockScheme):
             broken_senders.add(node)
             router = network.routers[node]
             router.deactivate_bubble()
-            any_active = any(
-                vc.packet is not None for vc in self._compass_vcs(router)
-            )
+            any_active = self._compass_occupied(router)
             fsm.reset(any_active)
             fsms_reset += 1
 
@@ -312,9 +310,7 @@ class StaticBubbleScheme(DeadlockScheme):
             if state is not None and not state.fsm.in_recovery():
                 # Parked S_OFF by the (now unreachable) foreign disable:
                 # resume watching as a real enable would have done.
-                any_active = any(
-                    vc.packet is not None for vc in self._compass_vcs(router)
-                )
+                any_active = self._compass_occupied(router)
                 state.fsm.on_foreign_enable(any_active)
         return {"seals_cleared": seals_cleared, "fsms_reset": fsms_reset}
 
@@ -407,7 +403,7 @@ class StaticBubbleScheme(DeadlockScheme):
             if st is s_off:
                 if router._occupancy:
                     vcs = router.compass_vcs
-                    idx = self._next_occupied(vcs, state.watch_index)
+                    idx = self._next_occupied(router, state.watch_index)
                     if idx is not None:
                         state.watch_index = idx
                         state.watched_pid = vcs[idx].packet.pid
@@ -422,7 +418,7 @@ class StaticBubbleScheme(DeadlockScheme):
                     or current.packet is None
                     or current.packet.pid != state.watched_pid
                 ):
-                    idx = self._next_occupied(vcs, wi + 1)
+                    idx = self._next_occupied(router, wi + 1)
                     if idx is not None:
                         state.watch_index = idx
                         state.watched_pid = vcs[idx].packet.pid
@@ -525,14 +521,19 @@ class StaticBubbleScheme(DeadlockScheme):
                     return
 
     @staticmethod
-    def _compass_vcs(router: "Router") -> Tuple:
-        return router.compass_vcs
+    def _compass_occupied(router: "Router") -> bool:
+        """Does any compass-port VC hold a packet?"""
+        return router.compass_load() > 0 and any(
+            vc.packet is not None for vc in router.compass_vcs
+        )
 
     @staticmethod
-    def _next_occupied(vcs: List, start: int) -> Optional[int]:
+    def _next_occupied(router: "Router", start: int) -> Optional[int]:
+        """The first occupied position of ``compass_vcs`` from ``start`` on."""
+        vcs = router.compass_vcs
         n = len(vcs)
-        if n == 0:
-            return None
+        if n == 0 or router.compass_load() == 0:
+            return None  # (a zero count proves "none"; non-zero proves nothing)
         for k in range(n):
             idx = (start + k) % n
             if vcs[idx].packet is not None:
@@ -605,8 +606,8 @@ class StaticBubbleScheme(DeadlockScheme):
             # highest-id SB router of a deadlocked ring — the only one
             # whose probes are not dropped by the id rule — could probe a
             # non-ring VC forever and the ring would never be traced.
-            vcs = self._compass_vcs(router)
-            idx = self._next_occupied(vcs, state.watch_index + 1)
+            vcs = router.compass_vcs
+            idx = self._next_occupied(router, state.watch_index + 1)
             if idx is not None:
                 state.watch_index = idx
                 state.watched_pid = vcs[idx].packet.pid
@@ -670,7 +671,7 @@ class StaticBubbleScheme(DeadlockScheme):
                 self._emit(network, SEAL_CLEAR, node, source=router.source_id)
             router.clear_io_restriction()
             router.deactivate_bubble()
-            any_active = any(vc.packet is not None for vc in self._compass_vcs(router))
+            any_active = self._compass_occupied(router)
             fsm.abort_recovery(any_active)
             network.stats.recoveries_aborted += 1
             self._emit(network, RECOVERY_ABORT, node, retries=retries)
@@ -679,7 +680,7 @@ class StaticBubbleScheme(DeadlockScheme):
     def _watched_output(
         self, router: "Router", state: _SbRouterState, now: int
     ) -> Optional[int]:
-        vcs = self._compass_vcs(router)
+        vcs = router.compass_vcs
         if state.watch_index >= len(vcs):
             return None
         packet = vcs[state.watch_index].packet
@@ -984,7 +985,7 @@ class StaticBubbleScheme(DeadlockScheme):
                 )
             router.clear_io_restriction()
             router.deactivate_bubble()
-            any_active = any(vc.packet is not None for vc in self._compass_vcs(router))
+            any_active = self._compass_occupied(router)
             action = fsm.on_enable_returned(any_active)
             if action != FsmAction.NONE:
                 self._dispatch(network, router, state, action, now)
@@ -1001,9 +1002,7 @@ class StaticBubbleScheme(DeadlockScheme):
             self._emit(network, SEAL_CLEAR, router.node, source=msg.sender)
             router.clear_io_restriction()
             if state is not None and not state.fsm.in_recovery():
-                any_active = any(
-                    vc.packet is not None for vc in self._compass_vcs(router)
-                )
+                any_active = self._compass_occupied(router)
                 state.fsm.on_foreign_enable(any_active)
         # Forwarded even on a source-id mismatch (Section IV-B).
         return [(out, msg.with_head_stripped(out))]

@@ -36,8 +36,8 @@ def build_wait_graph(network: "Network", now: int) -> Dict[int, List[int]]:
             continue
         adaptive = router._adaptive_lookup is not None
         local = router.local
-        for vc in router.all_vcs():
-            if not vc.has_switchable_packet(now):
+        for vc in router.residents():
+            if now < vc.ready_at:
                 continue
             packet = vc.packet
             if adaptive and not packet.is_escape:

@@ -14,6 +14,8 @@ types, different flow control) will need exactly them.
   of ``Network.step``.
 * :func:`overslept` — packets a sleeping router or NI could move right
   now (a wake event is missing if there are any).
+* :func:`resident_index_errors` — where a router's resident index
+  disagrees with a recount of its buffers.
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ def locate_packets(network: Network) -> Dict[int, Tuple]:
     """Map pid -> (router, vc) for every packet resident in a VC."""
     located = {}
     for router in network.active_routers():
-        for vc in router.all_vcs():
-            if vc.packet is not None:
-                located[vc.packet.pid] = (router, vc)
+        for vc in router.residents():
+            located[vc.packet.pid] = (router, vc)
     return located
 
 
@@ -241,9 +242,9 @@ def overslept(network: Network) -> List[Tuple[int, int]]:
     for router in network.active_routers():
         if router.wake_at <= now:
             continue
-        for vc in router.all_vcs():
+        for vc in router.residents():
             packet = vc.packet
-            if packet is None or now < vc.ready_at:
+            if now < vc.ready_at:
                 continue
             # (A switchable adaptive packet's request updates ``adapt_out``
             # even when refused: its router may not sleep at all.)
@@ -267,3 +268,35 @@ def overslept(network: Network) -> List[Tuple[int, int]]:
             if vc is not None and ni.router.injection_allowed(local, packet.route[0]):
                 found.append((ni.node, packet.pid))
     return found
+
+
+def resident_index_errors(network: Network) -> List[str]:
+    """Where a router's resident index disagrees with a recount of its buffers.
+
+    Read-only: per-port counts, ``occupancy``, ``residents()``, the
+    ``ready_at`` bound (against every resident outside the escape layer)
+    and the occupied-router set.  ``[]`` on a healthy network.
+    """
+    errors = []
+    for router in network.active_routers():
+        held = [vc for vc in router.all_vcs() if vc.packet is not None]
+        counts = [0] * router.num_ports
+        for vc in held:
+            counts[vc.port] += 1
+        floor = router._ready_floor
+        checks = {
+            f"port counts {router._port_load}, recount {counts}":
+                counts == router._port_load,
+            f"occupancy {router.occupancy}, holds {len(held)}":
+                router.occupancy == len(held),
+            "residents() differs from a scan": list(router.residents()) == held,
+            f"ready_at bound {floor} above a resident's": all(
+                vc.packet.is_escape or vc.ready_at >= floor for vc in held
+            ),
+            "occupied but not in _active_nodes":
+                not held or router.node in network._active_nodes,
+        }
+        errors += [
+            f"router {router.node}: {what}" for what, ok in checks.items() if not ok
+        ]
+    return errors

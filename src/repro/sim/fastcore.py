@@ -84,12 +84,12 @@ BIG = 1 << 60
 
 #: Packets in flight above which a cycle runs the vector filter, and
 #: below which a dense run falls back to the base sweep.  The filter
-#: costs the same whatever the load and the base sweep costs per router
-#: awake, so the two cross once; on the faulted 8x8 that is a plateau
-#: around 125-175 in flight (rate 0.02 holds ~6, saturation ~680), and
-#: the gap between the two constants is the hysteresis.
-DENSE_ABOVE = 175
-SPARSE_BELOW = 125
+#: costs the same whatever the load and the base sweep costs per loaded
+#: port of a router awake, so the two cross once; on the faulted 8x8 that
+#: is a plateau around 175-250 in flight (rate 0.02 holds ~6, saturation
+#: ~680), and the gap between the two constants is the hysteresis.
+DENSE_ABOVE = 250
+SPARSE_BELOW = 175
 
 
 def _plane(values: List[int]):

@@ -379,10 +379,9 @@ class Network:
             router = self.routers.pop(node)
             self._active_nodes.discard(node)
             self._queued_nodes.discard(node)
-            for vc in router.all_vcs():
-                if vc.packet is not None:
-                    dropped += self._count_drop(vc.packet, "dead_router", now)
-                    router.remove(vc)
+            for vc in list(router.residents()):
+                dropped += self._count_drop(vc.packet, "dead_router", now)
+                router.remove(vc)
             ni = self.nis.pop(node, None)
             if ni is not None:
                 for packet in ni.queue:
@@ -401,10 +400,8 @@ class Network:
         rerouted = 0
         for router in self._router_list:
             table = tables.get(router.node)
-            for vc in list(router.all_vcs()):
+            for vc in list(router.residents()):
                 packet = vc.packet
-                if packet is None:
-                    continue
                 reachable = packet.dst == router.node or (
                     table is not None and table.has_route(packet.dst)
                 )
@@ -750,7 +747,8 @@ class Network:
         order.  Each port's positions are visited in round-robin order
         from its pointer.  Every grant condition is checked against the
         live objects, and a rejected VC has no side effects, so leaving
-        out VCs that cannot be granted changes nothing.
+        out VCs that cannot be granted changes nothing; nor does passing
+        over a port that ``Router._port_load`` says nobody is resident at.
 
         A sweep over every position that issued no request raises
         ``router.wake_at`` to the earliest cycle at which one of the
@@ -773,13 +771,15 @@ class Network:
         wake_at = NEVER
         routers = self.routers
         vc_cache = router._vc_cache
+        port_load = router._port_load
         in_rr = router._in_rr
         output_links = router.output_links
         restricted = router.is_deadlock
         adaptive = router._adaptive_lookup is not None
-        num_ports = self._num_ports
         local = self._local
         for port, order in candidates.items():
+            if not port_load[port]:
+                continue  # nobody resident: not even the VC tuple is read
             vcs = vc_cache[port]
             if vcs is None:
                 vcs = router.cached_port_vcs(port)
@@ -839,31 +839,44 @@ class Network:
                         continue
                 requests.append((port, vc, packet, out, target, (k + 1) % n))
                 break
+        if len(requests) == 1:
+            self._grant(router, requests[0], now)  # nothing to arbitrate
+            return
         if not requests:
             if every_vc:
                 self._wake[router.node] = wake_at
             return
         # Output arbitration: one grant per output port (round-robin on
-        # input port index).  The input pointer advances only for *granted*
-        # requests: a VC that loses here must stay first in line at its
-        # port, or it can starve behind fresher arrivals.
-        by_out: Dict[int, List[Tuple[int, VirtualChannel, Packet, object, int]]] = {}
-        for port, vc, packet, out, target, advance in requests:
-            by_out.setdefault(out, []).append((port, vc, packet, target, advance))
+        # input port index).
+        num_ports = self._num_ports
+        by_out: Dict[int, List[tuple]] = {}
+        for request in requests:
+            by_out.setdefault(request[3], []).append(request)
         for out, contenders in by_out.items():
             if len(contenders) == 1:
                 winner = contenders[0]
             else:
                 rr = router._out_rr[out]
                 winner = min(contenders, key=lambda c: (c[0] - rr) % num_ports)
-            router._out_rr[out] = (winner[0] + 1) % num_ports
-            in_rr[winner[0]] = winner[4]
-            if adaptive and not winner[2].is_escape:
-                # The adaptive tie-break pointer advances past the port
-                # that just won, like the switch arbiters: grants rotate
-                # preference, losses keep it.
-                router._adapt_rr[winner[0]] = (out + 1) % num_ports
-            self._transfer(router, winner[1], winner[2], out, winner[3], now)
+            self._grant(router, winner, now)
+
+    def _grant(self, router: Router, request: tuple, now: int) -> None:
+        """Advance the arbiters past a winning request and move its packet.
+
+        The input pointer advances only for *granted* requests: a VC that
+        loses output arbitration must stay first in line at its port, or
+        it can starve behind fresher arrivals.
+        """
+        port, vc, packet, out, target, advance = request
+        num_ports = self._num_ports
+        router._out_rr[out] = (port + 1) % num_ports
+        router._in_rr[port] = advance
+        if router._adaptive_lookup is not None and not packet.is_escape:
+            # The adaptive tie-break pointer advances past the port that
+            # just won, like the switch arbiters: grants rotate
+            # preference, losses keep it.
+            router._adapt_rr[port] = (out + 1) % num_ports
+        self._transfer(router, vc, packet, out, target, now)
 
     def _adaptive_request(
         self, router: Router, port: int, packet: Packet, now: int

@@ -112,9 +112,18 @@ class Router:
         #: Per-input-port round-robin pointer breaking credit ties in the
         #: adaptive outport selection (unused by deterministic schemes).
         self._adapt_rr = [0] * num_ports
-        #: Number of packets resident in this router; only :meth:`place`
-        #: and :meth:`remove` change it.
+        #: The resident index, written only by :meth:`place`, :meth:`remove`
+        #: and the bubble re-tag in :meth:`activate_bubble`, read by every
+        #: per-cycle buffer walk: packets resident in this router, ...
         self._occupancy = 0
+        #: ... per input port (``vc.port``: a bubble resident counts under
+        #: the port its bubble is attached to; a never-attached bubble's -1
+        #: indexes the local port's cell, where it can hide nothing), ...
+        self._port_load = [0] * num_ports
+        #: ... and a lower bound on the ``ready_at`` of those outside the
+        #: escape layer: exact after an arrival at an empty router, too low
+        #: after a departure until a walk of the residents tightens it.
+        self._ready_floor = 0
         #: The owning network's wake table: ``node`` -> a lower bound on
         #: the earliest cycle at which a packet resident in that router
         #: could be granted (:attr:`wake_at`), ``~node`` -> the same for
@@ -209,9 +218,15 @@ class Router:
         vc.packet = packet
         vc.ready_at = ready_at
         wake = self._wake
-        if self._occupancy == 0 or ready_at < wake[self.node]:
-            wake[self.node] = ready_at
+        if self._occupancy == 0:
+            wake[self.node] = self._ready_floor = ready_at
+        else:
+            if ready_at < wake[self.node]:
+                wake[self.node] = ready_at
+            if ready_at < self._ready_floor:
+                self._ready_floor = ready_at
         self._occupancy += 1
+        self._port_load[vc.port] += 1
         self._active.add(self.node)
 
     def remove(self, vc: VirtualChannel, free_at: Optional[int] = None) -> None:
@@ -227,6 +242,7 @@ class Router:
         else:
             vc.free_at = free_at
         self._occupancy -= 1
+        self._port_load[vc.port] -= 1
         wake = self._wake
         feeder = self._feeders[vc.port]
         if free_at < wake[feeder]:
@@ -298,9 +314,14 @@ class Router:
         self._structure_stale[0] = True
 
     def activate_bubble(self, in_port: int) -> None:
-        if self.bubble is None:
+        bubble = self.bubble
+        if bubble is None:
             raise RuntimeError(f"router {self.node} has no static bubble")
-        self.bubble.port = in_port
+        if bubble.packet is not None:
+            # A stale resident moves to the new port with its bubble.
+            self._port_load[bubble.port] -= 1
+            self._port_load[in_port] += 1
+        bubble.port = in_port
         self.bubble_active = True
         self.invalidate_vc_cache()
         # A buffer became claimable behind ``in_port``, and a resident of
@@ -321,8 +342,25 @@ class Router:
         if self.bubble is not None and (self.bubble_active or self.bubble.packet):
             yield self.bubble
 
-    def occupied_vcs(self, now: int) -> List[VirtualChannel]:
-        return [vc for vc in self.all_vcs() if vc.has_switchable_packet(now)]
+    def residents(self):
+        """The VCs holding a packet, in :meth:`all_vcs` order; only ports
+        with a non-zero count are opened."""
+        load = self._port_load
+        for port, port_vcs in enumerate(self.input_vcs):
+            if load[port]:
+                for vc in port_vcs:
+                    if vc.packet is not None:
+                        yield vc
+        if self.bubble is not None and self.bubble.packet is not None:
+            yield self.bubble
+
+    def compass_load(self) -> int:
+        """Packets counted under the compass (non-local) input ports.
+
+        One-sided: zero proves :attr:`compass_vcs` empty; a bubble resident
+        counts under a compass port without being one of them.
+        """
+        return self._occupancy - self._port_load[self.local]
 
     def port_vcs(self, port: int, include_bubble: bool = True):
         """VCs logically attached to ``port``.

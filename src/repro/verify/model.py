@@ -331,6 +331,10 @@ def restore(net, snap: Tuple) -> None:
                 _vc_restore(r, vc, next(it))
         if r.bubble is not None:
             port, active, vc_snap = bubble
+            # The old resident leaves under the port it was counted at;
+            # only then is the bubble re-tagged.
+            if r.bubble.packet is not None:
+                r.remove(r.bubble)
             r.bubble.port = port
             r.bubble_active = active
             _vc_restore(r, r.bubble, vc_snap)

@@ -24,8 +24,9 @@ class TestVirtualChannel:
         assert vc.is_free(0)
 
     def test_occupied_not_free(self):
-        vc = VirtualChannel(Port.EAST, 0, 0)
-        vc.packet = make_packet()
+        router = Router(0, vnets=1, vcs_per_vnet=1)
+        vc = router.input_vcs[Port.EAST][0]
+        router.place(vc, make_packet(), 0)
         assert not vc.is_free(0)
 
     def test_drain_window_blocks_reuse(self):
@@ -35,9 +36,9 @@ class TestVirtualChannel:
         assert vc.is_free(10)
 
     def test_switchable_after_ready(self):
-        vc = VirtualChannel(Port.EAST, 0, 0)
-        vc.packet = make_packet()
-        vc.ready_at = 5
+        router = Router(0, vnets=1, vcs_per_vnet=1)
+        vc = router.input_vcs[Port.EAST][0]
+        router.place(vc, make_packet(), 5)
         assert not vc.has_switchable_packet(4)
         assert vc.has_switchable_packet(5)
 
@@ -106,7 +107,7 @@ class TestFreeVcSelection:
         pkt0 = make_packet(pid=1)
         pkt1 = Packet(2, 0, 3, 1, 5, (Port.EAST, Port.LOCAL), 0)
         vc0 = router.free_vc_for(Port.WEST, pkt0, 0)
-        vc0.packet = pkt0
+        router.place(vc0, pkt0, 0)
         assert router.free_vc_for(Port.WEST, pkt0, 0) is None
         assert router.free_vc_for(Port.WEST, pkt1, 0) is not None
 
@@ -114,7 +115,7 @@ class TestFreeVcSelection:
         router = Router(0, vnets=1, vcs_per_vnet=1)
         router.add_static_bubble()
         pkt = make_packet(pid=1)
-        router.free_vc_for(Port.WEST, pkt, 0).packet = pkt
+        router.place(router.free_vc_for(Port.WEST, pkt, 0), pkt, 0)
         blocked = make_packet(pid=2)
         assert router.free_vc_for(Port.WEST, blocked, 0) is None
         router.activate_bubble(Port.WEST)
@@ -126,7 +127,7 @@ class TestFreeVcSelection:
         router.add_static_bubble()
         router.activate_bubble(Port.WEST)
         pkt = make_packet()
-        router.free_vc_for(Port.EAST, pkt, 0).packet = pkt
+        router.place(router.free_vc_for(Port.EAST, pkt, 0), pkt, 0)
         assert router.free_vc_for(Port.EAST, make_packet(pid=3), 0) is None
 
     def test_escape_packet_never_uses_bubble(self):
@@ -134,7 +135,7 @@ class TestFreeVcSelection:
         router.add_static_bubble()
         router.activate_bubble(Port.WEST)
         pkt = make_packet()
-        router.free_vc_for(Port.WEST, pkt, 0).packet = pkt
+        router.place(router.free_vc_for(Port.WEST, pkt, 0), pkt, 0)
         esc = make_packet(pid=2)
         esc.is_escape = True
         assert router.free_vc_for(Port.WEST, esc, 0) is None
@@ -174,7 +175,7 @@ class TestBufferDependencyCheck:
         pkt = make_packet(route=(Port.NORTH, Port.LOCAL))
         pkt.hop = 0
         vc = router.input_vcs[Port.SOUTH][0]
-        vc.packet = pkt
+        router.place(vc, pkt, 0)
         assert router.vc_wants_output(Port.SOUTH, Port.NORTH, now=0)
         assert not router.vc_wants_output(Port.SOUTH, Port.EAST, now=0)
         assert not router.vc_wants_output(Port.WEST, Port.NORTH, now=0)
@@ -184,7 +185,6 @@ class TestBufferDependencyCheck:
         pkt = make_packet(route=(Port.NORTH, Port.LOCAL))
         pkt.hop = 0
         vc = router.input_vcs[Port.SOUTH][0]
-        vc.packet = pkt
-        vc.ready_at = 100
+        router.place(vc, pkt, 100)
         assert not router.vc_wants_output(Port.SOUTH, Port.NORTH, now=0)
         assert router.vc_wants_output(Port.SOUTH, Port.NORTH, now=100)

@@ -19,7 +19,7 @@ import pytest
 from repro.core.turns import Port
 from repro.protocols import make_scheme
 from repro.sim.config import SimConfig
-from repro.sim.debug import overslept
+from repro.sim.debug import overslept, resident_index_errors
 from repro.sim.network import Network
 from repro.sim.packet import Packet
 from repro.sim.router import NEVER
@@ -39,10 +39,12 @@ def _saturated(scheme, topology="8x8", faults=8, rate=0.30, seed=1, engine="refe
 
 
 def _lockstep(nets, cycles):
-    """Step (default, oracle) together; stats equal and nobody overslept."""
+    """Step (default, oracle) together: stats equal, nobody overslept, the
+    resident index exact."""
     default, oracle = nets
     for _ in range(cycles):
         assert overslept(default) == [], default.cycle
+        assert resident_index_errors(default) == [], default.cycle
         default.step()
         oracle.step()
         assert dataclasses.asdict(default.stats) == dataclasses.asdict(

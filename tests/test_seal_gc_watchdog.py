@@ -159,7 +159,7 @@ class TestSbActiveWatchdog:
         net.config.sb_bubble_timeout = 16
         state = _arm_sb_active(net, scheme, in_port=S)
         router = net.routers[3]
-        router.bubble.packet = router.input_vcs[S][0].packet  # simulate claim
+        router.place(router.bubble, router.input_vcs[S][0].packet, 0)  # simulate claim
         now = state.bubble_active_since + net.config.sb_bubble_timeout - 1
         scheme._sb_active_watchdog(net, router, state, now)
         assert state.fsm.state == FsmState.S_SB_ACTIVE
@@ -174,7 +174,7 @@ class TestSbActiveWatchdog:
         net.config.sb_bubble_timeout = 16
         state = _arm_sb_active(net, scheme, in_port=S)
         router = net.routers[3]
-        router.bubble.packet = router.input_vcs[S][0].packet  # simulate claim
+        router.place(router.bubble, router.input_vcs[S][0].packet, 0)  # simulate claim
         now = state.bubble_active_since + net.config.sb_bubble_timeout
         scheme._sb_active_watchdog(net, router, state, now)
         assert state.fsm.state == FsmState.S_ENABLE
