@@ -1,8 +1,14 @@
-"""HTTP client for the campaign server (stdlib ``urllib`` only).
+"""HTTP client for the campaign server (stdlib ``http.client`` only).
 
-Small, dependency-free, and symmetric with the server's endpoints.  Two
+Small, dependency-free, and symmetric with the server's endpoints.  Three
 pieces of client-side policy live here:
 
+* **Persistent connections** — each thread using a client keeps one
+  keep-alive connection (a worker's heartbeat thread and its long poll
+  share one client).  Any failure closes it, so a timed-out long poll
+  can never leave a half-read response for the next request; a *reused*
+  connection the server dropped while idle is reopened and the request
+  resent once, at once, outside the retry budget below.
 * **Transient-error retries** — every request in this API is idempotent
   (GETs trivially; job POSTs because submission is content-addressed
   dedup, heartbeats re-assert a lease, and completions coalesce on the
@@ -22,10 +28,11 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
+from urllib.parse import urlsplit
 
 from repro.service.spec import SimSpec
 
@@ -34,7 +41,12 @@ TRANSIENT_ERRORS = (
     ConnectionError,
     http.client.HTTPException,
     TimeoutError,
+    socket.gaierror,  # a DNS hiccup
 )
+
+#: How a connection the server closed while it sat idle fails, on the send
+#: or the status line (``RemoteDisconnected`` is both the first and the last).
+_DROPPED_WHILE_IDLE = (ConnectionResetError, BrokenPipeError, http.client.BadStatusLine)
 
 
 class ServiceError(RuntimeError):
@@ -67,6 +79,21 @@ class ServiceClient:
         self.transient_retries = transient_retries
         self.retry_backoff = retry_backoff
         self.max_backoff = max_backoff
+        self._url = urlsplit(self.base_url)
+        #: ``.conn``: the calling thread's keep-alive connection.
+        self._local = threading.local()
+
+    def close(self) -> None:
+        """Close the calling thread's connection (idempotent)."""
+        conn, self._local.conn = getattr(self._local, "conn", None), None
+        if conn is not None:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport -------------------------------------------------------
 
@@ -78,25 +105,35 @@ class ServiceClient:
         timeout: Optional[float] = None,
     ) -> Tuple[int, Dict[str, Any], str]:
         data = json.dumps(body).encode() if body is not None else None
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"} if data else {},
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=timeout if timeout is not None else self.timeout
-            ) as response:
+        headers = {"Content-Type": "application/json"} if data else {}
+        conn = getattr(self._local, "conn", None)
+        while True:
+            reused = conn is not None and conn.sock is not None
+            if conn is None:
+                # ``HTTPConnection`` or, for an https URL, ``HTTPSConnection``.
+                connect = getattr(http.client, f"{self._url.scheme.upper()}Connection")
+                conn = self._local.conn = connect(self._url.netloc)
+            # Per request (``claim`` needs longer): on the live socket,
+            # or for the connect ``request`` makes when there is none.
+            conn.timeout = timeout if timeout is not None else self.timeout
+            if reused:
+                conn.sock.settimeout(conn.timeout)
+            response = None
+            try:
+                conn.request(method, self._url.path + path, data, headers)
+                response = conn.getresponse()
                 raw = response.read().decode()
-                status = response.status
-                ctype = response.headers.get("Content-Type", "")
-                retry_after = response.headers.get("Retry-After")
-        except urllib.error.HTTPError as exc:
-            raw = exc.read().decode()
-            status = exc.code
-            ctype = exc.headers.get("Content-Type", "") if exc.headers else ""
-            retry_after = exc.headers.get("Retry-After") if exc.headers else None
+                break
+            except BaseException as exc:
+                self.close()
+                if not (
+                    reused and response is None and isinstance(exc, _DROPPED_WHILE_IDLE)
+                ):
+                    raise
+                conn = None  # resend, once: every request here is idempotent
+        status = response.status
+        ctype = response.getheader("Content-Type", "")
+        retry_after = response.getheader("Retry-After")
         if "application/json" in ctype:
             payload = json.loads(raw)
             if status == 429 and retry_after and "retry_after" not in payload:
@@ -117,19 +154,17 @@ class ServiceClient:
     ) -> Tuple[int, Dict[str, Any], str]:
         """One logical request, with transient-connection-error retries.
 
-        ``URLError`` (connection refused/reset, DNS hiccup), bare
-        ``ConnectionError``, torn keep-alive responses
-        (``http.client`` exceptions), and socket timeouts are retried
+        Connection refused/reset, a DNS hiccup, torn responses
+        (``http.client`` exceptions) and socket timeouts are retried
         ``transient_retries`` times with capped exponential backoff and
-        full jitter; the final failure propagates to the caller.
+        full jitter; the final failure propagates to the caller.  An HTTP
+        error status is an ordinary response, never an exception.
         """
         attempt = 0
         while True:
             try:
                 return self._request_once(method, path, body, timeout=timeout)
-            except (urllib.error.URLError, *TRANSIENT_ERRORS) as exc:
-                if isinstance(exc, urllib.error.HTTPError):
-                    raise  # a real HTTP response; never a transport failure
+            except TRANSIENT_ERRORS:
                 if attempt >= self.transient_retries:
                     raise
                 delay = min(

@@ -15,17 +15,20 @@ routes from a single event loop:
 * **long polls are free** — a parked ``GET /jobs/claim`` is an
   ``await``, so thousands of idle workers cost nothing;
 * **graceful drain** — ``stop()`` flips ``/healthz`` to 503 (load
-  balancers stop routing), closes the listener, lets every in-flight
-  request finish, then stops the queue.  Parked claims return empty
-  immediately so workers disconnect fast;
+  balancers stop routing), closes the listener and every idle
+  keep-alive connection, lets every in-flight request finish (answered
+  ``Connection: close``), then stops the queue.  Parked claims return
+  empty immediately so workers disconnect fast;
 * **per-endpoint latency histograms** — every request lands in
   ``service.http.latency_ms.<endpoint>`` (visible in ``GET /metrics``),
   which is how the service bench reports front-end latency honestly.
 
-Potentially-slow handlers (submission: disk + surrogate; completion:
-disk + calibration feedback; result reads) hop to a small thread pool so
-the event loop never blocks on I/O; cheap lock-only handlers (healthz,
-heartbeat, job status, claims) run inline.
+What the process already holds in memory is answered on the event
+loop: lock-only handlers (healthz, heartbeat, job status, claims), and a
+submission or result read that a finished job record or a warm
+surrogate profile can answer.  Only disk, table builds and enqueueing
+(a first-time or store-only submission, a cold surrogate profile, a
+result read from the store, a completion) hop to a small thread pool.
 
 The server runs its event loop in a dedicated daemon thread so the
 blocking ``repro serve`` CLI, tests, and context-manager usage look
@@ -58,7 +61,9 @@ MAX_BODY_BYTES = 32 * 1024 * 1024
 #: Seconds stop() waits for in-flight requests before giving up.
 DRAIN_TIMEOUT = 10.0
 
-#: Endpoints that may touch disk or the surrogate — executed off-loop.
+#: Endpoints that may touch disk or the surrogate: the only ones allowed
+#: off the loop, and only once the core had no answer in memory
+#: (``may_block=False``; a completion never has one).
 _EXECUTOR_ENDPOINTS = frozenset(
     {"jobs_submit", "jobs_complete", "results_get", "surrogate"}
 )
@@ -82,7 +87,8 @@ class AsyncServiceServer(ServiceCore):
         self._stop_event: Optional[asyncio.Event] = None
         self._ready = threading.Event()
         self._finished = threading.Event()
-        self._active = 0
+        #: Open connections -> True while parked on the request line.
+        self._connections: Dict[asyncio.StreamWriter, bool] = {}
         self._executor = ThreadPoolExecutor(
             max_workers=8, thread_name_prefix="repro-async-io"
         )
@@ -181,10 +187,14 @@ class AsyncServiceServer(ServiceCore):
         finally:
             sweeper.cancel()
             server.close()
-            await server.wait_closed()
-            # Drain: every accepted request gets to finish.
+            # Drain: close idle keep-alive connections (EOF ends their
+            # handler); one in flight is answered ``Connection: close``.
+            # ``wait_closed()`` does neither, and differs across 3.11/3.12.
             deadline = time.monotonic() + DRAIN_TIMEOUT
-            while self._active > 0 and time.monotonic() < deadline:
+            while self._connections and time.monotonic() < deadline:
+                for writer, idle in list(self._connections.items()):
+                    if idle:
+                        writer.close()
                 await asyncio.sleep(0.01)
 
     async def _lease_sweeper(self) -> None:
@@ -200,10 +210,8 @@ class AsyncServiceServer(ServiceCore):
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            while True:
-                keep_alive = await self._handle_one(reader, writer)
-                if not keep_alive:
-                    break
+            while await self._handle_one(reader, writer):
+                pass
         except (
             asyncio.IncompleteReadError,
             ConnectionError,
@@ -211,6 +219,7 @@ class AsyncServiceServer(ServiceCore):
         ):
             pass  # client went away mid-request
         finally:
+            self._connections.pop(writer, None)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -222,7 +231,9 @@ class AsyncServiceServer(ServiceCore):
     async def _handle_one(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> bool:
+        self._connections[writer] = True
         request_line = await reader.readline()
+        self._connections[writer] = False
         if not request_line or request_line in (b"\r\n", b"\n"):
             return False
         try:
@@ -241,11 +252,6 @@ class AsyncServiceServer(ServiceCore):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        keep_alive = headers.get("connection", "").lower() != "close" and (
-            version != "HTTP/1.0"
-        )
-
-        self._active += 1
         started = time.perf_counter()
         parts = urlsplit(target)
         try:
@@ -258,8 +264,11 @@ class AsyncServiceServer(ServiceCore):
             response = Response(400, {"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 — one request must not kill the loop
             response = Response(500, {"error": f"{type(exc).__name__}: {exc}"})
-        finally:
-            self._active -= 1
+        keep_alive = (
+            headers.get("connection", "").lower() != "close"
+            and version != "HTTP/1.0"
+            and not self.draining
+        )
         await self._write_response(writer, response, keep_alive)
         self.observe_latency(
             endpoint_label(method, parts.path), time.perf_counter() - started
@@ -293,13 +302,20 @@ class AsyncServiceServer(ServiceCore):
             payload = json.loads(body) if body else None
             if not isinstance(payload, dict):
                 return Response(400, {"error": "request body must be a JSON object"})
-            if endpoint in _EXECUTOR_ENDPOINTS:
+            if endpoint not in _EXECUTOR_ENDPOINTS:
+                return self.handle_post(path, payload)
+            if endpoint != "jobs_submit":
                 return await self._off_loop(self.handle_post, path, payload)
-            return self.handle_post(path, payload)
+            sub = self.parse_submission(payload)
+            if isinstance(sub, Response):
+                return sub
+            response = self.submit(sub, may_block=False)
+            return response or await self._off_loop(self.submit, sub)
         if method == "GET":
-            if endpoint in _EXECUTOR_ENDPOINTS:
-                return await self._off_loop(self.handle_get, path, query)
-            return self.handle_get(path, query)
+            if endpoint not in _EXECUTOR_ENDPOINTS:
+                return self.handle_get(path, query)
+            response = self.handle_get(path, query, may_block=False)
+            return response or await self._off_loop(self.handle_get, path, query)
         if method == "HEAD":
             inner = self.handle_get(path, query)
             return Response(inner.status, text="")

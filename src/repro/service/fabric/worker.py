@@ -108,21 +108,22 @@ class _HeartbeatThread(threading.Thread):
 
     def run(self) -> None:
         interval = max(0.2, self.lease_ttl / 3.0)
-        while not self._stop.wait(interval):
-            with self._lock:
-                pending = list(self._job_ids)
-            if not pending:
-                return
-            for job_id in pending:
-                try:
-                    alive = self.client.heartbeat(job_id, self.worker_id)
-                except (ServiceError, OSError):
-                    continue  # transient; the lease may still hold
-                if not alive:
-                    # Forfeit: the server requeued it.  Keep executing —
-                    # completion is idempotent — but stop asserting.
-                    self.stats.lease_lost += 1
-                    self.settle(job_id)
+        with self.client:  # closes this thread's connection, not the poller's
+            while not self._stop.wait(interval):
+                with self._lock:
+                    pending = list(self._job_ids)
+                if not pending:
+                    return
+                for job_id in pending:
+                    try:
+                        alive = self.client.heartbeat(job_id, self.worker_id)
+                    except (ServiceError, OSError):
+                        continue  # transient; the lease may still hold
+                    if not alive:
+                        # Forfeit: the server requeued it.  Keep executing —
+                        # completion is idempotent — but stop asserting.
+                        self.stats.lease_lost += 1
+                        self.settle(job_id)
 
 
 class FabricWorker:
@@ -223,28 +224,29 @@ class FabricWorker:
         """
         idle_streak = 0
         cycles = 0
-        while not self._stop.is_set():
-            try:
-                settled = self.run_once()
-            except (ServiceError, OSError):
-                # Transport retries are exhausted: the front end is
-                # gone or restarting.  Back off and try again rather
-                # than dying — workers are cattle, campaigns are not.
-                self.registry.counter("service.worker.poll_error").inc()
-                if self._stop.wait(1.0):
+        with self.client:  # closes the connection on the way out
+            while not self._stop.is_set():
+                try:
+                    settled = self.run_once()
+                except (ServiceError, OSError):
+                    # Transport retries are exhausted: the front end is
+                    # gone or restarting.  Back off and try again rather
+                    # than dying — workers are cattle, campaigns are not.
+                    self.registry.counter("service.worker.poll_error").inc()
+                    if self._stop.wait(1.0):
+                        break
+                    settled = 0
+                cycles += 1
+                if settled == 0:
+                    idle_streak += 1
+                    if max_idle_polls is not None and idle_streak >= max_idle_polls:
+                        break
+                    if self._last_claim_draining():
+                        break
+                else:
+                    idle_streak = 0
+                if max_cycles is not None and cycles >= max_cycles:
                     break
-                settled = 0
-            cycles += 1
-            if settled == 0:
-                idle_streak += 1
-                if max_idle_polls is not None and idle_streak >= max_idle_polls:
-                    break
-                if self._last_claim_draining():
-                    break
-            else:
-                idle_streak = 0
-            if max_cycles is not None and cycles >= max_cycles:
-                break
         return self.stats
 
     def _last_claim_draining(self) -> bool:

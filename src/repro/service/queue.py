@@ -256,6 +256,19 @@ class JobQueue:
         with self._lock:
             return self._records.get(job_id)
 
+    def finished(self, job_id: str) -> Optional[JobRecord]:
+        """The DONE record of ``job_id`` inside its TTL, read without the
+        lock: an event loop asks, and ``submit`` holds the lock across
+        ``store.get``.  None is needed — the dict read is atomic, DONE is
+        the last field written, and a DONE record never changes again."""
+        record = self._records.get(job_id)
+        if record is None or record.state != DONE:
+            return None
+        ttl = self.record_ttl
+        if ttl is not None and record.finished_at <= time.monotonic() - ttl:
+            return None  # ``submit`` would prune it first
+        return record
+
     def wait(self, job_id: str, timeout: Optional[float] = None) -> JobRecord:
         record = self.get(job_id)
         if record is None:
@@ -266,15 +279,17 @@ class JobQueue:
     # -- submission ------------------------------------------------------
 
     def submit(
-        self, spec: Dict[str, Any], priority: int = 0
+        self, spec: Dict[str, Any], priority: int = 0, job_id: Optional[str] = None
     ) -> Tuple[JobRecord, bool]:
         """Admit ``spec``; returns ``(record, fresh)``.
 
         ``fresh`` is True only when this call created new pending work;
         a store hit or coalescing onto an in-flight record returns False.
-        Raises :class:`QueueFull` past ``max_depth``.
+        Raises :class:`QueueFull` past ``max_depth``.  ``job_id`` is the
+        spec's fingerprint, for a caller that has already computed it.
         """
-        job_id = spec_fingerprint(spec_identity(spec))
+        if job_id is None:
+            job_id = spec_fingerprint(spec_identity(spec))
         with self._lock:
             self._prune_locked()
             record = self._records.get(job_id)
@@ -453,9 +468,9 @@ class JobQueue:
     def _finish_ok_locked(self, record: JobRecord, payload: Dict[str, Any]) -> None:
         self.store.put(record.job_id, payload)
         record.result = payload
-        record.state = DONE
         record.worker = None
         record.finished_at = time.monotonic()
+        record.state = DONE  # last: ``finished`` reads without the lock
         record.done_event.set()
         self.registry.counter("service.queue.executed").inc()
 

@@ -57,7 +57,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 import repro
@@ -98,6 +98,25 @@ class Response:
             json.dumps(self.payload, sort_keys=True).encode(),
             "application/json",
         )
+
+
+@dataclass
+class Submission:
+    """A validated ``POST /jobs`` body (:meth:`ServiceCore.parse_submission`)."""
+
+    spec: SimSpec
+    spec_dict: Dict[str, Any]
+    job_id: str
+    priority: int
+    #: The surrogate lane applies and has not been asked yet.
+    ask_surrogate: bool
+
+
+def _job_response(
+    status: int, job_id: str, state: str, cached: bool, **extra: Any
+) -> Response:
+    payload = {"status": state, "cached": cached, "job_id": job_id, "fingerprint": job_id}
+    return Response(status, {**payload, **extra})
 
 
 def endpoint_label(method: str, path: str) -> str:
@@ -231,61 +250,64 @@ class ServiceCore:
 
     # -- routes ----------------------------------------------------------
 
-    def handle_post_jobs(self, body: Dict[str, Any]) -> Response:
+    def parse_submission(self, body: Dict[str, Any]) -> Union[Submission, Response]:
+        """Validate a ``POST /jobs`` body (400s); serialise and
+        fingerprint its spec once, for every later step."""
         try:
             priority = int(body.pop("priority", 0))
             spec = SimSpec.from_dict(body)
         except (ValueError, TypeError) as exc:
             return Response(400, {"error": str(exc)})
-        if spec.mode in ("surrogate", "auto") and self.oracle is not None:
+        spec_dict = spec.to_dict()
+        job_id = spec_fingerprint(spec_identity(spec_dict))
+        lane = spec.mode in ("surrogate", "auto") and self.oracle is not None
+        return Submission(spec, spec_dict, job_id, priority, lane)
+
+    def submit(self, sub: Submission, may_block: bool = True) -> Optional[Response]:
+        """Answer a parsed submission.  ``may_block=False`` answers only
+        from memory — a warm surrogate prediction, a finished record: no
+        disk, no table build, no lock wait — and returns None where that
+        is not enough; the async front end asks so on its event loop and
+        passes ``sub`` back in from a thread."""
+        if sub.ask_surrogate and (may_block or self.oracle.is_warm(sub.spec)):
+            sub.ask_surrogate = False
             try:
-                payload = self.oracle.answer(spec)
+                payload = self.oracle.answer(sub.spec)
             except (ValueError, KeyError) as exc:
                 # Forced surrogate mode on a spec the model cannot see
                 # (unknown pattern/topology) is a client error, not an
                 # excuse to silently burn simulation time.
                 return Response(400, {"error": f"surrogate cannot model spec: {exc}"})
             if payload is not None:
-                return Response(
-                    200,
-                    {
-                        "status": "done",
-                        "cached": False,
-                        "surrogate": True,
-                        "job_id": fingerprint_for(spec),
-                        "fingerprint": fingerprint_for(spec),
-                        "result": payload,
-                    },
+                return _job_response(
+                    200, sub.job_id, DONE, False, surrogate=True, result=payload
                 )
             # Gate said "too uncertain": fall through and simulate.
-        try:
-            record, _fresh = self.queue.submit(spec.to_dict(), priority)
-        except QueueFull as exc:
-            return Response(
-                429,
-                {"error": str(exc), "retry_after": 1},
-                headers={"Retry-After": "1"},
-            )
+        if sub.ask_surrogate:
+            return None  # a cold profile: its table walk needs a thread
+        record = self.queue.finished(sub.job_id)
+        if record is not None:
+            self.registry.counter("service.queue.memo_hit").inc()
+        elif not may_block:
+            return None
+        else:
+            try:
+                record, _fresh = self.queue.submit(
+                    sub.spec_dict, sub.priority, sub.job_id
+                )
+            except QueueFull as exc:
+                return Response(
+                    429,
+                    {"error": str(exc), "retry_after": 1},
+                    headers={"Retry-After": "1"},
+                )
         if record.state == DONE:
-            return Response(
-                200,
-                {
-                    "status": "done",
-                    "cached": True,
-                    "job_id": record.job_id,
-                    "fingerprint": record.job_id,
-                    "result": record.result,
-                },
-            )
-        return Response(
-            202,
-            {
-                "status": record.state,
-                "cached": False,
-                "job_id": record.job_id,
-                "fingerprint": record.job_id,
-            },
-        )
+            return _job_response(200, sub.job_id, DONE, True, result=record.result)
+        return _job_response(202, sub.job_id, record.state, False)
+
+    def handle_post_jobs(self, body: Dict[str, Any]) -> Response:
+        sub = self.parse_submission(body)
+        return sub if isinstance(sub, Response) else self.submit(sub)
 
     def handle_post(self, path: str, body: Dict[str, Any]) -> Response:
         path = path.rstrip("/")
@@ -307,7 +329,11 @@ class ServiceCore:
             return Response(200, {"outcome": outcome, "job_id": job_id})
         return Response(404, {"error": f"no such endpoint: {path}"})
 
-    def handle_get(self, path: str, query: Dict[str, List[str]]) -> Response:
+    def handle_get(
+        self, path: str, query: Dict[str, List[str]], may_block: bool = True
+    ) -> Optional[Response]:
+        """``may_block=False``: as in :meth:`submit` — None where the
+        answer needs the disk (a result no record holds) or a table load."""
         path = path.rstrip("/")
         if path == "/healthz":
             return self.health()
@@ -316,14 +342,7 @@ class ServiceCore:
         if path == "/surrogate":
             if self.oracle is None:
                 return Response(404, {"error": "surrogate lane disabled"})
-            return Response(200, self.oracle.status())
-        if path == "/jobs/claim":
-            # Non-blocking here; front ends wrap this in their own long
-            # poll (thread sleep vs. asyncio sleep).
-            worker = (query.get("worker") or ["anonymous"])[0]
-            max_jobs = int((query.get("max") or ["1"])[0])
-            jobs = self.claim_nowait(worker, max_jobs)
-            return Response(200, self.claim_payload(jobs))
+            return Response(200, self.oracle.status()) if may_block else None
         if path.startswith("/jobs/"):
             job_id = path[len("/jobs/"):]
             record = self.queue.get(job_id)
@@ -332,6 +351,12 @@ class ServiceCore:
             return Response(200, record.to_dict())
         if path.startswith("/results/"):
             fp = path[len("/results/"):]
+            record = self.queue.finished(fp)
+            if record is not None:
+                # Content-addressed: the very blob ``put`` wrote.
+                return Response(200, record.result)
+            if not may_block:
+                return None
             try:
                 payload = self.store.get(fp)
             except ValueError:
@@ -357,6 +382,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = f"repro-service/{repro.__version__}"
     protocol_version = "HTTP/1.1"
+    #: ``_send`` writes head and body as two segments: on a keep-alive
+    #: connection Nagle holds the second ~40 ms for a delayed ACK.
+    disable_nagle_algorithm = True
 
     # The ThreadingHTTPServer subclass carries the service reference.
     @property

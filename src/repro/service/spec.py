@@ -97,8 +97,9 @@ class SimSpec:
             raise ValueError("rate must be within [0, 1]")
 
     def to_dict(self) -> Dict[str, Any]:
-        payload = dataclasses.asdict(self)
-        if payload.get("topology") is None:
+        # Every field is a scalar: no need for ``asdict``'s recursive copy.
+        payload = {name: getattr(self, name) for name in _FIELD_NAMES}
+        if payload["topology"] is None:
             # Mesh specs predate the field; omitting it keeps every
             # previously stored fingerprint valid.
             payload.pop("topology")
@@ -112,8 +113,7 @@ class SimSpec:
         fingerprint honest — a typo'd parameter must not silently alias
         the default-parameter spec's cache entry.
         """
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(payload).difference(_FIELD_NAMES))
         if unknown:
             raise ValueError(f"unknown spec fields: {', '.join(unknown)}")
         spec = cls(**payload)
@@ -145,6 +145,8 @@ class SimSpec:
             sb_t_dd=self.sb_t_dd,
         )
 
+
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SimSpec))
 
 #: Spec fields that select *how* a result is computed, not *what* it is.
 #: Excluded from content-address identity: both engines are bit-identical

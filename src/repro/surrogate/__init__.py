@@ -118,6 +118,9 @@ class SurrogateOracle:
         self.save_every = max(1, save_every)
         self._dirty = 0
         self._table: Optional[CalibrationTable] = None
+        #: ``_table.fingerprint()`` (it walks every sample), kept until the
+        #: table next changes: every writer drops it, under the lock.
+        self._fingerprint: Optional[str] = None
         self._lock = threading.Lock()
 
     # -- calibration lifecycle -------------------------------------------
@@ -125,6 +128,8 @@ class SurrogateOracle:
     @property
     def calibration(self) -> CalibrationTable:
         """Lazy: load the persisted table, else harvest the store."""
+        if self._table is not None:
+            return self._table  # loaded: readers need no lock
         with self._lock:
             if self._table is None:
                 loaded = CalibrationTable.load(self.path)
@@ -132,14 +137,28 @@ class SurrogateOracle:
                     loaded = calibrate_from_store(self.store, self.model)
                     if loaded.sample_count:
                         loaded.save(self.path)
-                self._table = loaded
+                self._table, self._fingerprint = loaded, None
             return self._table
+
+    def calibration_fingerprint(self) -> str:
+        """Provenance anchor of the table, computed once per table state."""
+        fingerprint = self._fingerprint
+        if fingerprint is None:
+            self.calibration  # loaded
+            with self._lock:  # of the table in place now, not one since replaced
+                fingerprint = self._fingerprint = self._table.fingerprint()
+        return fingerprint
+
+    def is_warm(self, spec: SimSpec) -> bool:
+        """True when answering ``spec`` is arithmetic: table loaded and
+        fingerprinted, profile memoized; no lock a build or save may hold."""
+        return self._fingerprint is not None and self.model.is_warm(spec)
 
     def refresh(self) -> CalibrationTable:
         """Re-harvest the store from scratch and persist the new fit."""
         table = calibrate_from_store(self.store, self.model)
         with self._lock:
-            self._table = table
+            self._table, self._fingerprint = table, None
             self._dirty = 0
         table.save(self.path)
         self.registry.counter("surrogate.recalibrated").inc()
@@ -177,6 +196,7 @@ class SurrogateOracle:
             with self._lock:
                 family, scheme = key.split("/", 1)
                 table.ensure_cell(family, scheme).add(sample)
+                self._fingerprint = None
                 self._dirty += 1
                 if self._dirty >= self.save_every:
                     table.save(self.path)
@@ -193,7 +213,7 @@ class SurrogateOracle:
         return {
             "model": MODEL_NAME,
             "code_salt": CODE_SALT,
-            "calibration_fingerprint": table.fingerprint(),
+            "calibration_fingerprint": self.calibration_fingerprint(),
             "calibration_path": str(self.path),
             "max_bound": self.gate.max_bound,
             "samples": table.sample_count,
@@ -232,7 +252,7 @@ class SurrogateOracle:
         provenance = {
             "model": MODEL_NAME,
             "code_salt": CODE_SALT,
-            "calibration_fingerprint": table.fingerprint(),
+            "calibration_fingerprint": self.calibration_fingerprint(),
             "cell": cell_key(raw.family, raw.scheme),
             "samples": uncertainty.samples,
         }

@@ -28,15 +28,17 @@ Raw predictions are deliberately *uncalibrated* — systematic error
 (topology family, scheme) by :mod:`repro.surrogate.calibrate` against
 cycle-accurate ground truth.
 
-Profiles are memoized per process on the canonical topology spec (like
-the routing-table cache they sit on), so a sweep over rates/seeds on a
-shared topology pays the table walk once and then predicts each cell in
-microseconds.
+Profiles are memoized per model on the canonical topology spec (like
+the routing-table cache they sit on), and the topology a spec derives
+on the spec fields that determine it, so a sweep over rates/seeds on a
+shared topology pays the mesh build and the table walk once and then
+predicts each cell in microseconds of arithmetic.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -202,20 +204,53 @@ class RawPrediction:
 class AnalyticalModel:
     """Profile cache + per-cell evaluator."""
 
-    #: Per-process profile memo bound (profiles are a few KB each).
+    #: Bound of each memo (profiles and topologies are a few KB each).
     _CACHE_MAX = 64
 
     def __init__(self, params: Optional[ModelParams] = None) -> None:
         self.params = params if params is not None else ModelParams()
         self._profiles: "OrderedDict[tuple, LoadProfile]" = OrderedDict()
+        #: Topology-determining spec fields -> (topology, its canonical
+        #: JSON: the profile key's first element).
+        self._topologies: "OrderedDict[tuple, Tuple[Topology, str]]" = OrderedDict()
+        #: The service predicts from its event loop and thread pool at once.
+        self._lock = threading.Lock()
+
+    # -- memos -----------------------------------------------------------
+
+    def _recall(self, memo: OrderedDict, key: tuple):
+        with self._lock:
+            value = memo.get(key)
+            if value is not None:
+                memo.move_to_end(key)
+            return value
+
+    def _remember(self, memo: OrderedDict, key: tuple, value) -> None:
+        with self._lock:
+            memo[key] = value
+            while len(memo) > self._CACHE_MAX:
+                memo.popitem(last=False)
+
+    def _spec_topology(self, spec, build: bool = True) -> Optional[Tuple[Topology, str]]:
+        key = (
+            spec.width, spec.height, spec.topology,
+            spec.link_faults, spec.router_faults, spec.seed,
+        )
+        entry = self._recall(self._topologies, key)
+        if entry is None and build:
+            topo = spec.build_topology()
+            entry = (topo, json.dumps(topo.to_spec(), sort_keys=True))
+            self._remember(self._topologies, key, entry)
+        return entry
 
     # -- profiles --------------------------------------------------------
 
+    @staticmethod
     def _profile_key(
-        self, topo: Topology, scheme: str, pattern: str, config: SimConfig
+        topo_json: str, scheme: str, pattern: str, config: SimConfig
     ) -> tuple:
         return (
-            json.dumps(topo.to_spec(), sort_keys=True),
+            topo_json,
             scheme,
             pattern,
             config.vnets,
@@ -226,18 +261,30 @@ class AnalyticalModel:
         )
 
     def profile(
-        self, topo: Topology, scheme: str, pattern: str, config: SimConfig
+        self,
+        topo: Topology,
+        scheme: str,
+        pattern: str,
+        config: SimConfig,
+        topo_json: Optional[str] = None,
     ) -> LoadProfile:
-        key = self._profile_key(topo, scheme, pattern, config)
-        cached = self._profiles.get(key)
-        if cached is not None:
-            self._profiles.move_to_end(key)
-            return cached
-        built = self._build_profile(topo, scheme, pattern, config)
-        self._profiles[key] = built
-        while len(self._profiles) > self._CACHE_MAX:
-            self._profiles.popitem(last=False)
-        return built
+        if topo_json is None:
+            topo_json = json.dumps(topo.to_spec(), sort_keys=True)
+        key = self._profile_key(topo_json, scheme, pattern, config)
+        cached = self._recall(self._profiles, key)
+        if cached is None:
+            cached = self._build_profile(topo, scheme, pattern, config)
+            self._remember(self._profiles, key, cached)
+        return cached
+
+    def is_warm(self, spec) -> bool:
+        """True when :meth:`predict_spec` is arithmetic only: the spec's
+        topology and load profile are both memoized."""
+        entry = self._spec_topology(spec, build=False)
+        return entry is not None and (
+            self._profile_key(entry[1], spec.scheme, spec.pattern, spec.build_config())
+            in self._profiles
+        )
 
     def _build_profile(
         self, topo: Topology, scheme: str, pattern: str, config: SimConfig
@@ -376,17 +423,13 @@ class AnalyticalModel:
         return self.evaluate(profile, rate, warmup, measure)
 
     def predict_spec(self, spec) -> RawPrediction:
-        """Predict a :class:`repro.service.spec.SimSpec` (materializes it)."""
-        topo = spec.build_topology()
-        return self.predict_cell(
-            topo,
-            spec.scheme,
-            spec.pattern,
-            spec.rate,
-            spec.build_config(),
-            spec.warmup,
-            spec.measure,
+        """Predict a :class:`repro.service.spec.SimSpec` (materializes it
+        the first time its topology is seen)."""
+        topo, topo_json = self._spec_topology(spec)
+        profile = self.profile(
+            topo, spec.scheme, spec.pattern, spec.build_config(), topo_json
         )
+        return self.evaluate(profile, spec.rate, spec.warmup, spec.measure)
 
 
 def energy_dynamic_from_stats(stats: Dict[str, float], params: EnergyParams) -> Optional[float]:

@@ -5,19 +5,26 @@ its graph contains a cycle — footnote 1 of the paper: with unrestricted
 minimal routing, any cycle can be exercised into a buffer-dependency
 cycle at a sufficient injection rate) and by routing-table construction
 (connectivity, components).
+
+``networkx`` is imported by the functions that use it, not by the module:
+it is over a third of ``import repro``'s time, and no simulation, service
+or worker code path builds a graph.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, List, Set, Tuple
 
 from repro.topology.mesh import Topology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def to_networkx(topo: Topology) -> "nx.Graph":
     """Undirected graph of the active nodes and links."""
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(topo.active_nodes())
     for link in topo.active_links():
@@ -28,6 +35,8 @@ def to_networkx(topo: Topology) -> "nx.Graph":
 
 def connected_components(topo: Topology) -> List[Set[int]]:
     """Connected components of the active topology, largest first."""
+    import networkx as nx
+
     graph = to_networkx(topo)
     return sorted(nx.connected_components(graph), key=len, reverse=True)
 
@@ -47,6 +56,8 @@ def has_cycle(topo: Topology) -> bool:
     A component with ``edges >= nodes`` necessarily contains a cycle; a
     forest has ``edges == nodes - 1`` per component.
     """
+    import networkx as nx
+
     graph = to_networkx(topo)
     for component in nx.connected_components(graph):
         sub = graph.subgraph(component)
@@ -57,6 +68,8 @@ def has_cycle(topo: Topology) -> bool:
 
 def cycle_count_upper_bound(topo: Topology) -> int:
     """Size of the cycle space (independent cycles) of the topology."""
+    import networkx as nx
+
     graph = to_networkx(topo)
     n_components = nx.number_connected_components(graph) if len(graph) else 0
     return graph.number_of_edges() - graph.number_of_nodes() + n_components
@@ -71,11 +84,15 @@ def simple_cycles(
     (the lemma tests bound the length).  Each cycle is a node list without
     the repeated closing node.
     """
+    import networkx as nx
+
     graph = to_networkx(topo)
     return [list(c) for c in nx.simple_cycles(graph, length_bound=length_bound)]
 
 
 def nodes_reachable_from(topo: Topology, source: int) -> Set[int]:
+    import networkx as nx
+
     graph = to_networkx(topo)
     if source not in graph:
         return set()

@@ -6,10 +6,16 @@ stdlib client exercises it over genuine sockets, including raw
 high-level client never produces.
 """
 
+import asyncio
 import http.client
 import json
+import logging
 import shutil
+import socket
+import threading
+import time
 import urllib.error
+from dataclasses import replace
 
 import pytest
 
@@ -21,8 +27,8 @@ from repro.service.fabric import (
     ShardedResultStore,
     make_server,
 )
-from repro.service.server import ServiceServer
-from repro.service.spec import SimSpec
+from repro.service.server import Response, ServiceServer, fingerprint_for
+from repro.service.spec import SimSpec, run_sim_spec
 from repro.service.store import ResultStore
 
 TINY = dict(width=3, height=3, rate=0.03, warmup=30, measure=80, seed=5)
@@ -267,27 +273,262 @@ class TestClientRetries:
     def test_429_header_injected_into_payload(self, server, monkeypatch):
         """A 429 whose JSON body omits retry_after still carries the
         server's Retry-After header through to the backoff loop."""
-        real_urlopen = __import__("urllib.request", fromlist=["urlopen"]).urlopen
-
-        class FakeHeaders(dict):
-            def get(self, key, default=None):
-                return dict.get(self, key, default)
-
-        def fake_urlopen(request, timeout=None):
-            import io
-
-            raise urllib.error.HTTPError(
-                request.full_url,
-                429,
-                "busy",
-                FakeHeaders(
-                    {"Content-Type": "application/json", "Retry-After": "0.25"}
-                ),
-                io.BytesIO(b'{"error": "backpressure"}'),
-            )
-
+        monkeypatch.setattr(
+            server,
+            "health",
+            lambda: Response(
+                429, {"error": "backpressure"}, headers={"Retry-After": "0.25"}
+            ),
+        )
         client = ServiceClient(server.url)
-        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
         status, payload, _ = client._request_once("GET", "/healthz")
         assert status == 429
         assert payload["retry_after"] == 0.25
+
+
+@pytest.fixture()
+def connects(monkeypatch):
+    """Every TCP connection ``http.client`` opens, as ``(host, port)``."""
+    opened = []
+    real = http.client.HTTPConnection.connect
+
+    def connect(self):
+        opened.append((self.host, self.port))
+        real(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", connect)
+    return opened
+
+
+class _HangUpServer(threading.Thread):
+    """Answers one request per connection *without* ``Connection: close``,
+    then hangs up — what a keep-alive client sees when the server drops a
+    connection it believed idle."""
+
+    def __init__(self):
+        super().__init__(daemon=True)
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.url = "http://127.0.0.1:%d" % self.listener.getsockname()[1]
+        self.served = 0
+
+    def run(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return  # listener closed
+            with conn:
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    request += conn.recv(65536)
+                self.served += 1
+                body = json.dumps({"ok": True, "n": self.served}).encode()
+                conn.sendall(
+                    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                    b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+                )
+
+
+class TestClientTransport:
+    def test_dropped_idle_connection_reconnects_without_retry_budget(
+        self, connects, monkeypatch
+    ):
+        hangup = _HangUpServer()
+        hangup.start()
+        monkeypatch.setattr(
+            time, "sleep", lambda s: pytest.fail("the reconnect must not back off")
+        )
+        try:
+            with ServiceClient(hangup.url, transient_retries=0) as client:
+                assert [client.healthz()["n"] for _ in range(5)] == [1, 2, 3, 4, 5]
+        finally:
+            hangup.listener.close()
+        assert len(connects) == 5  # one reconnect per hang-up, never more
+
+    def test_fresh_connection_failure_is_not_resent(self, connects):
+        """Only a *reused* connection earns the free resend: a server that
+        hangs up on a new connection is a transient error like any other."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def slam():
+            while True:
+                try:
+                    listener.accept()[0].close()
+                except OSError:
+                    return
+
+        threading.Thread(target=slam, daemon=True).start()
+        client = ServiceClient(
+            "http://127.0.0.1:%d" % listener.getsockname()[1], transient_retries=0
+        )
+        try:
+            with pytest.raises((ConnectionError, http.client.HTTPException)):
+                client.healthz()
+        finally:
+            listener.close()
+        assert len(connects) == 1
+
+    def test_one_connection_per_thread_never_interleaves(self, server, connects):
+        client = ServiceClient(server.url)
+        wrong = []
+
+        def hammer(name):
+            for _ in range(200):
+                _, payload, _ = client._request("GET", f"/nope-{name}")
+                if payload["error"] != f"no such endpoint: /nope-{name}":
+                    wrong.append((name, payload))
+            client.close()
+
+        threads = [threading.Thread(target=hammer, args=(n,)) for n in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(connects) == 2
+
+    def test_client_side_timeout_does_not_poison_next_request(self, server, connects):
+        """A long poll the client gives up on is still answered by the
+        server later; that answer must not be read as the next reply."""
+        client = ServiceClient(server.url, transient_retries=0)
+        client.healthz()
+        with pytest.raises(TimeoutError):
+            client._request(
+                "GET", "/jobs/claim?worker=w&max=1&wait=1", timeout=0.1
+            )
+        assert client.healthz()["ok"] is True  # not the late claim payload
+        assert len(connects) == 2  # the timed-out connection was discarded
+
+    def test_close_is_idempotent_and_reopens(self, server, connects):
+        client = ServiceClient(server.url)
+        client.close()  # never opened
+        client.healthz()
+        client.close()
+        client.close()
+        with client:
+            client.healthz()
+        assert len(connects) == 2
+
+
+class TestDrainKeepAlive:
+    def test_stop_closes_idle_and_finishes_in_flight(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        store = ResultStore(root=tmp_path / "store", registry=MetricsRegistry())
+        server = AsyncServiceServer(port=0, store=store, workers=2, quiet=True)
+        server.start()
+        idle = ServiceClient(server.url, transient_retries=0)
+        idle.healthz()  # its connection now sits parked on the request line
+        entered, release = threading.Event(), threading.Event()
+
+        def slow_get(fp):
+            entered.set()
+            release.wait(5)
+            return {"slow": fp}
+
+        monkeypatch.setattr(store, "get", slow_get)
+        answers = []
+        busy = threading.Thread(
+            target=lambda: answers.append(
+                ServiceClient(server.url, transient_retries=0).result("ab" * 32)
+            )
+        )
+        busy.start()
+        assert entered.wait(5)
+        threading.Timer(0.3, release.set).start()
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            began = time.monotonic()
+            server.stop()
+            took = time.monotonic() - began
+        busy.join(5)
+        assert not busy.is_alive()
+        assert answers == [{"slow": "ab" * 32}]  # started before stop(): served
+        assert took < 2.0
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+        with pytest.raises(OSError):
+            idle.healthz()
+
+
+class TestWarmPath:
+    """Counts, not times: a warm request opens no connection and leaves
+    the event loop for no thread."""
+
+    N = 1000
+
+    @pytest.fixture()
+    def hops(self, server, monkeypatch):
+        """``run_in_executor`` calls made on the server's loop so far."""
+        calls = []
+        real = asyncio.BaseEventLoop.run_in_executor
+
+        def run_in_executor(loop, executor, func, *args):
+            calls.append(getattr(func, "__name__", repr(func)))
+            return real(loop, executor, func, *args)
+
+        monkeypatch.setattr(asyncio.BaseEventLoop, "run_in_executor", run_in_executor)
+        return calls
+
+    def test_warm_requests_share_one_connection(self, server, connects):
+        client = ServiceClient(server.url)
+        for _ in range(self.N):
+            client.healthz()
+        assert len(connects) == 1
+
+    def test_memory_answerable_requests_never_leave_the_loop(self, server, hops):
+        client = ServiceClient(server.url)
+        spec = SimSpec(**TINY)
+        fp = fingerprint_for(spec)
+        asked = replace(spec, rate=0.02, mode="surrogate")
+
+        # Cold, each lane hops: a first-time spec enqueues, a cold
+        # surrogate profile walks the tables.
+        first = client.run(spec, timeout=60)
+        assert hops == ["submit"]
+        # The execution feeds calibration just after the job reads done;
+        # the table must have settled before anything counts as warm.
+        observed = server.registry.counter("surrogate.observed")
+        deadline = time.monotonic() + 10
+        while observed.value < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert observed.value == 1
+        client.submit(asked)
+        assert hops == ["submit"] * 2
+
+        del hops[:]
+        for _ in range(self.N):
+            assert client.submit(spec)["cached"] is True
+            assert client.result(fp) == first["result"]
+            assert client.submit(asked)["surrogate"] is True
+        assert hops == []
+
+    def test_store_only_results_still_hop(self, server, hops):
+        """What only the disk knows is read on the pool, submit or read."""
+        client = ServiceClient(server.url)
+        spec = SimSpec(**TINY)
+        fp = fingerprint_for(spec)
+        server.store.put(fp, run_sim_spec(spec.to_dict()))
+        assert client.result(fp)["spec"]["seed"] == TINY["seed"]
+        assert hops == ["handle_get"]
+        assert client.submit(spec)["cached"] is True
+        assert hops == ["handle_get", "submit"]
+        # ...which loaded the record: from here on it is memory.
+        client.submit(spec)
+        client.result(fp)
+        assert len(hops) == 2
+
+    def test_observation_sends_one_surrogate_answer_back_to_the_pool(
+        self, server, hops
+    ):
+        """An observation changes the calibration table; the next answer
+        re-fingerprints it (every sample of every cell) — on the pool."""
+        client = ServiceClient(server.url)
+        asked = SimSpec(**TINY, mode="surrogate")
+        client.submit(asked)
+        client.submit(asked)
+        assert hops == ["submit"]
+        exact = SimSpec(**TINY)
+        assert server.oracle.observe(exact.to_dict(), run_sim_spec(exact.to_dict()))
+        client.submit(asked)
+        client.submit(asked)
+        assert hops == ["submit"] * 2

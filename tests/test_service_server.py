@@ -94,6 +94,20 @@ class TestEndpoints:
         assert "# TYPE repro_service_store_put counter" in text
         assert "repro_service_queue_depth" in text
 
+    def test_keep_alive_round_trips_do_not_stall(self, client):
+        """Head and body leave as two segments; without ``TCP_NODELAY``
+        every response on a reused connection waits ~40 ms for the
+        client's delayed ACK."""
+        import statistics
+
+        client.healthz()
+        took = []
+        for _ in range(50):
+            began = time.perf_counter()
+            client.healthz()
+            took.append(time.perf_counter() - began)
+        assert statistics.median(took) < 0.010
+
     def test_priority_field_accepted(self, client):
         status, payload, _ = client._request(
             "POST", "/jobs", {**TINY, "priority": 3}

@@ -380,6 +380,131 @@ class TestFanOutFastLane:
         assert resolve_mode() == "exact"
 
 
+class TestWarmCaches:
+    """The two spec-keyed memos and the cached calibration fingerprint
+    change what a warm answer costs, never what it says."""
+
+    def _provenance_fp(self, oracle, **overrides):
+        spec = SimSpec(**{**FIG8, "rate": 0.015, **overrides})
+        return oracle.predict(spec).provenance["calibration_fingerprint"]
+
+    def test_fingerprint_tracks_every_table_change(self, store, monkeypatch):
+        _store_exact(store, rate=0.02)
+        oracle = SurrogateOracle(store=store, registry=store.registry, save_every=4)
+        # lazy load (here: a first harvest of the store)
+        assert self._provenance_fp(oracle) == oracle.calibration.fingerprint()
+        # observe
+        seen = self._provenance_fp(oracle)
+        spec = SimSpec(**{**FIG8, "rate": 0.01})
+        assert oracle.observe(spec.to_dict(), run_sim_spec(spec.to_dict()))
+        assert self._provenance_fp(oracle) == oracle.calibration.fingerprint() != seen
+        # flush writes the table and leaves it as it is
+        seen = self._provenance_fp(oracle)
+        assert oracle.flush()
+        assert self._provenance_fp(oracle) == oracle.calibration.fingerprint() == seen
+        # refresh re-harvests: the observed cell was never stored
+        oracle.refresh()
+        assert self._provenance_fp(oracle) == oracle.calibration.fingerprint() != seen
+        assert oracle.status()["calibration_fingerprint"] == oracle.calibration.fingerprint()
+        # a table saved under another CODE_SALT is discarded and refitted
+        doc = json.loads(oracle.path.read_text())
+        doc["code_salt"] = "repro-0.0.0-schema0"
+        doc["cells"] = {}
+        oracle.path.write_text(json.dumps(doc))
+        again = SurrogateOracle(store=store, registry=MetricsRegistry())
+        assert again.calibration.sample_count == 1
+        assert self._provenance_fp(again) == again.calibration.fingerprint()
+
+    def test_warm_predictions_rederive_nothing(self, calibrated, monkeypatch, tmp_path):
+        shared, _ = calibrated
+        oracle = SurrogateOracle(  # own table file: the observation stays here
+            store=shared.store, registry=MetricsRegistry(), path=tmp_path / "c.json"
+        )
+        fingerprints, builds = [], []
+        real_fp, real_build = CalibrationTable.fingerprint, SimSpec.build_topology
+        monkeypatch.setattr(
+            CalibrationTable, "fingerprint",
+            lambda self: fingerprints.append(1) or real_fp(self),
+        )
+        monkeypatch.setattr(
+            SimSpec, "build_topology",
+            lambda self: builds.append(self.seed) or real_build(self),
+        )
+        exact = SimSpec(**{**FIG8, "rate": 0.03})
+        payload = run_sim_spec(exact.to_dict())
+        del builds[:]
+        observations = 0
+        for i in range(1000):
+            spec = SimSpec(**{**FIG8, "seed": 3 + i % 2, "rate": 0.01 + (i % 7) / 1e3})
+            assert oracle.is_warm(spec) == (i >= 2 and i != 501)
+            oracle.predict(spec)
+            if i == 500:
+                assert oracle.observe(exact.to_dict(), payload)
+                observations += 1
+        assert len(fingerprints) == 1 + observations
+        assert sorted(builds) == [3, 4]  # once per distinct topology key
+
+    def test_grid_payloads_identical_warm_and_fresh(self, calibrated):
+        """Topology x scheme x pattern: the memoized path answers every
+        cell byte for byte as an oracle that has memoized nothing."""
+        shared, _ = calibrated
+        warm = SurrogateOracle(store=shared.store, registry=MetricsRegistry())
+        topologies = (
+            dict(width=8, height=8, link_faults=4, seed=3),
+            dict(width=6, height=6, link_faults=2, router_faults=1, seed=9),
+            dict(width=4, height=4, topology="torus3d:3x3x3", link_faults=1, seed=2),
+        )
+        schemes = (
+            "static-bubble", "escape-vc", "spanning-tree",
+            "adaptive", "adaptive-escape", "xy",
+        )
+        patterns = ("uniform_random", "bit_complement", "transpose")
+        cells = 0
+        for _round in range(2):  # second round: every lookup is warm
+            for topo in topologies:
+                for scheme in schemes:
+                    for pattern in patterns:
+                        spec = SimSpec(
+                            **topo, scheme=scheme, pattern=pattern, rate=0.02,
+                            warmup=100, measure=300, mode="surrogate",
+                        )
+                        fresh = SurrogateOracle(
+                            store=shared.store, registry=MetricsRegistry()
+                        )
+                        try:
+                            expected = fresh.answer(spec)
+                        except ValueError:  # pattern needs a mesh
+                            with pytest.raises(ValueError):
+                                warm.answer(spec)
+                            continue
+                        got = warm.answer(spec)
+                        assert json.dumps(got, sort_keys=True) == json.dumps(
+                            expected, sort_keys=True
+                        )
+                        cells += 1
+        assert cells == 2 * (3 * 6 * 3 - 6 * 2)  # torus3d has no mesh patterns
+
+    def test_topology_memo_keys_and_bounds(self):
+        model = AnalyticalModel()
+        base = SimSpec(**FIG8)
+        for spec in (
+            base,
+            SimSpec(**{**FIG8, "seed": 4}),
+            SimSpec(**{**FIG8, "link_faults": 5}),
+            SimSpec(**{**FIG8, "rate": 0.2, "scheme": "escape-vc"}),  # same topology
+        ):
+            model.predict_spec(spec)
+        assert len(model._topologies) == 3
+        topos = [topo for topo, _ in model._topologies.values()]
+        assert len({id(t) for t in topos}) == 3
+        for seed in range(100, 100 + 2 * model._CACHE_MAX):
+            model.predict_spec(SimSpec(width=3, height=3, link_faults=1, seed=seed))
+        assert len(model._topologies) == model._CACHE_MAX
+        assert len(model._profiles) <= model._CACHE_MAX
+        assert not model.is_warm(base)  # evicted, oldest first
+        assert model.is_warm(SimSpec(width=3, height=3, link_faults=1, seed=seed))
+
+
 def _double(x):
     return x * 2
 

@@ -148,3 +148,25 @@ def test_neighbors_symmetric(n, seed):
     for node in topo.all_nodes():
         for _, other in topo.active_neighbors(node):
             assert node in [m for _, m in topo.active_neighbors(other)]
+
+
+def test_networkx_is_imported_on_first_use():
+    """``import repro.cli`` must not pay for networkx (a third of the
+    import); the graph helpers import it when called."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = (
+        "import sys, repro.cli, repro.service.fabric, repro.surrogate\n"
+        "assert 'networkx' not in sys.modules, 'eager networkx import'\n"
+        "from repro.topology import has_cycle, mesh, to_networkx\n"
+        "assert to_networkx(mesh(3, 3)).number_of_edges() == 12\n"
+        "assert has_cycle(mesh(2, 2)) and not has_cycle(mesh(3, 1))\n"
+        "assert 'networkx' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
