@@ -4,11 +4,6 @@ Not a paper figure — these track the cost of the building blocks so that
 regressions in the inner loops (switch allocation, table construction,
 deadlock detection) are visible.  Unlike the figure benchmarks these use
 multiple rounds.
-
-The ``*_fast`` variants run the same workload on the struct-of-arrays
-engine (``engine="fast"``); their baseline entries are keyed by the
-suffixed name, so the original reference-engine baselines stay
-comparable across the engine split.
 """
 
 import random
@@ -28,15 +23,11 @@ from repro.topology.mesh import mesh
 from repro.traffic.synthetic import UniformRandomTraffic
 
 
-def _make_network(
-    rate: float, scheme_name: str = "static-bubble", engine: str = "reference"
-):
+def _make_network(rate: float, scheme_name: str = "static-bubble"):
     topo = inject_link_faults(mesh(8, 8), 8, random.Random(1))
     config = SimConfig()
     traffic = UniformRandomTraffic(topo, rate=rate, seed=1)
-    net = Network(
-        topo, config, make_scheme(scheme_name), traffic, seed=1, engine=engine
-    )
+    net = Network(topo, config, make_scheme(scheme_name), traffic, seed=1)
     net.run(200)  # warm: populate VCs
     return net
 
@@ -47,20 +38,8 @@ def test_step_low_load(benchmark):
     assert net.stats.packets_ejected > 0
 
 
-def test_step_low_load_fast(benchmark):
-    net = _make_network(rate=0.02, engine="fast")
-    benchmark.pedantic(lambda: net.run(100), rounds=5, iterations=1)
-    assert net.stats.packets_ejected > 0
-
-
 def test_step_saturated(benchmark):
     net = _make_network(rate=0.30)
-    benchmark.pedantic(lambda: net.run(100), rounds=5, iterations=1)
-    assert net.stats.packets_injected > 0
-
-
-def test_step_saturated_fast(benchmark):
-    net = _make_network(rate=0.30, engine="fast")
     benchmark.pedantic(lambda: net.run(100), rounds=5, iterations=1)
     assert net.stats.packets_injected > 0
 
@@ -71,17 +50,6 @@ def test_step_idle_network(benchmark):
     topo = mesh(8, 8)
     net = Network(topo, SimConfig(), make_scheme("static-bubble"), None, seed=1)
     net.run(50)  # drain the (empty) active set
-    benchmark.pedantic(lambda: net.run(1000), rounds=5, iterations=1)
-    assert net.stats.packets_injected == 0
-
-
-def test_step_idle_network_fast(benchmark):
-    topo = mesh(8, 8)
-    net = Network(
-        topo, SimConfig(), make_scheme("static-bubble"), None, seed=1,
-        engine="fast",
-    )
-    net.run(50)
     benchmark.pedantic(lambda: net.run(1000), rounds=5, iterations=1)
     assert net.stats.packets_injected == 0
 

@@ -117,15 +117,8 @@ def _simulate_spec_from_args(args: argparse.Namespace) -> "SimSpec":
         sb_t_dd=args.t_dd,
         seed=args.seed,
         monitor=getattr(args, "monitor", False),
-        engine=_resolve_engine_arg(args),
         mode=getattr(args, "mode", None) or "exact",
     )
-
-
-def _resolve_engine_arg(args: argparse.Namespace) -> str:
-    from repro.experiments.common import resolve_engine
-
-    return resolve_engine(getattr(args, "engine", None))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -163,10 +156,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             return 1
         if not args.json:
             print()
-    network = Network(
-        topo, config, scheme, traffic, seed=args.seed,
-        engine=_resolve_engine_arg(args),
-    )
+    network = Network(topo, config, scheme, traffic, seed=args.seed)
     profiler = None
     if args.profile:
         import cProfile
@@ -715,13 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
         "service store persists)",
     )
     p.add_argument(
-        "--engine",
-        choices=("reference", "fast"),
-        default=None,
-        help="simulation engine (default: REPRO_ENGINE or 'reference'; "
-        "results are bit-identical either way)",
-    )
-    p.add_argument(
         "--profile",
         action="store_true",
         help="profile the measured run with cProfile and print the top 25 "
@@ -985,13 +968,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vcs", type=int, default=4, help="VCs per vnet per port")
     p.add_argument("--t-dd", type=int, default=34, help="SB detection threshold")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "--engine",
-        choices=("reference", "fast"),
-        default=None,
-        help="engine the server should run this spec on (excluded from "
-        "the spec's cache identity)",
-    )
     p.add_argument(
         "--mode",
         choices=("exact", "surrogate", "auto"),

@@ -55,24 +55,6 @@ def topologies_for(
     )
 
 
-#: Environment variable selecting the simulation engine for sweeps that
-#: do not pass one explicitly (``reference`` | ``fast``).
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Explicit argument, else ``REPRO_ENGINE``, else ``"reference"``.
-
-    Both engines are bit-identical (enforced by
-    ``tests/test_fastcore_equivalence.py``), so the choice is purely a
-    throughput knob — which is why an environment variable may make it.
-    """
-    if engine is not None:
-        return engine
-    env = os.environ.get(ENGINE_ENV_VAR, "").strip().lower()
-    return env if env else "reference"
-
-
 def run_synthetic(
     topo: Topology,
     scheme_name: str,
@@ -84,7 +66,6 @@ def run_synthetic(
     seed: int,
     monitor: bool = False,
     obs=None,
-    engine: Optional[str] = None,
 ) -> Tuple[WindowResult, Network]:
     """One warmup+measure simulation of a synthetic pattern.
 
@@ -92,10 +73,6 @@ def run_synthetic(
     when ``None`` but ``REPRO_OBS`` is set, the engine attaches a
     metrics-only observer bound to the per-process registry so sweep
     counters aggregate across pool workers with no tracing overhead.
-
-    ``engine``: simulation engine (``reference`` | ``fast``); ``None``
-    defers to :func:`resolve_engine` / ``REPRO_ENGINE``.  Results are
-    engine-independent.
     """
     traffic = make_pattern(
         pattern,
@@ -106,14 +83,7 @@ def run_synthetic(
         data_flits=config.data_packet_flits,
         ctrl_flits=config.ctrl_packet_flits,
     )
-    network = Network(
-        topo,
-        config,
-        make_scheme(scheme_name),
-        traffic,
-        seed=seed,
-        engine=resolve_engine(engine),
-    )
+    network = Network(topo, config, make_scheme(scheme_name), traffic, seed=seed)
     result = run_with_window(
         network,
         warmup,

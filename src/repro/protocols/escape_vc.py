@@ -117,12 +117,8 @@ class EscapeVcRecovery(DeadlockScheme):
                 network.stats.escape_diversions += 1
                 # The mode flip changes which output/VC class this
                 # buffered packet requests: a sleeping router must
-                # reconsider it, and engines that mirror per-slot
-                # routing state need to refresh this router.
+                # reconsider it.
                 router.wake()
-                hook = router._dirty_hook
-                if hook is not None:
-                    hook(router.node)
             # Every resident was just read: the bound is exact again.
             router._ready_floor = floor
 

@@ -660,7 +660,7 @@ def run_campaign(
     """Run a spec list through the store, executing only what's missing.
 
     Identical specs within the list coalesce to one execution (specs
-    differing only in execution-only fields, e.g. ``engine``, coalesce
+    differing only in execution-only fields, e.g. ``mode``, coalesce
     too).  ``batch_size`` packs that many cells into each worker
     invocation (:func:`repro.parallel.run_jobs_batched`), amortizing
     per-process caches such as routing tables across a batch.  Results

@@ -533,8 +533,8 @@ class ServiceServer(ServiceCore):
 def fingerprint_for(spec: SimSpec) -> str:
     """Fingerprint a spec exactly as ``POST /jobs`` would.
 
-    Execution-only fields (``engine``, ``mode``) are excluded, so
-    submissions that differ only in how they are answered address the
-    same stored result.
+    Execution-only fields (``mode`` and the ignored ``engine``) are
+    excluded, so submissions that differ only in how they are answered
+    address the same stored result.
     """
     return spec_fingerprint(spec_identity(spec.to_dict()))

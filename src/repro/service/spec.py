@@ -24,7 +24,7 @@ from repro.protocols import SCHEMES, make_scheme
 from repro.sim.config import SimConfig
 from repro.sim.deadlock import DeadlockMonitor
 from repro.sim.engine import WindowResult, run_with_window
-from repro.sim.network import Network
+from repro.sim.network import ENGINES, Network
 from repro.topology.faults import inject_link_faults, inject_router_faults
 from repro.topology.mesh import Topology, mesh
 
@@ -59,17 +59,17 @@ class SimSpec:
     sb_t_dd: int = 34
     seed: int = 1
     monitor: bool = False
-    #: Execution engine (``reference`` | ``fast``).  Engines are
-    #: bit-identical, so this is *not* part of the spec's result
-    #: identity — see :func:`spec_identity`.
+    #: Accepted (``repro.sim.network.ENGINES``), echoed and ignored: there
+    #: is one simulator.  Stored specs carry the field; it is *not* part
+    #: of the spec's result identity — see :func:`spec_identity`.
     engine: str = "reference"
     #: Answer lane (``exact`` | ``surrogate`` | ``auto``).  ``exact``
     #: always simulates; ``surrogate`` always answers from the
     #: calibrated analytical model (:mod:`repro.surrogate`); ``auto``
     #: answers from the surrogate only when its reported error bound is
-    #: under the gate threshold, else escalates to simulation.  Like
-    #: ``engine``, this selects *how* an answer is produced, not *what*
-    #: the spec identifies — it is stripped from fingerprints.
+    #: under the gate threshold, else escalates to simulation.  This
+    #: selects *how* an answer is produced, not *what* the spec
+    #: identifies — it is stripped from fingerprints.
     mode: str = "exact"
 
     def validate(self) -> None:
@@ -77,10 +77,8 @@ class SimSpec:
             raise ValueError(
                 f"unknown scheme {self.scheme!r}; have {sorted(SCHEMES)}"
             )
-        if self.engine not in ("reference", "fast"):
-            raise ValueError(
-                f"unknown engine {self.engine!r}; have ('reference', 'fast')"
-            )
+        if self.engine not in ENGINES:
+            raise ValueError(f"unknown engine {self.engine!r}; have {ENGINES}")
         if self.mode not in ("exact", "surrogate", "auto"):
             raise ValueError(
                 f"unknown mode {self.mode!r}; have ('exact', 'surrogate', 'auto')"
@@ -149,9 +147,8 @@ class SimSpec:
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SimSpec))
 
 #: Spec fields that select *how* a result is computed, not *what* it is.
-#: Excluded from content-address identity: both engines are bit-identical
-#: (enforced by ``tests/test_fastcore_equivalence.py``), so a fast-engine
-#: submission must hit the cache entry a reference-engine run produced.
+#: Excluded from content-address identity: ``engine`` is ignored, so
+#: either spelling must hit the cache entry the other produced.
 #: ``mode`` likewise: an auto-mode submission that escalates must land on
 #: (and later hit) the same stored result an exact submission produces.
 EXECUTION_ONLY_FIELDS = ("engine", "mode")
@@ -160,7 +157,7 @@ EXECUTION_ONLY_FIELDS = ("engine", "mode")
 def spec_identity(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
     """The fingerprint-bearing view of a spec dict.
 
-    Strips execution-only knobs so specs differing only in engine
+    Strips execution-only fields so specs differing only in those
     coalesce onto one stored result.  Non-``SimSpec`` spec shapes pass
     through unchanged (minus any identically-named execution field).
     """
@@ -199,12 +196,7 @@ def run_sim_spec(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
         spec.pattern, topo, spec.rate, seed=spec.seed, **traffic_kwargs
     )
     network = Network(
-        topo,
-        spec.build_config(),
-        make_scheme(spec.scheme),
-        traffic,
-        seed=spec.seed,
-        engine=spec.engine,
+        topo, spec.build_config(), make_scheme(spec.scheme), traffic, seed=spec.seed
     )
     result = run_with_window(
         network,

@@ -180,7 +180,6 @@ def seal_census(network: Network) -> List[Tuple[int, int, str, str]]:
 #: network's own hooks, then the scheme's per-cycle work.
 STEP_PHASES = (
     "_deliver_specials",
-    "_begin_cycle",
     "_inject_traffic",
     "_inject_queued",
     "_allocate",
@@ -193,8 +192,7 @@ def phase_budget(network: Network, cycles: int) -> Dict[str, float]:
 
     Times each hook ``Network.step`` calls by wrapping it on the
     *instance* for the duration of the run, so ``step`` stays the only
-    place that spells the phase order and whichever engine the network
-    runs is the one measured.  Keys are :data:`STEP_PHASES` plus
+    place that spells the phase order.  Keys are :data:`STEP_PHASES` plus
     ``"step"``, the wall time of a whole cycle (phases, timer overhead
     and ``step``'s own bookkeeping).
     """
@@ -235,7 +233,7 @@ def overslept(network: Network) -> List[Tuple[int, int]]:
     router whose ``wake_at`` is ahead of ``network.cycle`` holds a packet
     that passes every grant condition of ``Network._allocate_router``,
     and no such NI a queue head ``try_inject`` would accept.  ``[]`` on a
-    healthy network, whichever engine or sweep ran.
+    healthy network, ``full_scan`` or not.
     """
     now = network.cycle
     found = []

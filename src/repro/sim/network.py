@@ -21,7 +21,6 @@ observer is attached each emission site costs one attribute check.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.messages import MsgType, SpecialMessage
@@ -53,44 +52,14 @@ _SPECIAL_STAT_KEY = {
 }
 
 
-#: Engines selectable at :class:`Network` construction.
+#: Accepted spellings of the ``engine`` argument.  There is one sweep; the
+#: name survives only because stored specs and the frozen benchmark
+#: harness carry it — it is validated and otherwise ignored.
 ENGINES = ("reference", "fast")
 
 
 class Network:
-    """A simulated NoC over one (possibly irregular) topology.
-
-    ``engine`` selects which VCs switch allocation visits each cycle;
-    the allocator itself (:meth:`_allocate_router`, :meth:`_transfer`)
-    is shared:
-
-    * ``"reference"`` (default): every VC of every occupied router — the
-      semantic ground truth every other engine must match bit-for-bit.
-    * ``"fast"``: only the VCs that pass the struct-of-arrays filter in
-      :mod:`repro.sim.fastcore` (requires numpy).
-      ``Network(..., engine="fast")`` transparently constructs a
-      :class:`~repro.sim.fastcore.FastNetwork`.
-    """
-
-    def __new__(
-        cls,
-        topo=None,
-        config=None,
-        scheme=None,
-        traffic=None,
-        seed: int = 1,
-        engine: str = "reference",
-    ):
-        if cls is Network and engine == "fast":
-            try:
-                from repro.sim.fastcore import FastNetwork
-            except ImportError as exc:  # pragma: no cover - numpy is a dep
-                raise RuntimeError(
-                    "engine='fast' requires numpy; install it or use "
-                    "engine='reference'"
-                ) from exc
-            return super().__new__(FastNetwork)
-        return super().__new__(cls)
+    """A simulated NoC over one (possibly irregular) topology."""
 
     def __init__(
         self,
@@ -103,7 +72,6 @@ class Network:
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; have {ENGINES}")
-        self.engine = engine
         config.validate()
         if topo.kind == "mesh" and (topo.width, topo.height) != (
             config.width,
@@ -132,13 +100,10 @@ class Network:
         #: mux, because this cycle's arbitration has already happened
         #: (paper footnote 10).
         self._post_alloc = False
-        #: ``_allocate_router``'s default candidates: every VC of every port.
-        self._every_port: Dict[int, None] = dict.fromkeys(range(self._num_ports))
-
         #: Nodes whose router holds a packet — the one "has work" view the
-        #: allocator, the schemes and both engines share.  ``Router.place``
-        #: enters a router on every arrival; the allocation sweep evicts it
-        #: lazily once it sees ``occupancy == 0``, so the set is always a
+        #: allocator and the schemes share.  ``Router.place`` enters a
+        #: router on every arrival; the allocation sweep evicts it lazily
+        #: once it sees ``occupancy == 0``, so the set is always a
         #: superset of the occupied routers.  *When* an occupied router
         #: next has something it could be granted is its ``wake_at``.
         self._active_nodes: Set[int] = set()
@@ -182,10 +147,6 @@ class Network:
         self._special_arrivals: Dict[int, List[Tuple[int, int, SpecialMessage]]] = {}
 
         scheme.setup(self)
-        self._engine_setup()
-
-    def _engine_setup(self) -> None:
-        """Engine-specific post-construction hook."""
 
     def _add_router(self, node: int) -> None:
         """A fresh (empty) router wired to this network's occupied set."""
@@ -650,7 +611,6 @@ class Network:
         # A phase with nothing to act on is not entered at all.
         if self._special_arrivals:
             self._deliver_specials(now)
-        self._begin_cycle(now)
         self._inject_traffic(now)
         if self._queued_nodes:
             self._inject_queued(now)
@@ -665,9 +625,6 @@ class Network:
         self.stats.cycles += 1
         self.cycle += 1
 
-    def _begin_cycle(self, now: int) -> None:
-        """Engine hook between special delivery and injection (mirror flush)."""
-
     def _inject_queued(self, now: int) -> None:
         """Move queued packets into free local-port VCs, ascending node order."""
         queued = self._queued_nodes
@@ -678,13 +635,9 @@ class Network:
             if sleepers and wake[~node] > now:
                 continue  # ``try_inject`` refused the head; it cannot have lapsed
             ni = nis[node]
-            if ni.try_inject(now):
-                self._after_injection(ni)
+            ni.try_inject(now)
             if not ni.queue:
                 queued.discard(node)
-
-    def _after_injection(self, ni: NetworkInterface) -> None:
-        """Engine hook: ``ni`` just moved its queue head into a VC."""
 
     def _allocate(self, now: int) -> None:
         """Switch allocation at every router that can act, ascending node order."""
@@ -730,33 +683,22 @@ class Network:
 
     # -- switch allocation ---------------------------------------------------
 
-    def _allocate_router(
-        self,
-        router: Router,
-        now: int,
-        candidates: Optional[Dict[int, Optional[List[int]]]] = None,
-    ) -> None:
+    def _allocate_router(self, router: Router, now: int) -> None:
         """Request latch, output arbitration and transfers for one router.
 
-        The only switch-allocation code, shared by both engines.
-        ``candidates`` maps input port -> the positions to visit in that
-        port's :meth:`Router.cached_port_vcs` tuple, ascending; ``None``
-        for a port means every position, and ``candidates=None`` means
-        every position of every port (the reference sweep).  The fast
-        engine passes its vector-filter survivors, keys in ascending port
-        order.  Each port's positions are visited in round-robin order
-        from its pointer.  Every grant condition is checked against the
-        live objects, and a rejected VC has no side effects, so leaving
-        out VCs that cannot be granted changes nothing; nor does passing
-        over a port that ``Router._port_load`` says nobody is resident at.
+        The only switch-allocation code.  Each input port someone is
+        resident at (``Router._port_load``) offers its VCs in round-robin
+        order from its pointer; the first one that clears every grant
+        condition is the port's request.  A rejected VC has no side
+        effects (an adaptive request aside, see below).
 
-        A sweep over every position that issued no request raises
-        ``router.wake_at`` to the earliest cycle at which one of the
-        rejections lapses on its own: a ``ready_at``, a link's
-        ``busy_until``, the cycle after a special's claim, the earliest
-        ``free_at`` of an empty downstream buffer.  A dead link, a seal
-        and a downstream class full of packets never do; the event that
-        ends them wakes the router (see ``Router._wake``).
+        A sweep that issued no request raises ``router.wake_at`` to the
+        earliest cycle at which one of the rejections lapses on its own:
+        a ``ready_at``, a link's ``busy_until``, the cycle after a
+        special's claim, the earliest ``free_at`` of an empty downstream
+        buffer.  A dead link, a seal and a downstream class full of
+        packets never do; the event that ends them wakes the router (see
+        ``Router._wake``).
         """
         self.sweeps += 1
         # Input arbitration: one candidate VC per input port (round-robin).
@@ -764,21 +706,17 @@ class Network:
         # router per cycle — so it works off the router's cached per-port
         # VC tuples and plain-int port arithmetic (no enum construction).
         requests: List[Tuple[int, VirtualChannel, Packet, int, object, int]] = []
-        every_vc = candidates is None
-        if every_vc:
-            candidates = self._every_port
         # The earliest cycle at which a rejection seen so far lapses.
         wake_at = NEVER
         routers = self.routers
         vc_cache = router._vc_cache
-        port_load = router._port_load
         in_rr = router._in_rr
         output_links = router.output_links
         restricted = router.is_deadlock
         adaptive = router._adaptive_lookup is not None
         local = self._local
-        for port, order in candidates.items():
-            if not port_load[port]:
+        for port, load in enumerate(router._port_load):
+            if not load:
                 continue  # nobody resident: not even the VC tuple is read
             vcs = vc_cache[port]
             if vcs is None:
@@ -787,12 +725,7 @@ class Network:
             if n == 0:
                 continue
             start = in_rr[port] % n
-            if order is None:
-                order = range(start, start + n)
-            elif len(order) > 1:
-                cut = bisect_left(order, start)
-                order = order[cut:] + order[:cut]
-            for k in order:
+            for k in range(start, start + n):
                 vc = vcs[k % n]
                 packet = vc.packet
                 if packet is None:
@@ -843,8 +776,7 @@ class Network:
             self._grant(router, requests[0], now)  # nothing to arbitrate
             return
         if not requests:
-            if every_vc:
-                self._wake[router.node] = wake_at
+            self._wake[router.node] = wake_at
             return
         # Output arbitration: one grant per output port (round-robin on
         # input port index).

@@ -146,16 +146,6 @@ class Router:
         #: bubble activation/deactivation, bubble drain, and escape-VC
         #: provisioning — the only events that change VC membership.
         self._vc_cache: List[Optional[Tuple[VirtualChannel, ...]]] = [None] * num_ports
-        #: Membership-change hook installed by a fast engine: called with
-        #: this router's node id from ``invalidate_vc_cache`` so mirrored
-        #: state can be resynchronized lazily.
-        self._dirty_hook: Optional[Callable[[int], None]] = None
-        #: A fast engine's stale-layout flag (one cell shared by all its
-        #: routers), set when VC *membership or classing* changes
-        #: (``add_escape_vcs`` / ``add_static_bubble`` running post-warm),
-        #: which a value-level resync cannot absorb — the mirror must
-        #: rebuild its slot layout.  A private cell otherwise.
-        self._structure_stale: List[bool] = [False]
         #: The Static Bubble scheme's sealed-router set (shared by all its
         #: routers): ``set_io_restriction`` enters this router, so the set
         #: tracks every install site (including direct calls in tests).
@@ -255,8 +245,6 @@ class Router:
         cache = self._vc_cache
         for port in range(self.num_ports):
             cache[port] = None
-        if self._dirty_hook is not None:
-            self._dirty_hook(self.node)
 
     def cached_port_vcs(self, port: int) -> Tuple[VirtualChannel, ...]:
         """``tuple(port_vcs(port))``, cached until VC membership changes."""
@@ -305,13 +293,11 @@ class Router:
                     )
         self._rebuild_class_index()
         self.invalidate_vc_cache()
-        self._structure_stale[0] = True
 
     def add_static_bubble(self) -> None:
         """Attach the (initially off) static bubble buffer."""
         self.bubble = VirtualChannel(-1, -1, 0, VC_BUBBLE)
         self.invalidate_vc_cache()
-        self._structure_stale[0] = True
 
     def activate_bubble(self, in_port: int) -> None:
         bubble = self.bubble

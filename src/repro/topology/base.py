@@ -16,7 +16,7 @@ ports (each either unwired or leading to exactly one neighbor over a
 bidirectional link) and port ``r`` is the local ejection/injection port
 (``local_port``).  For the 2D mesh ``r == 4`` and the network ports
 coincide numerically with the legacy compass enum, which keeps the
-existing engines' ``% 5`` arithmetic — and therefore their cycle-exact
+mesh's ``% 5`` port arithmetic — and therefore its cycle-exact
 behaviour — unchanged.
 
 The opposite-port relation is per *edge*, not global:

@@ -3,8 +3,7 @@
 Each generator returns a :class:`GraphTopology` — an explicit
 adjacency-list instance of :class:`repro.topology.base.BaseTopology` —
 and registers a ``kind`` tag so :func:`repro.topology.base.topology_from_spec`
-can round-trip it through the ResultStore, the campaign server, and the
-fast-engine mirror:
+can round-trip it through the ResultStore and the campaign server:
 
 * :func:`mesh3d` / :func:`torus3d` — 3D grids (XYZ dimension-ordered
   routing applies on the mesh; the torus needs an adaptive/recovery

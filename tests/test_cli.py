@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -76,45 +82,35 @@ class TestSimulate:
             "--warmup", "50", "--cycles", "200",
             "--verify-first",
         ]
-        assert main(argv + ["--engine", "reference"]) == 0
-        ref_out = capsys.readouterr().out
-        assert "circulant(n=11,s1=2,s2=5)" in ref_out
-        assert "OK" in ref_out  # the cycle-cover certificate
-        # Both engines stay bit-identical off the mesh too.
-        assert main(argv + ["--engine", "fast"]) == 0
-        assert capsys.readouterr().out == ref_out
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "circulant(n=11,s1=2,s2=5)" in out
+        assert "OK" in out  # the cycle-cover certificate
 
     def test_bad_topology_flag_exits_2(self, capsys):
         assert main(["simulate", "--topology", "klein-bottle:3"]) == 2
 
-    def test_engine_flag_fast_matches_reference(self, capsys):
-        argv = [
-            "simulate",
-            "--width", "4", "--height", "4",
-            "--rate", "0.05",
-            "--warmup", "50", "--cycles", "200",
-        ]
-        assert main(argv + ["--engine", "reference"]) == 0
-        ref_out = capsys.readouterr().out
-        assert main(argv + ["--engine", "fast"]) == 0
-        fast_out = capsys.readouterr().out
-        assert fast_out == ref_out
+    def test_invalid_engine_rejected(self, capsys):
+        """There is one simulator: ``--engine`` is no longer a flag."""
+        for argv in (["simulate", "--engine", "fast"], ["submit", "--engine", "fast"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
-    def test_engine_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
-        assert main(
-            [
-                "simulate",
-                "--width", "3", "--height", "3",
-                "--rate", "0.05",
-                "--warmup", "20", "--cycles", "100",
-            ]
-        ) == 0
-        assert "avg latency" in capsys.readouterr().out
-
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["simulate", "--engine", "warp"])
+    def test_saturated_run_imports_no_numpy(self):
+        """The simulator is pure Python (12.5 MiB of RSS when it was not)."""
+        code = (
+            "import sys, repro.cli\n"
+            "assert repro.cli.main(['simulate', '--link-faults', '8', '--rate', '0.3',"
+            " '--warmup', '0', '--cycles', '300']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True, timeout=60,
+            stdout=subprocess.DEVNULL,
+        )
 
     def test_profile_flag(self, capsys, tmp_path):
         pstats_path = tmp_path / "run.pstats"

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.core.messages import MsgType
 from repro.protocols import make_scheme
 from repro.protocols.none import MinimalUnprotected
@@ -131,15 +129,14 @@ class TestSealCensus:
 
 class TestPhaseBudget:
     @staticmethod
-    def _net(engine):
+    def _net():
         topo = inject_link_faults(mesh(8, 8), 8, random.Random(1))
         traffic = UniformRandomTraffic(topo, rate=0.10, seed=1)
         return Network(topo, SimConfig(), make_scheme("static-bubble"), traffic,
-                       seed=1, engine=engine)
+                       seed=1)
 
-    @pytest.mark.parametrize("engine", ["reference", "fast"])
-    def test_phases_account_for_the_cycle(self, engine):
-        net = self._net(engine)
+    def test_phases_account_for_the_cycle(self):
+        net = self._net()
         net.run(200)
         # The least disturbed of a few runs: interference only adds time,
         # and it lands in ``step`` and the phases alike or in neither.
@@ -152,7 +149,7 @@ class TestPhaseBudget:
         assert budget["_allocate"] == max(budget[name] for name in STEP_PHASES)
 
     def test_wrappers_are_removed_and_change_nothing(self):
-        net, twin = self._net("fast"), self._net("fast")
+        net, twin = self._net(), self._net()
         phase_budget(net, 250)
         twin.run(250)
         assert net.stats == twin.stats

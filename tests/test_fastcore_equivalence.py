@@ -1,22 +1,21 @@
-"""Bit-equivalence of the fast (struct-of-arrays) engine vs the reference.
+"""Bit-equivalence of the sleeping sweep and ``full_scan``, the oracle.
 
-The fast engine (:mod:`repro.sim.fastcore`) promises *bit-identical*
-results: per-cycle stats (including measurement-window counters),
-deadlock-monitor verdicts, recovery counts, and final summaries must
-match the reference engine exactly on every scheme — the vector filter
-is an over-approximation whose scalar grant stage re-checks the same
-conditions in the same order.
+The default sweep skips a router until its ``wake_at`` and a port nobody
+is resident at; ``full_scan = True`` visits every occupied router every
+cycle.  The two promise *bit-identical* results: per-cycle stats
+(including measurement-window counters), deadlock-monitor verdicts,
+recovery counts, traced event streams and final summaries must match
+exactly on every scheme, and between steps nobody may have overslept and
+every resident index must be exact.
 
-These tests skip when numpy is unavailable (the fast engine needs it),
-unless ``REPRO_REQUIRE_FAST=1`` is set — then a missing numpy is a hard
-failure, so CI environments that are *supposed* to exercise the fast
-engine cannot silently pass by skipping.
+(The file keeps the name it had when its second opinion was the
+struct-of-arrays ``fastcore`` engine, so its test ids stay stable; the
+runs are the widest lockstep of the sleeping sweep in the suite.)
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import random
 
 import pytest
@@ -26,19 +25,11 @@ from repro.protocols import make_scheme
 from repro.sim.config import SimConfig
 from repro.sim.deadlock import DeadlockMonitor
 from repro.sim.debug import overslept, resident_index_errors
-from repro.sim.network import Network
+from repro.sim.network import ENGINES, Network
 from repro.topology.faults import inject_link_faults
 from repro.topology.generators import parse_topology
 from repro.traffic.synthetic import UniformRandomTraffic
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is baked into the toolchain
-    HAVE_NUMPY = False
-
-_REQUIRE_FAST = os.environ.get("REPRO_REQUIRE_FAST", "") not in ("", "0")
+from tests.test_router_sleep import _lockstep
 
 ALL_SCHEMES = [
     "adaptive",
@@ -51,37 +42,19 @@ ALL_SCHEMES = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def _need_numpy():
-    if not HAVE_NUMPY:
-        if _REQUIRE_FAST:
-            pytest.fail(
-                "REPRO_REQUIRE_FAST=1 but numpy is unavailable: the "
-                "fast-engine equivalence suite would be skipped silently"
-            )
-        pytest.skip("numpy unavailable; fast engine cannot run")
-
-
 def _make_pair(
     scheme_name, *, rate=0.25, faults=8, seed=1, fault_seed=1, topology="8x8"
 ):
-    """Identically-seeded (reference, fast) networks on a faulted topology."""
+    """Identically-seeded (default, ``full_scan``) networks on a faulted topology."""
     nets = []
-    for engine in ("reference", "fast"):
+    for full_scan in (False, True):
         topo = inject_link_faults(
             parse_topology(topology), faults, random.Random(fault_seed)
         )
         traffic = UniformRandomTraffic(topo, rate=rate, seed=seed)
-        nets.append(
-            Network(
-                topo,
-                SimConfig(),
-                make_scheme(scheme_name),
-                traffic,
-                seed=seed,
-                engine=engine,
-            )
-        )
+        net = Network(topo, SimConfig(), make_scheme(scheme_name), traffic, seed=seed)
+        net.full_scan = full_scan
+        nets.append(net)
     return nets
 
 
@@ -92,13 +65,13 @@ def _stats_dict(net):
 def _assert_bookkeeping(*nets):
     """Between steps: nobody overslept, every resident index is exact."""
     for net in nets:
-        assert overslept(net) == [], (net.cycle, net.engine)
-        assert resident_index_errors(net) == [], (net.cycle, net.engine)
+        assert overslept(net) == [], (net.cycle, net.full_scan)
+        assert resident_index_errors(net) == [], (net.cycle, net.full_scan)
 
 
 @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
 def test_per_cycle_stats_identical(scheme_name):
-    """Every stats field matches the reference after every single cycle.
+    """Every stats field matches the oracle after every single cycle.
 
     This subsumes final-stats equality and covers the measurement-window
     counters (``window_*``), the recovery counters
@@ -106,45 +79,35 @@ def test_per_cycle_stats_identical(scheme_name):
     counts, and the energy-proxy counters the allocator maintains
     (buffer reads/writes, crossbar flits, link-flit cycles).
     """
-    ref, fast = _make_pair(scheme_name)
-    assert fast.engine == "fast" and ref.engine == "reference"
-    for cycle in range(500):
-        _assert_bookkeeping(ref, fast)
-        ref.step()
-        fast.step()
-        r, f = _stats_dict(ref), _stats_dict(fast)
-        assert f == r, f"stats diverged at cycle {cycle} for {scheme_name}"
-    assert fast.stats.summary() == ref.stats.summary()
+    default, oracle = nets = _make_pair(scheme_name)
+    _lockstep(nets, 500)
+    assert default.stats.summary() == oracle.stats.summary()
+    assert default.sweeps < oracle.sweeps
 
 
 @pytest.mark.parametrize("scheme_name", ["static-bubble", "escape-vc", "adaptive"])
 @pytest.mark.parametrize("topology", ["torus3d:4x4x4", "circulant:64,1,8"])
 def test_per_cycle_stats_identical_off_mesh(topology, scheme_name):
     """The same per-cycle identity on 6- and 4-port non-mesh generators."""
-    ref, fast = _make_pair(scheme_name, rate=0.90, faults=4, topology=topology)
-    for cycle in range(400):
-        _assert_bookkeeping(ref, fast)
-        ref.step()
-        fast.step()
-        assert _stats_dict(fast) == _stats_dict(ref), (
-            f"stats diverged at cycle {cycle} for {scheme_name} on {topology}"
-        )
+    nets = _make_pair(scheme_name, rate=0.90, faults=4, topology=topology)
+    _lockstep(nets, 400)
+    oracle = nets[1]
     # The run must reach the recovery machinery, not just route packets.
-    assert ref.stats.probes_sent + ref.stats.escape_diversions > 0
+    assert oracle.stats.probes_sent + oracle.stats.escape_diversions > 0
 
 
 @pytest.mark.parametrize("scheme_name", ["static-bubble", "escape-vc"])
 def test_measurement_window_identical(scheme_name):
     """``begin_window`` mid-run: windowed latency/throughput match."""
-    ref, fast = _make_pair(scheme_name, rate=0.15)
-    for net in (ref, fast):
+    default, oracle = _make_pair(scheme_name, rate=0.15)
+    for net in (default, oracle):
         net.run(200)
         net.stats.begin_window(net.cycle)
         net.run(300)
-    r, f = _stats_dict(ref), _stats_dict(fast)
-    assert f == r
-    assert f["window_start_cycle"] == 200
-    assert fast.stats.window_packets_ejected > 0
+    d, o = _stats_dict(default), _stats_dict(oracle)
+    assert d == o
+    assert d["window_start_cycle"] == 200
+    assert default.stats.window_packets_ejected > 0
 
 
 @pytest.mark.parametrize(
@@ -152,126 +115,78 @@ def test_measurement_window_identical(scheme_name):
 )
 def test_deadlock_monitor_verdicts_identical(scheme_name):
     """The ground-truth deadlock oracle sees the same network evolution."""
-    ref, fast = _make_pair(scheme_name, rate=0.30, faults=10, fault_seed=3)
-    mon_ref = DeadlockMonitor(interval=32)
-    mon_fast = DeadlockMonitor(interval=32)
+    default, oracle = _make_pair(scheme_name, rate=0.30, faults=10, fault_seed=3)
+    mon_default = DeadlockMonitor(interval=32)
+    mon_oracle = DeadlockMonitor(interval=32)
     for cycle in range(700):
-        ref.step()
-        fast.step()
-        vr = mon_ref.check(ref, ref.cycle)
-        vf = mon_fast.check(fast, fast.cycle)
-        assert vf == vr, f"deadlock verdict diverged at cycle {cycle}"
-    assert mon_fast.deadlocked_pids == mon_ref.deadlocked_pids
-    assert mon_fast.first_deadlock_cycle == mon_ref.first_deadlock_cycle
+        default.step()
+        oracle.step()
+        vd = mon_default.check(default, default.cycle)
+        vo = mon_oracle.check(oracle, oracle.cycle)
+        assert vd == vo, f"deadlock verdict diverged at cycle {cycle}"
+    assert mon_default.deadlocked_pids == mon_oracle.deadlocked_pids
+    assert mon_default.first_deadlock_cycle == mon_oracle.first_deadlock_cycle
 
 
 def test_recovery_activity_is_exercised_and_identical():
     """The equivalence run actually covers recoveries, not just idling."""
-    ref, fast = _make_pair("static-bubble", rate=0.30, faults=10, fault_seed=3)
-    ref.run(900)
-    fast.run(900)
-    assert _stats_dict(fast) == _stats_dict(ref)
+    default, oracle = _make_pair("static-bubble", rate=0.30, faults=10, fault_seed=3)
+    default.run(900)
+    oracle.run(900)
+    assert _stats_dict(default) == _stats_dict(oracle)
     # With ten faults at saturation the protocol must have done real work;
     # a silent no-op equivalence would be vacuous.
-    assert ref.stats.probes_sent > 0
-    assert ref.stats.recoveries_completed + ref.stats.recoveries_aborted > 0
+    assert oracle.stats.probes_sent > 0
+    assert oracle.stats.recoveries_completed + oracle.stats.recoveries_aborted > 0
 
 
 @pytest.mark.parametrize("scheme_name", ["static-bubble", "adaptive"])
 def test_live_reconfig_identical_on_fast_engine(scheme_name):
-    """apply_faults / restore mid-run work on the fast engine (mirror rebuild)."""
-    ref, fast = _make_pair(scheme_name, rate=0.10, faults=4)
-    for net in (ref, fast):
+    """apply_faults / restore mid-run leave no sleeper behind (``wake_all``)."""
+    default, oracle = _make_pair(scheme_name, rate=0.10, faults=4)
+    for net in (default, oracle):
         net.run(150)
         summary = net.apply_faults(routers=[27], links=[(9, 10)])
         assert isinstance(summary, dict)
         net.run(150)
         net.restore(routers=[27], links=[(9, 10)])
         net.run(150)
-    assert _stats_dict(fast) == _stats_dict(ref)
+    assert _stats_dict(default) == _stats_dict(oracle)
 
 
 @pytest.mark.parametrize("scheme_name", ALL_SCHEMES)
 def test_traced_event_stream_identical(scheme_name):
-    """A traced fast network emits the reference's exact event stream.
-
-    Every emission site lives in code both engines share, so the fast
-    engine runs its own sweep under a tracer (no fallback) and still
-    produces the same events in the same order.
-    """
-    ref, fast = _make_pair(scheme_name, rate=0.30, faults=10, fault_seed=3)
+    """A traced sleeping sweep emits the oracle's exact event stream:
+    a skipped router would have emitted nothing."""
     streams = []
-    for net in (ref, fast):
+    for net in _make_pair(scheme_name, rate=0.30, faults=10, fault_seed=3):
         observer = Observer(trace=True, metrics=False, ring_capacity=1 << 20)
         net.attach_obs(observer)
         net.run(900)
         streams.append([e.to_dict() for e in observer.tracer.events])
-    assert type(fast).__name__ == "FastNetwork"
     assert len(streams[0]) > 1000
     assert streams[1] == streams[0]
 
 
-def test_paranoid_mode_matches():
-    """Resyncing the whole mirror every cycle changes nothing."""
-    ref, fast = _make_pair("static-bubble", rate=0.20)
-    fast._paranoid = True
-    ref.run(250)
-    fast.run(250)
-    assert _stats_dict(fast) == _stats_dict(ref)
-
-
 def test_full_scan_toggle_keeps_mirror_exact():
-    """Grants of either sweep land in the mirror: no resync on switching."""
-    ref, fast = _make_pair("static-bubble", rate=0.30, faults=10, fault_seed=3)
+    """Every sweep writes ``wake_at``, ``full_scan`` or not: flipping the
+    switch mid-run needs no ``wake_all``."""
+    default, toggled = _make_pair("static-bubble", rate=0.30, faults=10, fault_seed=3)
     for cycle in range(600):
-        fast.full_scan = (cycle // 40) % 2 == 1
-        ref.step()
-        fast.step()
-        assert _stats_dict(fast) == _stats_dict(ref), f"diverged at cycle {cycle}"
-    assert ref.stats.probes_sent > 0
+        toggled.full_scan = (cycle // 40) % 2 == 1
+        _assert_bookkeeping(toggled)
+        default.step()
+        toggled.step()
+        assert _stats_dict(toggled) == _stats_dict(default), f"diverged at cycle {cycle}"
+    assert default.stats.probes_sent > 0
 
 
-def _mirror_state(fast):
-    """Everything the filter can still observe of the mirror from ``fast.cycle`` on."""
-    from repro.sim.fastcore import BIG
-
-    now = fast.cycle
-    slots = [
-        (ready, outc, downc) if ready < BIG else None
-        for ready, outc, downc in zip(fast._ready, fast._outc, fast._downc)
-    ]
-    # Times at or before ``now`` all mean "available now".
-    return (
-        slots,
-        [max(v, now) for v in fast._lbusy],
-        [max(v, now) for v in fast._comb],
-    )
-
-
-@pytest.mark.parametrize("scheme_name", ["static-bubble", "escape-vc", "adaptive"])
-def test_replayed_mirror_matches_full_resync(scheme_name):
-    """Replaying the noted grants leaves exactly what a full resync builds."""
-    _, fast = _make_pair(scheme_name, rate=0.30, faults=10, fault_seed=3)
-    fast.run(250)  # fills past DENSE_ABOVE: the mirror exists from here on
-    assert fast._dense
-    for _ in range(12):
-        fast.run(50)
-        fast._begin_cycle(fast.cycle)
-        replayed = _mirror_state(fast)
-        fast._resync_all()
-        assert _mirror_state(fast) == replayed
-    assert fast.stats.packets_ejected > 0
-
-
-# -- the per-cycle sweep choice ----------------------------------------------
+# -- load ramps ----------------------------------------------------------------
 #
-# The fast engine picks the base sweep or the vector filter each cycle
-# from packets in flight.  Correctness must not depend on the choice, so
-# these runs are driven across both edges (sparse -> dense -> sparse) and
-# compared cycle by cycle with the reference and with ``full_scan=True``,
-# the sweep that skips nothing.
+# Sleeping pays off differently empty, filling, saturated and draining, so
+# these runs are driven through all four and compared cycle by cycle.
 
-#: (topology, link faults, offered rate that fills it past ``DENSE_ABOVE``)
+#: (topology, link faults, offered rate that saturates it)
 RAMP_TOPOLOGIES = [("8x8", 8, 0.30), ("torus3d:4x4x4", 4, 0.90)]
 
 
@@ -283,30 +198,20 @@ def _set_rate(net, rate):
     traffic.packet_prob = min(1.0, rate / traffic.mean_flits) if rate else 0.0
 
 
-def _make_trio(scheme_name, topology, faults):
-    """(reference, fast, reference with ``full_scan``), seeded identically."""
-    ref, fast = _make_pair(scheme_name, rate=0.02, faults=faults, topology=topology)
-    oracle, _ = _make_pair(scheme_name, rate=0.02, faults=faults, topology=topology)
-    oracle.full_scan = True
-    return ref, fast, oracle
-
-
 @pytest.mark.parametrize("scheme_name", ["static-bubble", "escape-vc", "adaptive"])
 @pytest.mark.parametrize("topology,faults,high", RAMP_TOPOLOGIES)
 def test_rate_ramp_crosses_both_edges_identically(topology, faults, high, scheme_name):
     """Rate 0.02 -> saturating -> 0: stats every cycle, monitor verdicts
-    and the traced event stream agree across reference / fast / full_scan."""
-    nets = _make_trio(scheme_name, topology, faults)
-    fast = nets[1]
-    if (topology, scheme_name) == ("8x8", "adaptive"):
-        high = 0.45  # adaptive routing holds 0.30 at ~220 in flight, under DENSE_ABOVE
+    and the traced event stream agree between the default sweep and
+    ``full_scan``."""
+    nets = _make_pair(scheme_name, rate=0.02, faults=faults, topology=topology)
     monitors = [DeadlockMonitor(interval=32) for _ in nets]
     observers = [
         Observer(trace=True, metrics=False, ring_capacity=1 << 21) for _ in nets
     ]
     for net, observer in zip(nets, observers):
         net.attach_obs(observer)
-    modes = []
+    in_flight = []
     for phase_rate, cycles in ((0.02, 150), (high, 300), (0.0, 700)):
         for net in nets:
             _set_rate(net, phase_rate)
@@ -317,97 +222,68 @@ def test_rate_ramp_crosses_both_edges_identically(topology, faults, high, scheme
                 net.step()
                 verdicts.append(monitor.check(net, net.cycle))
             cycle = nets[0].cycle
-            assert verdicts[1] == verdicts[0] == verdicts[2], cycle
-            reference = _stats_dict(nets[0])
-            assert _stats_dict(fast) == reference, f"fast diverged at {cycle}"
-            assert _stats_dict(nets[2]) == reference, f"full_scan diverged at {cycle}"
-            if not modes or modes[-1] != fast._dense:
-                modes.append(fast._dense)
-    # The run really crossed sparse -> dense -> sparse on the fast engine.
-    assert modes == [False, True, False]
-    assert 0 < fast.filter_passes < fast.cycle
+            assert verdicts[0] == verdicts[1], cycle
+            assert _stats_dict(nets[0]) == _stats_dict(nets[1]), f"diverged at {cycle}"
+        in_flight.append(nets[0].total_occupancy())
+    # The run really went nearly empty -> full -> nearly empty.
+    low, full, drained = in_flight
+    assert low < 20 < 150 < full and drained < 20
     streams = [[e.to_dict() for e in obs.tracer.events] for obs in observers]
     assert len(streams[0]) > 1000
     assert streams[1] == streams[0]
-    assert streams[2] == streams[0]
     assert monitors[1].deadlocked_pids == monitors[0].deadlocked_pids
 
 
 @pytest.mark.parametrize("scheme_name", ["static-bubble", "escape-vc", "adaptive"])
 def test_live_reconfig_in_each_mode(scheme_name):
-    """``apply_faults`` / ``restore`` issued on sparse and on dense cycles."""
-    ref, fast = _make_pair(scheme_name, rate=0.02, faults=4)
-    seen = []
+    """``apply_faults`` / ``restore`` issued at low load, saturated and
+    draining."""
+    nets = _make_pair(scheme_name, rate=0.02, faults=4)
 
-    def both(action, **what):
-        seen.append((action, fast._dense))
-        for net in (ref, fast):
-            getattr(net, action)(**what)
+    def both(action, *args, **kwargs):
+        for net in nets:
+            action(net, *args, **kwargs)
 
-    def run(cycles):
-        for _ in range(cycles):
-            _assert_bookkeeping(ref, fast)
-            ref.step()
-            fast.step()
-            assert _stats_dict(fast) == _stats_dict(ref), ref.cycle
-
-    run(100)
-    both("apply_faults", routers=[27], links=[(9, 10)])   # sparse
-    run(60)
-    both("restore", routers=[27])                          # sparse
-    # (0.30 takes ~300 cycles to put DENSE_ABOVE packets in flight around
-    # four faults, and adaptive routing never does.)
-    for net in (ref, fast):
-        _set_rate(net, 0.45)
-    run(100)
-    both("apply_faults", routers=[36], links=[(20, 21)])  # dense
-    run(60)
-    both("restore", routers=[36], links=[(9, 10), (20, 21)])  # dense
-    run(60)
-    for net in (ref, fast):
-        _set_rate(net, 0.0)
-    run(650)  # (the full NI queues keep filling the network for a while)
-    both("apply_faults", links=[(50, 51)])                 # sparse again
-    run(40)
-    assert [dense for _, dense in seen] == [False, False, True, True, False]
-    assert ref.stats.packets_dropped_reconfig > 0
+    _lockstep(nets, 100)
+    both(Network.apply_faults, routers=[27], links=[(9, 10)])
+    _lockstep(nets, 60)
+    both(Network.restore, routers=[27])
+    both(_set_rate, 0.45)
+    _lockstep(nets, 100)
+    both(Network.apply_faults, routers=[36], links=[(20, 21)])
+    _lockstep(nets, 60)
+    both(Network.restore, routers=[36], links=[(9, 10), (20, 21)])
+    _lockstep(nets, 60)
+    both(_set_rate, 0.0)
+    _lockstep(nets, 650)  # (the full NI queues keep filling the network for a while)
+    both(Network.apply_faults, links=[(50, 51)])
+    _lockstep(nets, 40)
+    assert nets[0].stats.packets_dropped_reconfig > 0
 
 
 def test_drained_network_evicts_routers_and_stops_filtering():
-    """After a burst drains, neither engine keeps a router active and the
-    fast engine runs no further filter pass."""
-    ref, fast = _make_pair("static-bubble", rate=0.05)
-    for net in (ref, fast):
-        net.run(400)
-        net.traffic = None
-        for _ in range(2000):
-            if net.is_drained():
-                break
-            net.step()
-        assert net.is_drained()
-        net.run(2)  # the sweep after the last departure evicts lazily
-    assert [len(net._active_nodes) for net in (ref, fast)] == [0, 0]
-    assert not ref._queued_nodes and not fast._queued_nodes
-    passes = fast.filter_passes
-    fast.run(50)
-    assert fast.filter_passes == passes
-
-
-def test_mirror_is_built_on_the_first_dense_cycle():
-    """Construction builds no mirror; low load never builds one."""
-    _, fast = _make_pair("static-bubble", rate=0.02)
-    assert fast._structure_stale[0] and not hasattr(fast, "_ready")
-    fast.run(300)
-    assert fast.filter_passes == 0 and not hasattr(fast, "_ready")
-    _set_rate(fast, 0.30)
-    fast.run(200)
-    assert fast._dense and fast.filter_passes > 0 and not fast._structure_stale[0]
+    """After a burst drains, no router stays in the occupied set and no
+    further sweep runs."""
+    net, _ = _make_pair("static-bubble", rate=0.05)
+    net.run(400)
+    net.traffic = None
+    for _ in range(2000):
+        if net.is_drained():
+            break
+        net.step()
+    assert net.is_drained()
+    net.run(2)  # the sweep after the last departure evicts lazily
+    assert not net._active_nodes and not net._queued_nodes
+    sweeps = net.sweeps
+    net.run(50)
+    assert net.sweeps == sweeps
 
 
 def test_engine_tag_and_selection():
-    ref, fast = _make_pair("xy", rate=0.05)
-    assert type(fast).__name__ == "FastNetwork"
-    assert type(ref) is Network
-    with pytest.raises(ValueError):
-        topo = parse_topology("4x4")
-        Network(topo, SimConfig(), make_scheme("xy"), engine="warp")
+    """``engine`` is an accepted, validated, ignored spelling."""
+    topo, config = parse_topology("4x4"), SimConfig(width=4, height=4)
+    for engine in ENGINES:
+        net = Network(topo, config, make_scheme("xy"), engine=engine)
+        assert type(net) is Network
+    with pytest.raises(ValueError, match="unknown engine 'warp'"):
+        Network(topo, config, make_scheme("xy"), engine="warp")

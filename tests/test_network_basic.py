@@ -177,11 +177,9 @@ class TestRouterWakeTime:
     packets can be switched, and every arrival goes through ``place``."""
 
     @staticmethod
-    def _net(engine="reference"):
+    def _net():
         config = SimConfig(width=4, height=4)
-        return Network(
-            mesh(4, 4), config, MinimalUnprotected(), None, seed=1, engine=engine
-        )
+        return Network(mesh(4, 4), config, MinimalUnprotected(), None, seed=1)
 
     @staticmethod
     def _place(net, node, vc_index, pid, ready_at):
@@ -198,9 +196,9 @@ class TestRouterWakeTime:
         net = self._net()
         sweeps = []
         allocate_router = net._allocate_router
-        net._allocate_router = lambda router, now, *rest: (
+        net._allocate_router = lambda router, now: (
             sweeps.append((router.node, now)),
-            allocate_router(router, now, *rest),
+            allocate_router(router, now),
         )
         first = self._place(net, 5, 0, 1, ready_at=0)
         late = self._place(net, 5, 1, 2, ready_at=20)
@@ -214,9 +212,8 @@ class TestRouterWakeTime:
         assert first.packet is None and late.packet is None
         assert net.stats.packets_ejected == 2
 
-    @pytest.mark.parametrize("engine", ["reference", "fast"])
-    def test_packet_placed_on_a_sleeping_router_moves_when_ready(self, engine):
-        net = self._net(engine)
+    def test_packet_placed_on_a_sleeping_router_moves_when_ready(self):
+        net = self._net()
         oracle = self._net()
         oracle.full_scan = True
         for n in (net, oracle):

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.core.turns import Port
 from repro.sim.debug import resident_index_errors
 from repro.sim.packet import Packet
@@ -24,10 +22,10 @@ from repro.verify import model
 from tests.test_router_sleep import _idle_pair, _lockstep, _mover, _park, _saturated
 
 
-def _harness_network(scheme, rate, engine="reference"):
+def _harness_network(scheme, rate):
     """The harness's seed-1 ``sim-lowload`` topology (``inputs.sim_specs``)."""
     seed = random.Random("harness:1:sim-lowload").randrange(1, 2**31)
-    return _saturated(scheme, rate=rate, seed=seed, engine=engine)
+    return _saturated(scheme, rate=rate, seed=seed)
 
 
 # -- the two bugs the index exposed ------------------------------------------
@@ -110,14 +108,11 @@ def test_escape_timer_pulls_at_most_5_percent_of_the_buffers(monkeypatch):
     assert in_on_cycle <= 0.05 * every_buffer
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
-def test_low_load_sweep_opens_loaded_ports_only(engine):
+def test_low_load_sweep_opens_loaded_ports_only():
     """Seed-1 ``sim-lowload`` spec: a sweep reads the VC tuple of a port
     only if someone is resident there — about a quarter of the ports of
     the routers it visits."""
-    if engine == "fast":
-        pytest.importorskip("numpy")
-    net = _harness_network("static-bubble", 0.02, engine)
+    net = _harness_network("static-bubble", 0.02)
     sweeping = [False]
     opened = [0]
     empty_opened = []

@@ -92,8 +92,8 @@ class TestJobQueue:
 
     def test_engine_field_excluded_from_identity(self, store, tmp_path):
         """Specs differing only in ``engine`` coalesce onto one result:
-        the engines are bit-identical, so a fast-engine submission must
-        hit the cache entry a reference-engine run produced."""
+        the field is ignored, so either spelling must hit the cache entry
+        the other produced."""
         with make_queue(store, runner_ok) as queue:
             ref, fresh1 = queue.submit(
                 {"value": 3, "engine": "reference", "log_dir": str(tmp_path)}

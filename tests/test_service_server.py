@@ -83,6 +83,24 @@ class TestEndpoints:
         )
         assert status == 400
 
+    def test_engine_field_is_validated_echoed_and_ignored(self, client):
+        """There is one simulator; stored specs and old clients still say
+        ``engine``.  An unknown spelling is refused, a known one rides
+        along: same fingerprint, same result, echoed verbatim."""
+        status, payload, _ = client._request("POST", "/jobs", {"engine": "warp"})
+        assert status == 400
+        assert "warp" in payload["error"]
+
+        plain = SimSpec(**TINY)
+        stored = dict(plain.to_dict(), engine="fast")
+        spec = SimSpec.from_dict(stored)
+        assert spec.to_dict() == stored
+        assert fingerprint_for(spec) == fingerprint_for(plain)
+        result = client.run(spec, timeout=60)["result"]
+        assert result["spec"] == stored
+        expected = run_sim_spec(plain.to_dict())
+        assert {**result, "spec": None} == {**expected, "spec": None}
+
     def test_unknown_endpoint_404(self, client):
         status, _, _ = client._request("GET", "/nope")
         assert status == 404
