@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Soak the distributed fabric: async server + worker fleet + failures.
+"""Soak the distributed fabric: front end + worker fleet + failures.
 
 The full distributed stack, failed on purpose, gated on exactness:
 
 1. compute a serial baseline for a fig8-scale campaign (every spec run
    in-process through :func:`run_sim_spec` — the ground truth);
-2. boot one :class:`AsyncServiceServer` with ``local_exec=False`` over a
+2. boot one :class:`ServiceServer` with ``local_exec=False`` over a
    two-shard :class:`ShardedResultStore` (replicas=2);
 3. launch three ``python -m repro worker`` subprocesses;
 4. submit the whole campaign, then while it runs **SIGKILL one worker**
@@ -39,7 +39,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.obs.metrics import MetricsRegistry  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 from repro.service.fabric import ShardMap, ShardedResultStore  # noqa: E402
-from repro.service.fabric.asyncserver import AsyncServiceServer  # noqa: E402
+from repro.service.server import ServiceServer  # noqa: E402
 from repro.service.server import fingerprint_for  # noqa: E402
 from repro.service.spec import SimSpec, run_sim_spec  # noqa: E402
 
@@ -99,7 +99,7 @@ def main() -> int:
         roots = [Path(tmp) / "s0", Path(tmp) / "s1"]
         smap = ShardMap.local(roots, replicas=2)
         store = ShardedResultStore(smap, registry=MetricsRegistry())
-        server = AsyncServiceServer(
+        server = ServiceServer(
             port=0,
             store=store,
             quiet=True,

@@ -24,9 +24,9 @@ Commands:
   (``--model-check ring2x2``).  Exits 1 on any failed claim.
 * ``serve`` — run the HTTP campaign server (``repro.service``): submit
   simulation specs over ``POST /jobs``, get memoized results from the
-  content-addressed store, scrape ``GET /metrics``.  ``--backend async``
-  swaps in the event-loop front end; ``--shard``/``--shard-map`` swap in
-  the consistent-hash sharded store (:mod:`repro.service.fabric`).
+  content-addressed store, scrape ``GET /metrics``.
+  ``--shard``/``--shard-map`` swap in the consistent-hash sharded store
+  (:mod:`repro.service.fabric`).
 * ``worker`` — remote worker pool member: long-poll a campaign server
   for leased jobs, execute them locally, and report results with
   at-least-once delivery (heartbeats, idempotent completion).
@@ -280,11 +280,10 @@ def _resolve_store_arg(args: argparse.Namespace):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.fabric import make_server
+    from repro.service.server import ServiceServer
 
     store = _resolve_store_arg(args)
-    server = make_server(
-        backend=args.backend,
+    server = ServiceServer(
         host=args.host,
         port=args.port,
         store=store,
@@ -299,7 +298,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         local_exec=not args.no_local_exec,
     )
     server.start()
-    print(f"repro service listening on {server.url} ({args.backend} front end)")
+    print(f"repro service listening on {server.url}")
     shard_map = getattr(store, "map", None)
     if shard_map is not None:
         for shard in shard_map.shards:
@@ -837,14 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the surrogate fast lane (mode surrogate/auto "
         "submissions then always simulate)",
-    )
-    p.add_argument(
-        "--backend",
-        choices=("threaded", "async"),
-        default="threaded",
-        help="HTTP front end: threaded = thread-per-connection "
-        "(ThreadingHTTPServer), async = single event loop with "
-        "streaming bodies and graceful drain",
     )
     p.add_argument(
         "--shard",

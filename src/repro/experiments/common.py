@@ -16,7 +16,7 @@ import os
 from statistics import mean
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.parallel import Job, run_jobs, run_jobs_batched
+from repro.parallel import Job, run_jobs
 from repro.protocols import make_scheme
 from repro.sim.config import SimConfig
 from repro.sim.deadlock import DeadlockMonitor
@@ -126,7 +126,6 @@ def fan_out(
     progress: Optional[Callable[[int, int], None]] = None,
     cached: Optional[bool] = None,
     store=None,
-    batch_size: Optional[int] = None,
     mode: Optional[str] = None,
     predictor: Optional[Callable] = None,
 ) -> List:
@@ -147,12 +146,6 @@ def fan_out(
     nine figure sweeps through this one entry point.  Results round-trip
     through :mod:`repro.utils.serialize`, so a cache hit is
     indistinguishable (tuples, dataclasses and all) from a fresh run.
-
-    ``batch_size`` routes the uncached sweep through
-    :func:`repro.parallel.run_jobs_batched` — many cells per worker
-    invocation, so per-process caches (warm routing tables) amortize
-    across the batch.  Results are identical either way; progress
-    callbacks just fire per batch instead of per cell.
 
     ``mode``/``predictor`` form the surrogate fast lane.  ``predictor``
     is called as ``predictor(args, mode)`` for each cell and returns
@@ -192,7 +185,6 @@ def fan_out(
                 progress=_lane_progress,
                 cached=cached,
                 store=store,
-                batch_size=batch_size,
                 mode="exact",
             )
             for i, value in zip(escalate, exact):
@@ -200,10 +192,6 @@ def fan_out(
         return results
     if not cached:
         jobs = [Job(func, tuple(args)) for args in argslist]
-        if batch_size is not None:
-            return run_jobs_batched(
-                jobs, workers=workers, progress=progress, batch_size=batch_size
-            )
         return run_jobs(jobs, workers=workers, progress=progress)
     return _fan_out_cached(func, argslist, workers, progress, store)
 

@@ -10,7 +10,6 @@ from repro.parallel.pool import (
     job_seed,
     resolve_workers,
     run_jobs,
-    run_jobs_batched,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "job_seed",
     "resolve_workers",
     "run_jobs",
-    "run_jobs_batched",
 ]

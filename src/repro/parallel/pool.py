@@ -142,17 +142,6 @@ def call_with_timeout(
     return value
 
 
-def _call_batch(batch: Tuple[Job, ...]) -> List[Any]:
-    """Run a whole batch of jobs inside one worker invocation.
-
-    Cells run sequentially in submission order, sharing the worker's
-    process state — warm per-process caches (e.g. the routing-table memo
-    in :mod:`repro.routing.table`) amortize across every cell of the
-    batch instead of being rebuilt per dispatch.
-    """
-    return [job.run() for job in batch]
-
-
 def _call_job_obs(job: Job) -> Tuple[Any, Dict[str, Any]]:
     """Trampoline used when ``REPRO_OBS`` is on: ship the worker's
     per-process metrics snapshot home alongside the result, so the parent
@@ -230,7 +219,6 @@ def run_jobs(
     jobs: Iterable[Job],
     workers: Optional[int] = None,
     progress: Optional[Callable[[int, int], None]] = None,
-    chunksize: Optional[int] = None,
 ) -> List[Any]:
     """Run every job; return their results in submission order.
 
@@ -240,9 +228,11 @@ def run_jobs(
     * ``progress``: called as ``progress(done, total)`` after each job
       completes (in completion order under a pool, which equals
       submission order because results stream through ``imap``).
-    * ``chunksize``: jobs dispatched per worker task; defaults to
-      ``len(jobs) // (workers * 4)`` (at least 1) so long sweeps
-      amortize IPC while short ones still load-balance.
+
+    Pool processes live for the whole list and take
+    ``len(jobs) // (workers * 4)`` jobs (at least 1) per task, so long
+    sweeps amortize IPC and per-process caches (warm routing tables)
+    while short ones still load-balance.
 
     Serial fallbacks (all produce identical results): a single job,
     ``workers=1``, unpicklable jobs, or a host that cannot create a
@@ -255,8 +245,7 @@ def run_jobs(
     n = min(resolve_workers(workers), total)
     if n <= 1 or not _picklable(jobs):
         return _run_serial(jobs, progress)
-    if chunksize is None:
-        chunksize = max(1, total // (n * 4))
+    chunksize = max(1, total // (n * 4))
     try:
         pool = _pool_context().Pool(processes=n)
     except (OSError, PermissionError, ImportError):
@@ -273,64 +262,3 @@ def run_jobs(
             if progress is not None:
                 progress(i + 1, total)
     return results
-
-
-def run_jobs_batched(
-    jobs: Iterable[Job],
-    workers: Optional[int] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-    batch_size: Optional[int] = None,
-) -> List[Any]:
-    """Like :func:`run_jobs`, but cells are packed into batch jobs.
-
-    Many sweep cells are cheap relative to dispatch: each ``run_jobs``
-    result crosses the pool boundary individually, and per-cell process
-    state (warm caches, imports) is wasted when chunks migrate.  Here the
-    job list is split into contiguous batches of ``batch_size`` cells,
-    each batch executes as *one* worker invocation
-    (:func:`_call_batch`), and the flattened results come back in
-    submission order — bit-identical to ``run_jobs`` on the same list,
-    since cells are pure functions of their arguments.
-
-    * ``batch_size``: cells per worker invocation; ``None`` packs the
-      list into ``workers * 4`` batches (at least 1 cell each), the same
-      load-balance point ``run_jobs`` uses for its chunksize.
-    * ``progress``: called with *cell* counts, but only as each batch
-      completes — coarser updates are the cost of batching.
-    * Failure granularity: a raising cell aborts its whole batch (the
-      :class:`JobError` still names the offending cell).  Callers that
-      need per-cell outcomes wrap their runner to return statuses, as
-      the service queue does.
-
-    Serial fallback: with one effective worker the batching layer is
-    skipped entirely and cells run like ``run_jobs(workers=1)``.
-    """
-    jobs = list(jobs)
-    total = len(jobs)
-    if total == 0:
-        return []
-    n = min(resolve_workers(workers), total)
-    if n <= 1:
-        return _run_serial(jobs, progress)
-    if batch_size is None:
-        batch_size = max(1, -(-total // (n * 4)))
-    else:
-        batch_size = max(1, batch_size)
-    batches = [
-        tuple(jobs[i : i + batch_size]) for i in range(0, total, batch_size)
-    ]
-    done_after = []
-    done = 0
-    for batch in batches:
-        done += len(batch)
-        done_after.append(done)
-
-    def _batch_progress(batches_done: int, _batches_total: int) -> None:
-        if progress is not None:
-            progress(done_after[batches_done - 1], total)
-
-    batch_jobs = [Job(_call_batch, (batch,)) for batch in batches]
-    nested = run_jobs(
-        batch_jobs, workers=n, progress=_batch_progress, chunksize=1
-    )
-    return [result for batch in nested for result in batch]

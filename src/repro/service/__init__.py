@@ -7,12 +7,14 @@ The memoizing service layer over the simulator (see DESIGN.md):
 * :mod:`repro.service.store` — :class:`ResultStore`, fingerprint-keyed
   JSON blobs with atomic writes and LRU size capping;
 * :mod:`repro.service.queue` — :class:`JobQueue` (dedup, priorities,
-  timeout/retry) and :func:`run_campaign` (resumable manifest sweeps);
+  timeout/retry, and the claim / heartbeat / complete lease protocol
+  through which every job — local or remote — is run and settled) and
+  :func:`run_campaign` (resumable manifest sweeps);
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the HTTP
-  face (``repro serve`` / ``repro submit``);
-* :mod:`repro.service.fabric` — the distributed fabric: asyncio front
-  end, consistent-hash sharded storage, and remote worker pools
-  (``repro serve --backend async`` / ``repro worker``).
+  face: one asyncio front end (``repro serve``) and its client
+  (``repro submit``);
+* :mod:`repro.service.fabric` — the distributed fabric: consistent-hash
+  sharded storage and remote worker pools (``repro worker``).
 """
 
 from repro.service.client import JobFailedError, ServiceClient, ServiceError
@@ -29,7 +31,6 @@ from repro.service.fabric import (
     FabricWorker,
     ShardMap,
     ShardedResultStore,
-    make_server,
     run_worker,
 )
 from repro.service.spec import SimSpec, run_sim_spec, sim_result_payload
@@ -57,7 +58,6 @@ __all__ = [
     "ShardedResultStore",
     "SimSpec",
     "default_store_root",
-    "make_server",
     "run_campaign",
     "run_sim_spec",
     "run_worker",

@@ -63,7 +63,7 @@ class JobFailedError(ServiceError):
 
 
 class ServiceClient:
-    """Talk to a :class:`repro.service.server.ServiceServer` (either front end)."""
+    """Talk to a :class:`repro.service.server.ServiceServer`."""
 
     def __init__(
         self,

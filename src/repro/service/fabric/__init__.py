@@ -1,11 +1,7 @@
-"""Distributed campaign fabric: async front end, sharded store, workers.
+"""Distributed campaign fabric: sharded store and remote workers.
 
 Scales :mod:`repro.service` from one process to a fleet (see DESIGN §4e):
 
-* :mod:`repro.service.fabric.asyncserver` —
-  :class:`AsyncServiceServer`, a single-event-loop HTTP front end with
-  streaming bodies, graceful drain, and per-endpoint latency
-  histograms (lifts the thread-per-connection ceiling);
 * :mod:`repro.service.fabric.shard` — :class:`ShardMap` /
   :class:`ShardedResultStore`, consistent-hash placement of result
   blobs over many storage roots with read-through replication, plus the
@@ -14,9 +10,12 @@ Scales :mod:`repro.service` from one process to a fleet (see DESIGN §4e):
   :func:`run_worker`, the ``repro worker`` pull-execute-report loop
   with lease heartbeats and idempotent completion (at-least-once
   delivery, exactly one stored result).
+
+The front end a fleet talks to is :class:`repro.service.server.ServiceServer`;
+``AsyncServiceServer`` is that same class under the name it was born with.
 """
 
-from repro.service.fabric.asyncserver import AsyncServiceServer, make_server
+from repro.service.server import ServiceServer as AsyncServiceServer
 from repro.service.fabric.shard import (
     Shard,
     ShardMap,
@@ -32,7 +31,6 @@ __all__ = [
     "ShardMap",
     "ShardedResultStore",
     "WorkerStats",
-    "make_server",
     "rebalance",
     "run_worker",
 ]

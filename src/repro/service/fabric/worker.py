@@ -1,47 +1,44 @@
 """Remote worker pool: ``repro worker`` — pull, execute, report.
 
 A worker process owns no queue and no store; it long-polls a campaign
-front end for leased jobs (``GET /jobs/claim``), executes them through
-exactly the same path local execution uses
-(:func:`repro.service.queue._guarded_run` over
-:func:`repro.service.spec.run_sim_spec`, fanned through
-:func:`repro.parallel.run_jobs_batched` when the claim batch is large
-enough to amortize warm caches), and reports each outcome
-(``POST /jobs/<id>/complete``).
+front end for leased jobs (``GET /jobs/claim``) and hands them to
+:func:`repro.service.queue.execute_leased` — the one function every
+claimant, the server's own local executor included, runs between claim
+and completion — with ``POST /jobs/<id>/heartbeat`` and
+``POST /jobs/<id>/complete`` as its heartbeat and completion calls.
 
 Delivery semantics — at-least-once, exactly-one-result:
 
-* while executing, a heartbeat thread re-asserts the lease every
-  ``lease_ttl / 3`` seconds; a worker that is killed simply stops
-  heartbeating and the server requeues the job for the next claimant;
+* while executing, a :class:`~repro.service.queue.LeaseKeeper` thread
+  re-asserts the lease every ``lease_ttl / 3`` seconds; a worker that
+  is killed simply stops heartbeating and the server requeues the job
+  for the next claimant;
 * a heartbeat answered ``ok: false`` means the lease is forfeit (the
   job was requeued and possibly finished elsewhere) — the worker still
   reports its result when it finishes, because completion is idempotent:
   the server coalesces duplicates by content fingerprint, so racing
   workers can never double-store or double-count a result;
 * results reported by workers feed surrogate calibration on the server
-  side through the queue's ``on_executed`` hook — remote execution is
-  indistinguishable from local execution to the fast lane.
+  side through the queue's ``on_executed`` hook, fired by ``complete``
+  for every claimant alike.
 
 The executing simulation cannot be preempted mid-cycle; the portable
 wall-clock budget (:func:`repro.parallel.call_with_timeout`) bounds each
-job using the server-advertised per-job timeout.
+job using the server-advertised per-job timeout.  Every claim reply also
+says whether the front end is draining, which ends :meth:`run_forever`.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry, proc_registry
-from repro.parallel import Job, run_jobs_batched
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.queue import _guarded_run
-from repro.service.spec import run_sim_spec
+from repro.service.queue import DEFAULT_LEASE_TTL, LeaseKeeper, execute_leased
 
 #: Default long-poll window per claim request.
 DEFAULT_POLL_WAIT = 15.0
@@ -76,54 +73,6 @@ class WorkerStats:
             f"failed={self.failed} duplicates={self.duplicates} "
             f"lease_lost={self.lease_lost} idle_polls={self.idle_polls}"
         )
-
-
-class _HeartbeatThread(threading.Thread):
-    """Re-asserts leases on every in-flight job while a batch executes."""
-
-    def __init__(
-        self,
-        client: ServiceClient,
-        worker_id: str,
-        job_ids: List[str],
-        lease_ttl: float,
-        stats: WorkerStats,
-    ) -> None:
-        super().__init__(name="repro-worker-heartbeat", daemon=True)
-        self.client = client
-        self.worker_id = worker_id
-        self.lease_ttl = lease_ttl
-        self.stats = stats
-        self._job_ids = set(job_ids)
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-
-    def settle(self, job_id: str) -> None:
-        """Stop heartbeating a job once it has been reported."""
-        with self._lock:
-            self._job_ids.discard(job_id)
-
-    def stop(self) -> None:
-        self._stop.set()
-
-    def run(self) -> None:
-        interval = max(0.2, self.lease_ttl / 3.0)
-        with self.client:  # closes this thread's connection, not the poller's
-            while not self._stop.wait(interval):
-                with self._lock:
-                    pending = list(self._job_ids)
-                if not pending:
-                    return
-                for job_id in pending:
-                    try:
-                        alive = self.client.heartbeat(job_id, self.worker_id)
-                    except (ServiceError, OSError):
-                        continue  # transient; the lease may still hold
-                    if not alive:
-                        # Forfeit: the server requeued it.  Keep executing —
-                        # completion is idempotent — but stop asserting.
-                        self.stats.lease_lost += 1
-                        self.settle(job_id)
 
 
 class FabricWorker:
@@ -162,68 +111,58 @@ class FabricWorker:
         claim = self.client.claim(
             self.worker_id, max_jobs=self.max_jobs, wait=self.poll_wait
         )
+        if claim.get("draining"):
+            self.stop()  # nothing more will be handed out
         jobs = claim.get("jobs", [])
         if not jobs:
             self.stats.idle_polls += 1
             return 0
         self.stats.claims += len(jobs)
-        lease_ttl = float(claim.get("lease_ttl", 30.0))
-        timeout = claim.get("timeout")
-        heartbeat = _HeartbeatThread(
-            self.client,
-            self.worker_id,
-            [job["job_id"] for job in jobs],
-            lease_ttl,
-            self.stats,
-        )
-        heartbeat.start()
-        try:
-            outcomes = run_jobs_batched(
-                [
-                    Job(_guarded_run, (run_sim_spec, job["spec"], timeout))
-                    for job in jobs
-                ],
+        with LeaseKeeper(
+            self._heartbeat,
+            float(claim.get("lease_ttl", DEFAULT_LEASE_TTL)),
+            release=self.client.close,  # the keeper thread's own connection
+        ) as keeper:
+            settled = execute_leased(
+                [(job["job_id"], job["spec"]) for job in jobs],
+                keeper,
+                self._complete,
+                timeout=claim.get("timeout"),
                 workers=self.exec_workers,
             )
-            for job, (status, value) in zip(jobs, outcomes):
-                job_id = job["job_id"]
-                try:
-                    if status == "ok":
-                        outcome = self.client.complete(
-                            job_id, self.worker_id, True, result=value
-                        )
-                        self.stats.executed += 1
-                    else:
-                        outcome = self.client.complete(
-                            job_id, self.worker_id, False, error=str(value)
-                        )
-                        self.stats.failed += 1
-                    self.stats.record_outcome(outcome)
-                finally:
-                    heartbeat.settle(job_id)
-            self.registry.counter("service.worker.settled").inc(len(jobs))
-        finally:
-            heartbeat.stop()
+        self.stats.lease_lost += keeper.lost
+        for ok, verdict in settled:
+            if ok:
+                self.stats.executed += 1
+            else:
+                self.stats.failed += 1
+            self.stats.record_outcome(verdict)
+        self.registry.counter("service.worker.settled").inc(len(jobs))
         if not self.quiet:
             print(f"[{self.worker_id}] {self.stats.summary()}", flush=True)
         return len(jobs)
 
+    def _heartbeat(self, job_id: str) -> bool:
+        try:
+            return self.client.heartbeat(job_id, self.worker_id)
+        except (ServiceError, OSError):
+            return True  # transient; the lease may still hold
+
+    def _complete(self, job_id: str, ok: bool, value: Any) -> str:
+        if ok:
+            return self.client.complete(job_id, self.worker_id, True, result=value)
+        return self.client.complete(job_id, self.worker_id, False, error=str(value))
+
     # -- the loop --------------------------------------------------------
 
-    def run_forever(
-        self,
-        max_idle_polls: Optional[int] = None,
-        max_cycles: Optional[int] = None,
-    ) -> WorkerStats:
-        """Pull until stopped, the server drains, or idle/cycle budgets hit.
+    def run_forever(self, max_idle_polls: Optional[int] = None) -> WorkerStats:
+        """Pull until stopped, the server drains, or the idle budget is hit.
 
         ``max_idle_polls`` bounds *consecutive* empty claims (a batch
-        worker that should exit when the campaign is done);
-        ``max_cycles`` bounds total claim cycles (tests).  A draining
-        server ends the loop immediately.
+        worker that should exit when the campaign is done).  A claim
+        reply that says the server is draining ends the loop at once.
         """
         idle_streak = 0
-        cycles = 0
         with self.client:  # closes the connection on the way out
             while not self._stop.is_set():
                 try:
@@ -236,26 +175,13 @@ class FabricWorker:
                     if self._stop.wait(1.0):
                         break
                     settled = 0
-                cycles += 1
                 if settled == 0:
                     idle_streak += 1
                     if max_idle_polls is not None and idle_streak >= max_idle_polls:
                         break
-                    if self._last_claim_draining():
-                        break
                 else:
                     idle_streak = 0
-                if max_cycles is not None and cycles >= max_cycles:
-                    break
         return self.stats
-
-    def _last_claim_draining(self) -> bool:
-        """Ask the front end whether it is draining (cheap healthz)."""
-        try:
-            status, payload, _ = self.client._request("GET", "/healthz")
-        except (ServiceError, OSError):
-            return False
-        return bool(payload.get("draining", False))
 
 
 def run_worker(

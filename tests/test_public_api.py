@@ -82,3 +82,41 @@ class TestExperimentRegistry:
             "fig2", "fig3", "fig8", "fig9", "fig10", "fig11", "fig12",
             "fig13", "table1", "chaos", "topo",
         }
+
+
+class TestServiceSurface:
+    """One front end, one pool primitive, one settle path: the deleted
+    names stay deleted."""
+
+    def test_one_front_end_under_both_names(self):
+        import repro.service
+        import repro.service.fabric
+        import repro.service.server
+
+        assert repro.service.fabric.AsyncServiceServer is repro.service.server.ServiceServer
+        assert repro.service.AsyncServiceServer is repro.service.ServiceServer
+        for module in (repro.service, repro.service.fabric, repro.service.server):
+            assert not hasattr(module, "make_server")
+        assert not hasattr(repro.service.server, "ServiceHandler")
+
+    def test_batched_pool_path_is_gone(self):
+        import inspect
+
+        import repro.parallel
+        from repro.experiments.common import fan_out
+        from repro.service.queue import JobQueue, run_campaign
+
+        assert not hasattr(repro.parallel, "run_jobs_batched")
+        assert not hasattr(repro.parallel.pool, "run_jobs_batched")
+        for func in (JobQueue.__init__, run_campaign, fan_out):
+            assert "batch_size" not in inspect.signature(func).parameters
+
+    def test_serve_rejects_backend_flag(self, capsys):
+        import pytest
+
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc_info:
+            main(["serve", "--backend", "async"])
+        assert exc_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err

@@ -106,18 +106,6 @@ class TestJobQueue:
             assert fast.job_id == ref.job_id
             assert fast.state == DONE
 
-    def test_batched_execution_matches(self, store, tmp_path):
-        """A batch_size'd queue produces the same results/records."""
-        with make_queue(store, runner_ok, batch_size=4) as queue:
-            records = [
-                queue.submit({"value": v, "log_dir": str(tmp_path)})[0]
-                for v in range(8)
-            ]
-            for record in records:
-                queue.wait(record.job_id, timeout=30)
-        for v, record in enumerate(records):
-            assert record.result == {"value": v * 2}
-
     def test_inflight_coalescing(self, store, tmp_path):
         spec = {"value": 1, "sleep": 0.4, "log_dir": str(tmp_path / "runs")}
         (tmp_path / "runs").mkdir()
@@ -220,6 +208,80 @@ class TestJobQueue:
         queue = make_queue(store, runner_ok)
         with pytest.raises(KeyError):
             queue.wait("no-such-job")
+
+
+class TestSubmitReadsTheStoreUnlocked:
+    """``submit`` reads the disk outside the queue lock: what an event
+    loop calls inline (heartbeat, claim, status) never waits on it."""
+
+    @pytest.fixture()
+    def slow_store(self, store, monkeypatch):
+        """Once ``hold`` is set, ``store.get`` parks (counted in
+        ``parked``) until it is cleared again."""
+        store.hold = threading.Event()
+        store.parked = threading.Semaphore(0)
+        store.resume = threading.Event()
+        real_get = store.get
+
+        def get(fp):
+            if store.hold.is_set():
+                store.parked.release()
+                assert store.resume.wait(10)
+            return real_get(fp)
+
+        monkeypatch.setattr(store, "get", get)
+        return store
+
+    def test_lease_calls_return_while_a_submit_reads_the_disk(self, slow_store):
+        queue = make_queue(slow_store, runner_ok, local_exec=False)
+        held, _ = queue.submit({"value": 1})
+        waiting, _ = queue.submit({"value": 2})
+        assert queue.claim("w1") == [held]
+        slow_store.hold.set()
+        submitter = threading.Thread(target=queue.submit, args=({"value": 3},))
+        submitter.start()
+        assert slow_store.parked.acquire(timeout=5)
+        answers = []
+
+        def lease_calls():
+            answers.append(queue.heartbeat(held.job_id, "w1"))
+            answers.append(queue.get(held.job_id) is held)
+            answers.append(queue.claim("w2") == [waiting])
+
+        caller = threading.Thread(target=lease_calls, daemon=True)
+        caller.start()
+        caller.join(5)
+        blocked = caller.is_alive()
+        slow_store.resume.set()
+        submitter.join(5)
+        assert not blocked and not submitter.is_alive()
+        assert answers == [True, True, True]
+
+    def test_racing_submits_of_one_spec_yield_one_record(self, slow_store):
+        queue = make_queue(slow_store, runner_ok, local_exec=False)
+        slow_store.hold.set()
+        got = []
+        threads = [
+            threading.Thread(target=lambda: got.append(queue.submit({"value": 4})))
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        # Both are past their first look at the records, inside get().
+        assert slow_store.parked.acquire(timeout=5)
+        assert slow_store.parked.acquire(timeout=5)
+        slow_store.resume.set()
+        for thread in threads:
+            thread.join(5)
+            assert not thread.is_alive()
+        (first, fresh_a), (second, fresh_b) = got
+        assert first is second
+        assert sorted([fresh_a, fresh_b]) == [False, True]
+        assert queue.records == 1
+        assert len(queue.claim("w1", max_jobs=4)) == 1
+        counters = slow_store.registry.counters
+        assert counters["service.queue.submitted"] == 1
+        assert counters["service.queue.coalesced"] == 1
 
 
 class TestCampaign:

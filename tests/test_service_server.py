@@ -1,6 +1,6 @@
 """Tests for the HTTP campaign server, client, and serve/submit CLI.
 
-Servers bind port 0 (ephemeral) and run their real threaded stack; the
+Servers bind port 0 (ephemeral) and run the real front end; the
 simulations are tiny 3x3 meshes so the end-to-end paths stay fast.
 """
 
