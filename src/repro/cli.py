@@ -25,8 +25,8 @@ Commands:
 * ``serve`` — run the HTTP campaign server (``repro.service``): submit
   simulation specs over ``POST /jobs``, get memoized results from the
   content-addressed store, scrape ``GET /metrics``.
-  ``--shard``/``--shard-map`` swap in the consistent-hash sharded store
-  (:mod:`repro.service.fabric`).
+  ``--store`` repeated, or ``--shard-map``, places results over several
+  roots by consistent hashing (:class:`repro.service.store.ShardMap`).
 * ``worker`` — remote worker pool member: long-poll a campaign server
   for leased jobs, execute them locally, and report results with
   at-least-once delivery (heartbeats, idempotent completion).
@@ -257,26 +257,15 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _resolve_store_arg(args: argparse.Namespace):
-    """Build the store a server should own from --store/--shard/--shard-map."""
-    from pathlib import Path
+    """The store a server owns: a --shard-map file, else one shard per
+    --store root (the default root when none is given)."""
+    from repro.service.store import ResultStore, ShardMap, default_store_root
 
-    from repro.service.store import ResultStore
-
-    shard_map_path = getattr(args, "shard_map", None)
-    shard_roots = getattr(args, "shard", None) or []
-    if shard_map_path or len(shard_roots) > 1:
-        from repro.service.fabric import ShardMap, ShardedResultStore
-
-        if shard_map_path:
-            shard_map = ShardMap.load(shard_map_path)
-        else:
-            shard_map = ShardMap.local(
-                shard_roots, replicas=getattr(args, "replicas", 2)
-            )
-        return ShardedResultStore(shard_map)
-    if shard_roots:
-        return ResultStore(root=Path(shard_roots[0]))
-    return ResultStore(root=Path(args.store) if args.store else None)
+    if args.shard_map:
+        shard_map = ShardMap.load(args.shard_map)
+    else:
+        shard_map = ShardMap.local(args.store or [default_store_root()], args.replicas)
+    return ResultStore(shard_map)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -299,13 +288,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     server.start()
     print(f"repro service listening on {server.url}")
-    shard_map = getattr(store, "map", None)
-    if shard_map is not None:
-        for shard in shard_map.shards:
-            print(f"  shard {shard.name}: {shard.root} (weight {shard.weight})")
-        print(f"  replicas: {shard_map.replicas}")
-    else:
-        print(f"result store: {store.root} (cap {store.max_bytes} bytes)")
+    print(f"result store: replicas {store.map.replicas}, cap {store.max_bytes} bytes per shard")
+    for shard in store.map.shards:
+        print(f"  shard {shard.name}: {shard.root} (weight {shard.weight})")
     if args.no_local_exec:
         print("local execution off: jobs wait for `repro worker` claims")
     try:
@@ -345,21 +330,21 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 def _cmd_shards(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service.fabric import ShardMap, ShardedResultStore, rebalance
+    from repro.service.store import ResultStore, ShardMap, rebalance
 
     try:
         shard_map = ShardMap.load(args.map)
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot load shard map {args.map!r}: {exc}", file=sys.stderr)
         return 2
-    store = ShardedResultStore(shard_map)
+    store = ResultStore(shard_map)
     if args.action == "status":
         health = store.health()
         rows = []
         for shard in shard_map.shards:
             sub = store.shard_store(shard.name)
             ok = health["shards"].get(shard.name, False)
-            blobs = sum(1 for _ in sub.iter_fingerprints()) if ok else "-"
+            blobs = sum(1 for _ in sub.fingerprints()) if ok else "-"
             size = sub.size_bytes() if ok else "-"
             rows.append([shard.name, shard.root, shard.weight, ok, blobs, size])
         print(format_table(
@@ -793,11 +778,18 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the HTTP campaign server (content-addressed result "
         "store + deduplicating job queue)",
+        # No prefix matching: the deleted ``--shard`` must not silently
+        # become ``--shard-map``.
+        allow_abbrev=False,
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765)
     p.add_argument(
-        "--store", default=None, help="result store root (default: $REPRO_STORE or ~/.cache/repro)"
+        "--store",
+        action="append",
+        metavar="DIR",
+        help="result store root (default: $REPRO_STORE or ~/.cache/repro); "
+        "repeat for a consistent-hash sharded store over several roots",
     )
     p.add_argument(
         "--workers",
@@ -838,25 +830,17 @@ def build_parser() -> argparse.ArgumentParser:
         "submissions then always simulate)",
     )
     p.add_argument(
-        "--shard",
-        action="append",
-        metavar="DIR",
-        help="result-store shard root; repeat for a consistent-hash "
-        "sharded store (one occurrence behaves like --store)",
-    )
-    p.add_argument(
         "--shard-map",
         default=None,
         metavar="FILE",
-        help="declarative shard map JSON (see `repro shards`); "
-        "overrides --shard/--store",
+        help="declarative shard map JSON (see `repro shards`); overrides --store",
     )
     p.add_argument(
         "--replicas",
         type=int,
         default=2,
-        help="replica count for an ad-hoc --shard map (ignored with "
-        "--shard-map, which carries its own)",
+        help="copies of each result when --store is repeated (ignored "
+        "with --shard-map, which carries its own)",
     )
     p.add_argument(
         "--lease-ttl",

@@ -5,7 +5,9 @@ The memoizing service layer over the simulator (see DESIGN.md):
 * :mod:`repro.service.spec` — :class:`SimSpec`, the canonical identity
   of one simulation, and its executable form :func:`run_sim_spec`;
 * :mod:`repro.service.store` — :class:`ResultStore`, fingerprint-keyed
-  JSON blobs with atomic writes and LRU size capping;
+  JSON blobs with atomic writes and LRU size capping, placed over a
+  :class:`ShardMap` (one root is a one-shard map; several roots are
+  consistent-hashed with read-through replicas);
 * :mod:`repro.service.queue` — :class:`JobQueue` (dedup, priorities,
   timeout/retry, and the claim / heartbeat / complete lease protocol
   through which every job — local or remote — is run and settled) and
@@ -13,8 +15,8 @@ The memoizing service layer over the simulator (see DESIGN.md):
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the HTTP
   face: one asyncio front end (``repro serve``) and its client
   (``repro submit``);
-* :mod:`repro.service.fabric` — the distributed fabric: consistent-hash
-  sharded storage and remote worker pools (``repro worker``).
+* :mod:`repro.service.fabric` — the distributed fabric: remote worker
+  pools (``repro worker``).
 """
 
 from repro.service.client import JobFailedError, ServiceClient, ServiceError

@@ -49,7 +49,6 @@ import heapq
 import itertools
 import json
 import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -66,6 +65,7 @@ from repro.parallel import (
 )
 from repro.service.spec import run_sim_spec, spec_identity
 from repro.service.store import ResultStore, spec_fingerprint
+from repro.utils.serialize import write_json_atomic
 
 # Job lifecycle states.
 PENDING = "pending"
@@ -692,11 +692,7 @@ class CampaignReport:
 
 
 def _write_manifest(path: Path, manifest: Dict[str, Any]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".manifest-", suffix=".tmp")
-    with os.fdopen(fd, "w") as handle:
-        json.dump(manifest, handle, sort_keys=True, indent=1)
-    os.replace(tmp, path)
+    write_json_atomic(path, manifest, sort_keys=True, indent=1)
 
 
 def run_campaign(

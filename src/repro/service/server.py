@@ -2,8 +2,8 @@
 
 Pure stdlib — no new dependencies.  The routing, submission, surrogate
 fast-lane, and worker-protocol logic live in :class:`ServiceCore`, which
-owns one :class:`~repro.service.store.ResultStore` (or a
-:class:`~repro.service.fabric.shard.ShardedResultStore`) and one
+owns one :class:`~repro.service.store.ResultStore` (one root or a shard
+map) and one
 :class:`~repro.service.queue.JobQueue` and opens no socket (tests drive
 it directly).  :class:`ServiceServer` is the one front end: a single
 asyncio event loop in a daemon thread, behind ``repro serve``, the
@@ -54,8 +54,9 @@ Endpoints:
   (store/queue/shard counters, per-endpoint latency histograms).
 * ``GET /healthz`` — ``200 {"ok": true}`` only while the server is fully
   serviceable; ``503`` with the reason while draining or while a storage
-  shard is unreachable, so load balancers (and the soak test) can key
-  off the status code alone.
+  shard is unreachable (a one-root store is shard ``s0``), so load
+  balancers (and the soak test) can key off the status code alone.
+  ``shards`` maps each shard name to its reachability.
 
 The surrogate fast lane rides ``POST /jobs``: a spec with ``mode``
 ``surrogate``/``auto`` may be answered synchronously (``200`` with a
@@ -247,13 +248,11 @@ class ServiceCore:
         }
         if self.draining:
             payload["ok"] = False
-        store_health = getattr(self.store, "health", None)
-        if store_health is not None:
-            storage = store_health()
-            payload["shards"] = storage.get("shards", {})
-            if not storage.get("ok", True):
-                payload["ok"] = False
-                payload["degraded"] = "shard unreachable"
+        storage = self.store.health()
+        payload["shards"] = storage["shards"]
+        if not storage["ok"]:
+            payload["ok"] = False
+            payload["degraded"] = "shard unreachable"
         return Response(200 if payload["ok"] else 503, payload)
 
     def render_metrics(self) -> str:

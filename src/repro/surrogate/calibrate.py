@@ -26,8 +26,6 @@ campaigns run.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -35,6 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.service.spec import SimSpec
 from repro.service.store import CODE_SALT, ResultStore, spec_fingerprint
 from repro.surrogate.model import AnalyticalModel, energy_dynamic_from_stats
+from repro.utils.serialize import write_json_atomic
 
 #: Metrics carried through calibration (energy = dynamic energy; the
 #: leakage term is closed-form on both sides, see the model module).
@@ -261,19 +260,7 @@ class CalibrationTable:
 
     def save(self, path: Path) -> Path:
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        data = json.dumps(self.to_dict(), sort_keys=True, indent=1)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".calib-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_json_atomic(path, self.to_dict(), sort_keys=True, indent=1)
         return path
 
     @classmethod

@@ -13,6 +13,7 @@ import os
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from repro.traffic.base import PacketSpec, TrafficGenerator
+from repro.utils.serialize import write_json_atomic
 
 TraceEvent = Tuple[int, int, int, int, int]  # (cycle, src, dst, vnet, size)
 
@@ -71,11 +72,7 @@ def save_trace(trace: TraceTraffic, path: Union[str, os.PathLike]) -> None:
         "version": TRACE_FORMAT_VERSION,
         "events": [list(event) for event in trace.events],
     }
-    path = os.fspath(path)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as handle:
-        json.dump(payload, handle, separators=(",", ":"))
-    os.replace(tmp, path)
+    write_json_atomic(path, payload, separators=(",", ":"))
 
 
 def load_trace(path: Union[str, os.PathLike]) -> TraceTraffic:

@@ -17,6 +17,10 @@ matter and both are load-bearing:
   :func:`fingerprint` is a pure function of the value: the same spec
   always hashes to the same content address, across processes and runs.
 
+:func:`write_json_atomic` is the one temp-file-and-rename write behind
+every JSON file the package persists (store blobs, the calibration
+table, campaign manifests, recorded traces).
+
 Dataclass reconstruction imports the recorded ``module:qualname`` and is
 restricted to this package (``repro.``) plus the test trees — a stored
 blob can name types to instantiate, and we only ever instantiate our
@@ -25,11 +29,15 @@ own result dataclasses, never arbitrary imports.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import importlib
 import json
 import math
+import os
+import tempfile
+from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
 #: Tag key marking an encoded non-JSON-native value.
@@ -160,6 +168,31 @@ def canonical_json(obj: Any) -> str:
         ensure_ascii=True,
         allow_nan=False,
     )
+
+
+def write_json_atomic(path: os.PathLike, obj: Any, **dumps_kwargs: Any) -> int:
+    """Write ``json.dumps(obj, **dumps_kwargs)`` to ``path`` atomically.
+
+    The value is encoded before any file is created, so one that cannot
+    be serialized leaves the directory as it was.  The bytes go to a
+    uniquely named temp file beside ``path`` (``os.replace`` is atomic
+    only within one filesystem), which is renamed over ``path`` or, if
+    the write fails, removed: a reader sees the old file or the new one,
+    never a torn one.  Returns the number of bytes written.
+    """
+    path = Path(path)
+    data = json.dumps(obj, **dumps_kwargs).encode()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    return len(data)
 
 
 def fingerprint(obj: Any, salt: str = "") -> str:

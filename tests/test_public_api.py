@@ -120,3 +120,41 @@ class TestServiceSurface:
             main(["serve", "--backend", "async"])
         assert exc_info.value.code == 2
         assert "--backend" in capsys.readouterr().err
+
+    def test_one_store_class(self):
+        import importlib
+
+        import pytest
+
+        import repro.service
+        import repro.service.fabric
+        from repro.service.store import ResultStore
+
+        assert repro.service.fabric.ShardedResultStore is ResultStore
+        assert repro.service.ShardedResultStore is ResultStore
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.service.fabric.shard")
+
+    def test_serve_rejects_shard_flag(self, capsys):
+        import pytest
+
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc_info:
+            main(["serve", "--shard", "x"])
+        assert exc_info.value.code == 2
+        assert "--shard" in capsys.readouterr().err
+
+    def test_repeated_store_flag_builds_a_sharded_store(self, tmp_path):
+        from repro.cli import _resolve_store_arg, build_parser
+        from repro.service.store import ResultStore
+
+        a, b = tmp_path / "a", tmp_path / "b"
+        parse = build_parser().parse_args
+        fleet = _resolve_store_arg(
+            parse(["serve", "--store", str(a), "--store", str(b), "--replicas", "2"])
+        )
+        assert [(s.name, s.root) for s in fleet.map.shards] == [("s0", str(a)), ("s1", str(b))]
+        assert fleet.map.replicas == 2
+        one = _resolve_store_arg(parse(["serve", "--store", str(a)]))
+        assert one.map.to_dict() == ResultStore(a).map.to_dict()

@@ -3,7 +3,7 @@ bound on their ``ready_at``, written only by ``Router.place`` / ``remove``
 (and the bubble re-tag), read by every per-cycle buffer walk.
 
 The per-cycle differential suites (``test_router_sleep``,
-``test_fastcore_equivalence``) assert
+``test_sweep_equivalence``) assert
 :func:`repro.sim.debug.resident_index_errors` empty every cycle; this file
 holds the two bugs the index exposed and count-based tests of what the
 walks no longer touch (counts repeat exactly; nothing is timed).

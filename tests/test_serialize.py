@@ -6,8 +6,10 @@ cache — so the properties under test are exactness of the round trip
 and byte-stability of the canonical form.
 """
 
+import json
 import math
 import random
+import threading
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.utils.serialize import (
     fingerprint,
     from_jsonable,
     to_jsonable,
+    write_json_atomic,
 )
 
 
@@ -119,3 +122,54 @@ class TestCanonicalForm:
         b.deactivate_link(5, 6)
         b.deactivate_link(0, 1)
         assert canonical_json(a) == canonical_json(b)
+
+
+class TestAtomicJsonWrite:
+    """Every JSON file the package writes goes through one helper."""
+
+    def test_writes_and_counts_bytes(self, tmp_path):
+        path = tmp_path / "deep" / "out.json"
+        written = write_json_atomic(path, {"b": 1, "a": [1, 2]}, sort_keys=True)
+        assert path.read_bytes() == json.dumps({"a": [1, 2], "b": 1}, sort_keys=True).encode()
+        assert written == path.stat().st_size
+        assert sorted(p.name for p in path.parent.iterdir()) == ["out.json"]
+
+    @pytest.mark.parametrize("writer", ["helper", "manifest", "trace"])
+    def test_unserialisable_payload_leaves_directory_as_it_was(self, tmp_path, writer):
+        from repro.service.queue import _write_manifest
+        from repro.traffic.trace import TraceTraffic, save_trace
+
+        path = tmp_path / "target.json"
+        path.write_text("previous")
+        write = {
+            "helper": lambda: write_json_atomic(path, {"x": object()}),
+            "manifest": lambda: _write_manifest(path, {"cells": {"x": object()}}),
+            "trace": lambda: save_trace(TraceTraffic([(0, 1, 2, 0, object())]), path),
+        }[writer]
+        with pytest.raises(TypeError):
+            write()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["target.json"]
+        assert path.read_text() == "previous"
+
+    def test_threads_saving_one_trace_do_not_collide(self, tmp_path):
+        from repro.traffic.trace import TraceTraffic, load_trace, save_trace
+
+        path = tmp_path / "trace.json"
+        trace = TraceTraffic([(c, 0, 1, 0, 1) for c in range(200)])
+        errors = []
+
+        def save_many():
+            try:
+                for _ in range(40):
+                    save_trace(trace, path)
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=save_many) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert load_trace(path).events == trace.events
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.json"]

@@ -212,22 +212,23 @@ class TestLruEviction:
             path.write_bytes(b'{"v":1}')
             os.utime(path, (now - 5000 + age, now - 5000 + age))
         store = ResultStore(root=tmp_path, max_bytes=10**9, registry=MetricsRegistry())
-        assert store._bytes == 7 * 1000
+        shard = store.shard_store("s0")  # the one root's running total
+        assert shard._bytes == 7 * 1000
 
         scans = []
-        listing = store._blobs
-        monkeypatch.setattr(store, "_blobs", lambda: scans.append(1) or listing())
+        listing = shard._blobs
+        monkeypatch.setattr(shard, "_blobs", lambda: scans.append(1) or listing())
         new = spec_fingerprint({"i": "new"})
         store.put(new, {"pad": "x" * 100})
         store.put(new, {"pad": "x" * 50})  # an overwrite replaces, not adds
         assert not scans
-        assert store._bytes == store.size_bytes() == 7000 + len('{"pad":""}') + 50
+        assert shard._bytes == store.size_bytes() == 7000 + len('{"pad":""}') + 50
 
         store.max_bytes = 7000  # the next put crosses: rescan, oldest go first
         del scans[:]
         store.put(spec_fingerprint({"i": "newer"}), {"v": 2})
         assert len(scans) == 1
-        assert store._bytes == store.size_bytes() <= 7000
+        assert shard._bytes == store.size_bytes() <= 7000
         gone = [fp for fp in fps if not store.contains(fp)]
         assert gone and gone == fps[: len(gone)]
         assert store.contains(new)
