@@ -1,6 +1,6 @@
 """Benchmark: the content-addressed result store on a fig8-style campaign.
 
-Runs the same campaign twice through :func:`repro.service.queue.run_campaign`
+Runs the same campaign twice through :func:`repro.service.run_campaign`
 against one store.  The cold pass executes every cell; the warm pass must
 be 100% cache hits and at least 10x faster — that is the acceptance bar
 for the service subsystem (a re-plotted figure should cost file reads,
@@ -10,7 +10,7 @@ not simulations).
 import time
 
 from repro.obs.metrics import MetricsRegistry
-from repro.service.queue import run_campaign
+from repro.service import run_campaign
 from repro.service.spec import SimSpec
 from repro.service.store import ResultStore
 

@@ -280,7 +280,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_depth=args.max_depth,
         timeout=args.timeout,
         retries=args.retries,
-        quiet=args.quiet,
         record_ttl=args.record_ttl if args.record_ttl > 0 else None,
         surrogate=not args.no_surrogate,
         lease_ttl=args.lease_ttl,
@@ -811,9 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--retries", type=int, default=1, help="retries per failed job (with backoff)"
-    )
-    p.add_argument(
-        "--quiet", action="store_true", help="suppress per-request access logs"
     )
     p.add_argument(
         "--record-ttl",

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import os
 from statistics import mean
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.parallel import Job, run_jobs
+from repro.parallel import Job, JobError, run_jobs
 from repro.protocols import make_scheme
 from repro.sim.config import SimConfig
 from repro.sim.deadlock import DeadlockMonitor
@@ -25,6 +25,7 @@ from repro.sim.network import Network
 from repro.topology.faults import sample_topologies
 from repro.topology.mesh import Topology
 from repro.traffic.synthetic import make_pattern
+from repro.utils.serialize import from_jsonable, to_jsonable
 
 #: Scheme names in the order the paper's figures list them, plus the
 #: adaptive-minimal extension curve (congestion-aware selection over the
@@ -123,7 +124,6 @@ def fan_out(
     func: Callable,
     argslist: Sequence[Sequence],
     workers: Optional[int] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
     cached: Optional[bool] = None,
     store=None,
     mode: Optional[str] = None,
@@ -136,116 +136,69 @@ def fan_out(
     aggregation code is identical for serial and parallel runs.  ``func``
     must be a module-level (picklable) callable.
 
-    ``cached`` routes the sweep through the content-addressed result
-    store (:mod:`repro.service.store`): each cell is keyed by the
-    canonical fingerprint of ``(func, args)`` — the topology, config,
-    rate, and seed are all part of ``args``, so the fingerprint is the
-    cell's full identity — and only cells missing from the store are
-    executed.  ``None`` defers to the ``REPRO_CACHE`` environment
-    variable, which is how ``repro experiment --cached`` reaches all
-    nine figure sweeps through this one entry point.  Results round-trip
-    through :mod:`repro.utils.serialize`, so a cache hit is
-    indistinguishable (tuples, dataclasses and all) from a fresh run.
+    ``mode``/``predictor`` form the surrogate fast lane, which every cell
+    passes first.  ``predictor`` is called as ``predictor(args, mode)``
+    for each cell and returns either a result value (the cell is
+    answered in microseconds, never dispatched to a worker) or ``None``
+    (escalate: the cell runs exactly, like any other).  ``mode`` defaults
+    through ``REPRO_MODE``; ``"exact"`` bypasses the predictor entirely.
+    Escalated cells keep their ``argslist`` positions, so aggregation
+    code cannot tell the lanes apart.
 
-    ``mode``/``predictor`` form the surrogate fast lane.  ``predictor``
-    is called as ``predictor(args, mode)`` for each cell and returns
-    either a result value (the cell is answered in microseconds, never
-    dispatched to a worker) or ``None`` (escalate: the cell runs
-    exactly, like any other).  ``mode`` defaults through ``REPRO_MODE``;
-    ``"exact"`` bypasses the predictor entirely.  Escalated cells keep
-    their ``argslist`` positions, so aggregation code cannot tell the
-    lanes apart.
+    ``cached`` routes the remaining cells through the content-addressed
+    result store: :func:`repro.service.campaign.sweep` keys each cell by
+    the canonical fingerprint of ``(func, args)`` — the topology, config,
+    rate, and seed are all part of ``args``, so the fingerprint is the
+    cell's full identity — runs only the missing ones and stores each as
+    it finishes, so a failing cell (raised as :class:`JobError` once the
+    sweep ends) loses no other.  ``None`` defers to the ``REPRO_CACHE``
+    environment variable, which is how ``repro experiment --cached``
+    reaches all nine figure sweeps through this one entry point.  Fresh
+    and stored values alike come back through
+    :mod:`repro.utils.serialize`, so a cold cached sweep returns exactly
+    what a warm one does.
     """
     if cached is None:
         cached = cache_enabled()
     mode = resolve_mode(mode)
+    results: List = [None] * len(argslist)
+    todo = range(len(argslist))
     if predictor is not None and mode in ("surrogate", "auto"):
-        total = len(argslist)
-        results: List = [None] * total
-        escalate: List[int] = []
+        todo = []
         for i, args in enumerate(argslist):
             value = predictor(tuple(args), mode)
             if value is None:
-                escalate.append(i)
+                todo.append(i)
             else:
                 results[i] = value
-        if progress is not None and total - len(escalate):
-            progress(total - len(escalate), total)
-        if escalate:
-            answered = total - len(escalate)
+    jobs = [Job(func, tuple(argslist[i])) for i in todo]
+    if cached and jobs:
+        from repro.service.campaign import ERROR, sweep
+        from repro.service.store import ResultStore, spec_fingerprint
 
-            def _lane_progress(done: int, _sub_total: int) -> None:
-                if progress is not None:
-                    progress(answered + done, total)
-
-            exact = fan_out(
-                func,
-                [argslist[i] for i in escalate],
-                workers=workers,
-                progress=_lane_progress,
-                cached=cached,
-                store=store,
-                mode="exact",
-            )
-            for i, value in zip(escalate, exact):
-                results[i] = value
-        return results
-    if not cached:
-        jobs = [Job(func, tuple(args)) for args in argslist]
-        return run_jobs(jobs, workers=workers, progress=progress)
-    return _fan_out_cached(func, argslist, workers, progress, store)
-
-
-def _fan_out_cached(
-    func: Callable,
-    argslist: Sequence[Sequence],
-    workers: Optional[int],
-    progress: Optional[Callable[[int, int], None]],
-    store,
-) -> List:
-    from repro.service.store import ResultStore, spec_fingerprint
-    from repro.utils.serialize import from_jsonable, to_jsonable
-
-    if store is None:
-        store = ResultStore()
-    func_id = (
-        getattr(func, "__module__", "?"),
-        getattr(func, "__qualname__", repr(func)),
-    )
-    total = len(argslist)
-    results: List = [None] * total
-    have: List[bool] = [False] * total
-    #: fingerprint -> indices sharing it (in-sweep duplicates run once).
-    misses: dict = {}
-    fps: List[str] = []
-    for i, args in enumerate(argslist):
-        fp = spec_fingerprint(("fan_out", func_id, tuple(args)))
-        fps.append(fp)
-        if fp in misses:
-            misses[fp].append(i)
-            continue
-        blob = store.get(fp)
-        if blob is not None:
-            results[i] = from_jsonable(blob["result"])
-            have[i] = True
-        else:
-            misses[fp] = [i]
-    done_so_far = sum(have)
-    if progress is not None and done_so_far:
-        progress(done_so_far, total)
-    order = [(fp, idxs) for fp, idxs in misses.items()]
-    jobs = [Job(func, tuple(argslist[idxs[0]])) for _, idxs in order]
-
-    def _sub_progress(done: int, _sub_total: int) -> None:
-        if progress is not None:
-            progress(done_so_far + done, total)
-
-    fresh = run_jobs(jobs, workers=workers, progress=_sub_progress)
-    for (fp, idxs), value in zip(order, fresh):
-        store.put(fp, {"result": to_jsonable(value)})
-        for i in idxs:
-            results[i] = value
+        func_id = (
+            getattr(func, "__module__", "?"),
+            getattr(func, "__qualname__", repr(func)),
+        )
+        keys = [spec_fingerprint(("fan_out", func_id, job.args)) for job in jobs]
+        outcomes = sweep(
+            store if store is not None else ResultStore(),
+            keys, jobs, _stored_result, workers,
+        )
+        for job, (status, value) in zip(jobs, outcomes):
+            if status == ERROR:
+                raise JobError(f"{job.describe()} failed: {value}")
+        fresh = [from_jsonable(blob["result"]) for _, blob in outcomes]
+    else:
+        fresh = run_jobs(jobs, workers=workers)
+    for i, value in zip(todo, fresh):
+        results[i] = value
     return results
+
+
+def _stored_result(job: Job) -> Dict[str, Any]:
+    """A cached ``fan_out`` cell's runner: the blob its store key holds."""
+    return {"result": to_jsonable(job.func(*job.args))}
 
 
 def saturation_throughput(

@@ -1,4 +1,9 @@
-"""Parallel experiment execution (process-pool sweep fan-out)."""
+"""Parallel experiment execution (process-pool sweep fan-out).
+
+:func:`iter_jobs` is the one pool loop: one pool per job list, results
+yielded in submission order as they stream back.  :func:`run_jobs` is
+its list form.
+"""
 
 from repro.parallel.pool import (
     CallTimeout,
@@ -7,6 +12,7 @@ from repro.parallel.pool import (
     WORKERS_ENV_VAR,
     call_with_timeout,
     default_workers,
+    iter_jobs,
     job_seed,
     resolve_workers,
     run_jobs,
@@ -19,6 +25,7 @@ __all__ = [
     "WORKERS_ENV_VAR",
     "call_with_timeout",
     "default_workers",
+    "iter_jobs",
     "job_seed",
     "resolve_workers",
     "run_jobs",

@@ -7,11 +7,11 @@ discrete-event parallelism: independent sub-workloads, no shared state).
 This module is the one place that owns that machinery:
 
 * :class:`Job` — a picklable ``(func, args, kwargs)`` work unit;
-* :func:`run_jobs` — execute a job list over ``workers`` processes,
-  preserving submission order, with chunked dispatch, an optional
-  per-completion progress callback, and a graceful serial fallback
-  (``workers=1``, unpicklable jobs, or pools being unavailable in the
-  host environment);
+* :func:`iter_jobs` — execute a job list over ``workers`` processes of
+  one pool, yielding results in submission order as they stream back,
+  with chunked dispatch and a graceful serial fallback (``workers=1``,
+  unpicklable jobs, or pools being unavailable in the host
+  environment); :func:`run_jobs` is its list form;
 * :func:`resolve_workers` — the worker-count policy: explicit argument,
   else the ``REPRO_WORKERS`` environment variable, else
   ``os.cpu_count() - 1`` (always at least 1);
@@ -31,7 +31,7 @@ import pickle
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import drain_proc_registry, obs_enabled, proc_registry
 from repro.utils.rng import derive_seed
@@ -191,16 +191,6 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return max(1, workers)
 
 
-def _run_serial(jobs: Sequence[Job], progress) -> List[Any]:
-    results = []
-    total = len(jobs)
-    for i, job in enumerate(jobs):
-        results.append(job.run())
-        if progress is not None:
-            progress(i + 1, total)
-    return results
-
-
 def _picklable(jobs: Sequence[Job]) -> bool:
     try:
         pickle.dumps(jobs)
@@ -215,50 +205,49 @@ def _pool_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def run_jobs(
-    jobs: Iterable[Job],
-    workers: Optional[int] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-) -> List[Any]:
-    """Run every job; return their results in submission order.
+def iter_jobs(jobs: Iterable[Job], workers: Optional[int] = None) -> Iterator[Any]:
+    """Run every job; yield their results in submission order.
 
-    * ``workers``: process count; ``None`` defers to
-      :func:`resolve_workers` (``REPRO_WORKERS`` / ``cpu_count - 1``).
-      ``workers=1`` runs serially in-process with no pool at all.
-    * ``progress``: called as ``progress(done, total)`` after each job
-      completes (in completion order under a pool, which equals
-      submission order because results stream through ``imap``).
+    ``workers`` is the process count; ``None`` defers to
+    :func:`resolve_workers` (``REPRO_WORKERS`` / ``cpu_count - 1``), and
+    ``workers=1`` runs serially in-process with no pool at all.  A
+    caller that wants a running count keeps it while it iterates.
 
-    Pool processes live for the whole list and take
+    One pool serves the whole list: its processes take
     ``len(jobs) // (workers * 4)`` jobs (at least 1) per task, so long
     sweeps amortize IPC and per-process caches (warm routing tables)
-    while short ones still load-balance.
+    while short ones still load-balance.  Each result is yielded as soon
+    as it and every earlier one are back, so a caller can persist it
+    before the sweep ends; closing the generator early
+    (``contextlib.closing`` does it when the caller's loop raises)
+    terminates the pool.
 
     Serial fallbacks (all produce identical results): a single job,
     ``workers=1``, unpicklable jobs, or a host that cannot create a
     process pool (sandboxes without semaphore support).
     """
     jobs = list(jobs)
-    total = len(jobs)
-    if total == 0:
-        return []
-    n = min(resolve_workers(workers), total)
-    if n <= 1 or not _picklable(jobs):
-        return _run_serial(jobs, progress)
-    chunksize = max(1, total // (n * 4))
-    try:
-        pool = _pool_context().Pool(processes=n)
-    except (OSError, PermissionError, ImportError):
-        return _run_serial(jobs, progress)
+    n = min(resolve_workers(workers), len(jobs))
+    pool = None
+    if n > 1 and _picklable(jobs):
+        try:
+            pool = _pool_context().Pool(processes=n)
+        except (OSError, PermissionError, ImportError):
+            pass  # a host without process pools runs the list serially
+    if pool is None:
+        for job in jobs:
+            yield job.run()
+        return
     merge_obs = obs_enabled()
     call = _call_job_obs if merge_obs else _call_job
     with pool:
-        results: List[Any] = []
-        for i, result in enumerate(pool.imap(call, jobs, chunksize)):
+        for result in pool.imap(call, jobs, max(1, len(jobs) // (n * 4))):
             if merge_obs:
                 result, snapshot = result
                 proc_registry().merge_dict(snapshot)
-            results.append(result)
-            if progress is not None:
-                progress(i + 1, total)
-    return results
+            yield result
+
+
+def run_jobs(jobs: Iterable[Job], workers: Optional[int] = None) -> List[Any]:
+    """:func:`iter_jobs`, collected into a list."""
+    return list(iter_jobs(jobs, workers))

@@ -10,8 +10,11 @@ The memoizing service layer over the simulator (see DESIGN.md):
   consistent-hashed with read-through replicas);
 * :mod:`repro.service.queue` — :class:`JobQueue` (dedup, priorities,
   timeout/retry, and the claim / heartbeat / complete lease protocol
-  through which every job — local or remote — is run and settled) and
-  :func:`run_campaign` (resumable manifest sweeps);
+  through which every job — local or remote — is run and settled);
+* :mod:`repro.service.campaign` — the one store-memoised sweep (look
+  up, run the misses in one pool, store each as it finishes) behind
+  :func:`run_campaign` (resumable manifest sweeps) and
+  ``fan_out(cached=True)``;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the HTTP
   face: one asyncio front end (``repro serve``) and its client
   (``repro submit``);
@@ -20,13 +23,8 @@ The memoizing service layer over the simulator (see DESIGN.md):
 """
 
 from repro.service.client import JobFailedError, ServiceClient, ServiceError
-from repro.service.queue import (
-    CampaignReport,
-    JobQueue,
-    JobRecord,
-    QueueFull,
-    run_campaign,
-)
+from repro.service.campaign import CampaignReport, run_campaign
+from repro.service.queue import JobQueue, JobRecord, QueueFull
 from repro.service.server import ServiceServer
 from repro.service.fabric import (
     AsyncServiceServer,

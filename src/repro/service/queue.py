@@ -36,23 +36,15 @@ coalesced — exactly one stored result, no matter how many claimants
 raced.  ``local_exec=False`` keeps the scheduler thread from claiming
 (it then only sweeps expired leases and TTL-prunes), which is how a
 front end runs when all simulation happens on remote workers.
-
-:func:`run_campaign` is the batch face of the same machinery: a sweep's
-specs become a *manifest* (atomic JSON sidecar); cells already in the
-store are skipped, the rest run in waves with results persisted after
-every wave, so a killed campaign restarts only its missing cells.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
@@ -65,7 +57,6 @@ from repro.parallel import (
 )
 from repro.service.spec import run_sim_spec, spec_identity
 from repro.service.store import ResultStore, spec_fingerprint
-from repro.utils.serialize import write_json_atomic
 
 # Job lifecycle states.
 PENDING = "pending"
@@ -669,124 +660,3 @@ class JobQueue:
                 self._lock.wait(max(0.01, min(delays)) if delays else None)
         return None
 
-
-# -- campaigns -----------------------------------------------------------
-
-
-@dataclass
-class CampaignReport:
-    """Outcome of one (possibly resumed) campaign run."""
-
-    name: str
-    total: int
-    hits: int
-    executed: int
-    failed: int
-    #: Result payloads in the order the specs were given (None on failure).
-    results: List[Optional[Dict[str, Any]]]
-    manifest_path: Optional[str] = None
-
-    @property
-    def all_hits(self) -> bool:
-        return self.hits == self.total
-
-
-def _write_manifest(path: Path, manifest: Dict[str, Any]) -> None:
-    write_json_atomic(path, manifest, sort_keys=True, indent=1)
-
-
-def run_campaign(
-    specs: Sequence[Dict[str, Any]],
-    store: Optional[ResultStore] = None,
-    runner: Callable[[Dict[str, Any]], Dict[str, Any]] = run_sim_spec,
-    workers: Optional[int] = None,
-    manifest_path: Optional[os.PathLike] = None,
-    name: str = "campaign",
-    progress: Optional[Callable[[int, int], None]] = None,
-) -> CampaignReport:
-    """Run a spec list through the store, executing only what's missing.
-
-    Identical specs within the list coalesce to one execution (specs
-    differing only in execution-only fields, e.g. ``mode``, coalesce
-    too).  Results are persisted wave-by-wave (a wave is ``2 x workers``
-    cells), and the manifest — the full cell list plus which
-    fingerprints are done — is rewritten atomically after every wave, so
-    a killed campaign resumes with only its missing cells.
-    """
-    store = store if store is not None else ResultStore()
-    n_workers = resolve_workers(workers)
-    specs = [dict(spec) for spec in specs]
-    fps = [spec_fingerprint(spec_identity(spec)) for spec in specs]
-    results: List[Optional[Dict[str, Any]]] = [None] * len(specs)
-
-    manifest: Dict[str, Any] = {
-        "version": 1,
-        "name": name,
-        "cells": {fp: spec for fp, spec in zip(fps, specs)},
-        "done": [],
-    }
-    path = Path(manifest_path) if manifest_path is not None else None
-    if path is not None and path.exists():
-        try:
-            previous = json.loads(path.read_text())
-            manifest["cells"].update(previous.get("cells", {}))
-        except ValueError:
-            pass  # torn manifest: the store itself still carries resume state
-
-    hits = 0
-    missing: Dict[str, List[int]] = {}
-    done_fps: List[str] = []
-    for i, fp in enumerate(fps):
-        if fp in missing:
-            missing[fp].append(i)  # in-batch duplicate: one execution
-            continue
-        payload = store.get(fp)
-        if payload is not None:
-            results[i] = payload
-            hits += 1
-            done_fps.append(fp)
-            if progress is not None:
-                progress(sum(1 for r in results if r is not None), len(specs))
-        else:
-            missing[fp] = [i]
-    manifest["done"] = sorted(set(done_fps))
-    if path is not None:
-        _write_manifest(path, manifest)
-
-    executed = 0
-    failed = 0
-    order = list(missing.items())
-    wave_size = n_workers * 2
-    for start in range(0, len(order), wave_size):
-        wave = order[start : start + wave_size]
-        jobs = [Job(_guarded_run, (runner, specs[idxs[0]], None)) for _, idxs in wave]
-        outcomes = run_jobs(jobs, workers=n_workers)
-        for (fp, idxs), (status, value) in zip(wave, outcomes):
-            if status == "ok":
-                store.put(fp, value)
-                executed += 1
-                done_fps.append(fp)
-                for i in idxs:
-                    results[i] = value
-            else:
-                failed += 1
-                store.registry.counter("service.campaign.failed").inc()
-            if progress is not None:
-                progress(sum(1 for r in results if r is not None), len(specs))
-        manifest["done"] = sorted(set(done_fps))
-        if path is not None:
-            _write_manifest(path, manifest)
-
-    # Duplicate indices that piggybacked on a store hit count as hits too.
-    hits += sum(
-        len(idxs) - 1 for idxs in missing.values() if len(idxs) > 1
-    )
-    return CampaignReport(
-        name=name,
-        total=len(specs),
-        hits=hits,
-        executed=executed,
-        failed=failed,
-        results=results,
-        manifest_path=str(path) if path is not None else None,
-    )

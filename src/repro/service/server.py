@@ -199,7 +199,7 @@ class ServiceCore:
         max_depth: int = 256,
         timeout: Optional[float] = None,
         retries: int = 1,
-        quiet: bool = False,
+        quiet: bool = False,  # accepted, unused: the front end keeps no access log
         record_ttl: Optional[float] = None,
         surrogate: bool = True,
         lease_ttl: float = DEFAULT_LEASE_TTL,
@@ -231,7 +231,6 @@ class ServiceCore:
             lease_ttl=lease_ttl,
             local_exec=local_exec,
         )
-        self.quiet = quiet
         #: True once shutdown has begun: /healthz degrades, new claims
         #: return empty immediately, in-flight requests finish.
         self.draining = False

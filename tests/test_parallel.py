@@ -2,7 +2,7 @@
 
 Two families:
 
-* pool semantics — ordering, worker resolution, progress callbacks,
+* pool semantics — ordering, worker resolution, streamed results,
   serial fallbacks, and (the load-bearing property) bit-identical
   results between serial and multi-process runs of the same job list;
 * hot-path equivalence — the active-router set and VC caches must leave
@@ -22,6 +22,7 @@ from repro.parallel import (
     JobError,
     WORKERS_ENV_VAR,
     default_workers,
+    iter_jobs,
     job_seed,
     resolve_workers,
     run_jobs,
@@ -75,21 +76,17 @@ class TestRunJobs:
         assert run_jobs([Job(pow, (2,), {"exp": 10})], workers=1) == [1024]
 
     def test_progress_callback_serial(self):
-        seen = []
-        run_jobs(
-            [Job(_square, (i,)) for i in range(5)],
-            workers=1,
-            progress=lambda done, total: seen.append((done, total)),
-        )
+        # Progress is counted by the caller while it iterates.
+        jobs = [Job(_square, (i,)) for i in range(5)]
+        seen = [(done, len(jobs)) for done, _ in enumerate(iter_jobs(jobs, workers=1), 1)]
         assert seen == [(i, 5) for i in range(1, 6)]
 
     def test_progress_callback_parallel(self):
+        jobs = [Job(_square, (i,)) for i in range(8)]
         seen = []
-        run_jobs(
-            [Job(_square, (i,)) for i in range(8)],
-            workers=2,
-            progress=lambda done, total: seen.append((done, total)),
-        )
+        for done, result in enumerate(iter_jobs(jobs, workers=2), 1):
+            assert result == (done - 1) ** 2  # streamed in submission order
+            seen.append((done, len(jobs)))
         assert seen == [(i, 8) for i in range(1, 9)]
 
     def test_unpicklable_jobs_fall_back_to_serial(self):

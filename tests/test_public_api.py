@@ -104,7 +104,8 @@ class TestServiceSurface:
 
         import repro.parallel
         from repro.experiments.common import fan_out
-        from repro.service.queue import JobQueue, run_campaign
+        from repro.service import run_campaign
+        from repro.service.queue import JobQueue
 
         assert not hasattr(repro.parallel, "run_jobs_batched")
         assert not hasattr(repro.parallel.pool, "run_jobs_batched")
@@ -120,6 +121,19 @@ class TestServiceSurface:
             main(["serve", "--backend", "async"])
         assert exc_info.value.code == 2
         assert "--backend" in capsys.readouterr().err
+
+    def test_serve_rejects_quiet_flag(self, capsys):
+        import pytest
+
+        from repro.cli import build_parser
+
+        # The front end keeps no access log; `worker --quiet` is live.
+        # Parse only: a parser that took the flag would start a server.
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(["serve", "--quiet"])
+        assert exc_info.value.code == 2
+        assert "--quiet" in capsys.readouterr().err
+        assert build_parser().parse_args(["worker", "--quiet"]).quiet
 
     def test_one_store_class(self):
         import importlib

@@ -136,7 +136,7 @@ class TestAtomicJsonWrite:
 
     @pytest.mark.parametrize("writer", ["helper", "manifest", "trace"])
     def test_unserialisable_payload_leaves_directory_as_it_was(self, tmp_path, writer):
-        from repro.service.queue import _write_manifest
+        from repro.service.campaign import _write_manifest
         from repro.traffic.trace import TraceTraffic, save_trace
 
         path = tmp_path / "target.json"

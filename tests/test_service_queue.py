@@ -16,6 +16,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.experiments.common import fan_out
+from repro.service import run_campaign
 from repro.service.queue import (
     DONE,
     FAILED,
@@ -23,7 +24,6 @@ from repro.service.queue import (
     RUNNING,
     JobQueue,
     QueueFull,
-    run_campaign,
 )
 from repro.service.store import ResultStore, spec_fingerprint
 
@@ -56,6 +56,12 @@ def runner_flaky(spec):
 
 def runner_boom(spec):
     raise ValueError("this spec always fails")
+
+
+def runner_boom_if_asked(spec):
+    if spec.get("boom"):
+        raise ValueError("this spec asked to fail")
+    return runner_ok(spec)
 
 
 @pytest.fixture()
@@ -338,16 +344,27 @@ class TestCampaign:
         assert report.failed == 1
         assert report.results == [None]
 
-    def test_progress_callback(self, store):
-        seen = []
-        run_campaign(
-            [{"value": i} for i in range(3)],
-            store=store,
-            runner=runner_ok,
-            workers=1,
-            progress=lambda done, total: seen.append((done, total)),
+    def test_duplicate_of_a_failed_cell_is_failed_not_a_hit(self, store):
+        report = run_campaign(
+            [{"value": 1}] * 2, store=store, runner=runner_boom, workers=1
         )
-        assert seen[-1] == (3, 3)
+        assert (report.hits, report.executed, report.failed) == (0, 0, 2)
+        assert report.results == [None, None]
+        # The counter counts failed executions: one per fingerprint.
+        assert store.registry.counters["service.campaign.failed"] == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_cell_counted_once(self, store, workers):
+        specs = [{"value": 1}, {"value": 2}, {"value": 1}, {"value": 3}]
+        run_campaign(specs[1:2], store=store, runner=runner_ok, workers=1)
+        report = run_campaign(
+            specs + [{"value": -1, "boom": True}] * 2,
+            store=store, runner=runner_boom_if_asked, workers=workers,
+        )
+        assert (report.hits, report.executed, report.failed) == (2, 2, 2)
+        assert report.hits + report.executed + report.failed == report.total
+        failed = {i for i, result in enumerate(report.results) if result is None}
+        assert failed == {4, 5}
 
 
 # -- fan_out cache --------------------------------------------------------
