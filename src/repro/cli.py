@@ -40,17 +40,20 @@ Commands:
   explicit error bound, and provenance in milliseconds.
 * ``schemes`` — list the available deadlock-freedom schemes.
 
-``simulate``, ``experiment``, ``verify``, and ``submit`` all take
-``--json`` for structured output through the shared serializer
-(:mod:`repro.utils.serialize`) — the same encoding the service store
-persists.
+``simulate``, ``submit`` and ``predict`` declare one spec-flag set
+(``_add_spec_args``) and turn it into one :class:`repro.service.spec.SimSpec`;
+every network the CLI simulates (``simulate``, synthetic ``trace``) or
+certifies (``verify``) is derived by that class — the derivation the
+service fingerprints and runs.  ``simulate``, ``experiment``, ``verify``,
+and ``submit`` all take ``--json`` for structured output through the
+shared serializer (:mod:`repro.utils.serialize`) — the same encoding the
+service store persists.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from typing import List, Optional
 
@@ -64,14 +67,12 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.protocols import SCHEMES, make_scheme
+from repro.service.spec import SimSpec, sim_result_payload
 from repro.sim.config import SimConfig
 from repro.sim.deadlock import DeadlockMonitor
 from repro.sim.engine import run_with_window
-from repro.sim.network import Network
 from repro.sim.scenarios import SCENARIOS, build_scenario
-from repro.topology.faults import inject_link_faults, inject_router_faults
-from repro.topology.mesh import mesh
-from repro.traffic.synthetic import make_pattern
+from repro.traffic.synthetic import PATTERNS
 from repro.utils.reporting import format_table
 
 
@@ -99,13 +100,13 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
     return 0
 
 
-def _simulate_spec_from_args(args: argparse.Namespace) -> "SimSpec":
-    from repro.service.spec import SimSpec
-
+def _simulate_spec_from_args(args: argparse.Namespace, **extras) -> SimSpec:
+    """The :class:`SimSpec` named by ``_add_spec_args``'s flags, plus the
+    calling command's own fields (``monitor``, ``mode``)."""
     return SimSpec(
         width=args.width,
         height=args.height,
-        topology=getattr(args, "topology", None),
+        topology=args.topology,
         link_faults=args.link_faults,
         router_faults=args.router_faults,
         scheme=args.scheme,
@@ -116,47 +117,27 @@ def _simulate_spec_from_args(args: argparse.Namespace) -> "SimSpec":
         vcs_per_vnet=args.vcs,
         sb_t_dd=args.t_dd,
         seed=args.seed,
-        monitor=getattr(args, "monitor", False),
-        mode=getattr(args, "mode", None) or "exact",
+        **extras,
     )
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.topology:
-        from repro.topology.generators import parse_topology
-
-        try:
-            topo = parse_topology(args.topology)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    else:
-        topo = mesh(args.width, args.height)
-    rng = random.Random(args.seed)
-    if args.link_faults:
-        topo = inject_link_faults(topo, args.link_faults, rng)
-    if args.router_faults:
-        topo = inject_router_faults(topo, args.router_faults, rng)
-    config = SimConfig(
-        width=args.width,
-        height=args.height,
-        vcs_per_vnet=args.vcs,
-        sb_t_dd=args.t_dd,
-    )
-    traffic = make_pattern(args.pattern, topo, args.rate, seed=args.seed)
-    scheme = make_scheme(args.scheme)
+    spec = _simulate_spec_from_args(args, monitor=args.monitor)
+    try:
+        spec.validate()
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    network = spec.build_network()
     if args.verify_first:
-        cert = scheme.verify(topo, config)
+        cert = network.scheme.verify(network.topo, network.config)
         if not args.json:
             print(cert.describe())
         if not cert.ok:
-            print(
-                "certification failed; aborting simulation", file=sys.stderr
-            )
+            print("certification failed; aborting simulation", file=sys.stderr)
             return 1
         if not args.json:
             print()
-    network = Network(topo, config, scheme, traffic, seed=args.seed)
     profiler = None
     if args.profile:
         import cProfile
@@ -165,9 +146,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         profiler.enable()
     result = run_with_window(
         network,
-        warmup=args.warmup,
-        measure=args.cycles,
-        monitor=DeadlockMonitor() if args.monitor else None,
+        warmup=spec.warmup,
+        measure=spec.measure,
+        monitor=DeadlockMonitor() if spec.monitor else None,
     )
     if profiler is not None:
         import pstats
@@ -182,13 +163,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.json:
         import json
 
-        from repro.service.spec import sim_result_payload
-
-        payload = sim_result_payload(_simulate_spec_from_args(args), result, network)
+        payload = sim_result_payload(spec, result, network)
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     rows = [
-        ["topology", repr(topo)],
+        ["topology", repr(network.topo)],
         ["scheme", args.scheme],
         ["offered load (flits/node/cyc)", args.rate],
         ["avg latency (cycles)", f"{result.avg_latency:.2f}"],
@@ -368,7 +347,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     from repro.service.client import ServiceClient, ServiceError
 
-    spec = _simulate_spec_from_args(args)
+    spec = _simulate_spec_from_args(args, mode=args.mode)
     client = ServiceClient(args.url)
     try:
         if args.wait:
@@ -459,30 +438,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     import json
 
     if args.topology:
-        from repro.topology.generators import parse_topology
-
-        try:
-            topo = parse_topology(args.topology)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        width = getattr(topo, "width", 8)
-        height = getattr(topo, "height", 8)
+        shape = {"topology": args.topology}
     else:
         try:
             width, height = (int(v) for v in args.mesh.lower().split("x"))
         except ValueError:
-            print(
-                f"bad --mesh {args.mesh!r}; expected WxH (e.g. 8x8)",
-                file=sys.stderr,
-            )
+            print(f"bad --mesh {args.mesh!r}; expected WxH (e.g. 8x8)", file=sys.stderr)
             return 2
-        topo = mesh(width, height)
-    rng = random.Random(args.seed)
-    if args.link_faults:
-        topo = inject_link_faults(topo, args.link_faults, rng)
-    if args.router_faults:
-        topo = inject_router_faults(topo, args.router_faults, rng)
+        shape = {"width": width, "height": height}
+    spec = SimSpec(
+        link_faults=args.link_faults,
+        router_faults=args.router_faults,
+        seed=args.seed,
+        **shape,
+    )
+    try:
+        topo = spec.build_topology()
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    if args.topology:
+        width = getattr(topo, "width", 8)
+        height = getattr(topo, "height", 8)
     config = SimConfig(width=width, height=height)
 
     kwargs = {}
@@ -559,12 +536,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     params.workers = args.workers
     params.verify_reconfig = args.verify_reconfig
     if args.verify_first:
-        topo = mesh(params.width, params.height)
-        config = SimConfig(
-            width=params.width,
-            height=params.height,
-            vcs_per_vnet=params.vcs_per_vnet,
+        spec = SimSpec(
+            width=params.width, height=params.height, vcs_per_vnet=params.vcs_per_vnet
         )
+        topo, config = spec.build_topology(), spec.build_config()
         for name in params.schemes:
             cert = make_scheme(name).verify(topo, config)
             if not cert.ok:
@@ -594,16 +569,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.scenario:
         net, scheme = build_scenario(args.scenario, t_dd=args.t_dd)
     else:
-        topo = mesh(args.width, args.height)
-        rng = random.Random(args.seed)
-        if args.link_faults:
-            topo = inject_link_faults(topo, args.link_faults, rng)
-        config = SimConfig(
-            width=args.width, height=args.height, sb_t_dd=args.t_dd or 34
-        )
-        traffic = make_pattern(args.pattern, topo, args.rate, seed=args.seed)
-        scheme = make_scheme(args.scheme)
-        net = Network(topo, config, scheme, traffic, seed=args.seed)
+        net = SimSpec(
+            width=args.width,
+            height=args.height,
+            link_faults=args.link_faults,
+            scheme=args.scheme,
+            pattern=args.pattern,
+            rate=args.rate,
+            sb_t_dd=args.t_dd or 34,
+            seed=args.seed,
+        ).build_network()
+        scheme = net.scheme
     obs = Observer(ring_capacity=args.ring, sample_every=args.sample_every)
     net.attach_obs(obs)
     for _ in range(args.cycles):
@@ -637,6 +613,30 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_spec_args(p: argparse.ArgumentParser) -> None:
+    """The flags that name one :class:`SimSpec` (``simulate``, ``submit``,
+    ``predict``); ``_simulate_spec_from_args`` reads them back."""
+    p.add_argument("--width", type=int, default=8)
+    p.add_argument("--height", type=int, default=8)
+    p.add_argument(
+        "--topology",
+        default=None,
+        metavar="SPEC",
+        help="non-mesh topology (mesh3d:XxYxZ, torus3d:XxYxZ, "
+        "circulant:N,S1,S2, fullmesh:N); overrides --width/--height",
+    )
+    p.add_argument("--link-faults", type=int, default=0)
+    p.add_argument("--router-faults", type=int, default=0)
+    p.add_argument("--scheme", choices=sorted(SCHEMES), default="static-bubble")
+    p.add_argument("--pattern", choices=sorted(PATTERNS), default="uniform_random")
+    p.add_argument("--rate", type=float, default=0.05)
+    p.add_argument("--warmup", type=int, default=500)
+    p.add_argument("--cycles", type=int, default=2000)
+    p.add_argument("--vcs", type=int, default=4, help="VCs per vnet per port")
+    p.add_argument("--t-dd", type=int, default=34, help="SB detection threshold")
+    p.add_argument("--seed", type=int, default=1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -653,25 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_schemes)
 
     p = sub.add_parser("simulate", help="run one simulation")
-    p.add_argument("--width", type=int, default=8)
-    p.add_argument("--height", type=int, default=8)
-    p.add_argument(
-        "--topology",
-        default=None,
-        metavar="SPEC",
-        help="non-mesh topology (mesh3d:XxYxZ, torus3d:XxYxZ, "
-        "circulant:N,S1,S2, fullmesh:N); overrides --width/--height",
-    )
-    p.add_argument("--link-faults", type=int, default=0)
-    p.add_argument("--router-faults", type=int, default=0)
-    p.add_argument("--scheme", choices=sorted(SCHEMES), default="static-bubble")
-    p.add_argument("--pattern", default="uniform_random")
-    p.add_argument("--rate", type=float, default=0.05)
-    p.add_argument("--warmup", type=int, default=500)
-    p.add_argument("--cycles", type=int, default=2000)
-    p.add_argument("--vcs", type=int, default=4, help="VCs per vnet per port")
-    p.add_argument("--t-dd", type=int, default=34, help="SB detection threshold")
-    p.add_argument("--seed", type=int, default=1)
+    _add_spec_args(p)
     p.add_argument(
         "--monitor", action="store_true", help="run the deadlock oracle alongside"
     )
@@ -893,19 +875,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_worker)
 
-    p = sub.add_parser(
-        "shards",
-        help="inspect or rebalance a sharded result store",
-    )
+    p = sub.add_parser("shards", help="inspect or rebalance a sharded result store")
     p.add_argument(
         "action",
         choices=("status", "rebalance"),
         help="status = per-shard reachability/blob counts; rebalance = "
         "move blobs to their consistent-hash owners after a map change",
     )
-    p.add_argument(
-        "--map", required=True, metavar="FILE", help="shard map JSON file"
-    )
+    p.add_argument("--map", required=True, metavar="FILE", help="shard map JSON file")
     p.add_argument(
         "--prune",
         action="store_true",
@@ -920,25 +897,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="submit one simulation spec to a running campaign server",
     )
     p.add_argument("--url", default="http://127.0.0.1:8765")
-    p.add_argument("--width", type=int, default=8)
-    p.add_argument("--height", type=int, default=8)
-    p.add_argument(
-        "--topology",
-        default=None,
-        metavar="SPEC",
-        help="non-mesh topology (mesh3d:XxYxZ, torus3d:XxYxZ, "
-        "circulant:N,S1,S2, fullmesh:N); overrides --width/--height",
-    )
-    p.add_argument("--link-faults", type=int, default=0)
-    p.add_argument("--router-faults", type=int, default=0)
-    p.add_argument("--scheme", choices=sorted(SCHEMES), default="static-bubble")
-    p.add_argument("--pattern", default="uniform_random")
-    p.add_argument("--rate", type=float, default=0.05)
-    p.add_argument("--warmup", type=int, default=500)
-    p.add_argument("--cycles", type=int, default=2000)
-    p.add_argument("--vcs", type=int, default=4, help="VCs per vnet per port")
-    p.add_argument("--t-dd", type=int, default=34, help="SB detection threshold")
-    p.add_argument("--seed", type=int, default=1)
+    _add_spec_args(p)
     p.add_argument(
         "--mode",
         choices=("exact", "surrogate", "auto"),
@@ -967,25 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="answer one spec from the local calibrated surrogate "
         "(microsecond analytical model; no server, no simulation)",
     )
-    p.add_argument("--width", type=int, default=8)
-    p.add_argument("--height", type=int, default=8)
-    p.add_argument(
-        "--topology",
-        default=None,
-        metavar="SPEC",
-        help="non-mesh topology (mesh3d:XxYxZ, torus3d:XxYxZ, "
-        "circulant:N,S1,S2, fullmesh:N); overrides --width/--height",
-    )
-    p.add_argument("--link-faults", type=int, default=0)
-    p.add_argument("--router-faults", type=int, default=0)
-    p.add_argument("--scheme", choices=sorted(SCHEMES), default="static-bubble")
-    p.add_argument("--pattern", default="uniform_random")
-    p.add_argument("--rate", type=float, default=0.05)
-    p.add_argument("--warmup", type=int, default=500)
-    p.add_argument("--cycles", type=int, default=2000)
-    p.add_argument("--vcs", type=int, default=4, help="VCs per vnet per port")
-    p.add_argument("--t-dd", type=int, default=34, help="SB detection threshold")
-    p.add_argument("--seed", type=int, default=1)
+    _add_spec_args(p)
     p.add_argument(
         "--store",
         default=None,
@@ -1044,9 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_chaos)
 
-    p = sub.add_parser(
-        "trace", help="run with the tracing observer and export traces"
-    )
+    p = sub.add_parser("trace", help="run with the tracing observer and export traces")
     p.add_argument(
         "--scenario",
         choices=sorted(SCENARIOS),

@@ -22,45 +22,48 @@ The memoizing service layer over the simulator (see DESIGN.md):
   pools (``repro worker``).
 """
 
-from repro.service.client import JobFailedError, ServiceClient, ServiceError
-from repro.service.campaign import CampaignReport, run_campaign
-from repro.service.queue import JobQueue, JobRecord, QueueFull
-from repro.service.server import ServiceServer
-from repro.service.fabric import (
-    AsyncServiceServer,
-    FabricWorker,
-    ShardMap,
-    ShardedResultStore,
-    run_worker,
-)
-from repro.service.spec import SimSpec, run_sim_spec, sim_result_payload
-from repro.service.store import (
-    STORE_ENV_VAR,
-    ResultStore,
-    default_store_root,
-    spec_fingerprint,
-)
+import importlib
 
-__all__ = [
-    "AsyncServiceServer",
-    "CampaignReport",
-    "FabricWorker",
-    "JobFailedError",
-    "JobQueue",
-    "JobRecord",
-    "QueueFull",
-    "ResultStore",
-    "STORE_ENV_VAR",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceServer",
-    "ShardMap",
-    "ShardedResultStore",
-    "SimSpec",
-    "default_store_root",
-    "run_campaign",
-    "run_sim_spec",
-    "run_worker",
-    "sim_result_payload",
-    "spec_fingerprint",
-]
+#: Re-exported name -> the submodule that defines it.  Names resolve on
+#: first access (PEP 562), so importing one submodule — ``repro simulate``
+#: needs only :mod:`repro.service.spec` — does not import the server,
+#: client, queue and fabric.
+_EXPORTS = {
+    "AsyncServiceServer": "fabric",
+    "CampaignReport": "campaign",
+    "FabricWorker": "fabric",
+    "JobFailedError": "client",
+    "JobQueue": "queue",
+    "JobRecord": "queue",
+    "QueueFull": "queue",
+    "ResultStore": "store",
+    "STORE_ENV_VAR": "store",
+    "ServiceClient": "client",
+    "ServiceError": "client",
+    "ServiceServer": "server",
+    "ShardMap": "fabric",
+    "ShardedResultStore": "fabric",
+    "SimSpec": "spec",
+    "default_store_root": "store",
+    "run_campaign": "campaign",
+    "run_sim_spec": "spec",
+    "run_worker": "fabric",
+    "sim_result_payload": "spec",
+    "spec_fingerprint": "store",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

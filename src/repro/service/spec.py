@@ -7,6 +7,10 @@ produce bit-identical results (the simulator is deterministic), which is
 what makes content-addressed memoization sound: the fingerprint of the
 spec *is* the identity of the result.
 
+:meth:`SimSpec.build_network` is the one derivation of a network from
+a spec: the CLI's ``simulate``, ``verify`` and synthetic ``trace`` build
+through it (or :meth:`SimSpec.build_topology`), and ``submit`` /
+``predict`` send or answer the same :class:`SimSpec`.
 ``run_sim_spec`` is the module-level executable form (picklable, so the
 job queue can fan it over :func:`repro.parallel.run_jobs` workers); it
 returns a plain-JSON payload so results cross process and HTTP
@@ -18,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.protocols import SCHEMES, make_scheme
 from repro.sim.config import SimConfig
@@ -27,6 +31,7 @@ from repro.sim.engine import WindowResult, run_with_window
 from repro.sim.network import ENGINES, Network
 from repro.topology.faults import inject_link_faults, inject_router_faults
 from repro.topology.mesh import Topology, mesh
+from repro.traffic.synthetic import PATTERNS, make_pattern
 
 #: Bump when a simulator change invalidates previously stored results.
 #: Folded (with the package version) into every fingerprint salt.
@@ -35,7 +40,11 @@ SPEC_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class SimSpec:
-    """Everything that determines one simulation's outcome."""
+    """Everything that determines one simulation's outcome.
+
+    :meth:`build_network` is the only code that turns these fields into a
+    network; the CLI builds its networks through it too.
+    """
 
     width: int = 8
     height: int = 8
@@ -45,8 +54,8 @@ class SimSpec:
     #: from :meth:`to_dict` so every pre-existing stored fingerprint is
     #: unchanged.
     topology: Optional[str] = None
-    #: Faults derived from the healthy mesh with ``random.Random(seed)``
-    #: (the same derivation the ``simulate`` CLI uses).
+    #: Faults derived from the healthy topology with
+    #: ``random.Random(seed)``, link faults first (:meth:`build_topology`).
     link_faults: int = 0
     router_faults: int = 0
     scheme: str = "static-bubble"
@@ -83,16 +92,22 @@ class SimSpec:
             raise ValueError(
                 f"unknown mode {self.mode!r}; have ('exact', 'surrogate', 'auto')"
             )
-        if self.width < 1 or self.height < 1:
-            raise ValueError("mesh dimensions must be positive")
+        if self.pattern not in PATTERNS:
+            raise ValueError(
+                f"unknown pattern {self.pattern!r}; have {sorted(PATTERNS)}"
+            )
         if self.topology is not None:
             from repro.topology.generators import parse_topology
 
             parse_topology(self.topology)  # raises ValueError on bad forms
+        if self.link_faults < 0 or self.router_faults < 0:
+            raise ValueError("fault counts must be >= 0")
         if self.warmup < 0 or self.measure < 1:
             raise ValueError("need warmup >= 0 and measure >= 1")
         if not (0.0 <= self.rate <= 1.0):
             raise ValueError("rate must be within [0, 1]")
+        # Dimensions, VC counts and t_DD: the simulator's own bounds.
+        self.build_config().validate()
 
     def to_dict(self) -> Dict[str, Any]:
         # Every field is a scalar: no need for ``asdict``'s recursive copy.
@@ -143,6 +158,15 @@ class SimSpec:
             sb_t_dd=self.sb_t_dd,
         )
 
+    def build_network(self) -> Network:
+        """Topology -> config -> traffic -> scheme -> :class:`Network`."""
+        topo = self.build_topology()
+        config = self.build_config()
+        traffic = make_pattern(
+            self.pattern, topo, self.rate, seed=self.seed, vnets=self.vnets
+        )
+        return Network(topo, config, make_scheme(self.scheme), traffic, seed=self.seed)
+
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SimSpec))
 
@@ -188,16 +212,7 @@ def sim_result_payload(
 def run_sim_spec(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one spec; module-level so it pickles to pool workers."""
     spec = SimSpec.from_dict(dict(spec_dict))
-    topo = spec.build_topology()
-    traffic_kwargs = {"vnets": spec.vnets}
-    from repro.traffic.synthetic import make_pattern
-
-    traffic = make_pattern(
-        spec.pattern, topo, spec.rate, seed=spec.seed, **traffic_kwargs
-    )
-    network = Network(
-        topo, spec.build_config(), make_scheme(spec.scheme), traffic, seed=spec.seed
-    )
+    network = spec.build_network()
     result = run_with_window(
         network,
         warmup=spec.warmup,

@@ -112,6 +112,55 @@ class TestSimulate:
             stdout=subprocess.DEVNULL,
         )
 
+    def test_simulate_imports_no_service_stack(self):
+        """``repro.service`` resolves its re-exports lazily: ``simulate``
+        needs ``repro.service.spec``, not the server, client or fabric."""
+        code = (
+            "import sys, repro.cli\n"
+            "assert repro.cli.main(['simulate', '--width', '2', '--height', '2',"
+            " '--warmup', '0', '--cycles', '1']) == 0\n"
+            "loaded = [m for m in ('repro.service.server', 'repro.service.client',"
+            " 'repro.service.queue', 'repro.service.fabric') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True, timeout=60,
+            stdout=subprocess.DEVNULL,
+        )
+
+    @pytest.mark.parametrize(
+        "argv, spec",
+        [
+            (
+                ["--width", "4", "--height", "4", "--link-faults", "3", "--seed", "5"],
+                dict(width=4, height=4, link_faults=3, seed=5),
+            ),
+            (
+                ["--topology", "circulant:11,2,5", "--router-faults", "1",
+                 "--scheme", "adaptive"],
+                dict(topology="circulant:11,2,5", router_faults=1, scheme="adaptive"),
+            ),
+        ],
+        ids=["faulted-mesh", "circulant-router-fault"],
+    )
+    def test_json_equals_run_sim_spec(self, capsys, argv, spec):
+        """``simulate`` and the service build one network per spec."""
+        import json
+
+        from repro.service.spec import SimSpec, run_sim_spec
+
+        window = ["--rate", "0.1", "--warmup", "50", "--cycles", "300"]
+        assert main(["simulate", *argv, *window, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        expected = run_sim_spec(SimSpec(rate=0.1, warmup=50, measure=300, **spec).to_dict())
+        assert payload == json.loads(json.dumps(expected))
+
+    def test_invalid_spec_exits_2(self, capsys):
+        for flags in (["--link-faults", "-2"], ["--vcs", "0"], ["--t-dd", "-5"]):
+            assert main(["simulate", *flags, "--cycles", "10"]) == 2
+            assert capsys.readouterr().err
+
     def test_profile_flag(self, capsys, tmp_path):
         pstats_path = tmp_path / "run.pstats"
         code = main(
@@ -146,3 +195,103 @@ class TestExperiment:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+#: ``{command: {dest: default}}`` as the parser produced it before the
+#: spec flags of ``simulate`` / ``submit`` / ``predict`` became one group.
+PARSER_DEFAULTS = {
+    "placement": {"width": None, "height": None},
+    "schemes": {},
+    "simulate": {
+        "width": 8, "height": 8, "topology": None, "link_faults": 0,
+        "router_faults": 0, "scheme": "static-bubble", "pattern": "uniform_random",
+        "rate": 0.05, "warmup": 500, "cycles": 2000, "vcs": 4, "t_dd": 34,
+        "seed": 1, "monitor": False, "verify_first": False, "json": False,
+        "profile": False, "profile_out": None,
+    },
+    "verify": {
+        "mesh": "8x8", "topology": None, "scheme": "static-bubble",
+        "link_faults": 0, "router_faults": 0, "seed": 1, "drop_bubble": None,
+        "model_check": None, "json": False,
+    },
+    "experiment": {
+        "name": None, "full": False, "workers": None, "obs": False,
+        "cached": False, "json": False,
+    },
+    "serve": {
+        "host": "127.0.0.1", "port": 8765, "store": None, "workers": None,
+        "max_depth": 256, "timeout": None, "retries": 1, "record_ttl": 3600.0,
+        "no_surrogate": False, "shard_map": None, "replicas": 2,
+        "lease_ttl": 30.0, "no_local_exec": False,
+    },
+    "worker": {
+        "url": "http://127.0.0.1:8765", "id": None, "max_jobs": 4, "wait": 15.0,
+        "workers": 1, "max_idle": 0, "quiet": False,
+    },
+    "shards": {"action": None, "map": None, "prune": False, "json": False},
+    "submit": {
+        "url": "http://127.0.0.1:8765", "width": 8, "height": 8, "topology": None,
+        "link_faults": 0, "router_faults": 0, "scheme": "static-bubble",
+        "pattern": "uniform_random", "rate": 0.05, "warmup": 500, "cycles": 2000,
+        "vcs": 4, "t_dd": 34, "seed": 1, "mode": "exact", "priority": 0,
+        "wait": False, "timeout": 120.0, "json": False,
+    },
+    "predict": {
+        "width": 8, "height": 8, "topology": None, "link_faults": 0,
+        "router_faults": 0, "scheme": "static-bubble", "pattern": "uniform_random",
+        "rate": 0.05, "warmup": 500, "cycles": 2000, "vcs": 4, "t_dd": 34,
+        "seed": 1, "store": None, "refresh": False, "json": False,
+    },
+    "chaos": {
+        "full": False, "campaigns": None, "events": None, "width": None,
+        "height": None, "seed": 42, "workers": None, "check": False,
+        "verify_first": False, "verify_reconfig": False,
+    },
+    "trace": {
+        "scenario": None, "width": 8, "height": 8, "link_faults": 0,
+        "scheme": "static-bubble", "pattern": "uniform_random", "rate": 0.05,
+        "cycles": 2000, "t_dd": None, "seed": 1, "ring": 65536,
+        "sample_every": 64, "jsonl": None, "chrome": None, "events": False,
+    },
+}
+
+
+class TestParser:
+    def test_every_flag_keeps_its_default(self):
+        import argparse
+
+        sub = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        defaults = {
+            name: {
+                action.dest: action.default
+                for action in parser._actions
+                if not isinstance(action, argparse._HelpAction)
+            }
+            for name, parser in sub.choices.items()
+        }
+        assert defaults == PARSER_DEFAULTS
+
+    def test_spec_commands_share_one_spec(self):
+        """``simulate``, ``submit`` and ``predict`` read one flag set into
+        one :class:`SimSpec`; only their own extras differ."""
+        from repro.cli import _simulate_spec_from_args
+
+        flags = ["--topology", "circulant:11,2,5", "--router-faults", "1",
+                 "--pattern", "transpose", "--vcs", "2", "--t-dd", "20",
+                 "--cycles", "700", "--seed", "9"]
+        parser = build_parser()
+        specs = {
+            command: _simulate_spec_from_args(parser.parse_args([command, *flags]))
+            for command in ("simulate", "submit", "predict")
+        }
+        assert len(set(specs.values())) == 1
+        spec = specs["simulate"]
+        assert (spec.topology, spec.router_faults, spec.pattern) == (
+            "circulant:11,2,5", 1, "transpose",
+        )
+        assert (spec.vcs_per_vnet, spec.sb_t_dd, spec.measure, spec.seed) == (2, 20, 700, 9)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["submit", "--pattern", "nope"])

@@ -82,6 +82,20 @@ class TestEndpoints:
             "POST", "/jobs", {"scheme": "nope"}
         )
         assert status == 400
+        # Specs that parse but could never run are refused at the edge,
+        # not queued to fail in a worker.
+        for body in (
+            {"pattern": "nope"},
+            {"link_faults": -2},
+            {"router_faults": -1},
+            {"vcs_per_vnet": 0},
+            {"vnets": 0},
+            {"sb_t_dd": -5},
+        ):
+            status, payload, _ = client._request("POST", "/jobs", body)
+            assert status == 400, body
+            with pytest.raises(ValueError):
+                SimSpec.from_dict(body)
 
     def test_engine_field_is_validated_echoed_and_ignored(self, client):
         """There is one simulator; stored specs and old clients still say
