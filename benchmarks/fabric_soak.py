@@ -7,7 +7,9 @@ The full distributed stack, failed on purpose, gated on exactness:
    in-process through :func:`run_sim_spec` — the ground truth);
 2. boot one :class:`ServiceServer` with ``local_exec=False`` over a
    two-shard :class:`ShardedResultStore` (replicas=2);
-3. launch three ``python -m repro worker`` subprocesses;
+3. launch three ``python -m repro worker`` subprocesses, their ids
+   holding a space and an ``&`` (``soak w0&fleet``) so every claim
+   exercises the client's query encoding;
 4. submit the whole campaign, then while it runs **SIGKILL one worker**
    and **delete one shard directory** (the non-sidecar one);
 5. require: every job reaches ``done``, every payload is bit-identical
@@ -76,7 +78,7 @@ def spawn_worker(url: str, index: int) -> subprocess.Popen:
             "--url",
             url,
             "--id",
-            f"soak-w{index}",
+            f"soak w{index}&fleet",  # a space and an ``&``: claims must encode
             "--max-jobs",
             "1",
             "--wait",

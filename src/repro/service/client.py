@@ -1,12 +1,13 @@
-"""HTTP client for the campaign server (stdlib ``http.client`` only).
+"""HTTP client for the campaign server (stdlib sockets only).
 
 Small, dependency-free, and symmetric with the server's endpoints.  Three
 pieces of client-side policy live here:
 
 * **Persistent connections** — each thread using a client keeps one
-  keep-alive connection (a worker's heartbeat thread and its long poll
-  share one client).  Any failure closes it, so a timed-out long poll
-  can never leave a half-read response for the next request; a *reused*
+  keep-alive socket (a worker's heartbeat thread and its long poll share
+  one client); a reply is read by its ``Content-Length`` or refused.
+  Any failure closes the socket, so a timed-out long poll can never
+  leave a half-read response for the next request; a *reused*
   connection the server dropped while idle is reopened and the request
   resent once, at once, outside the retry budget below.
 * **Transient-error retries** — every request in this API is idempotent
@@ -29,10 +30,11 @@ import http.client
 import json
 import random
 import socket
+import ssl
 import threading
 import time
 from typing import Any, Dict, Optional, Tuple
-from urllib.parse import urlsplit
+from urllib.parse import quote, urlencode, urlsplit
 
 from repro.service.spec import SimSpec
 
@@ -47,6 +49,9 @@ TRANSIENT_ERRORS = (
 #: How a connection the server closed while it sat idle fails, on the send
 #: or the status line (``RemoteDisconnected`` is both the first and the last).
 _DROPPED_WHILE_IDLE = (ConnectionResetError, BrokenPipeError, http.client.BadStatusLine)
+
+_MAX_LINE = 65536  # bytes per status or header line, as in ``http.client``
+_PORTS = {"http": 80, "https": 443}
 
 
 class ServiceError(RuntimeError):
@@ -80,14 +85,14 @@ class ServiceClient:
         self.retry_backoff = retry_backoff
         self.max_backoff = max_backoff
         self._url = urlsplit(self.base_url)
-        #: ``.conn``: the calling thread's keep-alive connection.
+        #: ``.conn``: the calling thread's keep-alive ``(socket, rfile)``.
         self._local = threading.local()
 
     def close(self) -> None:
         """Close the calling thread's connection (idempotent)."""
         conn, self._local.conn = getattr(self._local, "conn", None), None
-        if conn is not None:
-            conn.close()
+        for part in conn or ():  # the socket, then its reader
+            part.close()
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -97,6 +102,15 @@ class ServiceClient:
 
     # -- transport -------------------------------------------------------
 
+    def _connect(self, timeout: float) -> Tuple[socket.socket, Any]:
+        """A new ``(socket, rfile)``; https verifies as ``HTTPSConnection`` does."""
+        url = self._url
+        sock = socket.create_connection((url.hostname, url.port or _PORTS[url.scheme]), timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if url.scheme == "https":  # a failed handshake closes the socket
+            sock = ssl.create_default_context().wrap_socket(sock, server_hostname=url.hostname)
+        return sock, sock.makefile("rb")
+
     def _request_once(
         self,
         method: str,
@@ -104,38 +118,55 @@ class ServiceClient:
         body: Optional[Dict[str, Any]] = None,
         timeout: Optional[float] = None,
     ) -> Tuple[int, Dict[str, Any], str]:
-        data = json.dumps(body).encode() if body is not None else None
-        headers = {"Content-Type": "application/json"} if data else {}
+        timeout = self.timeout if timeout is None else timeout
+        data = json.dumps(body).encode() if body is not None else b""
+        target = self._url.path + path
+        if " " in target or not (target.isascii() and target.isprintable()):
+            raise ValueError(f"request target must be percent-encoded: {target!r}")
+        head = f"{method} {target} HTTP/1.1\r\nHost: {self._url.netloc}\r\n"
+        if data:
+            head += f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
+        request = head.encode("ascii") + b"\r\n" + data
         conn = getattr(self._local, "conn", None)
         while True:
-            reused = conn is not None and conn.sock is not None
-            if conn is None:
-                # ``HTTPConnection`` or, for an https URL, ``HTTPSConnection``.
-                connect = getattr(http.client, f"{self._url.scheme.upper()}Connection")
-                conn = self._local.conn = connect(self._url.netloc)
-            # Per request (``claim`` needs longer): on the live socket,
-            # or for the connect ``request`` makes when there is none.
-            conn.timeout = timeout if timeout is not None else self.timeout
-            if reused:
-                conn.sock.settimeout(conn.timeout)
-            response = None
+            reused, status = conn is not None, None
             try:
-                conn.request(method, self._url.path + path, data, headers)
-                response = conn.getresponse()
-                raw = response.read().decode()
+                if conn is None:
+                    conn = self._local.conn = self._connect(timeout)
+                sock, rfile = conn
+                sock.settimeout(timeout)  # per request: ``claim`` waits longer
+                sock.sendall(request)
+                line = rfile.readline(_MAX_LINE)
+                version, code = (line.split(None, 2) + [b"", b""])[:2]
+                if not (version.startswith(b"HTTP/") and code.isdigit()):
+                    bad = http.client.BadStatusLine if line else http.client.RemoteDisconnected
+                    raise bad(repr(line))
+                status, headers = int(code), {}
+                while (line := rfile.readline(_MAX_LINE)) not in (b"\r\n", b"\n"):
+                    if not line.endswith(b"\n"):  # EOF (or an endless line) mid-head
+                        raise http.client.IncompleteRead(line)
+                    name, _, value = line.decode("latin-1").partition(":")
+                    headers[name.strip().lower()] = value.strip()
+                length = headers.get("content-length", "")
+                if "transfer-encoding" in headers or not length.isdecimal():
+                    raise ServiceError(status, {"error": f"unframed reply: {headers}"})
+                raw = rfile.read(int(length))
+                if len(raw) < int(length):
+                    raise http.client.IncompleteRead(raw, int(length) - len(raw))
+                if headers.get("connection", "").lower() == "close":
+                    self.close()
                 break
             except BaseException as exc:
                 self.close()
                 if not (
-                    reused and response is None and isinstance(exc, _DROPPED_WHILE_IDLE)
+                    reused and status is None and isinstance(exc, _DROPPED_WHILE_IDLE)
                 ):
                     raise
                 conn = None  # resend, once: every request here is idempotent
-        status = response.status
-        ctype = response.getheader("Content-Type", "")
-        retry_after = response.getheader("Retry-After")
-        if "application/json" in ctype:
+        raw = raw.decode()
+        if "application/json" in headers.get("content-type", ""):
             payload = json.loads(raw)
+            retry_after = headers.get("retry-after")
             if status == 429 and retry_after and "retry_after" not in payload:
                 # Honor the header even when the body omits the hint.
                 try:
@@ -215,13 +246,13 @@ class ServiceClient:
         raise ServiceError(429, payload)  # pragma: no cover — loop covers it
 
     def job(self, job_id: str) -> Dict[str, Any]:
-        status, payload, _ = self._request("GET", f"/jobs/{job_id}")
+        status, payload, _ = self._request("GET", "/jobs/" + quote(job_id, safe=""))
         if status != 200:
             raise ServiceError(status, payload)
         return payload
 
     def result(self, fingerprint: str) -> Dict[str, Any]:
-        status, payload, _ = self._request("GET", f"/results/{fingerprint}")
+        status, payload, _ = self._request("GET", "/results/" + quote(fingerprint, safe=""))
         if status != 200:
             raise ServiceError(status, payload)
         return payload
@@ -269,10 +300,9 @@ class ServiceClient:
         ``draining``); an empty ``jobs`` list after ``wait`` seconds
         means no work was available.
         """
+        query = urlencode({"worker": worker_id, "max": max_jobs, "wait": f"{wait:g}"})
         status, payload, _ = self._request(
-            "GET",
-            f"/jobs/claim?worker={worker_id}&max={max_jobs}&wait={wait:g}",
-            timeout=self.timeout + wait,
+            "GET", "/jobs/claim?" + query, timeout=self.timeout + wait
         )
         if status != 200:
             raise ServiceError(status, payload)
@@ -281,7 +311,7 @@ class ServiceClient:
     def heartbeat(self, job_id: str, worker_id: str) -> bool:
         """Extend the lease; False = forfeit (abandon the execution)."""
         status, payload, _ = self._request(
-            "POST", f"/jobs/{job_id}/heartbeat", {"worker": worker_id}
+            "POST", f"/jobs/{quote(job_id, safe='')}/heartbeat", {"worker": worker_id}
         )
         if status != 200:
             raise ServiceError(status, payload)
@@ -303,7 +333,7 @@ class ServiceClient:
         else:
             body["error"] = error if error is not None else "worker error"
         status, payload, _ = self._request(
-            "POST", f"/jobs/{job_id}/complete", body
+            "POST", f"/jobs/{quote(job_id, safe='')}/complete", body
         )
         if status != 200:
             raise ServiceError(status, payload)

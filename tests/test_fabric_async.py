@@ -10,12 +10,16 @@ import asyncio
 import http.client
 import json
 import logging
+import os
 import shutil
 import socket
+import ssl
+import sys
 import threading
 import time
 import urllib.error
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +35,10 @@ from repro.service.spec import SimSpec, run_sim_spec
 from repro.service.store import ResultStore
 
 TINY = dict(width=3, height=3, rate=0.03, warmup=30, measure=80, seed=5)
+
+#: Self-signed, ``subjectAltName = IP:127.0.0.1``, valid until 2126.
+TLS_CERT = Path(__file__).parent / "data" / "tls_cert.pem"
+TLS_KEY = Path(__file__).parent / "data" / "tls_key.pem"
 
 
 @pytest.fixture()
@@ -275,15 +283,15 @@ class TestClientRetries:
 
 @pytest.fixture()
 def connects(monkeypatch):
-    """Every TCP connection ``http.client`` opens, as ``(host, port)``."""
+    """Every TCP connection ``ServiceClient`` opens, as ``(host, port)``."""
     opened = []
-    real = http.client.HTTPConnection.connect
+    real = socket.create_connection
 
-    def connect(self):
-        opened.append((self.host, self.port))
-        real(self)
+    def create_connection(address, *args, **kwargs):
+        opened.append(address)
+        return real(address, *args, **kwargs)
 
-    monkeypatch.setattr(http.client.HTTPConnection, "connect", connect)
+    monkeypatch.setattr(socket, "create_connection", create_connection)
     return opened
 
 
@@ -314,6 +322,68 @@ class _HangUpServer(threading.Thread):
                     b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
                     b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
                 )
+
+
+def _reply(head=b"", body=b'{"ok": true}', framed=True):
+    """A canned 200 reply; ``framed`` adds the ``Content-Length``."""
+    if framed:
+        head += b"Content-Length: %d\r\n" % len(body)
+    status = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    return status + head + b"\r\n" + body
+
+
+class _ScriptedServer(threading.Thread):
+    """Answers the n-th request with the n-th ``(reply, hang_up)`` (the
+    last one repeats), each connection in its own thread.  Without
+    ``hang_up`` the connection stays open, so a client that waits for
+    EOF hangs; ``tls`` serves https."""
+
+    def __init__(self, *replies, tls=None):
+        super().__init__(daemon=True)
+        self.replies, self.tls, self.served, self.held = list(replies), tls, 0, []
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        scheme = "https" if tls else "http"
+        self.url = "%s://127.0.0.1:%d" % (scheme, self.listener.getsockname()[1])
+
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.listener.close()
+        for conn in self.held:
+            conn.close()
+
+    def run(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return  # listener closed
+            self.held.append(conn)
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn):
+        try:
+            if self.tls:
+                conn = self.tls.wrap_socket(conn, server_side=True)
+                self.held.append(conn)
+            rfile = conn.makefile("rb")
+            while rfile.readline():
+                length = 0
+                while (line := rfile.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                rfile.read(length)
+                reply, hang_up = self.replies[min(self.served, len(self.replies) - 1)]
+                self.served += 1
+                conn.sendall(reply)
+                if hang_up:
+                    conn.close()
+                    return
+        except OSError:
+            return  # closed under us, or a client that refused the certificate
 
 
 class TestClientTransport:
@@ -396,6 +466,130 @@ class TestClientTransport:
         with client:
             client.healthz()
         assert len(connects) == 2
+
+    def test_connection_close_reply_opens_exactly_one_new_connection(self, connects):
+        """The scripted server would keep answering on the first
+        connection: only honouring ``Connection: close`` makes a second."""
+        closing = _reply(b"Connection: close\r\n")
+        with _ScriptedServer((closing, False), (_reply(), False)) as srv:
+            with ServiceClient(srv.url, transient_retries=0) as client:
+                assert [client.healthz() for _ in range(3)] == [{"ok": True}] * 3
+        assert srv.served == 3
+        assert len(connects) == 2
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"",
+            b"Transfer-Encoding: chunked\r\n",
+            b"Content-Length: 12\r\nTransfer-Encoding: chunked\r\n",
+        ],
+        ids=["no-length", "chunked", "length-and-chunked"],
+    )
+    def test_unframed_reply_is_refused_at_once(self, head, connects, monkeypatch):
+        monkeypatch.setattr(time, "sleep", lambda s: pytest.fail("must not retry"))
+        with _ScriptedServer((_reply(head, framed=False), False)) as srv:
+            client = ServiceClient(srv.url, timeout=5.0)
+            began = time.monotonic()
+            with pytest.raises(ServiceError, match="unframed reply"):
+                client.healthz()
+            assert time.monotonic() - began < 2.0  # not read until EOF or timeout
+        assert srv.served == 1
+        assert len(connects) == 1
+
+    def test_short_body_is_a_retried_transient(self, connects, monkeypatch):
+        naps = []
+        monkeypatch.setattr(time, "sleep", naps.append)
+        torn = _reply(b"Content-Length: 100\r\n", framed=False)
+        with _ScriptedServer((torn, True)) as srv:
+            with pytest.raises(http.client.IncompleteRead):
+                ServiceClient(srv.url, transient_retries=2).healthz()
+        assert srv.served == 3 and len(naps) == 2
+        assert len(connects) == 3
+
+    def test_reply_torn_after_its_status_line_is_not_resent(self, connects):
+        """Only a reused connection that dies *before* the status line
+        earns the free resend; the torn one is closed, not dropped."""
+        torn = _reply(b"Content-Length: 100\r\n", framed=False)
+        with _ScriptedServer((_reply(), False), (torn, True)) as srv:
+            client = ServiceClient(srv.url, transient_retries=0)
+            client.healthz()  # the failure below closes this connection
+            sock, _ = client._local.conn
+            with pytest.raises(http.client.IncompleteRead):
+                client.healthz()
+        assert sock.fileno() == -1
+        assert srv.served == 2
+        assert len(connects) == 1
+
+    def test_garbage_status_line_is_bad_status_line(self, connects):
+        with _ScriptedServer((b"SPDY/9 hello\r\n\r\n", True)) as srv:
+            with pytest.raises(http.client.BadStatusLine) as excinfo:
+                ServiceClient(srv.url, transient_retries=0).healthz()
+        assert excinfo.type is http.client.BadStatusLine
+        assert len(connects) == 1
+
+    def test_unsendable_requests_are_value_errors_never_retried(
+        self, server, connects, monkeypatch
+    ):
+        monkeypatch.setattr(time, "sleep", lambda s: pytest.fail("must not retry"))
+        client = ServiceClient(server.url)
+        for path in ("/jobs/a b", "/jobs/x\r\nX-Injected: 1", "/jobs/\u00e9"):
+            with pytest.raises(ValueError):
+                client._request("GET", path)
+        with pytest.raises(ValueError):
+            client.claim("\ud800")  # a lone surrogate has no UTF-8 form
+        assert connects == []
+
+    def test_warm_round_trips_enter_no_http_client_or_email_frame(self, server):
+        client = ServiceClient(server.url)
+        spec = SimSpec(**TINY)
+        client.run(spec, timeout=60)
+        entered = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                entered.add(frame.f_code.co_filename)
+
+        sys.setprofile(profile)  # this thread only: the client's side
+        try:
+            for _ in range(100):
+                assert client.submit(spec)["cached"] is True
+        finally:
+            sys.setprofile(None)
+            client.close()
+        assert any(f.endswith(os.path.join("service", "client.py")) for f in entered)
+        assert [
+            f
+            for f in entered
+            if f.endswith(os.path.join("http", "client.py"))
+            or f"{os.sep}email{os.sep}" in f
+        ] == []
+
+
+class TestHttps:
+    """The client verifies certificates exactly as ``HTTPSConnection``
+    does by default: the system trust store, or ``SSL_CERT_FILE``."""
+
+    @pytest.fixture()
+    def tls(self):
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(TLS_CERT, TLS_KEY)
+        return context
+
+    def test_round_trip_with_a_trusted_certificate(self, tls, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+        with _ScriptedServer((_reply(), False), tls=tls) as srv:
+            assert srv.url.startswith("https://127.0.0.1:")
+            with ServiceClient(srv.url) as client:
+                assert [client.healthz() for _ in range(2)] == [{"ok": True}] * 2
+        assert srv.served == 2
+
+    def test_untrusted_certificate_fails_verification(self, tls, monkeypatch):
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        with _ScriptedServer((_reply(), False), tls=tls) as srv:
+            with pytest.raises(ssl.SSLCertVerificationError):
+                ServiceClient(srv.url).healthz()
+        assert srv.served == 0
 
 
 class TestDrainKeepAlive:

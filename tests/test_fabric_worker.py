@@ -127,6 +127,37 @@ class TestWorkerExecution:
         assert len(sent) == 1 and sent[0].startswith("/jobs/claim")
 
 
+class TestEncodedWorkerIds:
+    """A worker id is data, not URL syntax: it claims, heartbeats and
+    completes as itself whatever characters it holds."""
+
+    @pytest.mark.parametrize(
+        "worker_id",
+        ["rack 3", "a&b", "k=v", "w#1", "wörker-ü", "soak w0&fleet", "a+b%20c"],
+    )
+    def test_claim_heartbeat_complete_as_itself(self, server, client, worker_id):
+        submitted = client.submit(spec_variant(20))
+        claim = client.claim(worker_id, max_jobs=1, wait=0.5)
+        assert [job["job_id"] for job in claim["jobs"]] == [submitted["job_id"]]
+        assert client.job(submitted["job_id"])["worker"] == worker_id
+        assert client.heartbeat(submitted["job_id"], worker_id) is True
+        assert client.complete(
+            submitted["job_id"], worker_id, True, result={"spec": {}, "stats": {}}
+        ) == "done"
+        late = server.registry.counter("service.queue.late_completion")
+        assert late.value == 0
+
+    def test_fabric_worker_with_spaced_id_runs_the_job(self, server, client):
+        submitted = client.submit(spec_variant(21))
+        worker = FabricWorker(
+            server.url, worker_id="rack 3&fleet", poll_wait=0.5, quiet=True
+        )
+        worker.run_once()
+        assert worker.stats.executed == 1
+        assert client.job(submitted["job_id"])["status"] == "done"
+        assert server.registry.counter("service.queue.late_completion").value == 0
+
+
 class TestFailover:
     def test_killed_worker_lease_expires_and_requeues(self, server, client):
         """A worker that claims and dies (never heartbeats, never
