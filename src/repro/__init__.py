@@ -23,7 +23,6 @@ paper-vs-measured record of every figure and table.
 
 from repro.core import (
     CounterFsm,
-    FsmAction,
     FsmState,
     Port,
     Turn,
@@ -74,7 +73,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CounterFsm",
-    "FsmAction",
     "FsmState",
     "Port",
     "Turn",

@@ -57,6 +57,7 @@ import os
 import sys
 from typing import List, Optional
 
+from repro.core.fsm import FsmState
 from repro.core.placement import bubble_count, placement_map
 from repro.experiments import ALL_EXPERIMENTS
 from repro.obs import (
@@ -560,9 +561,7 @@ def _scheme_in_recovery(scheme) -> bool:
     states = getattr(scheme, "states", None)
     if not states:
         return False
-    return any(
-        state.fsm.in_recovery() or state.fsm.counting() for state in states.values()
-    )
+    return any(state.fsm.state is not FsmState.S_OFF for state in states.values())
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

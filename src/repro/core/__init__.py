@@ -19,7 +19,7 @@ from repro.core.turns import (
     turn_between,
 )
 from repro.core.messages import MsgType, SpecialMessage, make_path_message, make_probe
-from repro.core.fsm import CounterFsm, FsmAction, FsmState, recovery_threshold
+from repro.core.fsm import CounterFsm, FsmState, recovery_threshold
 
 __all__ = [
     "bubble_count",
@@ -41,7 +41,6 @@ __all__ = [
     "make_path_message",
     "make_probe",
     "CounterFsm",
-    "FsmAction",
     "FsmState",
     "recovery_threshold",
 ]

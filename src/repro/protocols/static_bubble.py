@@ -1,52 +1,29 @@
 """The Static Bubble deadlock-recovery scheme (Sections III and IV).
 
-All packets use minimal routes in all VCs, all the time.  A subset of
-routers (chosen by :mod:`repro.core.placement`) carries one extra
-packet-sized buffer — the *static bubble* — plus the counter FSM of
-Fig. 5.  On suspicion of a deadlock (a watched packet stuck beyond
-``t_DD``) the FSM runs the four-message recovery protocol:
-
-probe        traces the suspected dependency cycle, forking at every
-             router whose probed input port is fully occupied and
-             recording the L/S/R turn taken; returning to its sender
-             confirms a cycle.
-disable      replays the recorded path, installing at each router the
-             IO-priority injection restriction (``is_deadlock`` bit) that
-             seals the cycle against new traffic; returning to the sender
-             switches the static bubble ON.
-check_probe  after the bubble drains one packet and is re-claimed,
-             retraces the path to test whether the chain still exists;
-             if it returns, the bubble switches on again.
-enable       replays the path clearing the restrictions once the chain
-             is gone (or when a disable/check_probe was dropped midway).
-
-All four are bufferless and single-flit; per cycle a router forwards at
-most one special message per output port (priority: check_probe >
-disable/enable > probe; ties to the higher sender id; an enable/disable
-tie is broken by the local ``is_deadlock`` bit, Section IV-C).
-
-Robustness extension (documented in DESIGN.md): if the activated bubble
-is never claimed because the sealed chain dissolved through an
-independent drain (a false positive caused by congestion), the FSM
-treats the dissolution — detected as "no VC at the chain input port
-wants the chain output port any more" — like a re-claim, so the
-check_probe/enable path still runs and the restrictions are removed.
+Minimal routes in every VC, all the time.  The routers chosen by
+:mod:`repro.core.placement` carry one extra packet-sized buffer — the
+static bubble — and the counter FSM of :mod:`repro.core.fsm`, whose
+transition table :meth:`StaticBubbleScheme._fire` runs.  This module
+holds the table's guards and effects, the per-cycle driving of the FSMs
+and the forwarding rules of the four special messages.  DESIGN.md §1
+describes the protocol and §4 every deviation from the paper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.core.fsm import CounterFsm, FsmAction, FsmState
-from repro.core.messages import (
-    MsgType,
-    SpecialMessage,
-    make_path_message,
-    make_probe,
+from repro.core.fsm import (
+    TRANSITIONS,
+    CounterFsm,
+    FsmEvent,
+    FsmState,
+    recovery_threshold,
 )
+from repro.core.messages import MsgType, SpecialMessage, make_path_message, make_probe
 from repro.core.placement import placement_node_ids
-from repro.core.turns import PROBE_TURN_CAPACITY, Port, apply_turn, turn_between
 from repro.obs.events import (
     BUBBLE_ACTIVATE,
     BUBBLE_DRAIN,
@@ -61,30 +38,46 @@ from repro.obs.events import (
     SPECIAL_DROP,
 )
 from repro.protocols.base import DeadlockScheme
-
-#: ``_PORTS[i] is Port(i)`` — avoids the enum-constructor call on hot paths.
-_PORTS = (Port.EAST, Port.NORTH, Port.WEST, Port.SOUTH, Port.LOCAL)
-
-#: Mesh default for ``_enc[in_port][out_port]`` — ``turn_between``
-#: precomputed; ``None`` for u-turns and local ports (never looked up on
-#: the fork path, which filters those out first).  Replaced by the
-#: topology's own hop codec at ``setup()``; these module tables only back
-#: schemes that are driven before/without a network (unit tests).
-_TURN = tuple(
-    tuple(
-        turn_between(_PORTS[i], _PORTS[o])
-        if i < 4 and o < 4 and o != i
-        else None
-        for o in range(5)
-    )
-    for i in range(5)
-)
 from repro.sim.config import SimConfig
 from repro.sim.router import VC_NORMAL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.network import Network
     from repro.sim.router import Router
+
+#: The event an own special message fires when it returns to its sender.
+_RETURNED = {
+    MsgType.PROBE: FsmEvent.PROBE_BACK,
+    MsgType.DISABLE: FsmEvent.DISABLE_BACK,
+    MsgType.CHECK_PROBE: FsmEvent.CHECK_PROBE_BACK,
+    MsgType.ENABLE: FsmEvent.ENABLE_BACK,
+}
+
+#: The path message a state sends on entry (and on retransmission), with
+#: its ``NetworkStats`` counter.
+_PATH_MESSAGE = {
+    FsmState.S_DISABLE: (MsgType.DISABLE, "disables_sent"),
+    FsmState.S_CHECK_PROBE: (MsgType.CHECK_PROBE, "check_probes_sent"),
+    FsmState.S_ENABLE: (MsgType.ENABLE, "enables_sent"),
+}
+
+
+@lru_cache(maxsize=None)
+def _compile(cls, use_check_probe: bool) -> Dict[FsmEvent, list]:
+    """``TRANSITIONS`` by event, in table order: ``(states, row, guard,
+    effect)`` with the guard and effect as functions of ``cls`` (unbound,
+    so a dropped network is not cyclic garbage).  Without check_probe
+    (paper footnote 7) a re-claimed bubble goes straight to the enable
+    teardown."""
+    rows: Dict[FsmEvent, list] = {}
+    for row in TRANSITIONS:
+        if row.next is FsmState.S_CHECK_PROBE and not use_check_probe:
+            row = row._replace(next=FsmState.S_ENABLE)
+        states = row.state if isinstance(row.state, tuple) else (row.state,)
+        guard = row.guard and getattr(cls, "_" + row.guard)
+        effect = row.effect and getattr(cls, "_" + row.effect)
+        rows.setdefault(row.event, []).append((states, row, guard, effect))
+    return rows
 
 
 @dataclass
@@ -138,43 +131,9 @@ class StaticBubbleScheme(DeadlockScheme):
         self._sealed: set = set()
         #: Placement actually provisioned at ``setup`` (None before).
         self._placement: Optional[set] = None
-        self._install_codec(None)
+        self._rows = _compile(type(self), use_check_probe)
 
     # -- construction -----------------------------------------------------
-
-    def _install_codec(self, topo) -> None:
-        """Bind the per-topology port layout and hop codec.
-
-        ``topo=None`` installs the 2D-mesh defaults (L/R/S relative
-        turns, 5 ports) so a scheme driven without a network — the
-        protocol unit tests construct messages by hand — behaves exactly
-        as before the topology generalization.
-        """
-        if topo is None:
-            self._local = int(Port.LOCAL)
-            self._num_ports = 5
-            self._enc = _TURN
-            self._decode = apply_turn
-            self._probe_capacity = PROBE_TURN_CAPACITY
-            self._port_names = tuple(p.name for p in _PORTS)
-            return
-        self._local = topo.local_port
-        self._num_ports = topo.num_ports
-        local = self._local
-        self._enc = tuple(
-            tuple(
-                topo.encode_hop(i, o)
-                if i < local and o < local and o != i
-                else None
-                for o in range(self._num_ports)
-            )
-            for i in range(self._num_ports)
-        )
-        self._decode = topo.decode_hop
-        self._probe_capacity = topo.probe_hop_capacity()
-        self._port_names = tuple(
-            topo.port_name(p) for p in range(self._num_ports)
-        )
 
     def _placed_nodes(self, topo) -> set:
         """The static-bubble node set for ``topo`` (override wins)."""
@@ -183,15 +142,26 @@ class StaticBubbleScheme(DeadlockScheme):
         return set(topo.bubble_placement())
 
     def setup(self, network: "Network") -> None:
-        config = network.config
-        self._install_codec(network.topo)
-        sb_nodes = self._placed_nodes(network.topo)
+        """Bind the topology's hop codec, then provision the placement."""
+        topo = network.topo
+        local = self._local = topo.local_port
+        self._enc = tuple(
+            tuple(
+                topo.encode_hop(i, o) if i < local and o < local and o != i else None
+                for o in range(topo.num_ports)
+            )
+            for i in range(topo.num_ports)
+        )
+        self._decode = topo.decode_hop
+        self._probe_capacity = topo.probe_hop_capacity()
+        self._port_names = tuple(topo.port_name(p) for p in range(topo.num_ports))
+        sb_nodes = self._placed_nodes(topo)
         self._placement = sb_nodes
         for router in network.routers.values():
             router._sealed = self._sealed
         for node, router in network.routers.items():
             if node in sb_nodes:
-                self._provision(router, config)
+                self._provision(router, network.config)
 
     def _provision(self, router: "Router", config: SimConfig) -> None:
         """Give ``router`` its static bubble and counter FSM."""
@@ -204,10 +174,7 @@ class StaticBubbleScheme(DeadlockScheme):
         # probe, Section IV-B).
         stagger = (node * 7) % 13
         fsm = CounterFsm(
-            node,
-            (self._t_dd_override or config.sb_t_dd) + stagger,
-            max_enable_retries=config.sb_enable_retries,
-            awake=self._awake,
+            node, (self._t_dd_override or config.sb_t_dd) + stagger, awake=self._awake
         )
         self.states[node] = _SbRouterState(fsm)
 
@@ -288,15 +255,10 @@ class StaticBubbleScheme(DeadlockScheme):
         broken_senders = set(removed_set)
         for node, state in self.states.items():
             fsm = state.fsm
-            if not fsm.in_recovery():
-                continue
-            if self._path_intact(network.topo, node, fsm):
+            if not fsm.in_recovery() or self._path_intact(network.topo, node, fsm):
                 continue
             broken_senders.add(node)
-            router = network.routers[node]
-            router.deactivate_bubble()
-            any_active = self._compass_occupied(router)
-            fsm.reset(any_active)
+            self._fire(network, network.routers[node], state, FsmEvent.RESET, now)
             fsms_reset += 1
 
         seals_cleared = 0
@@ -307,11 +269,10 @@ class StaticBubbleScheme(DeadlockScheme):
             router.clear_io_restriction()
             seals_cleared += 1
             state = self.states.get(router.node)
-            if state is not None and not state.fsm.in_recovery():
+            if state is not None:
                 # Parked S_OFF by the (now unreachable) foreign disable:
                 # resume watching as a real enable would have done.
-                any_active = self._compass_occupied(router)
-                state.fsm.on_foreign_enable(any_active)
+                self._fire(network, router, state, FsmEvent.FOREIGN_ENABLE, now)
         return {"seals_cleared": seals_cleared, "fsms_reset": fsms_reset}
 
     @staticmethod
@@ -361,6 +322,14 @@ class StaticBubbleScheme(DeadlockScheme):
         if obs is not None:
             obs.emit(network.cycle, kind, node, data)
 
+    def _drop(self, network: "Network", router: "Router", msg, reason: str) -> None:
+        """Trace a special message that dies at ``router``."""
+        if network.obs is not None:  # (probe drops are frequent)
+            self._emit(
+                network, SPECIAL_DROP, router.node,
+                mtype=msg.mtype.name, sender=msg.sender, reason=reason,
+            )
+
     def extra_vcs_per_router(self, node: int, config: SimConfig) -> int:
         if self.placement_override is not None:
             return 1 if node in self.placement_override else 0
@@ -369,6 +338,157 @@ class StaticBubbleScheme(DeadlockScheme):
         # Design-time query with no network attached: the config's mesh.
         return 1 if node in placement_node_ids(config.width, config.height) else 0
 
+    # -- the transition table ------------------------------------------------
+
+    def _fire(self, network, router, st, event, now, msg=None, in_port=None):
+        """Take the first row of ``(state, event)`` whose guard holds.
+
+        State change, then the effect, then the counter rule.  Returns
+        the row taken, or ``None`` when the event means nothing here.
+        """
+        fsm = st.fsm
+        state = fsm.state
+        for states, row, guard, effect in self._rows[event]:
+            if state not in states or (
+                guard is not None and not guard(self, network, router, st, now)
+            ):
+                continue
+            if row.next is not state:
+                fsm.transition(row.next)
+            if effect is not None:
+                effect(self, network, router, st, now, msg, in_port)
+            counter = row.counter
+            if counter is not None:
+                fsm.count = 0
+                if counter == "t_dd":
+                    fsm.threshold = fsm.t_dd
+                elif counter == "t_dr":
+                    fsm.threshold = recovery_threshold(len(fsm.turn_buffer))
+                elif counter == "retry":
+                    fsm.enable_retries += 1
+            return row
+        return None
+
+    # guards ------------------------------------------------------------------
+
+    def _active(self, network, router, st, now) -> bool:
+        """Does any compass-port VC hold a packet?"""
+        return router.compass_load() > 0 and any(
+            vc.packet is not None for vc in router.compass_vcs
+        )
+
+    def _closed(self, network, router, st, now) -> bool:
+        """Deviation 3: the traced chain still closes through this router
+        — its probed input port is full and a resident wants the chain's
+        output.  Closure is what lets the bubble's slot circulate back and
+        free the bubble's own resident."""
+        fsm = st.fsm
+        in_vcs = router.input_vcs[fsm.probe_in_port]
+        return (
+            bool(in_vcs)
+            and all(vc.packet is not None for vc in in_vcs)
+            and router.vc_wants_output(fsm.probe_in_port, fsm.probe_out_port, now)
+        )
+
+    def _retries_left(self, network, router, st, now) -> bool:
+        return st.fsm.enable_retries < network.config.sb_enable_retries
+
+    # effects -----------------------------------------------------------------
+
+    def _send_probe(self, network, router, st, now, msg, in_port) -> None:
+        """Probe from the output the watched packet is blocked on, then
+        rotate the watch (deviation 1)."""
+        node = router.node
+        st.fsm.probes_sent += 1
+        vcs = router.compass_vcs
+        wi = st.watch_index
+        packet = vcs[wi].packet if wi < len(vcs) else None
+        if packet is not None and packet.pid == st.watched_pid:
+            out = router._requested_output(packet)
+            # (ejection is never part of a dependence chain)
+            if out != self._local and network.send_special(
+                node, out, make_probe(node, out)
+            ):
+                network.stats.probes_sent += 1
+        self._watch_next(router, st, wi + 1)
+
+    def _latch(self, network, router, st, now, msg, in_port) -> None:
+        """Latch the returned probe's path in the Turn Buffer (its origin
+        port rode along, deviation 2), then send the disable."""
+        fsm = st.fsm
+        fsm.turn_buffer = msg.turns
+        fsm.probe_in_port = in_port
+        fsm.probe_out_port = msg.origin_out
+        self._send_path(network, router, st, now, msg, in_port)
+
+    def _send_path(self, network, router, st, now, msg, in_port) -> None:
+        """Send the path message of the state just entered."""
+        fsm = st.fsm
+        mtype, stat = _PATH_MESSAGE[fsm.state]
+        node = router.node
+        out = fsm.probe_out_port
+        if network.send_special(
+            node, out, make_path_message(mtype, node, fsm.turn_buffer, out)
+        ):
+            stats = network.stats
+            setattr(stats, stat, getattr(stats, stat) + 1)
+
+    def _release_bubble(self, network, router, st, now, msg, in_port) -> None:
+        router.deactivate_bubble()
+        self._send_path(network, router, st, now, msg, in_port)
+
+    def _activate(self, network, router, st, now, msg, in_port) -> None:
+        """Seal this hop and switch the static bubble on."""
+        fsm = st.fsm
+        node = router.node
+        router.set_io_restriction(fsm.probe_in_port, fsm.probe_out_port, node, now)
+        router.activate_bubble(fsm.probe_in_port)
+        st.bubble_active_since = now
+        network.stats.bubble_activations += 1
+        in_name = self._port_names[fsm.probe_in_port]
+        self._emit(
+            network, SEAL_INSTALL, node,
+            source=node, in_port=in_name,
+            out_port=self._port_names[fsm.probe_out_port],
+        )
+        self._emit(network, BUBBLE_ACTIVATE, node, in_port=in_name)
+
+    def _finish(self, network, router, st, now, msg, in_port) -> None:
+        self._lift(network, router, st)
+        network.stats.recoveries_completed += 1
+        self._emit(network, RECOVERY_DONE, router.node)
+
+    def _abort(self, network, router, st, now, msg, in_port) -> None:
+        """Give up a recovery whose enable keeps getting lost."""
+        retries = st.fsm.enable_retries + 1  # the retransmission refused
+        self._lift(network, router, st)
+        network.stats.recoveries_aborted += 1
+        self._emit(network, RECOVERY_ABORT, router.node, retries=retries)
+
+    def _lift(self, network, router, st) -> None:
+        """Clear this router's seal, then :meth:`_reset`."""
+        if router.is_deadlock:
+            self._emit(network, SEAL_CLEAR, router.node, source=router.source_id)
+        router.clear_io_restriction()
+        self._reset(network, router, st, None, None, None)
+
+    def _reset(self, network, router, st, now, msg, in_port) -> None:
+        """Switch the bubble off and forget the latched path.  Alone (a
+        live topology change) it counts neither a completed nor an aborted
+        recovery: the chain was cancelled from outside the protocol."""
+        router.deactivate_bubble()
+        fsm = st.fsm
+        fsm.turn_buffer = ()
+        fsm.probe_in_port = None
+        fsm.probe_out_port = None
+        fsm.enable_retries = 0
+
+    def _drop_id_race(self, network, router, st, now, msg, in_port) -> None:
+        self._drop(network, router, msg, "id_race")
+
+    def _drop_unclosed(self, network, router, st, now, msg, in_port) -> None:
+        self._drop(network, router, msg, "revalidation_failed")
+
     # -- per-cycle FSM driving ---------------------------------------------
 
     def on_cycle(self, network: "Network", now: int) -> None:
@@ -376,18 +496,18 @@ class StaticBubbleScheme(DeadlockScheme):
         # whose FSM is running, and one that holds a packet (its first
         # flit arms the FSM; a bubble resident may relocate).  They are
         # driven in ascending node order.  The guards of
-        # `_relocate_bubble_resident` / `_sb_active_watchdog` /
-        # `CounterFsm.tick` are inlined so a visit with nothing to do
-        # costs a few attribute reads, not a method call each.
+        # `_relocate_bubble_resident` / `_sb_active_watchdog` and the
+        # counter tick are inlined so a visit with nothing to do costs a
+        # few attribute reads, not a method call each.
         states = self.states
         visit = self._awake.union(
             filter(states.__contains__, network._active_nodes)
         )
         routers = network.routers
+        fire = self._fire
         s_off = FsmState.S_OFF
         s_dd = FsmState.S_DD
         s_active = FsmState.S_SB_ACTIVE
-        none_action = FsmAction.NONE
         for node in sorted(visit):
             state = states[node]
             router = routers[node]
@@ -401,14 +521,11 @@ class StaticBubbleScheme(DeadlockScheme):
                 self._relocate_bubble_resident(network, router, now)
             st = fsm.state
             if st is s_off:
-                if router._occupancy:
-                    vcs = router.compass_vcs
-                    idx = self._next_occupied(router, state.watch_index)
-                    if idx is not None:
-                        state.watch_index = idx
-                        state.watched_pid = vcs[idx].packet.pid
-                        fsm.on_first_flit()
-                        st = fsm.state
+                if router._occupancy and self._watch_next(
+                    router, state, state.watch_index
+                ):
+                    fire(network, router, state, FsmEvent.FIRST_FLIT, now)
+                    st = fsm.state
             elif st is s_dd:
                 vcs = router.compass_vcs
                 wi = state.watch_index
@@ -418,26 +535,21 @@ class StaticBubbleScheme(DeadlockScheme):
                     or current.packet is None
                     or current.packet.pid != state.watched_pid
                 ):
-                    idx = self._next_occupied(router, wi + 1)
-                    if idx is not None:
-                        state.watch_index = idx
-                        state.watched_pid = vcs[idx].packet.pid
-                        fsm.on_watched_vc_progress(True)
+                    if self._watch_next(router, state, wi + 1):
+                        fire(network, router, state, FsmEvent.WATCH_MOVED, now)
                     else:
                         state.watched_pid = None
-                        fsm.on_watched_vc_progress(False)
+                        fire(network, router, state, FsmEvent.WATCH_EMPTIED, now)
                     st = fsm.state
             elif st is s_active:
                 self._sb_active_watchdog(network, router, state, now)
                 st = fsm.state
             if st is not s_off and st is not s_active:
-                # ``fsm.tick()`` unrolled (every state but these two
-                # counts): the no-timeout path is by far the common case.
+                # Every other state counts; the no-timeout path is by far
+                # the common case.
                 fsm.count += 1
                 if fsm.count >= fsm.threshold:
-                    action = fsm._on_timeout()
-                    if action is not none_action:
-                        self._dispatch(network, router, state, action, now)
+                    fire(network, router, state, FsmEvent.TIMEOUT, now)
         self._collect_stale_seals(network, now)
 
     def _collect_stale_seals(self, network: "Network", now: int) -> None:
@@ -521,184 +633,53 @@ class StaticBubbleScheme(DeadlockScheme):
                     return
 
     @staticmethod
-    def _compass_occupied(router: "Router") -> bool:
-        """Does any compass-port VC hold a packet?"""
-        return router.compass_load() > 0 and any(
-            vc.packet is not None for vc in router.compass_vcs
-        )
-
-    @staticmethod
-    def _next_occupied(router: "Router", start: int) -> Optional[int]:
-        """The first occupied position of ``compass_vcs`` from ``start`` on."""
+    def _watch_next(router: "Router", st: _SbRouterState, start: int) -> bool:
+        """Watch the first occupied position of ``compass_vcs`` from
+        ``start`` on; False (watch unchanged) when there is none."""
         vcs = router.compass_vcs
         n = len(vcs)
         if n == 0 or router.compass_load() == 0:
-            return None  # (a zero count proves "none"; non-zero proves nothing)
+            return False  # (a zero count proves "none"; non-zero proves nothing)
         for k in range(n):
             idx = (start + k) % n
-            if vcs[idx].packet is not None:
-                return idx
-        return None
+            packet = vcs[idx].packet
+            if packet is not None:
+                st.watch_index = idx
+                st.watched_pid = packet.pid
+                return True
+        return False
 
     def _sb_active_watchdog(
-        self, network: "Network", router: "Router", state: _SbRouterState, now: int
+        self, network: "Network", router: "Router", st: _SbRouterState, now: int
     ) -> None:
-        """Detect a dissolved chain while the (unclaimed) bubble is active."""
-        fsm = state.fsm
-        if fsm.state != FsmState.S_SB_ACTIVE:
+        """Fire ``STUCK`` (deviation 11) or ``UNCLAIMED`` (deviation 7)
+        when the active bubble stops making progress."""
+        bubble = router.bubble
+        if st.fsm.state is not FsmState.S_SB_ACTIVE or bubble is None:
             return
-        if router.bubble is None:
+        timed_out = now - st.bubble_active_since >= network.config.sb_bubble_timeout
+        if bubble.packet is not None:
+            # Claimed but immobile for the bubble timeout: the resident is
+            # wedged in a *different* cycle, so this chain's hole will
+            # never circulate back.
+            if timed_out:
+                self._fire(network, router, st, FsmEvent.STUCK, now)
             return
-        if router.bubble.packet is not None:
-            # Claimed but immobile: the resident is itself wedged in a
-            # *different* dependency cycle (deadlock web), so the hole this
-            # bubble introduced will never circulate back.  S_SB_ACTIVE has
-            # no counter, so without a backstop the FSM — and every seal
-            # along its chain — would be stuck forever while the true cycle
-            # goes untraced.  After the bubble timeout, tear the chain down
-            # through the normal enable replay (clearing the path's seals)
-            # and resume detection on the web as it now is.  The resident
-            # stays in the bubble, which remains switchable until it drains.
-            if now - state.bubble_active_since >= network.config.sb_bubble_timeout:
-                action = state.fsm.on_bubble_stuck()
-                if action != FsmAction.NONE:
-                    self._dispatch(network, router, state, action, now)
-            return
-        # Give up waiting for the chain to claim the bubble when either
-        # (a) the chain gained space without it — a free normal VC at the
-        # chain's input port means some resident drained independently (a
-        # congestion false positive), or (b) nothing has claimed it for
-        # ``sb_bubble_timeout`` cycles (the traced chain does not actually
-        # feed this router).  Both fall through to the check_probe/enable
-        # machinery so the injection restrictions are eventually lifted.
-        chain_port_full = all(
-            vc.packet is not None for vc in router.input_vcs[fsm.probe_in_port]
-        )
-        timed_out = now - state.bubble_active_since >= network.config.sb_bubble_timeout
-        if chain_port_full and not timed_out:
-            return
-        router.deactivate_bubble()
-        action = fsm.on_bubble_reclaimed()
-        if action != FsmAction.NONE:
-            self._dispatch(network, router, state, action, now)
-
-    # -- FSM action dispatch --------------------------------------------------
-
-    def _dispatch(
-        self,
-        network: "Network",
-        router: "Router",
-        state: _SbRouterState,
-        action: FsmAction,
-        now: int,
-    ) -> None:
-        fsm = state.fsm
-        node = router.node
-        if action == FsmAction.SEND_PROBE:
-            out = self._watched_output(router, state, now)
-            if out is not None and out != self._local:
-                # (ejection is never part of a dependence chain)
-                if network.send_special(node, out, make_probe(node, out)):
-                    network.stats.probes_sent += 1
-            # Liveness clarification of Fig. 5 (DESIGN.md §4): rotate the
-            # watch to the next occupied VC after an unsuccessful
-            # detection period.  With the pointer frozen on one VC, the
-            # highest-id SB router of a deadlocked ring — the only one
-            # whose probes are not dropped by the id rule — could probe a
-            # non-ring VC forever and the ring would never be traced.
-            vcs = router.compass_vcs
-            idx = self._next_occupied(router, state.watch_index + 1)
-            if idx is not None:
-                state.watch_index = idx
-                state.watched_pid = vcs[idx].packet.pid
-            return
-        if action == FsmAction.SEND_DISABLE:
-            msg = make_path_message(
-                MsgType.DISABLE, node, fsm.turn_buffer, fsm.probe_out_port
-            )
-            if network.send_special(node, fsm.probe_out_port, msg):
-                network.stats.disables_sent += 1
-            return
-        if action == FsmAction.SEND_CHECK_PROBE:
-            if not self.use_check_probe:
-                # Ablation (paper footnote 7): skip the check_probe
-                # speed-up — tear the seal down immediately and let a
-                # fresh detection round find the chain again if it still
-                # exists.
-                fsm.transition(FsmState.S_ENABLE)
-                fsm.enable_retries = 0
-                fsm.count = 0
-                self._dispatch(network, router, state, FsmAction.SEND_ENABLE, now)
-                return
-            msg = make_path_message(
-                MsgType.CHECK_PROBE, node, fsm.turn_buffer, fsm.probe_out_port
-            )
-            if network.send_special(node, fsm.probe_out_port, msg):
-                network.stats.check_probes_sent += 1
-            return
-        if action == FsmAction.SEND_ENABLE:
-            msg = make_path_message(
-                MsgType.ENABLE, node, fsm.turn_buffer, fsm.probe_out_port
-            )
-            if network.send_special(node, fsm.probe_out_port, msg):
-                network.stats.enables_sent += 1
-            return
-        if action == FsmAction.ACTIVATE_BUBBLE:
-            router.set_io_restriction(
-                fsm.probe_in_port, fsm.probe_out_port, node, now
-            )
-            router.activate_bubble(fsm.probe_in_port)
-            state.bubble_active_since = now
-            network.stats.bubble_activations += 1
-            self._emit(
-                network, SEAL_INSTALL, node,
-                source=node,
-                in_port=self._port_names[fsm.probe_in_port],
-                out_port=self._port_names[fsm.probe_out_port],
-            )
-            self._emit(
-                network, BUBBLE_ACTIVATE, node,
-                in_port=self._port_names[fsm.probe_in_port],
-            )
-            return
-        if action == FsmAction.RECOVERY_DONE:
-            network.stats.recoveries_completed += 1
-            self._emit(network, RECOVERY_DONE, node)
-            return
-        if action == FsmAction.ABORT_RECOVERY:
-            retries = fsm.enable_retries
-            if router.is_deadlock:
-                self._emit(network, SEAL_CLEAR, node, source=router.source_id)
-            router.clear_io_restriction()
-            router.deactivate_bubble()
-            any_active = self._compass_occupied(router)
-            fsm.abort_recovery(any_active)
-            network.stats.recoveries_aborted += 1
-            self._emit(network, RECOVERY_ABORT, node, retries=retries)
-            return
-
-    def _watched_output(
-        self, router: "Router", state: _SbRouterState, now: int
-    ) -> Optional[int]:
-        vcs = router.compass_vcs
-        if state.watch_index >= len(vcs):
-            return None
-        packet = vcs[state.watch_index].packet
-        if packet is None or packet.pid != state.watched_pid:
-            return None
-        return router._requested_output(packet)
+        # Unclaimed: the chain gained space without the bubble (a free VC
+        # at its input port — a congestion false positive), or nothing
+        # claimed it within the bubble timeout.
+        if timed_out or any(
+            vc.packet is None for vc in router.input_vcs[st.fsm.probe_in_port]
+        ):
+            self._fire(network, router, st, FsmEvent.UNCLAIMED, now)
 
     # -- bubble reclaim hook ----------------------------------------------------
 
     def on_bubble_drained(self, network: "Network", router: "Router", now: int) -> None:
         state = self.states.get(router.node)
-        if state is None:
-            return
-        self._emit(network, BUBBLE_DRAIN, router.node)
-        action = state.fsm.on_bubble_reclaimed()
-        if action != FsmAction.NONE:
-            router.deactivate_bubble()
-            self._dispatch(network, router, state, action, now)
+        if state is not None:
+            self._emit(network, BUBBLE_DRAIN, router.node)
+            self._fire(network, router, state, FsmEvent.RECLAIMED, now)
 
     # -- special message processing -------------------------------------------
 
@@ -736,14 +717,16 @@ class StaticBubbleScheme(DeadlockScheme):
         msg: SpecialMessage,
         now: int,
     ) -> List[Tuple[int, SpecialMessage]]:
-        mtype = msg.mtype
-        if mtype == MsgType.PROBE:
-            return self._handle_probe(network, router, in_port, msg, now)
-        if mtype == MsgType.DISABLE:
-            return self._handle_disable(network, router, in_port, msg, now)
-        if mtype == MsgType.CHECK_PROBE:
-            return self._handle_check_probe(network, router, in_port, msg, now)
-        return self._handle_enable(network, router, in_port, msg, now)
+        if msg.sender == router.node:
+            state = self.states.get(router.node)
+            if state is not None:
+                self._fire(
+                    network, router, state, _RETURNED[msg.mtype], now, msg, in_port
+                )
+            return []
+        if msg.mtype == MsgType.PROBE:
+            return self._forward_probe(network, router, in_port, msg, now)
+        return self._forward_path(network, router, in_port, msg, now)
 
     @staticmethod
     def _arbitrate_output(
@@ -764,9 +747,9 @@ class StaticBubbleScheme(DeadlockScheme):
             ]
         return max(candidates, key=lambda c: (c.priority, c.sender))
 
-    # -- per-type handlers --------------------------------------------------
+    # -- forwarding of foreign messages ------------------------------------------
 
-    def _handle_probe(
+    def _forward_probe(
         self,
         network: "Network",
         router: "Router",
@@ -774,29 +757,11 @@ class StaticBubbleScheme(DeadlockScheme):
         msg: SpecialMessage,
         now: int,
     ) -> List[Tuple[int, SpecialMessage]]:
-        state = self.states.get(router.node)
-        if state is not None:
-            if msg.sender == router.node:
-                # Own probe back: a dependence cycle is confirmed.  The
-                # probe carries the output port it originally left from.
-                action = state.fsm.on_probe_returned(
-                    msg.turns, in_port, msg.origin_out
-                )
-                if action != FsmAction.NONE:
-                    self._dispatch(network, router, state, action, now)
-                return []
-            if msg.sender < router.node and state.fsm.state == FsmState.S_DD:
-                self._emit(
-                    network, SPECIAL_DROP, router.node,
-                    mtype=msg.mtype.name, sender=msg.sender, reason="id_race",
-                )
-                # Lower-id static bubble's probe while this node is itself
-                # detecting: this node wins the race (Section IV-B).  When
-                # this node is busy with another recovery (or its bubble
-                # is pinned by a stuck resident) it cannot resolve the
-                # cycle itself, so starving the lower-id sender would
-                # wedge the ring — forward instead (liveness refinement,
-                # DESIGN.md §4).
+        if msg.sender < router.node:
+            state = self.states.get(router.node)
+            if state is not None and self._fire(
+                network, router, state, FsmEvent.LOWER_PROBE, now, msg
+            ):
                 return []
         # Probe Fork Unit: forward only if every VC at the probed input
         # port is occupied; fork to the union of their requested outputs.
@@ -807,17 +772,10 @@ class StaticBubbleScheme(DeadlockScheme):
                 full = False
                 break
         if not full:
-            if network.obs is not None:
-                self._emit(
-                    network, SPECIAL_DROP, router.node,
-                    mtype=msg.mtype.name, sender=msg.sender, reason="port_not_full",
-                )
+            self._drop(network, router, msg, "port_not_full")
             return []
         if len(msg.turns) >= self._probe_capacity:
-            self._emit(
-                network, SPECIAL_DROP, router.node,
-                mtype=msg.mtype.name, sender=msg.sender, reason="capacity",
-            )
+            self._drop(network, router, msg, "capacity")
             return []
         # Union of requested outputs as a bitmask: deterministic ascending
         # fork order (a set of Port members iterates in *name-hash* order,
@@ -857,7 +815,7 @@ class StaticBubbleScheme(DeadlockScheme):
             out += 1
         return forwards
 
-    def _handle_disable(
+    def _forward_path(
         self,
         network: "Network",
         router: "Router",
@@ -865,144 +823,43 @@ class StaticBubbleScheme(DeadlockScheme):
         msg: SpecialMessage,
         now: int,
     ) -> List[Tuple[int, SpecialMessage]]:
-        state = self.states.get(router.node)
-        if msg.sender == router.node:
-            if state is None:
-                return []
-            fsm = state.fsm
-            if fsm.state != FsmState.S_DISABLE:
-                return []
-            # Sender-side dependence re-validation (Section IV-B): the
-            # traced chain must still close through this router — the
-            # probed input port is fully occupied *and* one of its
-            # residents wants the chain's output.  Closure matters: it is
-            # what guarantees (bubble flow control's circulation argument)
-            # that the packet that claims the bubble is eventually freed
-            # by the very slot the bubble introduced, so the bubble is
-            # always re-claimed and recovery completes.
-            in_vcs = router.input_vcs[fsm.probe_in_port]
-            if not in_vcs or any(vc.packet is None for vc in in_vcs):
-                self._emit(
-                    network, SPECIAL_DROP, router.node,
-                    mtype=msg.mtype.name, sender=msg.sender,
-                    reason="revalidation_failed",
-                )
-                return []
-            if not router.vc_wants_output(fsm.probe_in_port, fsm.probe_out_port, now):
-                self._emit(
-                    network, SPECIAL_DROP, router.node,
-                    mtype=msg.mtype.name, sender=msg.sender,
-                    reason="revalidation_failed",
-                )
-                return []
-            action = fsm.on_disable_returned()
-            if action != FsmAction.NONE:
-                self._dispatch(network, router, state, action, now)
-            return []
+        """Disable, check_probe and enable replay their sender's turn path."""
         if not msg.turns:
             return []
+        node = router.node
         out = self._decode(msg.travel, msg.turns[0])
-        if not router.vc_wants_output(in_port, out, now):
-            # The dependence dissolved: drop, sender times out.
-            self._emit(
-                network, SPECIAL_DROP, router.node,
-                mtype=msg.mtype.name, sender=msg.sender, reason="chain_dissolved",
-            )
+        if msg.mtype == MsgType.ENABLE:
+            # Forwarded even on a source-id mismatch (Section IV-B), and
+            # processed even at an SB router with its own recovery in
+            # flight (deviation 5).
+            if router.source_id == msg.sender:
+                self._emit(network, SEAL_CLEAR, node, source=msg.sender)
+                router.clear_io_restriction()
+                state = self.states.get(node)
+                if state is not None:
+                    self._fire(network, router, state, FsmEvent.FOREIGN_ENABLE, now)
+        elif not router.vc_wants_output(in_port, out, now):
+            # Buffer Dependency Check unit: the dependence dissolved here,
+            # so the message dies and its sender times out.  The output
+            # comes from the replayed turn, which also covers hops a
+            # disable could not seal (deviation 6).
+            self._drop(network, router, msg, "chain_dissolved")
             return []
-        # A router whose single IO-priority buffer is already claimed —
-        # sealed into another chain, or an SB node running its own
-        # recovery — cannot install this chain's restriction.  The paper
-        # drops the disable here; we instead forward it *without sealing*
-        # this hop (deviation, DESIGN.md §4): the sender still gets its
-        # confirmation and activates the bubble, at the cost of one
-        # unsealed hop new traffic may slip through.  Dropping instead
-        # livelocks frozen deadlock webs in which every disable must cross
-        # some other chain's router.
-        busy = router.is_deadlock or (state is not None and state.fsm.in_recovery())
-        if not busy:
-            router.set_io_restriction(in_port, out, msg.sender, now)
-            self._emit(
-                network, SEAL_INSTALL, router.node,
-                source=msg.sender,
-                in_port=self._port_names[in_port],
-                out_port=self._port_names[out],
-            )
-            if state is not None:
-                state.fsm.on_foreign_disable()
-        return [(out, msg.with_head_stripped(out))]
-
-    def _handle_check_probe(
-        self,
-        network: "Network",
-        router: "Router",
-        in_port: int,
-        msg: SpecialMessage,
-        now: int,
-    ) -> List[Tuple[int, SpecialMessage]]:
-        state = self.states.get(router.node)
-        if msg.sender == router.node:
-            if state is None:
-                return []
-            action = state.fsm.on_check_probe_returned()
-            if action != FsmAction.NONE:
-                self._dispatch(network, router, state, action, now)
-            return []
-        # Buffer Dependency Check unit: forward only while a VC still
-        # feeds the chain at this hop.  The output port comes from the
-        # replayed turn; for hops sealed by this sender it equals the
-        # stored IO-priority output (the paper's formulation) — using the
-        # turn also covers hops that could not be sealed because their IO
-        # buffer was claimed by another chain (see _handle_disable).
-        if not msg.turns:
-            return []
-        out = self._decode(msg.travel, msg.turns[0])
-        if not router.vc_wants_output(in_port, out, now):
-            self._emit(
-                network, SPECIAL_DROP, router.node,
-                mtype=msg.mtype.name, sender=msg.sender, reason="chain_dissolved",
-            )
-            return []
-        return [(out, msg.with_head_stripped(out))]
-
-    def _handle_enable(
-        self,
-        network: "Network",
-        router: "Router",
-        in_port: int,
-        msg: SpecialMessage,
-        now: int,
-    ) -> List[Tuple[int, SpecialMessage]]:
-        state = self.states.get(router.node)
-        if msg.sender == router.node:
-            if state is None:
-                return []
-            fsm = state.fsm
-            if fsm.state != FsmState.S_ENABLE:
-                return []
-            if router.is_deadlock:
+        elif msg.mtype == MsgType.DISABLE:
+            # A router whose one IO-priority buffer is claimed — sealed
+            # into another chain, or running its own recovery — forwards
+            # the disable without sealing this hop (deviation 4).
+            state = self.states.get(node)
+            if not router.is_deadlock and (
+                state is None or not state.fsm.in_recovery()
+            ):
+                router.set_io_restriction(in_port, out, msg.sender, now)
                 self._emit(
-                    network, SEAL_CLEAR, router.node, source=router.source_id
+                    network, SEAL_INSTALL, node,
+                    source=msg.sender,
+                    in_port=self._port_names[in_port],
+                    out_port=self._port_names[out],
                 )
-            router.clear_io_restriction()
-            router.deactivate_bubble()
-            any_active = self._compass_occupied(router)
-            action = fsm.on_enable_returned(any_active)
-            if action != FsmAction.NONE:
-                self._dispatch(network, router, state, action, now)
-            return []
-        if not msg.turns:
-            return []
-        out = self._decode(msg.travel, msg.turns[0])
-        # Unlike disables, foreign enables are processed and forwarded even
-        # while this SB node runs its own recovery: an enable only touches
-        # state whose source-id matches its sender, so it cannot disturb
-        # the local recovery, and dropping it would leak stale seals along
-        # the other chain (a liveness hole; see DESIGN.md §4).
-        if router.source_id == msg.sender:
-            self._emit(network, SEAL_CLEAR, router.node, source=msg.sender)
-            router.clear_io_restriction()
-            if state is not None and not state.fsm.in_recovery():
-                any_active = self._compass_occupied(router)
-                state.fsm.on_foreign_enable(any_active)
-        # Forwarded even on a source-id mismatch (Section IV-B).
+                if state is not None:
+                    self._fire(network, router, state, FsmEvent.FOREIGN_DISABLE, now)
         return [(out, msg.with_head_stripped(out))]

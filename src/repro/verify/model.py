@@ -519,10 +519,6 @@ def _shrink_thresholds(
     net.config.sb_bubble_timeout = bubble_timeout
     net.config.sb_seal_timeout = seal_timeout
     net.config.sb_enable_retries = enable_retries
-    states = getattr(net.scheme, "states", None)
-    if isinstance(states, dict):
-        for st in states.values():
-            st.fsm.max_enable_retries = enable_retries
     return {
         "sb_bubble_timeout": bubble_timeout,
         "sb_seal_timeout": seal_timeout,

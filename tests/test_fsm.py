@@ -1,180 +1,212 @@
-"""Unit tests for the 6-state counter FSM (Fig. 5)."""
+"""Unit tests for the 6-state counter FSM (Fig. 5).
 
-import pytest
+Each event is fired through the transition table at the static-bubble
+router of the 2x2 ring deadlock (node 3: the ring enters at S and leaves
+at W after three left turns), so guards and effects see a real router.
+"""
 
-from repro.core.fsm import CounterFsm, FsmAction, FsmState, recovery_threshold
+from repro.core.fsm import FsmEvent as E, FsmState, recovery_threshold
+from repro.core.messages import make_probe
 from repro.core.turns import Port, Turn
 
+from tests.conftest import build_2x2_ring_deadlock, fire, tick
 
-def make_fsm(t_dd=5, **kwargs):
-    return CounterFsm(node=9, t_dd=t_dd, **kwargs)
+SB = 3
+RING = (Turn.LEFT, Turn.LEFT, Turn.LEFT)
 
 
-def tick_until_action(fsm, limit=1000):
+def make_fsm(t_dd=5, enable_retries=None):
+    net, scheme = build_2x2_ring_deadlock()
+    fsm = scheme.states[SB].fsm
+    fsm.t_dd = t_dd
+    if enable_retries is not None:
+        net.config.sb_enable_retries = enable_retries
+    return net, fsm
+
+
+def tick_until_timeout(net, limit=1000):
     for _ in range(limit):
-        action = fsm.tick()
-        if action != FsmAction.NONE:
-            return action
-    raise AssertionError("no action within limit")
+        row = tick(net, SB)
+        if row is not None:
+            return row
+    raise AssertionError("no timeout within limit")
+
+
+def vacate(net):
+    """Remove the ring packet parked at node 3 (its only resident)."""
+    router = net.routers[SB]
+    router.remove(router.input_vcs[Port.SOUTH][0])
+
+
+def probe_back(net, turns=RING):
+    probe = make_probe(SB, Port.WEST)._replace(turns=turns)
+    return fire(net, SB, E.PROBE_BACK, probe, Port.SOUTH)
 
 
 class TestDetection:
     def test_starts_off(self):
-        fsm = make_fsm()
+        net, fsm = make_fsm()
         assert fsm.state == FsmState.S_OFF
-        assert fsm.tick() == FsmAction.NONE
+        assert tick(net, SB) is None
 
     def test_first_flit_starts_counting(self):
-        fsm = make_fsm()
-        fsm.on_first_flit()
+        net, fsm = make_fsm()
+        fire(net, SB, E.FIRST_FLIT)
         assert fsm.state == FsmState.S_DD
         assert fsm.threshold == 5
 
     def test_timeout_sends_probe(self):
-        fsm = make_fsm(t_dd=3)
-        fsm.on_first_flit()
-        assert tick_until_action(fsm) == FsmAction.SEND_PROBE
+        net, fsm = make_fsm(t_dd=3)
+        fire(net, SB, E.FIRST_FLIT)
+        assert tick_until_timeout(net).effect == "send_probe"
         assert fsm.state == FsmState.S_DD
         assert fsm.probes_sent == 1
 
     def test_probe_resent_on_repeat_timeout(self):
-        fsm = make_fsm(t_dd=3)
-        fsm.on_first_flit()
-        tick_until_action(fsm)
-        assert tick_until_action(fsm) == FsmAction.SEND_PROBE
+        net, fsm = make_fsm(t_dd=3)
+        fire(net, SB, E.FIRST_FLIT)
+        tick_until_timeout(net)
+        assert tick_until_timeout(net).effect == "send_probe"
         assert fsm.probes_sent == 2
 
     def test_progress_resets_counter(self):
-        fsm = make_fsm(t_dd=5)
-        fsm.on_first_flit()
-        fsm.tick()
-        fsm.tick()
-        fsm.on_watched_vc_progress(True)
+        net, fsm = make_fsm(t_dd=5)
+        fire(net, SB, E.FIRST_FLIT)
+        tick(net, SB)
+        tick(net, SB)
+        fire(net, SB, E.WATCH_MOVED)
         assert fsm.count == 0
         assert fsm.state == FsmState.S_DD
 
     def test_idle_switches_off(self):
-        fsm = make_fsm()
-        fsm.on_first_flit()
-        fsm.on_watched_vc_progress(False)
+        net, fsm = make_fsm()
+        fire(net, SB, E.FIRST_FLIT)
+        fire(net, SB, E.WATCH_EMPTIED)
         assert fsm.state == FsmState.S_OFF
 
 
 class TestRecoverySequence:
-    def _to_disable(self, fsm):
-        fsm.on_first_flit()
-        tick_until_action(fsm)  # SEND_PROBE
-        action = fsm.on_probe_returned(
-            (Turn.LEFT, Turn.LEFT, Turn.LEFT), Port.SOUTH, Port.NORTH
-        )
-        assert action == FsmAction.SEND_DISABLE
-        return fsm
+    def _to_disable(self, made):
+        net, fsm = made
+        fire(net, SB, E.FIRST_FLIT)
+        tick_until_timeout(net)  # send_probe
+        assert probe_back(net).effect == "latch"
+        assert net.stats.disables_sent == 1
+        return net, fsm
 
     def test_probe_return_latches_path(self):
-        fsm = self._to_disable(make_fsm())
+        net, fsm = self._to_disable(make_fsm())
         assert fsm.state == FsmState.S_DISABLE
-        assert fsm.turn_buffer == (Turn.LEFT, Turn.LEFT, Turn.LEFT)
+        assert fsm.turn_buffer == RING
         assert fsm.probe_in_port == Port.SOUTH
-        assert fsm.probe_out_port == Port.NORTH
+        assert fsm.probe_out_port == Port.WEST
         assert fsm.threshold == recovery_threshold(3)
 
     def test_probe_return_ignored_outside_sdd(self):
-        fsm = self._to_disable(make_fsm())
-        assert fsm.on_probe_returned((), Port.SOUTH, Port.NORTH) == FsmAction.NONE
+        net, fsm = self._to_disable(make_fsm())
+        assert probe_back(net, ()) is None
 
     def test_disable_return_activates_bubble(self):
-        fsm = self._to_disable(make_fsm())
-        assert fsm.on_disable_returned() == FsmAction.ACTIVATE_BUBBLE
+        net, fsm = self._to_disable(make_fsm())
+        assert fire(net, SB, E.DISABLE_BACK).effect == "activate"
         assert fsm.state == FsmState.S_SB_ACTIVE
-        assert fsm.tick() == FsmAction.NONE  # counter off
+        assert net.routers[SB].bubble_active
+        assert tick(net, SB) is None and fsm.count == 0  # counter off
 
     def test_reclaim_sends_check_probe(self):
-        fsm = self._to_disable(make_fsm())
-        fsm.on_disable_returned()
-        assert fsm.on_bubble_reclaimed() == FsmAction.SEND_CHECK_PROBE
+        net, fsm = self._to_disable(make_fsm())
+        fire(net, SB, E.DISABLE_BACK)
+        assert fire(net, SB, E.RECLAIMED).next == FsmState.S_CHECK_PROBE
         assert fsm.state == FsmState.S_CHECK_PROBE
+        assert net.stats.check_probes_sent == 1
 
     def test_check_probe_return_reactivates(self):
-        fsm = self._to_disable(make_fsm())
-        fsm.on_disable_returned()
-        fsm.on_bubble_reclaimed()
-        assert fsm.on_check_probe_returned() == FsmAction.ACTIVATE_BUBBLE
+        net, fsm = self._to_disable(make_fsm())
+        fire(net, SB, E.DISABLE_BACK)
+        fire(net, SB, E.RECLAIMED)
+        assert fire(net, SB, E.CHECK_PROBE_BACK).effect == "activate"
         assert fsm.state == FsmState.S_SB_ACTIVE
 
     def test_check_probe_timeout_sends_enable(self):
-        fsm = self._to_disable(make_fsm())
-        fsm.on_disable_returned()
-        fsm.on_bubble_reclaimed()
-        assert tick_until_action(fsm) == FsmAction.SEND_ENABLE
+        net, fsm = self._to_disable(make_fsm())
+        fire(net, SB, E.DISABLE_BACK)
+        fire(net, SB, E.RECLAIMED)
+        assert tick_until_timeout(net).effect == "send_path"
         assert fsm.state == FsmState.S_ENABLE
+        assert net.stats.enables_sent == 1
 
     def test_enable_return_completes_recovery(self):
-        fsm = self._to_disable(make_fsm())
-        fsm.on_disable_returned()
-        fsm.on_bubble_reclaimed()
-        tick_until_action(fsm)  # -> S_ENABLE
-        assert fsm.on_enable_returned(True) == FsmAction.RECOVERY_DONE
+        net, fsm = self._to_disable(make_fsm())
+        fire(net, SB, E.DISABLE_BACK)
+        fire(net, SB, E.RECLAIMED)
+        tick_until_timeout(net)  # -> S_ENABLE
+        assert fire(net, SB, E.ENABLE_BACK).effect == "finish"
         assert fsm.state == FsmState.S_DD
         assert fsm.turn_buffer == ()
-        assert fsm.recoveries_completed == 1
+        assert net.stats.recoveries_completed == 1
+        assert not net.routers[SB].is_deadlock
 
     def test_enable_return_to_off_when_idle(self):
-        fsm = self._to_disable(make_fsm())
-        fsm.on_disable_returned()
-        fsm.on_bubble_reclaimed()
-        tick_until_action(fsm)
-        fsm.on_enable_returned(False)
+        net, fsm = self._to_disable(make_fsm())
+        fire(net, SB, E.DISABLE_BACK)
+        fire(net, SB, E.RECLAIMED)
+        tick_until_timeout(net)
+        vacate(net)
+        fire(net, SB, E.ENABLE_BACK)
         assert fsm.state == FsmState.S_OFF
 
 
 class TestTimeouts:
     def test_disable_timeout_falls_to_enable(self):
-        fsm = make_fsm()
-        fsm.on_first_flit()
-        tick_until_action(fsm)
-        fsm.on_probe_returned((Turn.STRAIGHT,), Port.SOUTH, Port.NORTH)
-        assert tick_until_action(fsm) == FsmAction.SEND_ENABLE
+        net, fsm = make_fsm()
+        fire(net, SB, E.FIRST_FLIT)
+        tick_until_timeout(net)
+        probe_back(net)
+        row = tick_until_timeout(net)
+        assert (row.next, row.effect) == (FsmState.S_ENABLE, "send_path")
         assert fsm.state == FsmState.S_ENABLE
 
     def test_enable_retransmits_then_aborts(self):
-        fsm = make_fsm(max_enable_retries=3)
-        fsm.on_first_flit()
-        tick_until_action(fsm)
-        fsm.on_probe_returned((Turn.STRAIGHT,), Port.SOUTH, Port.NORTH)
-        tick_until_action(fsm)  # disable timeout -> SEND_ENABLE
+        net, fsm = make_fsm(enable_retries=3)
+        fire(net, SB, E.FIRST_FLIT)
+        tick_until_timeout(net)
+        probe_back(net)
+        tick_until_timeout(net)  # disable timeout -> send the enable
         for _ in range(3):
-            assert tick_until_action(fsm) == FsmAction.SEND_ENABLE
-        assert tick_until_action(fsm) == FsmAction.ABORT_RECOVERY
-        fsm.abort_recovery(False)
+            assert tick_until_timeout(net).effect == "send_path"
+        vacate(net)
+        assert tick_until_timeout(net).effect == "abort"
         assert fsm.state == FsmState.S_OFF
-        assert fsm.recoveries_aborted == 1
+        assert net.stats.recoveries_aborted == 1
+        assert net.stats.enables_sent == 4
 
 
 class TestForeignEvents:
     def test_foreign_disable_parks_fsm(self):
-        fsm = make_fsm()
-        fsm.on_first_flit()
-        fsm.on_foreign_disable()
+        net, fsm = make_fsm()
+        fire(net, SB, E.FIRST_FLIT)
+        fire(net, SB, E.FOREIGN_DISABLE)
         assert fsm.state == FsmState.S_OFF
 
     def test_foreign_enable_resumes(self):
-        fsm = make_fsm()
-        fsm.on_first_flit()
-        fsm.on_foreign_disable()
-        fsm.on_foreign_enable(True)
+        net, fsm = make_fsm()
+        fire(net, SB, E.FIRST_FLIT)
+        fire(net, SB, E.FOREIGN_DISABLE)
+        fire(net, SB, E.FOREIGN_ENABLE)
         assert fsm.state == FsmState.S_DD
 
     def test_foreign_enable_idle_stays_off(self):
-        fsm = make_fsm()
-        fsm.on_foreign_enable(False)
+        net, fsm = make_fsm()
+        vacate(net)
+        fire(net, SB, E.FOREIGN_ENABLE)
         assert fsm.state == FsmState.S_OFF
 
     def test_foreign_disable_does_not_touch_recovery(self):
-        fsm = make_fsm()
-        fsm.on_first_flit()
-        tick_until_action(fsm)
-        fsm.on_probe_returned((Turn.STRAIGHT,), Port.SOUTH, Port.NORTH)
-        fsm.on_foreign_disable()
+        net, fsm = make_fsm()
+        fire(net, SB, E.FIRST_FLIT)
+        tick_until_timeout(net)
+        probe_back(net)
+        assert fire(net, SB, E.FOREIGN_DISABLE) is None
         assert fsm.state == FsmState.S_DISABLE
 
 
@@ -190,12 +222,11 @@ class TestRecoveryThreshold:
 
 
 def test_in_recovery_states():
-    fsm = make_fsm()
+    net, fsm = make_fsm()
     assert not fsm.in_recovery()
-    fsm.on_first_flit()
+    fire(net, SB, E.FIRST_FLIT)
     assert not fsm.in_recovery()
-    fsm.tick()
-    for _ in range(10):
-        fsm.tick()
-    fsm.on_probe_returned((Turn.STRAIGHT,), Port.SOUTH, Port.NORTH)
+    for _ in range(11):
+        tick(net, SB)
+    probe_back(net)
     assert fsm.in_recovery()

@@ -13,7 +13,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fsm import CounterFsm, FsmState
+from repro.core.fsm import FsmEvent, FsmState
+from repro.core.messages import make_probe
 from repro.core.turns import Port, Turn
 from repro.protocols import make_scheme
 from repro.sim.config import SimConfig
@@ -22,24 +23,11 @@ from repro.topology.faults import inject_link_faults
 from repro.topology.mesh import mesh
 from repro.traffic.synthetic import UniformRandomTraffic
 
+from tests.conftest import build_2x2_ring_deadlock, fire, tick
+
 # -- FSM event fuzzing --------------------------------------------------------
 
-_EVENTS = st.sampled_from(
-    [
-        "tick",
-        "first_flit",
-        "progress_active",
-        "progress_idle",
-        "probe_returned",
-        "disable_returned",
-        "bubble_reclaimed",
-        "check_probe_returned",
-        "enable_returned_active",
-        "enable_returned_idle",
-        "foreign_disable",
-        "foreign_enable",
-    ]
-)
+_EVENTS = st.sampled_from(["tick", "vacate", *FsmEvent])
 
 
 @given(events=st.lists(_EVENTS, min_size=1, max_size=120))
@@ -47,32 +35,20 @@ _EVENTS = st.sampled_from(
 def test_fsm_never_inconsistent(events):
     """Any event sequence leaves the FSM in a well-defined state with a
     coherent turn buffer (non-empty exactly while a path is latched)."""
-    fsm = CounterFsm(node=9, t_dd=3, max_enable_retries=2)
+    net, scheme = build_2x2_ring_deadlock(t_dd=3)
+    net.config.sb_enable_retries = 2
+    fsm = scheme.states[3].fsm
+    router = net.routers[3]
+    probe = make_probe(3, Port.WEST)._replace(turns=(Turn.LEFT,) * 3)
     for event in events:
         if event == "tick":
-            fsm.tick()
-        elif event == "first_flit":
-            fsm.on_first_flit()
-        elif event == "progress_active":
-            fsm.on_watched_vc_progress(True)
-        elif event == "progress_idle":
-            fsm.on_watched_vc_progress(False)
-        elif event == "probe_returned":
-            fsm.on_probe_returned((Turn.LEFT, Turn.LEFT), Port.SOUTH, Port.NORTH)
-        elif event == "disable_returned":
-            fsm.on_disable_returned()
-        elif event == "bubble_reclaimed":
-            fsm.on_bubble_reclaimed()
-        elif event == "check_probe_returned":
-            fsm.on_check_probe_returned()
-        elif event == "enable_returned_active":
-            fsm.on_enable_returned(True)
-        elif event == "enable_returned_idle":
-            fsm.on_enable_returned(False)
-        elif event == "foreign_disable":
-            fsm.on_foreign_disable()
-        elif event == "foreign_enable":
-            fsm.on_foreign_enable(True)
+            tick(net, 3)
+        elif event == "vacate":
+            vc = router.input_vcs[Port.SOUTH][0]
+            if vc.packet is not None:
+                router.remove(vc)
+        else:
+            fire(net, 3, event, probe, Port.SOUTH)
         # invariants after every event:
         assert isinstance(fsm.state, FsmState)
         assert 0 <= fsm.count <= max(fsm.threshold, fsm.t_dd)
@@ -80,6 +56,8 @@ def test_fsm_never_inconsistent(events):
             assert fsm.probe_out_port is not None
         if fsm.state in (FsmState.S_OFF, FsmState.S_DD):
             assert fsm.turn_buffer == ()
+        if fsm.state is not FsmState.S_ENABLE:
+            assert fsm.enable_retries == 0
 
 
 # -- network conservation under fuzzed settings ------------------------------

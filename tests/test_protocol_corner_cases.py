@@ -6,7 +6,7 @@ handlers and the FSM, using hand-constructed router states.
 
 import pytest
 
-from repro.core.fsm import FsmState
+from repro.core.fsm import FsmEvent, FsmState
 from repro.core.messages import MsgType, make_path_message, make_probe
 from repro.core.turns import Port, Turn
 from repro.protocols.static_bubble import StaticBubbleScheme
@@ -14,7 +14,7 @@ from repro.sim.config import SimConfig
 from repro.sim.network import Network
 from repro.topology.mesh import mesh
 
-from tests.conftest import build_2x2_ring_deadlock, place_packet
+from tests.conftest import build_2x2_ring_deadlock, fire, place_packet, tick
 
 E, N, W, S, L = Port.EAST, Port.NORTH, Port.WEST, Port.SOUTH, Port.LOCAL
 
@@ -144,7 +144,7 @@ class TestForeignDisableAtSbNode:
         net, scheme = make_3x3_sb_net(placement={4})
         router = net.routers[4]
         place_packet(net, 4, W, 1, 3, 5, (E, E, L))
-        scheme.states[4].fsm.on_first_flit()
+        fire(net, 4, FsmEvent.FIRST_FLIT)
         assert scheme.states[4].fsm.state == FsmState.S_DD
         disable = make_path_message(MsgType.DISABLE, 99, (Turn.STRAIGHT,), E)
         scheme.process_specials(net, router, [(W, disable)], now=0)
@@ -155,7 +155,7 @@ class TestForeignDisableAtSbNode:
         net, scheme = make_3x3_sb_net(placement={4})
         router = net.routers[4]
         place_packet(net, 4, W, 1, 3, 5, (E, E, L))
-        scheme.states[4].fsm.on_first_flit()
+        fire(net, 4, FsmEvent.FIRST_FLIT)
         disable = make_path_message(MsgType.DISABLE, 99, (Turn.STRAIGHT,), E)
         scheme.process_specials(net, router, [(W, disable)], now=0)
         enable = make_path_message(MsgType.ENABLE, 99, (Turn.STRAIGHT,), E)
@@ -173,10 +173,11 @@ class TestProbeAfterDisableSent:
         net, scheme = build_2x2_ring_deadlock()
         fsm = scheme.states[3].fsm
         # Drive to S_DISABLE via a synthetic probe return.
-        fsm.on_first_flit()
+        fire(net, 3, FsmEvent.FIRST_FLIT)
         for _ in range(20):
-            fsm.tick()
-        fsm.on_probe_returned((Turn.LEFT,) * 3, S, N)
+            tick(net, 3)
+        probe = make_probe(3, N)._replace(turns=(Turn.LEFT,) * 3)
+        fire(net, 3, FsmEvent.PROBE_BACK, probe, S)
         assert fsm.state == FsmState.S_DISABLE
         # A second copy of the probe arrives: must not disturb recovery.
         copy = make_probe(3, N)

@@ -104,8 +104,8 @@ def _arm_sb_active(net, scheme, in_port):
     # only links, so route the retrace out of whichever is not the chain
     # input.
     fsm.probe_out_port = S if in_port == W else W
-    fsm.transition(FsmState.S_DISABLE)
-    assert fsm.on_disable_returned().name == "ACTIVATE_BUBBLE"
+    fsm.transition(FsmState.S_SB_ACTIVE)
+    fsm.count = 0
     net.routers[3].activate_bubble(in_port)
     state.bubble_active_since = net.cycle
     return state

@@ -11,20 +11,23 @@ import random
 
 import pytest
 
-from repro.core.fsm import FsmState
-from repro.core.messages import MsgType, make_probe
+from repro.core.fsm import FsmEvent, FsmState
+from repro.core.messages import MsgType, make_path_message, make_probe
 from repro.core.turns import Port, Turn
 from repro.protocols.none import MinimalUnprotected
 from repro.protocols.static_bubble import StaticBubbleScheme
 from repro.sim.config import SimConfig
 from repro.sim.deadlock import find_wait_cycle
 from repro.sim.engine import deadlocks_within
+from repro.obs import Observer
+from repro.obs.events import SPECIAL_DROP
 from repro.sim.network import Network
+from repro.sim.packet import Packet
 from repro.topology.faults import inject_link_faults, inject_router_faults
 from repro.topology.mesh import mesh
 from repro.traffic.synthetic import UniformRandomTraffic
 
-from tests.conftest import build_2x2_ring_deadlock, place_packet
+from tests.conftest import build_2x2_ring_deadlock, fire, place_packet
 
 
 def run_until_delivered(net, expected, limit=600):
@@ -147,7 +150,7 @@ class TestProbeRules:
         place_packet(net, 3, S, 101, 1, 2, (N, W, L))
         # The drop rule applies while the receiving SB node is itself in
         # detection (S_DD); park its FSM there first.
-        scheme.states[3].fsm.on_first_flit()
+        fire(net, 3, FsmEvent.FIRST_FLIT)
         probe_from_lower = make_probe(0, Port.NORTH)
         scheme.process_specials(net, net.routers[3], [(S, probe_from_lower)], now=0)
         assert net._special_arrivals == {}
@@ -237,3 +240,109 @@ class TestStressRecovery:
         net.run(4000)
         assert net.stats.bubble_activations >= 1
         assert net.stats.packets_ejected > 100
+
+
+class TestDeviations:
+    """One regression per DESIGN.md §4 deviation not pinned elsewhere."""
+
+    E, N, W, S, L = Port.EAST, Port.NORTH, Port.WEST, Port.SOUTH, Port.LOCAL
+
+    @staticmethod
+    def _net(width, height, placement):
+        config = SimConfig(width=width, height=height, vcs_per_vnet=1, sb_t_dd=5)
+        scheme = StaticBubbleScheme(placement_override=placement)
+        return Network(mesh(width, height), config, scheme, None, seed=1), scheme
+
+    def _recovering(self, net, node, in_port, out_port):
+        """Drive ``node`` to S_DISABLE with a latched three-turn path."""
+        fire(net, node, FsmEvent.FIRST_FLIT)
+        probe = make_probe(node, out_port)._replace(turns=(Turn.LEFT,) * 3)
+        fire(net, node, FsmEvent.PROBE_BACK, probe, in_port)
+        assert net.scheme.states[node].fsm.state == FsmState.S_DISABLE
+
+    def test_watch_rotates_after_probe_timeout(self):
+        """Deviation 1: an expired detection period moves the watch on."""
+        E, N, S, W, L = self.E, self.N, self.S, self.W, self.L
+        net, scheme = self._net(3, 3, {4})
+        place_packet(net, 4, W, 1, 3, 5, (E, E, L))
+        place_packet(net, 4, N, 2, 7, 1, (S, S, L))
+        scheme.on_cycle(net, 0)  # first flit: the watch lands on one
+        state = scheme.states[4]
+        first = state.watched_pid
+        fire(net, 4, FsmEvent.TIMEOUT)
+        assert {first, state.watched_pid} == {1, 2}
+
+    def test_unclosed_chain_drops_returned_disable(self):
+        """Deviation 3: the chain must still close through the sender."""
+        net, scheme = build_2x2_ring_deadlock()
+        obs = Observer(metrics=False)
+        net.attach_obs(obs)
+        # Latch N as the chain output: node 3's resident at S wants W.
+        self._recovering(net, 3, self.S, self.N)
+        router = net.routers[3]
+        disable = make_path_message(MsgType.DISABLE, 3, (), self.W)
+        scheme.process_specials(net, router, [(self.S, disable)], now=0)
+        assert scheme.states[3].fsm.state == FsmState.S_DISABLE
+        assert not router.bubble_active and not router.is_deadlock
+        drops = [e for e in obs.events if e.kind == SPECIAL_DROP]
+        assert drops[-1].data["reason"] == "revalidation_failed"
+
+    def test_foreign_enable_processed_during_own_recovery(self):
+        """Deviation 5: an SB router recovering its own chain still clears
+        another sender's seal and forwards that sender's enable."""
+        E, L = self.E, self.L
+        net, scheme = self._net(3, 3, {4})
+        router = net.routers[4]
+        place_packet(net, 4, self.W, 1, 3, 5, (E, E, L))
+        self._recovering(net, 4, self.W, E)
+        router.set_io_restriction(self.N, self.S, source=99, now=0)
+        enable = make_path_message(MsgType.ENABLE, 99, (Turn.STRAIGHT,), self.S)
+        scheme.process_specials(net, router, [(self.N, enable)], now=0)
+        assert not router.is_deadlock
+        assert scheme.states[4].fsm.state == FsmState.S_DISABLE
+        sent = [m for _, _, m in net._special_arrivals.get(2, []) if m.sender == 99]
+        assert [m.mtype for m in sent] == [MsgType.ENABLE]
+
+    def test_detection_thresholds_staggered_by_node(self):
+        """Deviation 8: t_DD + (node * 7) % 13 per router."""
+        net = Network(mesh(8, 8), SimConfig(), StaticBubbleScheme(), None, seed=1)
+        t_dd = {node: st.fsm.t_dd for node, st in net.scheme.states.items()}
+        assert all(t == 34 + (node * 7) % 13 for node, t in t_dd.items())
+        assert len(set(t_dd.values())) > 1
+
+    def test_lower_id_probe_forwarded_during_recovery(self):
+        """Deviation 9: the id rule drops a lower-id probe only while the
+        receiver is itself detecting."""
+        N, W, L = self.N, self.W, self.L
+        net, scheme = self._net(2, 2, {0, 3})
+        place_packet(net, 3, self.S, 101, 1, 2, (N, W, L))
+        self._recovering(net, 3, self.S, W)
+        scheme.process_specials(net, net.routers[3], [(self.S, make_probe(0, N))], now=0)
+        probes = [
+            m
+            for _, _, m in net._special_arrivals.get(2, [])
+            if m.mtype == MsgType.PROBE and m.sender == 0
+        ]
+        assert len(probes) == 1
+
+    def test_escape_threshold_above_sb_t_dd(self):
+        """Deviation 10: the escape-VC timer sits far above SB's t_DD."""
+        config = SimConfig()
+        assert (config.escape_t_detect, config.sb_t_dd) == (128, 34)
+
+    def test_stale_resident_relocates_to_any_port(self):
+        """Deviation 12: an inactive bubble's resident moves to a free VC
+        of any port, not only the (full) port it is tagged with."""
+        N, W, L = self.N, self.W, self.L
+        net, scheme = build_2x2_ring_deadlock(t_dd=10**9)
+        router = net.routers[3]
+        bubble = router.bubble
+        bubble.port = self.S  # tagged to the ring's full input port
+        resident = Packet(200, 1, 2, 0, 1, (N, W, L), 0)
+        resident.hop = 1
+        router.place(bubble, resident, 0)
+        assert not router.bubble_active
+        scheme._relocate_bubble_resident(net, router, 1)
+        assert bubble.packet is None
+        [vc] = [vc for vc in router.compass_vcs if vc.packet is resident]
+        assert vc.port != self.S
