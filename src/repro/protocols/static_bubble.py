@@ -66,9 +66,9 @@ _PATH_MESSAGE = {
 def _compile(cls, use_check_probe: bool) -> Dict[FsmEvent, list]:
     """``TRANSITIONS`` by event, in table order: ``(states, row, guard,
     effect)`` with the guard and effect as functions of ``cls`` (unbound,
-    so a dropped network is not cyclic garbage).  Without check_probe
-    (paper footnote 7) a re-claimed bubble goes straight to the enable
-    teardown."""
+    so a dropped network is not cyclic garbage), shared by every scheme of
+    ``cls`` and never mutated.  Without check_probe (paper footnote 7) a
+    re-claimed bubble goes straight to the enable teardown."""
     rows: Dict[FsmEvent, list] = {}
     for row in TRANSITIONS:
         if row.next is FsmState.S_CHECK_PROBE and not use_check_probe:
