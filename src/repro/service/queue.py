@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -102,6 +103,24 @@ class JobRecord:
     worker: Optional[str] = None
     lease_expiry: float = 0.0
     done_event: threading.Event = field(default_factory=threading.Event, repr=False)
+    #: Response bodies of a DONE record, one per payload function (:meth:`encoded`).
+    _bodies: Dict[Callable[..., Any], bytes] = field(default_factory=dict, repr=False)
+
+    def encoded(self, payload: Callable[["JobRecord"], Any]) -> bytes:
+        """``json.dumps(payload(self), sort_keys=True).encode()``, kept per
+        ``payload`` function once the record is DONE: a DONE record is
+        never written again, so its responses cannot go stale.  Before
+        DONE every call encodes afresh (the state is read *before* the
+        payload is built, so a record finishing meanwhile keeps nothing).
+        Two threads may both miss and both fill: they store the same
+        bytes, so the race is benign."""
+        body = self._bodies.get(payload)
+        if body is None:
+            done = self.state == DONE
+            body = json.dumps(payload(self), sort_keys=True).encode()
+            if done:
+                self._bodies[payload] = body
+        return body
 
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {

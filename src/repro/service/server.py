@@ -81,7 +81,7 @@ from urllib.parse import parse_qs, urlsplit
 
 import repro
 from repro.obs.metrics import MetricsRegistry, text_exposition
-from repro.service.queue import DEFAULT_LEASE_TTL, DONE, JobQueue, QueueFull
+from repro.service.queue import DEFAULT_LEASE_TTL, DONE, JobQueue, JobRecord, QueueFull
 from repro.service.spec import SimSpec, run_sim_spec, spec_identity
 from repro.service.store import ResultStore, spec_fingerprint
 
@@ -106,6 +106,8 @@ BODY_CHUNK = 64 * 1024
 MAX_BODY_BYTES = 32 * 1024 * 1024
 #: Seconds stop() waits for in-flight requests before giving up.
 DRAIN_TIMEOUT = 10.0
+#: Distinct ``POST /jobs`` bodies whose parse the front end keeps (FIFO).
+PARSE_MEMO_ENTRIES = 256
 
 #: Endpoints that may touch disk or the surrogate: the only ones allowed
 #: off the loop, and only once the core had no answer in memory
@@ -135,8 +137,12 @@ class Response:
     payload: Optional[Dict[str, Any]] = None
     text: Optional[str] = None
     headers: Dict[str, str] = field(default_factory=dict)
+    #: A JSON body already encoded (a DONE record's, ``JobRecord.encoded``).
+    encoded: Optional[bytes] = None
 
     def body_bytes(self) -> Tuple[bytes, str]:
+        if self.encoded is not None:
+            return self.encoded, "application/json"
         if self.text is not None:
             return self.text.encode(), "text/plain; charset=utf-8"
         return (
@@ -157,11 +163,27 @@ class Submission:
     ask_surrogate: bool
 
 
+def _job_payload(job_id: str, state: str, cached: bool, **extra: Any) -> Dict[str, Any]:
+    payload = {"status": state, "cached": cached, "job_id": job_id, "fingerprint": job_id}
+    return {**payload, **extra}
+
+
 def _job_response(
     status: int, job_id: str, state: str, cached: bool, **extra: Any
 ) -> Response:
-    payload = {"status": state, "cached": cached, "job_id": job_id, "fingerprint": job_id}
-    return Response(status, {**payload, **extra})
+    return Response(status, _job_payload(job_id, state, cached, **extra))
+
+
+# The responses a DONE record answers, each encoded once by
+# ``JobRecord.encoded`` (``GET /jobs/<id>`` encodes ``JobRecord.to_dict``).
+def _hit_payload(record: JobRecord) -> Dict[str, Any]:
+    """``POST /jobs`` answered by a finished record (memo hit)."""
+    return _job_payload(record.job_id, DONE, True, result=record.result)
+
+
+def _result_payload(record: JobRecord) -> Dict[str, Any]:
+    """``GET /results/<fp>``: content-addressed, the very blob ``put`` wrote."""
+    return record.result
 
 
 def endpoint_label(method: str, path: str) -> str:
@@ -342,7 +364,7 @@ class ServiceCore:
                     headers={"Retry-After": "1"},
                 )
         if record.state == DONE:
-            return _job_response(200, sub.job_id, DONE, True, result=record.result)
+            return Response(200, encoded=record.encoded(_hit_payload))
         return _job_response(202, sub.job_id, record.state, False)
 
     def handle_post(self, path: str, body: Dict[str, Any]) -> Response:
@@ -385,13 +407,12 @@ class ServiceCore:
             record = self.queue.get(job_id)
             if record is None:
                 return Response(404, {"error": f"unknown job {job_id!r}"})
-            return Response(200, record.to_dict())
+            return Response(200, encoded=record.encoded(JobRecord.to_dict))
         if path.startswith("/results/"):
             fp = path[len("/results/"):]
             record = self.queue.finished(fp)
             if record is not None:
-                # Content-addressed: the very blob ``put`` wrote.
-                return Response(200, record.result)
+                return Response(200, encoded=record.encoded(_result_payload))
             if not may_block:
                 return None
             try:
@@ -437,6 +458,9 @@ class ServiceServer(ServiceCore):
             max_workers=8, thread_name_prefix="repro-async-io"
         )
         self._startup_error: Optional[BaseException] = None
+        #: ``POST /jobs`` body bytes -> the immutable parts of its parsed
+        #: ``Submission`` (loop thread only, so no lock; FIFO-bounded).
+        self._parsed: Dict[bytes, Tuple[SimSpec, Dict[str, Any], str, int, bool]] = {}
 
     # -- info ------------------------------------------------------------
 
@@ -593,7 +617,7 @@ class ServiceServer(ServiceCore):
             and version != "HTTP/1.0"
             and not self.draining
         )
-        await self._write_response(writer, response, keep_alive)
+        await self._write_response(writer, response, keep_alive, method != "HEAD")
         self.observe_latency(
             endpoint_label(method, parts.path), time.perf_counter() - started
         )
@@ -622,28 +646,48 @@ class ServiceServer(ServiceCore):
         endpoint = endpoint_label(method, path)
         if method == "GET" and path.rstrip("/") == "/jobs/claim":
             return await self._long_poll_claim(query)
-        if method == "POST":
-            payload = json.loads(body) if body else None
-            if not isinstance(payload, dict):
-                return Response(400, {"error": "request body must be a JSON object"})
-            if endpoint not in _EXECUTOR_ENDPOINTS:
-                return self.handle_post(path, payload)
-            if endpoint != "jobs_submit":
-                return await self._off_loop(self.handle_post, path, payload)
-            sub = self.parse_submission(payload)
+        if endpoint == "jobs_submit":
+            sub = self._parse_submission_bytes(body)
             if isinstance(sub, Response):
                 return sub
             response = self.submit(sub, may_block=False)
             return response or await self._off_loop(self.submit, sub)
-        if method in ("GET", "HEAD"):
+        if method == "POST":
+            payload = _json_object(body)
+            if isinstance(payload, Response):
+                return payload
             if endpoint not in _EXECUTOR_ENDPOINTS:
-                response = self.handle_get(path, query)
-            else:
-                response = self.handle_get(
-                    path, query, may_block=False
-                ) or await self._off_loop(self.handle_get, path, query)
-            return response if method == "GET" else Response(response.status, text="")
+                return self.handle_post(path, payload)
+            return await self._off_loop(self.handle_post, path, payload)
+        if method in ("GET", "HEAD"):
+            # HEAD: the GET status and headers; the writer drops the body.
+            if endpoint not in _EXECUTOR_ENDPOINTS:
+                return self.handle_get(path, query)
+            return self.handle_get(
+                path, query, may_block=False
+            ) or await self._off_loop(self.handle_get, path, query)
         return Response(405, {"error": f"method {method} not allowed"})
+
+    def _parse_submission_bytes(self, body: bytes) -> Union[Submission, Response]:
+        """``parse_submission`` once per distinct body.  A hit builds a
+        fresh ``Submission`` (``submit`` clears its ``ask_surrogate``)
+        and still goes through ``submit``, so TTLs, store reads and
+        admission are decided per request; a 400 is never kept."""
+        parsed = self._parsed.get(body)
+        if parsed is not None:
+            return Submission(*parsed)
+        payload = _json_object(body)
+        if isinstance(payload, Response):
+            return payload
+        sub = self.parse_submission(payload)
+        if isinstance(sub, Response):
+            return sub
+        if len(self._parsed) >= PARSE_MEMO_ENTRIES:
+            del self._parsed[next(iter(self._parsed))]
+        self._parsed[body] = (
+            sub.spec, sub.spec_dict, sub.job_id, sub.priority, sub.ask_surrogate
+        )
+        return sub
 
     async def _off_loop(self, func, *args) -> Response:
         loop = asyncio.get_running_loop()
@@ -664,7 +708,9 @@ class ServiceServer(ServiceCore):
         writer: asyncio.StreamWriter,
         response: Response,
         keep_alive: bool,
+        send_body: bool = True,
     ) -> None:
+        """``send_body=False`` (HEAD) still frames the headers by the body."""
         body, ctype = response.body_bytes()
         head = [
             f"HTTP/1.1 {response.status} {_REASONS.get(response.status, 'OK')}",
@@ -673,8 +719,20 @@ class ServiceServer(ServiceCore):
             f"Connection: {'keep-alive' if keep_alive else 'close'}",
         ]
         head.extend(f"{k}: {v}" for k, v in response.headers.items())
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
+        writer.write(
+            ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
+            + (body if send_body else b"")
+        )
         await writer.drain()
+
+
+def _json_object(body: bytes) -> Union[Dict[str, Any], Response]:
+    """A POST body as a JSON object, or the 400 (malformed JSON raises
+    ``ValueError``; the connection handler answers that 400)."""
+    payload = json.loads(body) if body else None
+    if not isinstance(payload, dict):
+        return Response(400, {"error": "request body must be a JSON object"})
+    return payload
 
 
 def fingerprint_for(spec: SimSpec) -> str:

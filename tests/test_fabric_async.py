@@ -30,7 +30,7 @@ from repro.service.fabric import (
     ShardMap,
     ShardedResultStore,
 )
-from repro.service.server import Response, fingerprint_for
+from repro.service.server import PARSE_MEMO_ENTRIES, Response, fingerprint_for
 from repro.service.spec import SimSpec, run_sim_spec
 from repro.service.store import ResultStore
 
@@ -145,6 +145,23 @@ class TestAsyncEndpoints:
             assert response.read() == b""
         finally:
             conn.close()
+
+    def test_head_sends_the_get_headers_and_no_body(self, server, client):
+        """RFC 9110 §9.3.2: a HEAD reply carries the GET status and headers
+        (``Content-Length`` included) and no body, so the next request on
+        the same keep-alive socket still parses."""
+        spec = SimSpec(**TINY)
+        client.run(spec, timeout=60)
+        paths = ["/healthz", "/results/" + fingerprint_for(spec)]
+        with socket.create_connection(server.address, timeout=10) as sock:
+            rfile = sock.makefile("rb")
+            for path in paths:
+                head = _exchange(sock, rfile, "HEAD", path, read_body=False)
+                status, headers, body = _exchange(sock, rfile, "GET", path)
+                assert head == (status, headers, b"")
+                assert status == 200
+                assert headers["content-type"] == "application/json"
+                assert int(headers["content-length"]) == len(body) > 0
 
     def test_claim_empty_when_no_work(self, client):
         payload = client.claim("w1", wait=0.1)
@@ -631,11 +648,96 @@ class TestDrainKeepAlive:
             idle.healthz()
 
 
+def _exchange(sock, rfile, method, path, body=None, read_body=True):
+    """One request on a raw keep-alive socket: ``(status, headers, body)``
+    with the body bytes exactly as sent (none read for a HEAD)."""
+    head = f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+    if body is not None:
+        head += f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+    sock.sendall(head.encode("latin-1") + b"\r\n" + (body or b""))
+    status = int(rfile.readline().split()[1])
+    headers = {}
+    for line in iter(rfile.readline, b"\r\n"):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = int(headers["content-length"]) if read_body else 0
+    return status, headers, rfile.read(length)
+
+
+def _run_observed(server, client, spec):
+    """Run ``spec`` and wait until calibration has observed its payload
+    (the feedback lands just after the job reads done)."""
+    done = client.run(spec, timeout=60)
+    observed = server.registry.counter("surrogate.observed")
+    deadline = time.monotonic() + 10
+    while observed.value < 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert observed.value == 1
+    return done
+
+
+def _encode(payload):
+    """A response body as the front end encodes every JSON reply."""
+    return json.dumps(payload, sort_keys=True).encode()
+
+
+class _LoopProfile:
+    """``sys.setprofile`` on the server's event-loop thread, installed and
+    removed by callbacks on that loop: Python frames entered there, and
+    calls of the functions a warm request should not repeat."""
+
+    WATCHED = {
+        (os.path.join("json", "__init__.py"), "loads"): "loads",
+        (os.path.join("json", "__init__.py"), "dumps"): "dumps",
+        (os.path.join("service", "store.py"), "spec_fingerprint"): "spec_fingerprint",
+    }
+
+    def __init__(self, server):
+        self.loop = server._loop
+        self.counts = dict.fromkeys(["frames", *self.WATCHED.values()], 0)
+
+    def _hook(self, frame, event, arg):
+        if event == "call":
+            self.counts["frames"] += 1
+            code = frame.f_code
+            for (tail, name), key in self.WATCHED.items():
+                if code.co_name == name and code.co_filename.endswith(tail):
+                    self.counts[key] += 1
+
+    def _install(self, hook):
+        done = threading.Event()
+        self.loop.call_soon_threadsafe(lambda: (sys.setprofile(hook), done.set()))
+        assert done.wait(5)
+
+    def __enter__(self):
+        self._install(self._hook)
+        return self
+
+    def __exit__(self, *exc_info):
+        self._install(None)
+
+
 class TestWarmPath:
     """Counts, not times: a warm request opens no connection and leaves
     the event loop for no thread."""
 
     N = 1000
+
+    #: Per warm request on the loop thread: a memo resubmit and a result
+    #: read are a finished record's encoded bytes, a surrogate answer is
+    #: one ``dumps`` of the prediction; no lane re-parses or
+    #: re-fingerprints a body it has seen.
+    LOOP_CALLS = {
+        "memo": dict(loads=0, dumps=0, spec_fingerprint=0),
+        "read": dict(loads=0, dumps=0, spec_fingerprint=0),
+        "surrogate": dict(loads=0, dumps=1, spec_fingerprint=0),
+    }
+    #: Frames entered per warm request (±2 %), per interpreter: asyncio's
+    #: own frames differ between CPython minor versions, so each version
+    #: pins the counts it was measured on.
+    LOOP_FRAMES = {
+        (3, 11): dict(memo=77, read=65, surrogate=162),
+    }
 
     @pytest.fixture()
     def hops(self, server, monkeypatch):
@@ -724,3 +826,159 @@ class TestWarmPath:
         client.submit(asked)
         client.submit(asked)
         assert hops == ["submit"] * 2
+
+    def test_warm_requests_cost_pinned_calls_on_the_loop(self, server):
+        client = ServiceClient(server.url)
+        spec = SimSpec(**TINY)
+        fp = fingerprint_for(spec)
+        asked = replace(spec, rate=0.02, mode="surrogate")
+        _run_observed(server, client, spec)
+        lanes = {
+            "memo": lambda: client.submit(spec)["cached"],
+            "read": lambda: client.result(fp)["spec"],
+            "surrogate": lambda: client.submit(asked)["surrogate"],
+        }
+        n = 200
+        frames = self.LOOP_FRAMES.get(sys.version_info[:2], {})
+        for lane, request in lanes.items():
+            for _ in range(5):  # warm: record loaded, body parsed, profile memoized
+                assert request()
+            with _LoopProfile(server) as profile:
+                for _ in range(n):
+                    request()
+            per_request = {k: v / n for k, v in profile.counts.items()}
+            calls = {k: round(per_request[k], 2) for k in self.LOOP_CALLS[lane]}
+            assert calls == self.LOOP_CALLS[lane], lane
+            if lane in frames:
+                assert per_request["frames"] == pytest.approx(frames[lane], rel=0.02), lane
+
+
+class TestParseMemo:
+    """``POST /jobs`` bodies are parsed once each; what a parse decides
+    is shared, what ``submit`` decides is not."""
+
+    @pytest.fixture()
+    def remote(self, tmp_path):
+        """A front end that never executes: jobs wait for a claimant."""
+        store = ResultStore(root=tmp_path / "store", registry=MetricsRegistry())
+        with AsyncServiceServer(
+            port=0, store=store, local_exec=False, max_depth=1024, retries=0
+        ) as srv:
+            yield srv
+
+    def test_memo_is_bounded_first_in_first_out(self, remote):
+        client = ServiceClient(remote.url)
+        seeds = range(1000, 1300)
+        for seed in seeds:
+            assert client.submit(SimSpec(**{**TINY, "seed": seed}))["status"] == "pending"
+        kept = [json.loads(body)["seed"] for body in remote._parsed]
+        assert len(kept) == PARSE_MEMO_ENTRIES == 256
+        assert kept == list(seeds)[-256:]
+
+    @pytest.mark.parametrize(
+        "body",
+        [b'{"width": 3, "height": -1}', b'{"pattern": "nope"}', b"[1, 2]", b"{not json"],
+    )
+    def test_refused_bodies_are_refused_every_time_and_never_kept(self, remote, body):
+        with socket.create_connection(remote.address, timeout=10) as sock:
+            rfile = sock.makefile("rb")
+            for _ in range(3):
+                status, _, _ = _exchange(sock, rfile, "POST", "/jobs", body)
+                assert status == 400
+        assert remote._parsed == {}
+
+    def test_bodies_differing_only_in_priority_are_two_entries(self, remote):
+        client = ServiceClient(remote.url)
+        spec = SimSpec(**TINY)
+        fp = fingerprint_for(spec)
+        client.submit(spec)
+        assert [job["job_id"] for job in client.claim("w", wait=0)["jobs"]] == [fp]
+        remote.queue.complete(fp, "w", False, "lost")  # FAILED: a resubmit re-admits
+        assert client.submit(spec, priority=7)["status"] == "pending"
+        assert client.job(fp)["priority"] == 7
+        assert sorted(parsed[3] for parsed in remote._parsed.values()) == [0, 7]
+
+    def test_surrogate_answers_are_not_shared_between_hits(self, server):
+        client = ServiceClient(server.url)
+        spec = SimSpec(**TINY)
+        client.run(spec, timeout=60)
+        asked = replace(spec, rate=0.02, mode="surrogate")
+        for _ in range(3):
+            reply = client.submit(asked)
+            assert reply["status"] == "done" and reply["surrogate"] is True
+        assert len(server._parsed) == 2
+
+    def test_memoised_body_past_its_record_ttl_reads_the_store(self, tmp_path):
+        store = ResultStore(root=tmp_path / "store", registry=MetricsRegistry())
+        with AsyncServiceServer(port=0, store=store, record_ttl=0.3) as srv:
+            client = ServiceClient(srv.url)
+            spec = SimSpec(**TINY)
+            first = client.run(spec, timeout=60)
+            assert client.submit(spec)["cached"] is True
+            time.sleep(0.4)
+            assert srv.queue.finished(fingerprint_for(spec)) is None
+            again = client.submit(spec)
+            assert again["cached"] is True and again["result"] == first["result"]
+            assert srv.registry.counter("service.queue.pruned").value >= 1
+            assert len(srv._parsed) == 1
+
+
+class TestEncodedBodies:
+    """A finished record's replies are encoded once and are the bytes
+    the front end would encode afresh."""
+
+    def test_warm_replies_are_the_bytes_of_a_fresh_encoding(self, server):
+        client = ServiceClient(server.url)
+        spec = SimSpec(**TINY)
+        fp = fingerprint_for(spec)
+        _run_observed(server, client, spec)  # the oracle has read the payload
+        asked = replace(spec, rate=0.02, mode="surrogate")
+        afp = fingerprint_for(asked)
+        stored = server.store.get(fp)  # a fresh parse of the blob on disk
+        expected = {
+            "memo": _encode(
+                {"status": "done", "cached": True, "job_id": fp,
+                 "fingerprint": fp, "result": stored}
+            ),
+            "read": _encode(stored),
+            "job": _encode(
+                {"job_id": fp, "fingerprint": fp, "status": "done", "priority": 0,
+                 "attempts": 0, "cached": False, "result": stored}
+            ),
+            "surrogate": _encode(
+                {"status": "done", "cached": False, "job_id": afp, "fingerprint": afp,
+                 "surrogate": True, "result": server.oracle.answer(asked)}
+            ),
+        }
+        body = spec.to_dict()
+        with socket.create_connection(server.address, timeout=10) as sock:
+            rfile = sock.makefile("rb")
+            for _ in range(3):  # first encodes, later ones reuse
+                got = {
+                    "memo": _exchange(sock, rfile, "POST", "/jobs", _encode(body)),
+                    "read": _exchange(sock, rfile, "GET", f"/results/{fp}"),
+                    "job": _exchange(sock, rfile, "GET", f"/jobs/{fp}"),
+                    "surrogate": _exchange(
+                        sock, rfile, "POST", "/jobs", _encode(asked.to_dict())
+                    ),
+                }
+                assert {lane: reply[0] for lane, reply in got.items()} == dict.fromkeys(
+                    expected, 200
+                )
+                assert {lane: reply[2] for lane, reply in got.items()} == expected
+        record = server.queue.finished(fp)
+        assert record.result == stored  # nothing mutated the kept payload
+
+    def test_status_of_an_unfinished_job_is_never_kept(self, tmp_path):
+        store = ResultStore(root=tmp_path / "store", registry=MetricsRegistry())
+        with AsyncServiceServer(port=0, store=store, local_exec=False) as srv:
+            client = ServiceClient(srv.url)
+            spec = SimSpec(**TINY)
+            fp = client.submit(spec)["job_id"]
+            assert client.job(fp)["status"] == "pending"
+            [job] = client.claim("w", wait=0)["jobs"]
+            assert client.job(fp)["status"] == "running"
+            payload = run_sim_spec(job["spec"])
+            assert client.complete(fp, "w", True, result=payload) == "done"
+            done = client.job(fp)
+            assert done["status"] == "done" and done["result"]["spec"] == payload["spec"]

@@ -7,6 +7,7 @@ boundaries, where in-memory counters cannot.
 """
 
 import json
+import sys
 import threading
 import time
 import uuid
@@ -23,6 +24,7 @@ from repro.service.queue import (
     PENDING,
     RUNNING,
     JobQueue,
+    JobRecord,
     QueueFull,
 )
 from repro.service.store import ResultStore, spec_fingerprint
@@ -553,6 +555,48 @@ class TestLeaseProtocol:
         assert outcome == "done"
         assert record.state == DONE
         assert store.get(record.job_id) == {"value": 6}
+
+    def test_record_bodies_are_kept_only_once_done(self, store):
+        """An encoded body is kept only once the record is DONE: the
+        status of a running job is encoded afresh on every read."""
+        queue = self.make_remote_queue(store)
+        record, _ = queue.submit({"value": 3})
+        queue.claim("w1")
+        running = record.encoded(JobRecord.to_dict)
+        assert json.loads(running)["status"] == RUNNING
+        queue.complete(record.job_id, "w1", True, {"value": 6})
+        done = record.encoded(JobRecord.to_dict)
+        assert done == json.dumps(record.to_dict(), sort_keys=True).encode()
+        assert json.loads(done)["result"] == {"value": 6}
+        assert record.encoded(JobRecord.to_dict) is done
+
+    def test_readers_racing_the_completion_keep_only_the_done_body(self, store):
+        queue = self.make_remote_queue(store)
+        record, _ = queue.submit({"value": 3})
+        queue.claim("w1")
+        stop = threading.Event()
+
+        def read():
+            while not stop.is_set():
+                record.encoded(JobRecord.to_dict)
+
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            time.sleep(0.05)
+            queue.complete(record.job_id, "w1", True, {"value": 6})
+            time.sleep(0.05)
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(5)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        fresh = json.dumps(record.to_dict(), sort_keys=True).encode()
+        assert record.encoded(JobRecord.to_dict) == fresh
 
     def test_duplicate_completion_coalesces(self, store):
         """The failover invariant: two workers racing the same job yield
