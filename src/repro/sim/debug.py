@@ -12,6 +12,9 @@ types, different flow control) will need exactly them.
   message launch (optionally filtered by sender).
 * :func:`phase_budget` — where one simulated cycle's time goes, by phase
   of ``Network.step``.
+* :func:`cost_profile` — calls per simulated cycle of each function of
+  the simulator and the schemes, and sweeps: exact counts that, unlike
+  wall time, repeat on any host.
 * :func:`overslept` — packets a sleeping router or NI could move right
   now (a wake event is missing if there are any).
 * :func:`resident_index_errors` — where a router's resident index
@@ -20,6 +23,7 @@ types, different flow control) will need exactly them.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
@@ -224,6 +228,65 @@ def phase_budget(network: Network, cycles: int) -> Dict[str, float]:
     budget = {name: spent[name] / cycles * 1e6 for name in STEP_PHASES}
     budget["step"] = wall / cycles * 1e6
     return budget
+
+
+#: The packages whose functions :func:`cost_profile` counts.
+COST_PACKAGES = ("repro.sim", "repro.protocols")
+
+
+def _qualified_names() -> Dict[object, str]:
+    """``code -> __qualname__`` of every function, method and property
+    defined at module or class level in a loaded module of
+    :data:`COST_PACKAGES`."""
+    names = {}
+    for module in list(sys.modules.values()):
+        owner = getattr(module, "__name__", "")
+        if not any(owner == p or owner.startswith(p + ".") for p in COST_PACKAGES):
+            continue
+        for value in vars(module).values():
+            for member in vars(value).values() if isinstance(value, type) else (value,):
+                if isinstance(member, property):
+                    functions = (member.fget, member.fset)
+                else:  # a staticmethod or classmethod wraps its function
+                    functions = (getattr(member, "__func__", member),)
+                for function in functions:
+                    code = getattr(function, "__code__", None)
+                    if code is not None and function.__module__ == owner:
+                        names[code] = function.__qualname__
+    return names
+
+
+def cost_profile(network: Network, cycles: int) -> Dict[str, float]:
+    """Run ``cycles`` cycles and return Python calls per simulated cycle.
+
+    Keys are the qualified names (``"Router.free_vc_for"``) of the
+    functions and methods of :data:`COST_PACKAGES`, counting each entry
+    into one of their frames (a generator counts each resume), plus
+    ``"Network.sweeps"``.  Nested functions, lambdas and comprehensions
+    are not counted, so the counts are the same on every interpreter
+    version and every host.  ``sys.setprofile`` is installed for the run
+    only and the previous profiler restored, so this costs nothing when
+    it is not called.
+    """
+    names = _qualified_names()
+    counts: Dict[str, int] = {}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            name = names.get(frame.f_code)
+            if name is not None:
+                counts[name] = counts.get(name, 0) + 1
+
+    sweeps = network.sweeps
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        network.run(cycles)
+    finally:
+        sys.setprofile(previous)
+    per_cycle = {name: count / cycles for name, count in counts.items()}
+    per_cycle["Network.sweeps"] = (network.sweeps - sweeps) / cycles
+    return per_cycle
 
 
 def overslept(network: Network) -> List[Tuple[int, int]]:

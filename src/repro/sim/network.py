@@ -690,7 +690,9 @@ class Network:
         resident at (``Router._port_load``) offers its VCs in round-robin
         order from its pointer; the first one that clears every grant
         condition is the port's request.  A rejected VC has no side
-        effects (an adaptive request aside, see below).
+        effects (an adaptive request aside, see below).  A downstream
+        class found full is asked once per sweep: later VCs wanting the
+        same output and class are rejected from a memo.
 
         A sweep that issued no request raises ``router.wake_at`` to the
         earliest cycle at which one of the rejections lapses on its own:
@@ -708,6 +710,12 @@ class Network:
         requests: List[Tuple[int, VirtualChannel, Packet, int, object, int]] = []
         # The earliest cycle at which a rejection seen so far lapses.
         wake_at = NEVER
+        # ``(out, is_escape, vnet)`` of each downstream class found with no
+        # free VC this sweep, made on the first miss.  Exact: nothing is
+        # claimed or released until every port has latched its request
+        # (``place`` and ``remove`` run only from ``_grant``), so the same
+        # question gets the same answer until then.
+        full = None
         routers = self.routers
         vc_cache = router._vc_cache
         in_rr = router._in_rr
@@ -748,6 +756,11 @@ class Network:
                     out = router._requested_output(packet)
                 else:
                     out = packet.route[packet.hop]
+                if full is not None and (out, packet.is_escape, packet.vnet) in full:
+                    # Asked this sweep, so the link checks below passed
+                    # then and its lapse is in ``wake_at``; a seal would
+                    # reject without a wake either.
+                    continue
                 link = output_links[out]
                 if link is None:
                     continue
@@ -769,6 +782,9 @@ class Network:
                         lapse = downstream.claimable_from(link.dest_in_port, packet)
                         if lapse < wake_at:
                             wake_at = lapse
+                        if full is None:
+                            full = set()
+                        full.add((out, packet.is_escape, packet.vnet))
                         continue
                 requests.append((port, vc, packet, out, target, (k + 1) % n))
                 break
