@@ -499,7 +499,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         kwargs["placement_override"] = placed
 
     scheme = make_scheme(args.scheme, **kwargs)
-    cert = scheme.verify(topo, config)
+    try:
+        cert = scheme.verify(topo, config)
+    except ValueError as exc:  # a scheme that cannot run on this topology
+        print(str(exc), file=sys.stderr)
+        return 2
 
     mc_result = None
     if args.model_check:

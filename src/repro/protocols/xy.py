@@ -28,6 +28,8 @@ class XyRouting(DeadlockScheme):
     def build_tables(
         self, topo: Topology, config: SimConfig
     ) -> Dict[int, RoutingTable]:
+        if topo.kind != "mesh":
+            raise ValueError(f"xy routing needs a 2D mesh, not {topo.kind}")
         tables = {node: RoutingTable(node) for node in topo.active_nodes()}
         for src in topo.active_nodes():
             for dst in topo.active_nodes():

@@ -99,7 +99,9 @@ class SimSpec:
         if self.topology is not None:
             from repro.topology.generators import parse_topology
 
-            parse_topology(self.topology)  # raises ValueError on bad forms
+            kind = parse_topology(self.topology).kind  # ValueError on bad forms
+            if self.scheme == "xy" and kind != "mesh":
+                raise ValueError(f"scheme 'xy' needs a 2D mesh, not {kind}")
         if self.link_faults < 0 or self.router_faults < 0:
             raise ValueError("fault counts must be >= 0")
         if self.warmup < 0 or self.measure < 1:

@@ -38,8 +38,9 @@ from repro.verify.model import (
     StateSpaceExceeded,
     canonical_state,
     check_scenario,
-    clone_network,
     is_recovered,
+    restore,
+    snapshot,
     successor_states,
 )
 
@@ -64,7 +65,8 @@ __all__ = [
     "StateSpaceExceeded",
     "canonical_state",
     "check_scenario",
-    "clone_network",
     "is_recovered",
+    "restore",
+    "snapshot",
     "successor_states",
 ]

@@ -8,21 +8,39 @@ messages actually recover — the network drains, every injection-
 restriction seal is released, and no FSM wedges in ``S_SB_ACTIVE`` —
 even when any special message is lost at any point.
 
-The checker explores the **full reachable state space** of a scenario
-network (``repro.sim.scenarios``) under an adversarial message-loss
-environment:
+**One state codec.**  :func:`_encode` is the one walk over a network's
+dynamic state: every router (VC residents and stamps, bubble, output
+links, seal, the ``_in_rr`` / ``_out_rr`` / ``_adapt_rr`` pointers),
+every NI (queue, next pid), the specials in flight and the static-bubble
+FSM and watch state, with every cycle stamp stored relative to
+``net.cycle``.  It has two forms:
 
-* **States** are canonical snapshots of everything behaviour-relevant:
-  VC contents, link busy/claim times, seals, round-robin pointers, FSM
-  state/counters/turn buffers, watch pointers, and in-flight specials —
-  all timestamps rebased to the current cycle (and ages clamped at their
-  timeout thresholds) so that behaviourally identical configurations
-  reached at different absolute cycles collapse into one state.
-* **Transitions**: one simulator cycle.  Where special messages are due
-  for delivery the adversary branches over *every subset to drop* —
-  a strict over-approximation of the collisions that lose specials in
-  the real semantics (output-port arbitration), so any robustness proved
-  here holds for the real network.
+* :func:`canonical_state` clamps: past stamps read "expired", the seal
+  and bubble ages clamp at the timeouts that consume them (0 while no
+  seal or ``S_SB_ACTIVE`` is held), specials are sorted, and packets drop
+  ``created_at`` / ``injected_at``.  Configurations that behave alike at
+  different absolute cycles share one key.
+* :func:`snapshot` clamps nothing and adds ``net.cycle``, the network,
+  NI and traffic RNG states and ``NetworkStats``.
+
+:func:`restore` decodes either form into a network of the same build:
+every resident leaves and is placed back through ``Router.place``, then
+links, seals, FSMs and specials are rewritten and every router is woken.
+The invariant: *a key is a restorable member of its class* —
+``canonical_state`` of a restored key is that key, and a restored
+snapshot steps in lockstep with a ``copy.deepcopy`` of the network it
+was taken from (``tests/test_verify.py``, every generator × scheme).
+
+The checker stores keys only and explores the **full reachable state
+space** of a scenario network (``repro.sim.scenarios``) under an
+adversarial message-loss environment:
+
+* **Transitions**: one simulator cycle from a restored key.  Where
+  special messages are due for delivery the adversary branches over
+  *every subset to drop* (:func:`successor_states`) — a strict
+  over-approximation of the collisions that lose specials in the real
+  semantics (output-port arbitration), so any robustness proved here
+  holds for the real network.
 * **Properties** checked:
 
   1. *Recovery possible from everywhere* (AG EF drained): every
@@ -41,166 +59,219 @@ edge — timeouts fire earlier, they do not fire differently.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.fsm import FsmState
 
+#: A :func:`canonical_state` key or a :func:`snapshot`.
 StateKey = Tuple
-#: Transition label: (cycle-index-in-path, number of specials dropped).
 
 
 class StateSpaceExceeded(RuntimeError):
     """The exploration outgrew ``max_states`` — not a verification verdict."""
 
 
-# -- canonicalization -----------------------------------------------------
+# -- the codec ------------------------------------------------------------
 
 
-def _packet_key(packet) -> Optional[Tuple]:
-    if packet is None:
-        return None
-    return (
-        packet.pid,
-        packet.src,
-        packet.dst,
-        packet.vnet,
-        packet.size,
-        tuple(int(p) for p in packet.route),
-        packet.hop,
-        packet.is_escape,
-    )
+def _encode(net, exact: bool) -> StateKey:
+    """``(routers, nis, specials, fsms)``, stamps relative to ``net.cycle``.
 
-
-def _msg_key(msg) -> Tuple:
-    return (
-        int(msg.mtype),
-        msg.sender,
-        tuple(int(t) for t in msg.turns),
-        msg.travel,
-        None if msg.origin_out is None else int(msg.origin_out),
-    )
-
-
-def _delta(value: int, now: int, floor: int = 0) -> int:
-    return max(floor, value - now)
-
-
-def _scheme_key(net, now: int) -> Tuple:
-    """Canonical protocol state (static-bubble scheme; else empty)."""
-    states = getattr(net.scheme, "states", None)
-    if not isinstance(states, dict):
-        return ()
-    cfg = net.config
-    parts = []
-    for node in sorted(states):
-        st = states[node]
-        fsm = st.fsm
-        router = net.routers.get(node)
-        if fsm.state is FsmState.S_SB_ACTIVE:
-            bubble_age = min(
-                max(0, now - st.bubble_active_since), cfg.sb_bubble_timeout
-            )
-        else:
-            bubble_age = 0
-        parts.append(
-            (
-                node,
-                fsm.state.name,
-                fsm.count,
-                fsm.threshold,
-                tuple(int(t) for t in fsm.turn_buffer),
-                None if fsm.probe_in_port is None else int(fsm.probe_in_port),
-                None if fsm.probe_out_port is None else int(fsm.probe_out_port),
-                fsm.enable_retries,
-                st.watch_index,
-                st.watched_pid,
-                bubble_age,
-                router is not None and router.bubble_active,
-            )
-        )
-    return tuple(parts)
-
-
-def canonical_state(net) -> StateKey:
-    """A hashable snapshot of everything that determines future behaviour.
-
-    All absolute cycle stamps become deltas against ``net.cycle`` (past
-    stamps clamp to their "expired" value, ages clamp at the timeout that
-    consumes them), so the key is invariant under time translation.
-    Statistics, RNGs and the lazily-evicted active-router set are
-    excluded: they never feed back into packet or protocol behaviour.
+    ``exact`` keeps every stamp and appends the :func:`snapshot` tail;
+    otherwise the :func:`canonical_state` clamps apply.
     """
     now = net.cycle
     cfg = net.config
+
+    if exact:
+        def rel(stamp: int, floor: int = 0) -> int:
+            return stamp - now
+    else:
+        def rel(stamp: int, floor: int = 0) -> int:
+            return stamp - now if stamp > now + floor else floor
+
+    def pkt(p) -> Optional[Tuple]:
+        if p is None:
+            return None
+        key = (p.pid, p.src, p.dst, p.vnet, p.size, p.route, p.hop,
+               p.is_escape, p.adapt_out)
+        if exact:
+            injected = None if p.injected_at is None else p.injected_at - now
+            key += (p.created_at - now, injected)
+        return key
+
+    def vc_key(vc) -> Tuple:
+        return (pkt(vc.packet), rel(vc.ready_at), rel(vc.free_at))
+
     routers = []
-    for node in sorted(net.routers):
-        r = net.routers[node]
-        vcs = []
-        for port in range(r.num_ports):
-            for vc in r.input_vcs[port]:
-                vcs.append(
-                    (
-                        port,
-                        vc.index,
-                        vc.kind,
-                        _packet_key(vc.packet),
-                        _delta(vc.ready_at, now),
-                        _delta(vc.free_at, now),
-                    )
-                )
-        bubble = None
-        if r.bubble is not None:
-            bubble = (
-                int(r.bubble.port),
-                r.bubble_active,
-                _packet_key(r.bubble.packet),
-                _delta(r.bubble.ready_at, now),
-                _delta(r.bubble.free_at, now),
-            )
-        links = []
-        for port in range(r.num_ports):
-            link = r.output_links[port]
-            links.append(
-                None
-                if link is None
-                else (
-                    _delta(link.busy_until, now),
-                    _delta(link.special_blocked_at, now, floor=-1),
-                )
-            )
-        seal_age = (
-            min(now - r.io_set_at, cfg.sb_seal_timeout) if r.is_deadlock else 0
-        )
-        routers.append(
-            (
-                node,
-                tuple(vcs),
-                bubble,
-                tuple(links),
-                r.is_deadlock,
-                r.io_in_port,
-                r.io_out_port,
-                r.source_id,
-                seal_age,
-                tuple(r._in_rr),
-                tuple(r._out_rr),
-            )
-        )
-    specials = tuple(
-        sorted(
-            (arrival - now, node, in_port, _msg_key(msg))
-            for arrival, entries in net._special_arrivals.items()
-            for node, in_port, msg in entries
-        )
+    for r in net.routers.values():
+        bubble = r.bubble
+        seal_age = now - r.io_set_at
+        if not exact:
+            seal_age = min(seal_age, cfg.sb_seal_timeout) if r.is_deadlock else 0
+        routers.append((
+            tuple(map(vc_key, chain.from_iterable(r.input_vcs))),
+            None if bubble is None else (bubble.port, r.bubble_active, vc_key(bubble)),
+            tuple(
+                None if link is None
+                else (rel(link.busy_until), rel(link.special_blocked_at, -1))
+                for link in r.output_links
+            ),
+            (r.is_deadlock, r.io_in_port, r.io_out_port, r.source_id, seal_age),
+            tuple(r._in_rr),
+            tuple(r._out_rr),
+            tuple(r._adapt_rr),
+        ))
+    nis = tuple(
+        (tuple(map(pkt, ni.queue)), ni._next_pid) for ni in net.nis.values()
     )
-    queues = tuple(
-        (node, tuple(_packet_key(p) for p in ni.queue))
-        for node, ni in sorted(net.nis.items())
-        if ni.queue
+    specials = [
+        (arrival - now, node, in_port, msg)
+        for arrival, entries in net._special_arrivals.items()
+        for node, in_port, msg in entries
+    ]
+    if not exact:
+        specials.sort()
+    states = getattr(net.scheme, "states", {})
+    fsms = []
+    for st in states.values():
+        fsm = st.fsm
+        bubble_age = now - st.bubble_active_since
+        if not exact:
+            bubble_age = (
+                min(max(0, bubble_age), cfg.sb_bubble_timeout)
+                if fsm.state is FsmState.S_SB_ACTIVE
+                else 0
+            )
+        fsms.append((
+            fsm.state, fsm.count, fsm.threshold, fsm.turn_buffer,
+            fsm.probe_in_port, fsm.probe_out_port, fsm.enable_retries,
+            st.watch_index, st.watched_pid, bubble_age,
+        ))
+    body = (tuple(routers), nis, tuple(specials), tuple(fsms))
+    if not exact:
+        return body
+    traffic_rng = getattr(net.traffic, "rng", None)
+    stats = net.stats
+    return body + (
+        now,
+        net._rng.getstate(),
+        tuple(ni.rng.getstate() for ni in net.nis.values()),
+        None if traffic_rng is None else traffic_rng.getstate(),
+        dataclasses.replace(
+            stats, link_special_cycles=dict(stats.link_special_cycles)
+        ),
     )
-    return (tuple(routers), specials, _scheme_key(net, now), queues)
+
+
+def canonical_state(net) -> StateKey:
+    """A hashable key of everything that determines future behaviour,
+    invariant under time translation (see the module docstring).
+    Statistics never feed back; RNGs are left out because a scenario
+    network, which has no traffic, draws no random numbers."""
+    return _encode(net, exact=False)
+
+
+def snapshot(net) -> StateKey:
+    """The full dynamic state of ``net``, for an exact :func:`restore`."""
+    return _encode(net, exact=True)
+
+
+def _packet(key: Tuple, now: int):
+    from repro.sim.packet import Packet
+
+    pid, src, dst, vnet, size, route, hop, escape, adapt_out, *stamps = key
+    created, injected = stamps or (0, 0)
+    packet = Packet(pid, src, dst, vnet, size, route, now + created)
+    packet.hop = hop
+    packet.is_escape = escape
+    packet.adapt_out = adapt_out
+    packet.injected_at = None if injected is None else now + injected
+    return packet
+
+
+def _put(router, vc, key: Tuple, now: int) -> None:
+    """Write one VC's ``(packet, ready, free)`` into an emptied ``vc``."""
+    packet, ready, free = key
+    vc.free_at = now + free
+    if packet is None:
+        vc.ready_at = now + ready
+    else:
+        # The one arrival path: occupancy, ``wake_at`` and the network's
+        # occupied-router set are re-derived by the placement itself.
+        router.place(vc, _packet(packet, now), now + ready)
+
+
+def restore(net, state: StateKey) -> None:
+    """Write a :func:`canonical_state` key or a :func:`snapshot` into ``net``.
+
+    A key is placed at ``net.cycle``; a snapshot also brings back its
+    cycle, RNG states and statistics.
+    """
+    routers, nis, specials, fsms, *tail = state
+    if tail:
+        net.cycle = tail[0]
+    now = net.cycle
+    pairs = list(zip(net.routers.values(), routers))
+    # Every resident leaves under the port it was counted at before any
+    # bubble is re-tagged.
+    for r, _key in pairs:
+        for vc in list(r.residents()):
+            r.remove(vc)
+    net._active_nodes.clear()
+    for r, (vcs, bubble, links, seal, in_rr, out_rr, adapt_rr) in pairs:
+        for vc, key in zip(chain.from_iterable(r.input_vcs), vcs):
+            _put(r, vc, key, now)
+        if bubble is not None:
+            r.bubble.port, r.bubble_active, key = bubble
+            _put(r, r.bubble, key, now)
+        for link, key in zip(r.output_links, links):
+            if key is not None:
+                link.busy_until, link.special_blocked_at = now + key[0], now + key[1]
+        r.is_deadlock, r.io_in_port, r.io_out_port, r.source_id, age = seal
+        r.io_set_at = now - age
+        if r.is_deadlock:
+            # Written past ``set_io_restriction``: keep the scheme's sealed
+            # set a superset of the truth (stale members leave lazily).
+            r._sealed.add(r.node)
+        r._in_rr[:] = in_rr
+        r._out_rr[:] = out_rr
+        r._adapt_rr[:] = adapt_rr
+        # Bubble activation changes port-VC membership; drop the cache.
+        r.invalidate_vc_cache()
+    net._queued_nodes.clear()
+    for ni, (queue, ni._next_pid) in zip(net.nis.values(), nis):
+        ni.queue = deque(_packet(key, now) for key in queue)
+        if queue:
+            net._queued_nodes.add(ni.node)
+    arrivals = net._special_arrivals = {}
+    for delta, node, in_port, msg in specials:
+        arrivals.setdefault(now + delta, []).append((node, in_port, msg))
+    states = getattr(net.scheme, "states", {})
+    for st, key in zip(states.values(), fsms):
+        fsm = st.fsm
+        (fsm.state, fsm.count, fsm.threshold, fsm.turn_buffer,
+         fsm.probe_in_port, fsm.probe_out_port, fsm.enable_retries,
+         st.watch_index, st.watched_pid, age) = key
+        st.bubble_active_since = now - age
+    if states:
+        # ``fsm.state`` was written directly, not through ``transition``.
+        net.scheme.resync_awake()
+    if tail:
+        _cycle, net_rng, ni_rngs, traffic_rng, stats = tail
+        net._rng.setstate(net_rng)
+        for ni, rng in zip(net.nis.values(), ni_rngs):
+            ni.rng.setstate(rng)
+        if traffic_rng is not None:
+            net.traffic.rng.setstate(traffic_rng)
+        vars(net.stats).update(vars(stats))
+        net.stats.link_special_cycles = dict(stats.link_special_cycles)
+    # Wake table and links were written wholesale.
+    net.wake_all()
 
 
 def is_recovered(net) -> bool:
@@ -212,225 +283,44 @@ def is_recovered(net) -> bool:
     for router in net.active_routers():
         if router.is_deadlock or router.bubble_active:
             return False
-    states = getattr(net.scheme, "states", None)
-    if isinstance(states, dict):
-        for st in states.values():
-            if st.fsm.state is not FsmState.S_OFF:
-                return False
-    return True
+    return all(state is FsmState.S_OFF for state in _fsm_states(net))
 
 
-# -- snapshot / restore ---------------------------------------------------
-#
-# The explorer visits tens of thousands of states; ``copy.deepcopy`` of a
-# Network costs milliseconds, which would dominate the whole check.  A
-# snapshot is instead the *full-fidelity* version of the canonical key —
-# the same field inventory, absolute timestamps, no clamping — and
-# ``restore`` writes it back into one shared working network.  Packets
-# are stored as tuples and rebuilt on restore (``step`` mutates ``hop``
-# in place, so live Packet objects must never be shared across states);
-# frozen SpecialMessages are shared by reference.
-
-
-def _vc_snap(vc) -> Tuple:
-    return (_packet_key(vc.packet), vc.ready_at, vc.free_at)
-
-
-def _vc_restore(router, vc, snap: Tuple) -> None:
-    if vc.packet is not None:
-        router.remove(vc)
-    pkt, vc.ready_at, vc.free_at = snap
-    if pkt is not None:
-        # The one arrival path: occupancy, ``wake_at`` and the network's
-        # occupied-router set are re-derived by the placement itself.
-        router.place(vc, _packet_from_key(pkt), vc.ready_at)
-
-
-def _packet_from_key(key: Tuple):
-    from repro.sim.packet import Packet
-
-    pid, src, dst, vnet, size, route, hop, is_escape = key
-    packet = Packet(pid, src, dst, vnet, size, route, 0)
-    packet.hop = hop
-    packet.is_escape = is_escape
-    packet.injected_at = 0
-    return packet
-
-
-def snapshot(net) -> Tuple:
-    """Full dynamic state of a scenario network (see restore)."""
-    routers = []
-    for node in sorted(net.routers):
-        r = net.routers[node]
-        routers.append(
-            (
-                node,
-                tuple(
-                    _vc_snap(vc)
-                    for port in range(r.num_ports)
-                    for vc in r.input_vcs[port]
-                ),
-                None
-                if r.bubble is None
-                else (int(r.bubble.port), r.bubble_active, _vc_snap(r.bubble)),
-                tuple(
-                    None
-                    if link is None
-                    else (link.busy_until, link.special_blocked_at)
-                    for link in r.output_links
-                ),
-                (
-                    r.is_deadlock,
-                    r.io_in_port,
-                    r.io_out_port,
-                    r.source_id,
-                    r.io_set_at,
-                ),
-                tuple(r._in_rr),
-                tuple(r._out_rr),
-            )
-        )
-    specials = tuple(
-        (arrival, tuple(entries))
-        for arrival, entries in sorted(net._special_arrivals.items())
-    )
-    scheme_states = getattr(net.scheme, "states", None)
-    fsms = ()
-    if isinstance(scheme_states, dict):
-        fsms = tuple(
-            (
-                node,
-                st.fsm.state,
-                st.fsm.count,
-                st.fsm.threshold,
-                st.fsm.turn_buffer,
-                st.fsm.probe_in_port,
-                st.fsm.probe_out_port,
-                st.fsm.enable_retries,
-                st.watch_index,
-                st.watched_pid,
-                st.bubble_active_since,
-            )
-            for node, st in sorted(scheme_states.items())
-        )
-    return (net.cycle, routers, specials, fsms)
-
-
-def restore(net, snap: Tuple) -> None:
-    """Write a snapshot back into ``net`` (the shared working network)."""
-    cycle, routers, specials, fsms = snap
-    net.cycle = cycle
-    net._active_nodes.clear()
-    # Links, seals and free times are written directly below.
-    net.wake_all()
-    for node, vcs, bubble, links, seal, in_rr, out_rr in routers:
-        r = net.routers[node]
-        it = iter(vcs)
-        for port in range(r.num_ports):
-            for vc in r.input_vcs[port]:
-                _vc_restore(r, vc, next(it))
-        if r.bubble is not None:
-            port, active, vc_snap = bubble
-            # The old resident leaves under the port it was counted at;
-            # only then is the bubble re-tagged.
-            if r.bubble.packet is not None:
-                r.remove(r.bubble)
-            r.bubble.port = port
-            r.bubble_active = active
-            _vc_restore(r, r.bubble, vc_snap)
-        for port, link_snap in enumerate(links):
-            link = r.output_links[port]
-            if link_snap is not None:
-                link.busy_until, link.special_blocked_at = link_snap
-        (
-            r.is_deadlock,
-            r.io_in_port,
-            r.io_out_port,
-            r.source_id,
-            r.io_set_at,
-        ) = seal
-        # Direct attribute writes bypass ``set_io_restriction``; enter
-        # the router so the scheme-side sealed-router set stays a superset
-        # of the truth (stale members are discarded lazily).
-        if r.is_deadlock:
-            r._sealed.add(r.node)
-        r._in_rr[:] = in_rr
-        r._out_rr[:] = out_rr
-        # Bubble activation changes port-VC membership; drop the cache.
-        r.invalidate_vc_cache()
-    net._special_arrivals = {
-        arrival: list(entries) for arrival, entries in specials
-    }
-    scheme_states = getattr(net.scheme, "states", None)
-    if isinstance(scheme_states, dict):
-        for (
-            node,
-            state,
-            count,
-            threshold,
-            turn_buffer,
-            probe_in,
-            probe_out,
-            retries,
-            watch_index,
-            watched_pid,
-            active_since,
-        ) in fsms:
-            st = scheme_states[node]
-            st.fsm.state = state
-            st.fsm.count = count
-            st.fsm.threshold = threshold
-            st.fsm.turn_buffer = turn_buffer
-            st.fsm.probe_in_port = probe_in
-            st.fsm.probe_out_port = probe_out
-            st.fsm.enable_retries = retries
-            st.watch_index = watch_index
-            st.watched_pid = watched_pid
-            st.bubble_active_since = active_since
-        # ``fsm.state`` was written directly, not through ``transition``.
-        net.scheme.resync_awake()
+def _fsm_states(net) -> List[FsmState]:
+    return [st.fsm.state for st in getattr(net.scheme, "states", {}).values()]
 
 
 # -- transition function --------------------------------------------------
 
 
-def clone_network(net):
-    """Deep-copy a network so the copy can be stepped independently.
+def successor_states(net, key: StateKey, max_due_specials: int = 8):
+    """Yield ``(dropped, successor key)`` for one adversarial cycle from ``key``.
 
-    Routers, NIs and FSMs hold the network's occupied / queued / awake /
-    sealed *sets* (not bound ``set.add`` methods, which ``deepcopy`` treats
-    as atomic), so the copy's members point at the copy's sets.
-    """
-    return copy.deepcopy(net)
-
-
-def successor_states(net, max_due_specials: int = 8):
-    """Yield ``(dropped_count, successor)`` for one adversarial cycle.
-
-    Branches over every subset of the specials due for delivery this
-    cycle being lost.  ``max_due_specials`` bounds the branching factor
+    Restores ``key`` into ``net`` and branches over every subset of the
+    specials due this cycle being lost; drops count in
+    ``stats.specials_dropped``.  ``net`` holds each successor while its
+    key is yielded.  ``max_due_specials`` bounds the branching factor
     (2^k); scenario networks stay well under it, and exceeding it raises
     rather than silently truncating the adversary.
     """
-    due = net._special_arrivals.get(net.cycle, ())
-    k = len(due)
+    restore(net, key)
+    k = len(net._special_arrivals.get(net.cycle, ()))
     if k > max_due_specials:
         raise StateSpaceExceeded(
             f"{k} specials due in one cycle exceeds the adversary bound "
             f"({max_due_specials}); raise max_due_specials"
         )
     for mask in range(1 << k):
-        clone = clone_network(net)
+        dropped = bin(mask).count("1")
         if mask:
-            entries = clone._special_arrivals[clone.cycle]
-            kept = [e for i, e in enumerate(entries) if not (mask >> i) & 1]
-            if kept:
-                clone._special_arrivals[clone.cycle] = kept
-            else:
-                del clone._special_arrivals[clone.cycle]
-            clone.stats.specials_dropped += bin(mask).count("1")
-        clone.step()
-        yield bin(mask).count("1"), clone
+            restore(net, key)
+            due = net._special_arrivals[net.cycle]
+            due[:] = [e for i, e in enumerate(due) if not (mask >> i) & 1]
+            if not due:
+                del net._special_arrivals[net.cycle]
+            net.stats.specials_dropped += dropped
+        net.step()
+        yield dropped, canonical_state(net)
 
 
 # -- the checker ----------------------------------------------------------
@@ -551,74 +441,48 @@ def check_scenario(
     if t_dd is not None:
         knobs["t_dd"] = t_dd
 
-    # Deterministic no-loss progress run (the real network semantics).
-    det_net = clone_network(net)
+    # Deterministic no-loss progress run (the real network semantics),
+    # then back to the initial deadlock.
+    initial = snapshot(net)
     det_cycle: Optional[int] = None
     for _ in range(det_bound):
-        if is_recovered(det_net):
-            det_cycle = det_net.cycle
+        if is_recovered(net):
+            det_cycle = net.cycle
             break
-        det_net.step()
+        net.step()
+    restore(net, initial)
 
-    # Exhaustive exploration.  The working network ``net`` is reused for
-    # every expansion: restore snapshot, (maybe) drop specials, step once.
-    init_key = canonical_state(net)
-    ids: Dict[StateKey, int] = {init_key: 0}
-    snaps: List[Tuple] = [snapshot(net)]
+    # Exhaustive breadth-first exploration: ids are handed out in
+    # discovery order, so expanding them in id order is the BFS.
+    keys: List[StateKey] = [canonical_state(net)]
+    ids: Dict[StateKey, int] = {keys[0]: 0}
     parents: Dict[int, Tuple[int, int]] = {}  # id -> (parent id, dropped)
     redges: Dict[int, List[int]] = {}
-    recovered_ids: Set[int] = set()
-    sb_active_states = 0
+    recovered_ids: Set[int] = {0} if is_recovered(net) else set()
+    sb_active_states = int(_any_sb_active(net))
     transitions = 0
     widest = 0
-    frontier = [0]
-    if is_recovered(net):
-        recovered_ids.add(0)
-    if _any_sb_active(net):
-        sb_active_states += 1
-    while frontier:
-        next_frontier: List[int] = []
-        for sid in frontier:
-            snap = snaps[sid]
-            restore(net, snap)
-            due = len(net._special_arrivals.get(net.cycle, ()))
-            widest = max(widest, due)
-            if due > max_due_specials:
-                raise StateSpaceExceeded(
-                    f"{due} specials due in one cycle exceeds the adversary "
-                    f"bound ({max_due_specials}); raise max_due_specials"
-                )
-            for mask in range(1 << due):
-                restore(net, snap)
-                if mask:
-                    entries = net._special_arrivals[net.cycle]
-                    kept = [
-                        e for i, e in enumerate(entries) if not (mask >> i) & 1
-                    ]
-                    if kept:
-                        net._special_arrivals[net.cycle] = kept
-                    else:
-                        del net._special_arrivals[net.cycle]
-                net.step()
-                key = canonical_state(net)
-                tid = ids.get(key)
-                if tid is None:
-                    tid = len(snaps)
-                    if tid >= max_states:
-                        raise StateSpaceExceeded(
-                            f"{name}: more than {max_states} reachable states"
-                        )
-                    ids[key] = tid
-                    snaps.append(snapshot(net))
-                    parents[tid] = (sid, bin(mask).count("1"))
-                    next_frontier.append(tid)
-                    if is_recovered(net):
-                        recovered_ids.add(tid)
-                    if _any_sb_active(net):
-                        sb_active_states += 1
-                transitions += 1
-                redges.setdefault(tid, []).append(sid)
-        frontier = next_frontier
+    sid = 0
+    while sid < len(keys):
+        for dropped, key in successor_states(net, keys[sid], max_due_specials):
+            # The all-dropped branch drops every due special.
+            widest = max(widest, dropped)
+            tid = ids.get(key)
+            if tid is None:
+                tid = len(keys)
+                if tid >= max_states:
+                    raise StateSpaceExceeded(
+                        f"{name}: more than {max_states} reachable states"
+                    )
+                ids[key] = tid
+                keys.append(key)
+                parents[tid] = (sid, dropped)
+                if is_recovered(net):
+                    recovered_ids.add(tid)
+                sb_active_states += _any_sb_active(net)
+            transitions += 1
+            redges.setdefault(tid, []).append(sid)
+        sid += 1
 
     # AG EF recovered: reverse reachability from the recovered states.
     co_reachable = set(recovered_ids)
@@ -629,7 +493,7 @@ def check_scenario(
             if pred not in co_reachable:
                 co_reachable.add(pred)
                 stack.append(pred)
-    bad = [sid for sid in range(len(snaps)) if sid not in co_reachable]
+    bad = [sid for sid in range(len(keys)) if sid not in co_reachable]
 
     livelock_path: Optional[List[Tuple[int, int]]] = None
     if bad:
@@ -647,7 +511,7 @@ def check_scenario(
     return ModelCheckResult(
         scenario=name,
         ok=ok,
-        states=len(snaps),
+        states=len(keys),
         transitions=transitions,
         recovered_states=len(recovered_ids),
         det_recovery_cycle=det_cycle,
@@ -659,7 +523,4 @@ def check_scenario(
 
 
 def _any_sb_active(net) -> bool:
-    states = getattr(net.scheme, "states", None)
-    if not isinstance(states, dict):
-        return False
-    return any(st.fsm.state is FsmState.S_SB_ACTIVE for st in states.values())
+    return FsmState.S_SB_ACTIVE in _fsm_states(net)

@@ -52,15 +52,13 @@ def test_restore_debits_a_bubble_resident_at_the_port_it_was_counted_under():
     cycles where it is attached, claimed and drained re-tags it both ways."""
     net, _scheme = build_scenario("ring2x2", t_dd=2)
     snaps = []
-    for _ in range(40):
+    claimed = []
+    for i in range(40):
         snaps.append((model.snapshot(net), model.canonical_state(net)))
+        if net.routers[3].bubble.packet is not None:
+            claimed.append(i)
         net.step()
 
-    def bubble_packet(snap):
-        _node, _vcs, (_port, _active, (packet, *_times)), *_rest = snap[1][3]
-        return packet
-
-    claimed = [i for i, (snap, _key) in enumerate(snaps) if bubble_packet(snap)]
     assert claimed and claimed[0] > 0, "the run never put a packet in the bubble"
     # From every snapshot to every other, so the bubble is re-tagged with a
     # resident in it, emptied, and refilled.

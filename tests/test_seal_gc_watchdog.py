@@ -12,11 +12,12 @@ Targets the two on-cycle sweeps that only fire on rare protocol paths:
 
 from __future__ import annotations
 
+import copy
+
 from repro.core.fsm import FsmState
 from repro.core.turns import Port, Turn
 from repro.obs import Observer
 from repro.obs.events import SEAL_EXPIRE, SEAL_REFRESH
-from repro.verify.model import clone_network
 
 from tests.conftest import build_2x2_ring_deadlock
 
@@ -84,7 +85,7 @@ class TestCollectStaleSeals:
         """A deep copy seals into its own scheme's set, and collects it."""
         net, scheme = build_2x2_ring_deadlock(t_dd=FROZEN)
         net.config.sb_seal_timeout = 8
-        clone = clone_network(net)
+        clone = copy.deepcopy(net)
         router = clone.routers[0]
         router.set_io_restriction(E, N, source=3, now=clone.cycle)
         assert clone.scheme._sealed == {0}

@@ -91,6 +91,7 @@ class TestEndpoints:
             {"vcs_per_vnet": 0},
             {"vnets": 0},
             {"sb_t_dd": -5},
+            {"scheme": "xy", "topology": "torus3d:3x3x3"},
         ):
             status, payload, _ = client._request("POST", "/jobs", body)
             assert status == 400, body

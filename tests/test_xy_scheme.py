@@ -61,3 +61,29 @@ class TestIrregularMesh:
         )
         net.run(50)
         assert net.stats.packets_dropped_unreachable == 1
+
+
+class TestNonMeshTopologies:
+    """XY addresses routers by (x, y): every other generator is refused
+    with a ValueError, never an AttributeError from deep in the tables."""
+
+    TOPOLOGIES = ("mesh3d:3x3x2", "torus3d:3x3x3", "circulant:11,2,5", "fullmesh:6")
+
+    def test_network_refuses_xy_off_the_2d_mesh(self):
+        import pytest
+
+        from repro.topology.generators import parse_topology
+
+        for spec in self.TOPOLOGIES:
+            with pytest.raises(ValueError, match="2D mesh"):
+                Network(parse_topology(spec), SimConfig(), XyRouting())
+
+    def test_spec_validate_refuses_xy_off_the_2d_mesh(self):
+        import pytest
+
+        from repro.service.spec import SimSpec
+
+        for spec in self.TOPOLOGIES:
+            with pytest.raises(ValueError, match="2D mesh"):
+                SimSpec(topology=spec, scheme="xy").validate()
+        SimSpec(topology="mesh:4x4", scheme="xy").validate()
