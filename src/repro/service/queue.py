@@ -298,6 +298,12 @@ class JobQueue:
         #: lock, exceptions swallowed (feedback must never wedge a
         #: claimant).
         self.on_executed = on_executed
+        #: Called as ``on_claimable(not_before)`` whenever a record becomes
+        #: claimable — a submission, a lease requeue, a retry (claimable
+        #: once ``time.monotonic()`` reaches ``not_before``) — under the
+        #: queue lock, from whichever thread made it so: it must not block
+        #: (a front end wakes its parked claims with it).
+        self.on_claimable: Optional[Callable[[float], None]] = None
         self.registry = registry if registry is not None else self.store.registry
         self._records: Dict[str, JobRecord] = {}
         self._heap: List[Tuple[int, int, str]] = []  # (-priority, seq, job_id)
@@ -424,6 +430,8 @@ class JobQueue:
     def _push_locked(self, record: JobRecord) -> None:
         """Make a PENDING record claimable: FIFO within its priority."""
         heapq.heappush(self._heap, (-record.priority, next(self._seq), record.job_id))
+        if self.on_claimable is not None:
+            self.on_claimable(record.not_before)
 
     def _live_record_locked(self, job_id: str) -> Optional[JobRecord]:
         """The record a submission of ``job_id`` lands on, counted; None

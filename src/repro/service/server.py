@@ -10,11 +10,17 @@ asyncio event loop in a daemon thread, behind ``repro serve``, the
 benchmarks and the tests alike (:mod:`repro.service.fabric` exports the
 same class as ``AsyncServiceServer``).
 
-* **streaming request handling** — request bodies are read in bounded
-  chunks as they arrive, and a slow client costs a coroutine, not a
-  thread;
-* **long polls are free** — a parked ``GET /jobs/claim`` is an
-  ``await``, so thousands of idle workers cost nothing;
+* **one protocol per connection** — an ``asyncio.Protocol`` frames each
+  request out of its buffer (head up to ``\\r\\n\\r\\n``, at most 64 KiB;
+  a ``Content-Length`` body, at most 32 MiB) and answers it inside
+  ``data_received`` when memory holds the answer; only a parked claim or
+  a pool hop runs as a task, and the requests behind it wait in the
+  buffer, so replies leave in request order;
+* **long polls wake on work** — a parked ``GET /jobs/claim`` is a
+  future, resolved when the queue reports a claimable record (a submit,
+  a lease requeue, a retry's backoff ending) and cancelled when its
+  client hangs up, so idle workers cost nothing and a gone one leases
+  nothing;
 * **graceful drain** — ``stop()`` flips ``/healthz`` to 503 (load
   balancers stop routing), closes the listener and every idle
   keep-alive connection, lets every in-flight request finish (answered
@@ -26,7 +32,9 @@ same class as ``AsyncServiceServer``).
 What the process already holds in memory is answered on the event
 loop: lock-only handlers (healthz, heartbeat, job status, claims), and a
 submission or result read that a finished job record or a warm
-surrogate profile can answer.  Only disk, table builds and enqueueing
+surrogate profile can answer.  A surrogate reply is kept as bytes beside
+its body and served again while the calibration fingerprint it carries
+is the table's current one.  Only disk, table builds and enqueueing
 (a first-time or store-only submission, a cold surrogate profile, a
 result read from the store, a completion, a metrics scrape — it counts
 the store's blobs) hop to a small thread pool.
@@ -76,7 +84,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Awaitable, Dict, List, Optional, Set, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 import repro
@@ -94,14 +102,13 @@ HTTP_LATENCY_BOUNDS: Tuple[float, ...] = (
     0.5, 1, 2, 5, 10, 25, 50, 100, 250, 1000, 5000,
 )
 
-#: Interval between claim re-checks inside a long poll.
-CLAIM_POLL_INTERVAL = 0.05
 #: Hard ceiling on a single long poll (clients re-poll; a cap keeps
 #: drain fast and broken clients bounded).
 CLAIM_MAX_WAIT = 30.0
 
-#: Bytes per streaming body-read chunk.
-BODY_CHUNK = 64 * 1024
+#: Longest request head (request line and headers) a connection buffers;
+#: past it without a blank line, the connection is closed unanswered.
+MAX_HEAD_BYTES = 64 * 1024
 #: Largest accepted request body (a campaign of specs, with headroom).
 MAX_BODY_BYTES = 32 * 1024 * 1024
 #: Seconds stop() waits for in-flight requests before giving up.
@@ -137,7 +144,8 @@ class Response:
     payload: Optional[Dict[str, Any]] = None
     text: Optional[str] = None
     headers: Dict[str, str] = field(default_factory=dict)
-    #: A JSON body already encoded (a DONE record's, ``JobRecord.encoded``).
+    #: A JSON body already encoded (a DONE record's, ``JobRecord.encoded``,
+    #: or a kept surrogate answer's).
     encoded: Optional[bytes] = None
 
     def body_bytes(self) -> Tuple[bytes, str]:
@@ -452,15 +460,24 @@ class ServiceServer(ServiceCore):
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._ready = threading.Event()
-        #: Open connections -> True while parked on the request line.
-        self._connections: Dict[asyncio.StreamWriter, bool] = {}
+        #: Open connections (loop thread only).
+        self._connections: Set[_Connection] = set()
+        #: One future per parked claim; resolved True at its deadline,
+        #: False by :meth:`_wake_claims`.
+        self._parked: Set[asyncio.Future] = set()
         self._executor = ThreadPoolExecutor(
             max_workers=8, thread_name_prefix="repro-async-io"
         )
         self._startup_error: Optional[BaseException] = None
         #: ``POST /jobs`` body bytes -> the immutable parts of its parsed
-        #: ``Submission`` (loop thread only, so no lock; FIFO-bounded).
-        self._parsed: Dict[bytes, Tuple[SimSpec, Dict[str, Any], str, int, bool]] = {}
+        #: ``Submission``, then its kept surrogate reply as
+        #: ``(calibration fingerprint, encoded body)`` or None (loop
+        #: thread only, so no lock; FIFO-bounded).
+        self._parsed: Dict[
+            bytes,
+            Tuple[SimSpec, Dict[str, Any], str, int, bool, Optional[Tuple[str, bytes]]],
+        ] = {}
+        self.queue.on_claimable = self._claimable
 
     # -- info ------------------------------------------------------------
 
@@ -530,10 +547,10 @@ class ServiceServer(ServiceCore):
             self._ready.set()
 
     async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
+        self._loop = loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_connection, self._host, self._requested_port
+        server = await loop.create_server(
+            lambda: _Connection(self), self._host, self._requested_port
         )
         sockname = server.sockets[0].getsockname()
         self._bound = (sockname[0], sockname[1])
@@ -542,140 +559,73 @@ class ServiceServer(ServiceCore):
             await self._stop_event.wait()
         finally:
             server.close()
-            # Drain: close idle keep-alive connections (EOF ends their
-            # handler); one in flight is answered ``Connection: close``.
-            # ``wait_closed()`` does neither, and differs across 3.11/3.12.
+            # Drain: parked claims answer empty (``draining``), idle
+            # keep-alive connections are closed, and a request in flight
+            # is answered ``Connection: close``, which closes its
+            # connection.  ``wait_closed()`` does none of this, and
+            # differs across 3.11/3.12.
+            self._wake_claims()
             deadline = time.monotonic() + DRAIN_TIMEOUT
             while self._connections and time.monotonic() < deadline:
-                for writer, idle in list(self._connections.items()):
-                    if idle:
-                        writer.close()
+                for conn in list(self._connections):
+                    if conn.idle:
+                        conn.transport.close()
                 await asyncio.sleep(0.01)
+            for conn in list(self._connections):
+                conn.transport.abort()
 
     # -- HTTP ------------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while await self._handle_one(reader, writer):
-                pass
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            asyncio.LimitOverrunError,
-        ):
-            pass  # client went away mid-request
-        finally:
-            self._connections.pop(writer, None)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                # CancelledError: loop shutdown cancelled this handler
-                # mid-close; the transport is torn down regardless.
-                pass
-
-    async def _handle_one(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> bool:
-        self._connections[writer] = True
-        request_line = await reader.readline()
-        self._connections[writer] = False
-        if not request_line or request_line in (b"\r\n", b"\n"):
-            return False
-        try:
-            method, target, version = (
-                request_line.decode("latin-1").rstrip("\r\n").split(" ", 2)
-            )
-        except ValueError:
-            await self._write_response(
-                writer, Response(400, {"error": "malformed request line"}), False
-            )
-            return False
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        started = time.perf_counter()
-        parts = urlsplit(target)
-        try:
-            body, overflow = await self._read_body(reader, headers)
-            if overflow:
-                response = Response(413, {"error": "request body too large"})
-            else:
-                response = await self._dispatch(method, parts, body)
-        except (ValueError, json.JSONDecodeError) as exc:
-            response = Response(400, {"error": str(exc)})
-        except Exception as exc:  # noqa: BLE001 — one request must not kill the loop
-            response = Response(500, {"error": f"{type(exc).__name__}: {exc}"})
-        keep_alive = (
-            headers.get("connection", "").lower() != "close"
-            and version != "HTTP/1.0"
-            and not self.draining
-        )
-        await self._write_response(writer, response, keep_alive, method != "HEAD")
-        self.observe_latency(
-            endpoint_label(method, parts.path), time.perf_counter() - started
-        )
-        return keep_alive
-
-    async def _read_body(
-        self, reader: asyncio.StreamReader, headers: Dict[str, str]
-    ) -> Tuple[bytes, bool]:
-        """Stream the body in bounded chunks; flag oversized bodies."""
-        length = int(headers.get("content-length", 0) or 0)
-        if length <= 0:
-            return b"", False
-        if length > MAX_BODY_BYTES:
-            return b"", True
-        chunks: List[bytes] = []
-        remaining = length
-        while remaining > 0:
-            chunk = await reader.readexactly(min(remaining, BODY_CHUNK))
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks), False
-
-    async def _dispatch(self, method: str, parts, body: bytes) -> Response:
+    def _dispatch(
+        self, method: str, endpoint: str, parts, body: bytes
+    ) -> Union[Response, Awaitable[Response]]:
+        """The response to one request, or an awaitable of it where the
+        answer needs the pool (``_EXECUTOR_ENDPOINTS`` only, once memory
+        had none) or must wait for work (a parked claim)."""
         path = parts.path
-        query = parse_qs(parts.query)
-        endpoint = endpoint_label(method, path)
         if method == "GET" and path.rstrip("/") == "/jobs/claim":
-            return await self._long_poll_claim(query)
+            return self._claim(parse_qs(parts.query))
         if endpoint == "jobs_submit":
             sub = self._parse_submission_bytes(body)
             if isinstance(sub, Response):
                 return sub
             response = self.submit(sub, may_block=False)
-            return response or await self._off_loop(self.submit, sub)
+            if response is None:
+                return self._submit_off_loop(body, sub)
+            return self._keep(body, response)
         if method == "POST":
             payload = _json_object(body)
             if isinstance(payload, Response):
                 return payload
             if endpoint not in _EXECUTOR_ENDPOINTS:
                 return self.handle_post(path, payload)
-            return await self._off_loop(self.handle_post, path, payload)
+            return self._off_loop(self.handle_post, path, payload)
         if method in ("GET", "HEAD"):
-            # HEAD: the GET status and headers; the writer drops the body.
+            # HEAD: the GET status and headers; the connection drops the body.
+            query = parse_qs(parts.query)
             if endpoint not in _EXECUTOR_ENDPOINTS:
                 return self.handle_get(path, query)
             return self.handle_get(
                 path, query, may_block=False
-            ) or await self._off_loop(self.handle_get, path, query)
+            ) or self._off_loop(self.handle_get, path, query)
         return Response(405, {"error": f"method {method} not allowed"})
 
     def _parse_submission_bytes(self, body: bytes) -> Union[Submission, Response]:
         """``parse_submission`` once per distinct body.  A hit builds a
         fresh ``Submission`` (``submit`` clears its ``ask_surrogate``)
         and still goes through ``submit``, so TTLs, store reads and
-        admission are decided per request; a 400 is never kept."""
+        admission are decided per request; a 400 is never kept.  A hit
+        whose surrogate reply is kept under the oracle's current
+        calibration fingerprint is answered with those bytes."""
         parsed = self._parsed.get(body)
         if parsed is not None:
-            return Submission(*parsed)
+            kept = parsed[5]
+            if kept is not None and kept[0] == self.oracle.known_fingerprint:
+                # The counts ``oracle.answer`` makes per answer.
+                self.registry.counter("surrogate.predictions").inc()
+                self.registry.counter("surrogate.answered").inc()
+                return Response(200, encoded=kept[1])
+            return Submission(*parsed[:5])
         payload = _json_object(body)
         if isinstance(payload, Response):
             return payload
@@ -685,32 +635,246 @@ class ServiceServer(ServiceCore):
         if len(self._parsed) >= PARSE_MEMO_ENTRIES:
             del self._parsed[next(iter(self._parsed))]
         self._parsed[body] = (
-            sub.spec, sub.spec_dict, sub.job_id, sub.priority, sub.ask_surrogate
+            sub.spec, sub.spec_dict, sub.job_id, sub.priority, sub.ask_surrogate, None
         )
         return sub
 
-    async def _off_loop(self, func, *args) -> Response:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._executor, func, *args)
+    def _keep(self, body: bytes, response: Response) -> Response:
+        """A surrogate answer to ``body``, encoded once and kept beside
+        its parse, tagged with the calibration fingerprint its
+        provenance carries; every other reply (an escalation, a 400)
+        passes through unkept."""
+        payload = response.payload
+        if payload is None or payload.get("surrogate") is not True:
+            return response
+        parsed = self._parsed.get(body)
+        if parsed is None:
+            return response  # evicted while the answer was computed
+        encoded = json.dumps(payload, sort_keys=True).encode()
+        provenance = payload["result"]["surrogate"]["provenance"]
+        self._parsed[body] = parsed[:5] + ((provenance["calibration_fingerprint"], encoded),)
+        return Response(response.status, encoded=encoded)
 
-    async def _long_poll_claim(self, query: Dict[str, List[str]]) -> Response:
-        """Parked claim = one coroutine await, not one OS thread."""
+    async def _submit_off_loop(self, body: bytes, sub: Submission) -> Response:
+        return self._keep(body, await self._off_loop(self.submit, sub))
+
+    def _off_loop(self, func, *args) -> Awaitable[Response]:
+        return self._loop.run_in_executor(self._executor, func, *args)
+
+    def _claim(self, query: Dict[str, List[str]]) -> Union[Response, Awaitable[Response]]:
         worker, max_jobs, wait = ServiceCore.parse_claim_query(query)
-        deadline = time.monotonic() + wait
-        while True:
-            payload = self.claim(worker, max_jobs)
-            if payload["jobs"] or self.draining or time.monotonic() >= deadline:
-                return Response(200, payload)
-            await asyncio.sleep(CLAIM_POLL_INTERVAL)
+        payload = self.claim(worker, max_jobs)
+        if payload["jobs"] or self.draining or wait <= 0:
+            return Response(200, payload)
+        return self._park_claim(worker, max_jobs, wait)
 
-    async def _write_response(
+    async def _park_claim(self, worker: str, max_jobs: int, wait: float) -> Response:
+        """A parked claim: one more attempt per wake (a record became
+        claimable, a retry's backoff ended, ``stop()``), the last at its
+        deadline.  Its connection cancels it when the client hangs up."""
+        loop = self._loop
+        deadline = loop.time() + wait
+        while True:
+            wake = loop.create_future()
+            timer = loop.call_at(deadline, _resolve, wake, True)
+            self._parked.add(wake)
+            try:
+                expired = await wake
+            finally:
+                timer.cancel()
+                self._parked.discard(wake)
+            payload = self.claim(worker, max_jobs)
+            if payload["jobs"] or self.draining or expired:
+                return Response(200, payload)
+
+    def _claimable(self, not_before: float) -> None:
+        """``JobQueue.on_claimable``, from any thread: a record is
+        claimable from ``not_before`` (``time.monotonic()``) on."""
+        loop = self._loop
+        if loop is not None:
+            try:
+                loop.call_soon_threadsafe(self._wake_claims, not_before)
+            except RuntimeError:
+                pass  # loop closed: nothing is parked
+
+    def _wake_claims(self, not_before: float = 0.0) -> None:
+        """Loop thread: give every parked claim another attempt, now or,
+        for a retry still in its backoff, when the backoff ends."""
+        delay = not_before - time.monotonic()
+        if delay > 0:
+            self._loop.call_later(delay, self._wake_claims)
+            return
+        for wake in self._parked:
+            _resolve(wake, False)
+
+
+def _failure(exc: Exception) -> Response:
+    """The reply when a handler raised: malformed input (``ValueError``,
+    bad JSON included) is the client's 400, anything else a 500."""
+    if isinstance(exc, ValueError):
+        return Response(400, {"error": str(exc)})
+    return Response(500, {"error": f"{type(exc).__name__}: {exc}"})
+
+
+def _resolve(future: asyncio.Future, value: bool) -> None:
+    if not future.done():
+        future.set_result(value)
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection of a :class:`ServiceServer`.  It frames each
+    request out of its buffer and answers it inside ``data_received``
+    when the answer is in memory; a parked claim or a pool hop runs as
+    ``pending``, and the requests behind it stay buffered, so replies
+    leave in request order."""
+
+    def __init__(self, server: ServiceServer) -> None:
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.buffer = bytearray()
+        #: The task answering the request at the head of the line.
+        self.pending: Optional[asyncio.Task] = None
+        #: ``pending`` is a parked claim: a hang-up cancels it.
+        self.parked = False
+        self.eof = False
+        self.write_paused = False
+
+    @property
+    def idle(self) -> bool:
+        """Between requests: none in flight, none partly received."""
+        return self.pending is None and not self.buffer
+
+    # -- asyncio.Protocol ------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self.server._connections.discard(self)
+        if self.parked:
+            self.pending.cancel()  # a gone worker must lease nothing
+
+    def eof_received(self) -> bool:
+        """The client stopped sending.  A pool hop in flight is still
+        answered (True keeps the transport open to write it); a parked
+        claim is given up, like everything else, by closing."""
+        self.eof = True
+        return self.pending is not None and not self.parked
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        if self.pending is None:
+            self.serve()
+        elif len(self.buffer) > MAX_HEAD_BYTES:
+            self.transport.pause_reading()  # resumed once pending answers
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self.transport.resume_reading()
+        self.serve()
+
+    # -- requests --------------------------------------------------------
+
+    def serve(self) -> None:
+        """Answer the complete requests in the buffer, in order, until one
+        needs a task, the client stops reading, or the connection closes."""
+        buffer, transport = self.buffer, self.transport
+        while self.pending is None and not self.write_paused and not transport.is_closing():
+            end = buffer.find(b"\r\n\r\n")
+            if not 0 <= end <= MAX_HEAD_BYTES:
+                if self.eof or len(buffer) > MAX_HEAD_BYTES:
+                    transport.close()
+                return
+            lines = buffer[:end].decode("latin-1").split("\r\n")
+            try:
+                method, target, version = lines[0].split(" ", 2)
+            except ValueError:
+                del buffer[:]
+                if lines[0]:  # an empty request line is a hang-up
+                    self.send(Response(400, {"error": "malformed request line"}), "", False)
+                transport.close()
+                return
+            headers: Dict[str, str] = {}
+            for line in lines[1:]:
+                name, _, value = line.partition(":")
+                headers[name.strip().lower()] = value.strip()
+            try:
+                parts = urlsplit(target)
+                length = max(0, int(headers.get("content-length", 0) or 0))
+            except ValueError as exc:
+                length, refused = -1, Response(400, {"error": str(exc)})
+            else:
+                refused = None
+            if length > MAX_BODY_BYTES:
+                # Refused on the declared length: no byte of it is read.
+                length, refused = -1, Response(413, {"error": "request body too large"})
+            if refused is not None:
+                # The rest of the stream cannot be framed: answer, close.
+                del buffer[:]
+                self.send(refused, method, False)
+                return
+            size = end + 4 + length
+            if len(buffer) < size:
+                if self.eof:
+                    transport.close()
+                return  # the body is still arriving
+            body = bytes(buffer[end + 4:size])
+            del buffer[:size]
+            endpoint = endpoint_label(method, parts.path)
+            request = (
+                method,
+                headers.get("connection", "").lower() != "close" and version != "HTTP/1.0",
+                endpoint,
+                time.perf_counter(),
+            )
+            answer = self._answer(method, endpoint, parts, body)
+            if isinstance(answer, Response):
+                self.send(answer, *request)
+            else:
+                self.parked = endpoint == "jobs_claim"
+                self.pending = asyncio.ensure_future(self.finish(answer, request))
+
+    def _answer(
+        self, method: str, endpoint: str, parts, body: bytes
+    ) -> Union[Response, Awaitable[Response]]:
+        try:
+            return self.server._dispatch(method, endpoint, parts, body)
+        except Exception as exc:  # noqa: BLE001 — one request must not kill the loop
+            return _failure(exc)
+
+    async def finish(self, answer: Awaitable[Response], request: Tuple) -> None:
+        """Await the request at the head of the line, answer it, then
+        serve the requests buffered behind it."""
+        try:
+            response = await answer
+        except Exception as exc:  # noqa: BLE001 — one request must not kill the loop
+            response = _failure(exc)
+        self.pending, self.parked = None, False
+        if self.transport.is_closing():
+            return
+        self.send(response, *request)
+        if not self.write_paused:
+            self.transport.resume_reading()
+        self.serve()
+
+    def send(
         self,
-        writer: asyncio.StreamWriter,
         response: Response,
+        method: str,
         keep_alive: bool,
-        send_body: bool = True,
+        endpoint: Optional[str] = None,
+        started: float = 0.0,
     ) -> None:
-        """``send_body=False`` (HEAD) still frames the headers by the body."""
+        """Write one reply; close after it unless both sides keep the
+        connection alive.  A HEAD reply is the GET headers, framed by
+        the body it does not send."""
+        server = self.server
+        keep_alive = keep_alive and not server.draining
         body, ctype = response.body_bytes()
         head = [
             f"HTTP/1.1 {response.status} {_REASONS.get(response.status, 'OK')}",
@@ -719,11 +883,14 @@ class ServiceServer(ServiceCore):
             f"Connection: {'keep-alive' if keep_alive else 'close'}",
         ]
         head.extend(f"{k}: {v}" for k, v in response.headers.items())
-        writer.write(
+        self.transport.write(
             ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
-            + (body if send_body else b"")
+            + (body if method != "HEAD" else b"")
         )
-        await writer.drain()
+        if endpoint is not None:
+            server.observe_latency(endpoint, time.perf_counter() - started)
+        if not keep_alive:
+            self.transport.close()
 
 
 def _json_object(body: bytes) -> Union[Dict[str, Any], Response]:

@@ -149,6 +149,12 @@ class SurrogateOracle:
                 fingerprint = self._fingerprint = self._table.fingerprint()
         return fingerprint
 
+    @property
+    def known_fingerprint(self) -> Optional[str]:
+        """The table's fingerprint if computed since its last change, else
+        None; never computes it (an event loop compares it per request)."""
+        return self._fingerprint
+
     def is_warm(self, spec: SimSpec) -> bool:
         """True when answering ``spec`` is arithmetic: table loaded and
         fingerprinted, profile memoized; no lock a build or save may hold."""

@@ -30,7 +30,13 @@ from repro.service.fabric import (
     ShardMap,
     ShardedResultStore,
 )
-from repro.service.server import PARSE_MEMO_ENTRIES, Response, fingerprint_for
+from repro.service.server import (
+    MAX_BODY_BYTES,
+    MAX_HEAD_BYTES,
+    PARSE_MEMO_ENTRIES,
+    Response,
+    fingerprint_for,
+)
 from repro.service.spec import SimSpec, run_sim_spec
 from repro.service.store import ResultStore
 
@@ -648,13 +654,16 @@ class TestDrainKeepAlive:
             idle.healthz()
 
 
-def _exchange(sock, rfile, method, path, body=None, read_body=True):
-    """One request on a raw keep-alive socket: ``(status, headers, body)``
-    with the body bytes exactly as sent (none read for a HEAD)."""
-    head = f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+def _request(method, path, body=None, version="HTTP/1.1", extra=""):
+    """The bytes of one request, as ``ServiceClient`` frames it."""
+    head = f"{method} {path} {version}\r\nHost: test\r\n{extra}"
     if body is not None:
         head += f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
-    sock.sendall(head.encode("latin-1") + b"\r\n" + (body or b""))
+    return head.encode("latin-1") + b"\r\n" + (body or b"")
+
+
+def _read_reply(rfile, read_body=True):
+    """``(status, headers, body)`` of the next reply on ``rfile``."""
     status = int(rfile.readline().split()[1])
     headers = {}
     for line in iter(rfile.readline, b"\r\n"):
@@ -662,6 +671,13 @@ def _exchange(sock, rfile, method, path, body=None, read_body=True):
         headers[name.strip().lower()] = value.strip()
     length = int(headers["content-length"]) if read_body else 0
     return status, headers, rfile.read(length)
+
+
+def _exchange(sock, rfile, method, path, body=None, read_body=True):
+    """One request on a raw keep-alive socket: ``(status, headers, body)``
+    with the body bytes exactly as sent (none read for a HEAD)."""
+    sock.sendall(_request(method, path, body))
+    return _read_reply(rfile, read_body)
 
 
 def _run_observed(server, client, spec):
@@ -724,19 +740,19 @@ class TestWarmPath:
     N = 1000
 
     #: Per warm request on the loop thread: a memo resubmit and a result
-    #: read are a finished record's encoded bytes, a surrogate answer is
-    #: one ``dumps`` of the prediction; no lane re-parses or
-    #: re-fingerprints a body it has seen.
+    #: read are a finished record's encoded bytes, a surrogate answer the
+    #: bytes kept beside its body; no lane re-parses, re-fingerprints or
+    #: re-encodes a body it has seen.
     LOOP_CALLS = {
         "memo": dict(loads=0, dumps=0, spec_fingerprint=0),
         "read": dict(loads=0, dumps=0, spec_fingerprint=0),
-        "surrogate": dict(loads=0, dumps=1, spec_fingerprint=0),
+        "surrogate": dict(loads=0, dumps=0, spec_fingerprint=0),
     }
     #: Frames entered per warm request (±2 %), per interpreter: asyncio's
     #: own frames differ between CPython minor versions, so each version
     #: pins the counts it was measured on.
     LOOP_FRAMES = {
-        (3, 11): dict(memo=77, read=65, surrogate=162),
+        (3, 11): dict(memo=32, read=31, surrogate=30),
     }
 
     @pytest.fixture()
@@ -982,3 +998,301 @@ class TestEncodedBodies:
             assert client.complete(fp, "w", True, result=payload) == "done"
             done = client.job(fp)
             assert done["status"] == "done" and done["result"]["spec"] == payload["spec"]
+
+
+def _wait_for(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+def _closed(rfile):
+    """True once the server has closed the connection (EOF, or a reset
+    when it closed with bytes of ours unread)."""
+    try:
+        return rfile.read() == b""
+    except ConnectionResetError:
+        return True
+
+
+class TestFraming:
+    """The front end frames HTTP/1.1 itself: requests are cut out of one
+    buffer per connection and answered in the order they arrived."""
+
+    def test_pipelined_requests_are_answered_in_order(self, server):
+        # The first needs the pool (a metrics scrape); the two behind it
+        # are answered on the loop, and still wait their turn.
+        with socket.create_connection(server.address, timeout=10) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(
+                _request("GET", "/metrics")
+                + _request("GET", "/healthz")
+                + _request("GET", "/jobs/nope")
+            )
+            replies = [_read_reply(rfile) for _ in range(3)]
+            assert _exchange(sock, rfile, "GET", "/healthz")[0] == 200
+        assert [status for status, _, _ in replies] == [200, 200, 404]
+        assert replies[0][1]["content-type"].startswith("text/plain")
+        assert json.loads(replies[1][2])["ok"] is True
+        assert json.loads(replies[2][2]) == {"error": "unknown job 'nope'"}
+
+    def test_a_request_sent_one_byte_at_a_time(self, server):
+        request = _request("POST", "/jobs/abc/heartbeat", _encode({"worker": "w"}))
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            rfile = sock.makefile("rb")
+            for i in range(len(request)):
+                sock.sendall(request[i:i + 1])
+                time.sleep(0.001)
+            status, headers, body = _read_reply(rfile)
+            assert (status, headers["connection"]) == (200, "keep-alive")
+            assert json.loads(body) == {"ok": False, "job_id": "abc"}
+            assert _exchange(sock, rfile, "GET", "/healthz")[0] == 200
+
+    def test_an_oversized_body_is_refused_unread_and_the_connection_closed(
+        self, server
+    ):
+        head = b"POST /jobs HTTP/1.1\r\nHost: test\r\nContent-Length: %d\r\n\r\n"
+        with socket.create_connection(server.address, timeout=10) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(head % (MAX_BODY_BYTES + 1))  # and never a body byte
+            status, headers, body = _read_reply(rfile)
+            assert (status, headers["connection"]) == (413, "close")
+            assert json.loads(body) == {"error": "request body too large"}
+            assert _closed(rfile)
+
+    def test_a_head_past_64_kib_closes_the_connection_unanswered(self, server):
+        assert MAX_HEAD_BYTES == 64 * 1024
+        pad = "a" * (60 * 1024)
+        with socket.create_connection(server.address, timeout=10) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(_request("GET", "/healthz", extra=f"X-Pad: {pad}\r\n"))
+            assert _read_reply(rfile)[0] == 200  # 60 KiB of head is fine
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * MAX_HEAD_BYTES)
+            assert _closed(rfile)
+
+    @pytest.mark.parametrize(
+        "version, extra", [("HTTP/1.0", ""), ("HTTP/1.1", "Connection: close\r\n")]
+    )
+    def test_one_reply_then_close(self, server, version, extra):
+        with socket.create_connection(server.address, timeout=10) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(
+                _request("GET", "/healthz", version=version, extra=extra)
+                + _request("GET", "/healthz")
+            )
+            status, headers, _ = _read_reply(rfile)
+            assert (status, headers["connection"]) == (200, "close")
+            assert _closed(rfile)  # the pipelined second request is dropped
+
+    def test_a_malformed_request_line_is_a_400_then_close(self, server):
+        with socket.create_connection(server.address, timeout=10) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(b"NONSENSE\r\n\r\n" + _request("GET", "/healthz"))
+            status, headers, body = _read_reply(rfile)
+            assert (status, headers["connection"]) == (400, "close")
+            assert json.loads(body) == {"error": "malformed request line"}
+            assert _closed(rfile)
+
+    def test_a_half_closed_client_still_gets_its_pool_reply(self, server):
+        with socket.create_connection(server.address, timeout=10) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(_request("GET", "/metrics"))
+            sock.shutdown(socket.SHUT_WR)
+            assert _read_reply(rfile)[0] == 200
+            assert _closed(rfile)
+
+    def test_drain_answers_the_request_in_flight_with_connection_close(
+        self, tmp_path, monkeypatch
+    ):
+        store = ResultStore(root=tmp_path / "store", registry=MetricsRegistry())
+        server = AsyncServiceServer(port=0, store=store)
+        server.start()
+        entered, release = threading.Event(), threading.Event()
+
+        def slow_get(fp):
+            entered.set()
+            release.wait(5)
+            return {"slow": fp}
+
+        monkeypatch.setattr(store, "get", slow_get)
+        stopper = threading.Thread(target=server.stop)
+        with socket.create_connection(server.address, timeout=10) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(_request("GET", "/results/" + "ab" * 32) + _request("GET", "/healthz"))
+            assert entered.wait(5)
+            stopper.start()
+            _wait_for(lambda: server.draining)
+            release.set()
+            status, headers, body = _read_reply(rfile)
+            assert (status, headers["connection"]) == (200, "close")
+            assert json.loads(body) == {"slow": "ab" * 32}
+            assert _closed(rfile)
+        stopper.join(5)
+        assert not stopper.is_alive()
+
+    def test_drain_answers_a_parked_claim_at_once(self, tmp_path):
+        store = ResultStore(root=tmp_path / "store", registry=MetricsRegistry())
+        server = AsyncServiceServer(port=0, store=store, local_exec=False)
+        server.start()
+        replies = []
+        poll = threading.Thread(
+            target=lambda: replies.append(ServiceClient(server.url).claim("w", wait=20))
+        )
+        poll.start()
+        _wait_for(lambda: len(server._parked) == 1)
+        began = time.monotonic()
+        server.stop()
+        poll.join(5)
+        assert time.monotonic() - began < 2.0
+        assert [(r["jobs"], r["draining"]) for r in replies] == [([], True)]
+
+
+class TestParkedClaims:
+    """A parked claim tries again when work becomes claimable, not on a
+    timer, and a client that hangs up takes its claim with it."""
+
+    @pytest.fixture()
+    def remote(self, tmp_path):
+        """A front end that never executes: jobs wait for a claimant."""
+        store = ResultStore(root=tmp_path / "store", registry=MetricsRegistry())
+        with AsyncServiceServer(
+            port=0, store=store, local_exec=False, lease_ttl=0.5
+        ) as srv:
+            yield srv
+
+    @pytest.fixture()
+    def attempts(self, remote):
+        """The worker id of every claim attempt the front end makes."""
+        calls = []
+        real = remote.claim
+
+        def claim(worker, max_jobs):
+            calls.append(worker)
+            return real(worker, max_jobs)
+
+        remote.claim = claim
+        return calls
+
+    @staticmethod
+    def _park(remote, worker):
+        replies = []
+        thread = threading.Thread(
+            target=lambda: replies.append(ServiceClient(remote.url).claim(worker, wait=10))
+        )
+        thread.start()
+        return thread, replies
+
+    def test_an_empty_poll_tries_on_arrival_and_at_its_deadline(self, remote, attempts):
+        began = time.monotonic()
+        assert ServiceClient(remote.url).claim("w", wait=0.5)["jobs"] == []
+        assert time.monotonic() - began >= 0.5
+        assert attempts == ["w", "w"]
+
+    def test_a_submission_wakes_the_parked_claim(self, remote, attempts):
+        thread, replies = self._park(remote, "w")
+        _wait_for(lambda: attempts == ["w"])
+        time.sleep(0.3)  # parked: a timer would have tried ~6 more times
+        fp = ServiceClient(remote.url).submit(SimSpec(**TINY))["job_id"]
+        thread.join(5)
+        assert [job["job_id"] for job in replies[0]["jobs"]] == [fp]
+        assert attempts == ["w", "w"]
+
+    def test_a_requeued_lease_wakes_the_parked_claim(self, remote, attempts):
+        client = ServiceClient(remote.url)
+        fp = client.submit(SimSpec(**TINY))["job_id"]
+        assert [job["job_id"] for job in client.claim("gone", wait=0)["jobs"]] == [fp]
+        thread, replies = self._park(remote, "w")
+        thread.join(5)  # the 0.5 s lease lapses; the janitor requeues it
+        assert [job["job_id"] for job in replies[0]["jobs"]] == [fp]
+        assert attempts == ["gone", "w", "w"]
+
+    def test_a_retry_wakes_the_parked_claim_when_its_backoff_ends(
+        self, remote, attempts
+    ):
+        remote.queue.retries, remote.queue.backoff = 1, 0.4
+        client = ServiceClient(remote.url)
+        fp = client.submit(SimSpec(**TINY))["job_id"]
+        client.claim("w1", wait=0)
+        thread, replies = self._park(remote, "w2")
+        _wait_for(lambda: attempts == ["w1", "w2"])
+        failed = time.monotonic()
+        assert client.complete(fp, "w1", False, error="boom") == "retry"
+        thread.join(5)
+        assert time.monotonic() - failed >= 0.4
+        assert [(job["job_id"], job["attempts"]) for job in replies[0]["jobs"]] == [(fp, 1)]
+        assert attempts == ["w1", "w2", "w2"]
+
+    def test_a_claim_whose_client_hung_up_leases_nothing(self, remote):
+        with socket.create_connection(remote.address, timeout=10) as sock:
+            sock.sendall(_request("GET", "/jobs/claim?worker=ghost&max=1&wait=10"))
+            time.sleep(0.2)
+        time.sleep(0.1)
+        client = ServiceClient(remote.url)
+        fp = client.submit(SimSpec(**TINY))["job_id"]
+        time.sleep(0.2)
+        assert client.job(fp)["status"] == "pending"
+        assert [job["job_id"] for job in client.claim("live", wait=0)["jobs"]] == [fp]
+
+
+class TestSurrogateMemo:
+    """A surrogate answer is kept as bytes beside its body, tagged with
+    the calibration fingerprint its provenance carries, and served only
+    while that fingerprint is the table's."""
+
+    def test_warm_repeats_are_the_kept_bytes_of_a_fresh_answer(self, server):
+        asked = SimSpec(**TINY, mode="surrogate")
+        fp = fingerprint_for(asked)
+        body = _encode(asked.to_dict())
+        with socket.create_connection(server.address, timeout=10) as sock:
+            rfile = sock.makefile("rb")
+            replies = [_exchange(sock, rfile, "POST", "/jobs", body) for _ in range(3)]
+        fresh = _encode(
+            {"status": "done", "cached": False, "job_id": fp, "fingerprint": fp,
+             "surrogate": True, "result": server.oracle.answer(asked)}
+        )
+        assert [(status, reply) for status, _, reply in replies] == [(200, fresh)] * 3
+        assert server._parsed[body][5] == (server.oracle.known_fingerprint, fresh)
+
+    def test_a_changed_table_is_never_served_stale(self, server):
+        client = ServiceClient(server.url)
+        asked = SimSpec(**TINY, mode="surrogate")
+
+        def served():
+            reply = client.submit(asked)["result"]["surrogate"]
+            return reply["provenance"]["calibration_fingerprint"]
+
+        before = served()
+        assert served() == before == server.oracle.known_fingerprint
+        exact = SimSpec(**TINY)
+        assert server.oracle.observe(exact.to_dict(), run_sim_spec(exact.to_dict()))
+        after = served()
+        assert after != before
+        assert served() == after == server.oracle.calibration_fingerprint()
+
+    def test_escalations_and_refusals_are_never_kept(self, tmp_path):
+        store = ResultStore(root=tmp_path / "store", registry=MetricsRegistry())
+        auto = _encode(SimSpec(**TINY, mode="auto").to_dict())
+        unmodelled = _encode(
+            SimSpec(**{**TINY, "width": 4, "pattern": "transpose"}, mode="surrogate").to_dict()
+        )
+        with AsyncServiceServer(port=0, store=store, local_exec=False) as srv:
+            with socket.create_connection(srv.address, timeout=10) as sock:
+                rfile = sock.makefile("rb")
+                for _ in range(2):
+                    # Nothing calibrated: the gate escalates into the queue.
+                    assert _exchange(sock, rfile, "POST", "/jobs", auto)[0] == 202
+                    status, _, reply = _exchange(sock, rfile, "POST", "/jobs", unmodelled)
+                    assert status == 400
+                    assert json.loads(reply)["error"].startswith("surrogate cannot model spec")
+            assert [parsed[5] for parsed in srv._parsed.values()] == [None, None]
+
+    def test_metrics_count_every_answer(self, server):
+        client = ServiceClient(server.url)
+        asked = SimSpec(**TINY, mode="surrogate")
+        for _ in range(5):
+            assert client.submit(asked)["surrogate"] is True
+        lines = client.metrics().splitlines()
+        assert "repro_surrogate_answered 5" in lines
+        assert "repro_surrogate_predictions 5" in lines

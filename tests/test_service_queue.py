@@ -547,6 +547,31 @@ class TestLeaseProtocol:
         assert record.worker == "w2"
         assert store.registry.counters["service.queue.lease_expired"] == 1
 
+    def test_on_claimable_reports_each_record_that_becomes_claimable(self, store):
+        """A submission, a lease requeue and a retry each call the hook
+        once, with the time the record is claimable from; a coalesced
+        resubmission, a claim and a success do not."""
+        queue = self.make_remote_queue(store, retries=1, backoff=0.4)
+        calls = []
+        queue.on_claimable = calls.append
+        record, _ = queue.submit({"value": 1})
+        queue.submit({"value": 1})
+        assert calls == [0.0]
+        queue.claim("w1")
+        time.sleep(0.6)
+        assert queue.requeue_expired() == 1
+        assert calls == [0.0, 0.0]
+        queue.claim("w2")
+        before = time.monotonic()
+        assert queue.complete(record.job_id, "w2", False, "boom") == "retry"
+        assert len(calls) == 3
+        assert calls[2] == record.not_before >= before + 0.4
+        assert queue.claim("w3") == []  # still backing off
+        time.sleep(0.45)
+        [again] = queue.claim("w3")
+        assert queue.complete(again.job_id, "w3", True, {"value": 2}) == "done"
+        assert len(calls) == 3
+
     def test_complete_settles_and_persists(self, store):
         queue = self.make_remote_queue(store)
         record, _ = queue.submit({"value": 3})
