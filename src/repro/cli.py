@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 from typing import List, Optional
 
@@ -265,14 +266,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         lease_ttl=args.lease_ttl,
         local_exec=not args.no_local_exec,
     )
+    # SIGTERM drains like SIGINT: a shell starts background jobs with
+    # SIGINT ignored, so `kill` is how a script stops a server.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     server.start()
-    print(f"repro service listening on {server.url}")
-    print(f"result store: replicas {store.map.replicas}, cap {store.max_bytes} bytes per shard")
-    for shard in store.map.shards:
-        print(f"  shard {shard.name}: {shard.root} (weight {shard.weight})")
-    if args.no_local_exec:
-        print("local execution off: jobs wait for `repro worker` claims")
     try:
+        print(f"repro service listening on {server.url}")
+        print(f"result store: replicas {store.map.replicas}, cap {store.max_bytes} bytes per shard")
+        for shard in store.map.shards:
+            print(f"  shard {shard.name}: {shard.root} (weight {shard.weight})")
+        if args.no_local_exec:
+            print("local execution off: jobs wait for `repro worker` claims")
         # start() already runs the front end; block until interrupted.
         import time
 

@@ -3,9 +3,9 @@
 Attachment contract (``Network.attach_obs``): the network keeps a single
 ``obs`` attribute, ``None`` by default.  Every hot-path emission site
 guards with one ``is not None`` check, so a network without an observer
-pays one attribute load per candidate event and nothing else — the
-saturated-load microbenchmark must stay within noise of the untraced
-baseline (enforced by CI's obs-overhead job).
+pays one attribute load per candidate event and nothing else: it enters
+no ``repro.obs`` frame (``repro.sim.debug.cost_profile`` counts them,
+pinned at 0 in ``tests/test_router_sleep.py``).
 
 The observer owns:
 

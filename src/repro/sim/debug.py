@@ -13,8 +13,8 @@ types, different flow control) will need exactly them.
 * :func:`phase_budget` — where one simulated cycle's time goes, by phase
   of ``Network.step``.
 * :func:`cost_profile` — calls per simulated cycle of each function of
-  the simulator and the schemes, and sweeps: exact counts that, unlike
-  wall time, repeat on any host.
+  the simulator, the schemes and the observer, and sweeps: exact counts
+  that, unlike wall time, repeat on any host.
 * :func:`overslept` — packets a sleeping router or NI could move right
   now (a wake event is missing if there are any).
 * :func:`resident_index_errors` — where a router's resident index
@@ -231,7 +231,7 @@ def phase_budget(network: Network, cycles: int) -> Dict[str, float]:
 
 
 #: The packages whose functions :func:`cost_profile` counts.
-COST_PACKAGES = ("repro.sim", "repro.protocols")
+COST_PACKAGES = ("repro.sim", "repro.protocols", "repro.obs")
 
 
 def _qualified_names() -> Dict[object, str]:

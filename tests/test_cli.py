@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -181,6 +182,29 @@ class TestSimulate:
         import pstats
 
         assert pstats.Stats(str(pstats_path)).total_calls > 0
+
+
+class TestServe:
+    def test_sigterm_drains_and_exits_zero(self, tmp_path):
+        """``kill`` stops a server the way Ctrl-C does: drained, exit 0
+        (a script's background job ignores SIGINT)."""
+        env = dict(
+            os.environ, PYTHONUNBUFFERED="1",
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+        )
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--store", str(tmp_path / "store")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as server:
+            try:
+                assert server.stdout.readline().startswith("repro service listening")
+                server.send_signal(signal.SIGTERM)
+                out, err = server.communicate(timeout=60)
+            finally:
+                server.kill()
+        assert (server.returncode, err) == (0, "")
+        assert out.endswith("shutting down (draining)\n")
 
 
 class TestExperiment:

@@ -752,7 +752,9 @@ class TestWarmPath:
     #: own frames differ between CPython minor versions, so each version
     #: pins the counts it was measured on.
     LOOP_FRAMES = {
+        (3, 10): dict(memo=35, read=34, surrogate=33),
         (3, 11): dict(memo=32, read=31, surrogate=30),
+        (3, 12): dict(memo=32, read=31, surrogate=30),
     }
 
     @pytest.fixture()

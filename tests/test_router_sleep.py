@@ -13,13 +13,20 @@ from __future__ import annotations
 import dataclasses
 import gc
 import random
+from pathlib import Path
 
 import pytest
 
+import repro.obs
 from repro.core.turns import Port
 from repro.protocols import make_scheme
 from repro.sim.config import SimConfig
-from repro.sim.debug import cost_profile, overslept, resident_index_errors
+from repro.sim.debug import (
+    _qualified_names,
+    cost_profile,
+    overslept,
+    resident_index_errors,
+)
 from repro.sim.network import Network
 from repro.sim.packet import Packet
 from repro.sim.router import NEVER
@@ -220,15 +227,69 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("workload", list(PINNED))
-def test_sweeps_transfers_and_summary_are_pinned(workload):
-    """Bit-identical, and not one sweep more: counts repeat exactly."""
-    (scheme, topology, faults, rate, label), counts, summary = PINNED[workload]
+#: Calls into ``repro.obs`` per 1,000 cycles of the seed-1 ``sim-sat`` and
+#: ``sim-lowload`` runs with a metrics-only observer attached: one ``emit``
+#: per guarded emission site reached, one latency sample per ejection, one
+#: ``end_cycle`` per cycle and a sample every 64 cycles.  Without an
+#: observer every pinned run enters no ``repro.obs`` frame at all.
+OBSERVED = {
+    "sim-sat": {
+        "Observer.emit": 20198, "Observer.end_cycle": 1000,
+        "Observer.packet_ejected": 2154, "Observer._sample": 15,
+        "MetricsRegistry.histogram": 2229, "Histogram.__init__": 6,
+        "Histogram.add": 2229, "MetricsRegistry.counter": 315,
+        "Counter.__init__": 4, "Counter.inc": 315,
+        "MetricsRegistry.gauge": 15, "Gauge.__init__": 1, "Gauge.set": 15,
+    },
+    "sim-lowload": {
+        "Observer.emit": 4157, "Observer.end_cycle": 1000,
+        "Observer.packet_ejected": 412, "Observer._sample": 15,
+        "MetricsRegistry.histogram": 487, "Histogram.__init__": 6,
+        "Histogram.add": 487, "MetricsRegistry.counter": 315,
+        "Counter.__init__": 2, "Counter.inc": 315,
+        "MetricsRegistry.gauge": 15, "Gauge.__init__": 1, "Gauge.set": 15,
+    },
+}
+
+
+def _pinned_run(workload, observer=None):
+    """``cost_profile`` of 1,000 cycles of the ``PINNED`` run, whose
+    ``stats.summary()`` an observer must not change."""
+    (scheme, topology, faults, rate, label), _, summary = PINNED[workload]
     seed = random.Random(f"harness:1:{label}").randrange(1, 2**31)
     net = _saturated(scheme, topology, faults, rate, seed)
+    if observer is not None:
+        net.attach_obs(observer)
     profile = cost_profile(net, 1000)
-    assert {name: round(profile.get(name, 0) * 1000) for name in counts} == counts
     assert net.stats.summary() == summary
+    return profile
+
+
+def _obs_calls(profile):
+    """The ``repro.obs`` entries of ``profile``, per 1,000 cycles."""
+    package = Path(repro.obs.__file__).parent
+    names = {
+        name for code, name in _qualified_names().items()
+        if Path(code.co_filename).parent == package
+    }
+    return {name: round(profile[name] * 1000) for name in profile if name in names}
+
+
+@pytest.mark.parametrize("workload", list(PINNED))
+def test_sweeps_transfers_and_summary_are_pinned(workload):
+    """Bit-identical, and not one sweep more: counts repeat exactly.
+    Nothing observes an unobserved network, not even a no-op call."""
+    profile = _pinned_run(workload)
+    counts = PINNED[workload][1]
+    assert {name: round(profile.get(name, 0) * 1000) for name in counts} == counts
+    assert _obs_calls(profile) == {}
+
+
+@pytest.mark.parametrize("workload", list(OBSERVED))
+def test_a_metrics_only_observer_costs_pinned_calls(workload):
+    """Observing changes no statistic, and costs exactly its calls."""
+    profile = _pinned_run(workload, repro.obs.Observer(trace=False))
+    assert _obs_calls(profile) == OBSERVED[workload]
 
 
 # -- (c) one test per wake event ----------------------------------------------

@@ -8,6 +8,8 @@ the property tests exercise the raw model's structural guarantees
 
 import json
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -443,6 +445,33 @@ class TestWarmCaches:
                 observations += 1
         assert len(fingerprints) == 1 + observations
         assert sorted(builds) == [3, 4]  # once per distinct topology key
+
+    def test_a_warm_cell_prediction_steps_no_network_and_walks_no_table(
+        self, calibrated
+    ):
+        """``fan_out``'s fast lane: a sweep shares one topology, so a warm
+        ``predict_cell`` enters no ``repro.sim`` and no ``repro.routing``
+        frame (counted per package, whatever the host's speed)."""
+        oracle, _ = calibrated
+        spec = SimSpec(**FIG8)
+        cell = (spec.build_topology(), spec.scheme, spec.pattern)
+        config = spec.build_config()
+        oracle.predict_cell(*cell, 0.005, config, 150, 400)  # the load profile
+        entered = Counter()
+
+        def count(frame, event, arg):
+            if event == "call":
+                module = frame.f_globals.get("__name__", "")
+                entered[".".join(module.split(".")[:2])] += 1
+
+        sys.setprofile(count)
+        try:
+            for i in range(200):
+                oracle.predict_cell(*cell, 0.005 + 0.002 * (i % 20), config, 150, 400)
+        finally:
+            sys.setprofile(None)
+        assert entered["repro.surrogate"] >= 200
+        assert (entered["repro.sim"], entered["repro.routing"]) == (0, 0)
 
     def test_grid_payloads_identical_warm_and_fresh(self, calibrated):
         """Topology x scheme x pattern: the memoized path answers every
