@@ -61,6 +61,7 @@ from typing import List, Optional
 from repro.core.fsm import FsmState
 from repro.core.placement import bubble_count, placement_map
 from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments.common import CACHE_ENV_VAR
 from repro.obs import (
     OBS_ENV_VAR,
     Observer,
@@ -199,18 +200,25 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     params = params_cls.full() if args.full else params_cls.quick()
     if args.workers is not None:
         params.workers = args.workers
-    if getattr(args, "obs", False):
-        # The env var is inherited by pool workers, which then ship their
-        # per-process registries home for merging (repro.parallel.pool).
-        os.environ[OBS_ENV_VAR] = "1"
-    if getattr(args, "cached", False):
-        # Routes every fan_out sweep cell through the content-addressed
-        # result store (repro.service.store) — warm reruns are pure hits.
-        from repro.experiments.common import CACHE_ENV_VAR
-
-        os.environ[CACHE_ENV_VAR] = "1"
-    result = module.run(params)
-    if getattr(args, "json", False):
+    # For this command only: pool workers fork inside module.run and
+    # inherit the setting (--obs: they ship their registries home for
+    # merging; --cached: every fan_out cell goes through the store).
+    switched = {
+        name: os.environ.get(name)
+        for name, on in ((OBS_ENV_VAR, args.obs), (CACHE_ENV_VAR, args.cached))
+        if on
+    }
+    for name in switched:
+        os.environ[name] = "1"
+    try:
+        result = module.run(params)
+    finally:
+        for name, prior in switched.items():
+            if prior is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = prior
+    if args.json:
         import json
 
         from repro.utils.serialize import to_jsonable
@@ -228,7 +236,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         )
         return 0
     print(module.report(result))
-    if getattr(args, "obs", False):
+    if args.obs:
         registry = proc_registry()
         if not registry.is_empty:
             print("\nobservability metrics (merged across workers):")

@@ -99,11 +99,6 @@ def run_synthetic(
 #: content-addressed result store (the CLI's ``experiment --cached``).
 CACHE_ENV_VAR = "REPRO_CACHE"
 
-#: Environment variable selecting the sweep answer lane
-#: (``exact`` | ``surrogate`` | ``auto``) for sweeps that do not pass
-#: one explicitly — the campaign-level twin of ``SimSpec.mode``.
-MODE_ENV_VAR = "REPRO_MODE"
-
 
 def cache_enabled() -> bool:
     """True when ``REPRO_CACHE`` asks sweeps to memoize through the store."""
@@ -112,22 +107,12 @@ def cache_enabled() -> bool:
     )
 
 
-def resolve_mode(mode: Optional[str] = None) -> str:
-    """Explicit argument, else ``REPRO_MODE``, else ``"exact"``."""
-    if mode is not None:
-        return mode
-    env = os.environ.get(MODE_ENV_VAR, "").strip().lower()
-    return env if env in ("exact", "surrogate", "auto") else "exact"
-
-
 def fan_out(
     func: Callable,
     argslist: Sequence[Sequence],
     workers: Optional[int] = None,
     cached: Optional[bool] = None,
     store=None,
-    mode: Optional[str] = None,
-    predictor: Optional[Callable] = None,
 ) -> List:
     """Run ``func(*args)`` for each args tuple, fanned over worker processes.
 
@@ -136,17 +121,8 @@ def fan_out(
     aggregation code is identical for serial and parallel runs.  ``func``
     must be a module-level (picklable) callable.
 
-    ``mode``/``predictor`` form the surrogate fast lane, which every cell
-    passes first.  ``predictor`` is called as ``predictor(args, mode)``
-    for each cell and returns either a result value (the cell is
-    answered in microseconds, never dispatched to a worker) or ``None``
-    (escalate: the cell runs exactly, like any other).  ``mode`` defaults
-    through ``REPRO_MODE``; ``"exact"`` bypasses the predictor entirely.
-    Escalated cells keep their ``argslist`` positions, so aggregation
-    code cannot tell the lanes apart.
-
-    ``cached`` routes the remaining cells through the content-addressed
-    result store: :func:`repro.service.campaign.sweep` keys each cell by
+    ``cached`` routes the cells through the content-addressed result
+    store: :func:`repro.service.campaign.sweep` keys each cell by
     the canonical fingerprint of ``(func, args)`` — the topology, config,
     rate, and seed are all part of ``args``, so the fingerprint is the
     cell's full identity — runs only the missing ones and stores each as
@@ -160,18 +136,7 @@ def fan_out(
     """
     if cached is None:
         cached = cache_enabled()
-    mode = resolve_mode(mode)
-    results: List = [None] * len(argslist)
-    todo = range(len(argslist))
-    if predictor is not None and mode in ("surrogate", "auto"):
-        todo = []
-        for i, args in enumerate(argslist):
-            value = predictor(tuple(args), mode)
-            if value is None:
-                todo.append(i)
-            else:
-                results[i] = value
-    jobs = [Job(func, tuple(argslist[i])) for i in todo]
+    jobs = [Job(func, tuple(args)) for args in argslist]
     if cached and jobs:
         from repro.service.campaign import ERROR, sweep
         from repro.service.store import ResultStore, spec_fingerprint
@@ -188,12 +153,8 @@ def fan_out(
         for job, (status, value) in zip(jobs, outcomes):
             if status == ERROR:
                 raise JobError(f"{job.describe()} failed: {value}")
-        fresh = [from_jsonable(blob["result"]) for _, blob in outcomes]
-    else:
-        fresh = run_jobs(jobs, workers=workers)
-    for i, value in zip(todo, fresh):
-        results[i] = value
-    return results
+        return [from_jsonable(blob["result"]) for _, blob in outcomes]
+    return run_jobs(jobs, workers=workers)
 
 
 def _stored_result(job: Job) -> Dict[str, Any]:

@@ -1,79 +1,26 @@
 """HTTP campaign server: simulations as a memoized service.
 
-Pure stdlib — no new dependencies.  The routing, submission, surrogate
-fast-lane, and worker-protocol logic live in :class:`ServiceCore`, which
-owns one :class:`~repro.service.store.ResultStore` (one root or a shard
-map) and one
-:class:`~repro.service.queue.JobQueue` and opens no socket (tests drive
-it directly).  :class:`ServiceServer` is the one front end: a single
-asyncio event loop in a daemon thread, behind ``repro serve``, the
-benchmarks and the tests alike (:mod:`repro.service.fabric` exports the
-same class as ``AsyncServiceServer``).
+:class:`ServiceCore` holds the store, the queue, the surrogate oracle and
+every route, and opens no socket; :class:`ServiceServer` is the one front
+end, an asyncio loop in a daemon thread.  DESIGN §4e describes the
+service, README lists its endpoints; this file keeps these invariants:
 
-* **one protocol per connection** — an ``asyncio.Protocol`` frames each
-  request out of its buffer (head up to ``\\r\\n\\r\\n``, at most 64 KiB;
-  a ``Content-Length`` body, at most 32 MiB) and answers it inside
-  ``data_received`` when memory holds the answer; only a parked claim or
-  a pool hop runs as a task, and the requests behind it wait in the
-  buffer, so replies leave in request order;
-* **long polls wake on work** — a parked ``GET /jobs/claim`` is a
-  future, resolved when the queue reports a claimable record (a submit,
-  a lease requeue, a retry's backoff ending) and cancelled when its
-  client hangs up, so idle workers cost nothing and a gone one leases
-  nothing;
-* **graceful drain** — ``stop()`` flips ``/healthz`` to 503 (load
-  balancers stop routing), closes the listener and every idle
-  keep-alive connection, lets every in-flight request finish (answered
-  ``Connection: close``), then stops the queue.  Parked claims return
-  empty immediately so workers disconnect fast;
-* **per-endpoint latency histograms** — every request lands in
-  ``service.http.latency_ms.<endpoint>`` (visible in ``GET /metrics``).
-
-What the process already holds in memory is answered on the event
-loop: lock-only handlers (healthz, heartbeat, job status, claims), and a
-submission or result read that a finished job record or a warm
-surrogate profile can answer.  A surrogate reply is kept as bytes beside
-its body and served again while the calibration fingerprint it carries
-is the table's current one.  Only disk, table builds and enqueueing
-(a first-time or store-only submission, a cold surrogate profile, a
-result read from the store, a completion, a metrics scrape — it counts
-the store's blobs) hop to a small thread pool.
-
-Endpoints:
-
-* ``POST /jobs`` — body is a :class:`~repro.service.spec.SimSpec` JSON
-  dict (optional ``"priority"`` rides alongside).  Responds ``200`` with
-  the full payload on a cache hit, ``202`` with the job id otherwise,
-  ``400`` on a malformed spec, and ``429`` (+ ``Retry-After``) when the
-  queue is at ``max_depth`` — clients are expected to back off.
-* ``GET /jobs/claim?worker=ID&max=N&wait=S`` — worker long poll: lease
-  up to N pending jobs to worker ID, waiting up to S seconds for work
-  before returning an empty claim.
-* ``POST /jobs/<id>/heartbeat`` — extend a worker's lease
-  (``{"worker": ID}``); ``ok: false`` tells the worker its lease is
-  forfeit.
-* ``POST /jobs/<id>/complete`` — report a worker's outcome
-  (``{"worker": ID, "ok": bool, "result"|"error": ...}``); idempotent
-  (duplicate completions coalesce — the response says which happened).
-* ``GET /jobs/<id>`` — job status; includes the result once done.
-* ``GET /results/<fingerprint>`` — the stored blob, or 404.
-* ``GET /surrogate`` — calibration status of the surrogate fast lane.
-* ``GET /metrics`` — text exposition of the merged metrics registry
-  (store/queue/shard counters, per-endpoint latency histograms).
-* ``GET /healthz`` — ``200 {"ok": true}`` only while the server is fully
-  serviceable; ``503`` with the reason while draining or while a storage
-  shard is unreachable (a one-root store is shard ``s0``), so load
-  balancers (and the soak test) can key off the status code alone.
-  ``shards`` maps each shard name to its reachability.
-
-The surrogate fast lane rides ``POST /jobs``: a spec with ``mode``
-``surrogate``/``auto`` may be answered synchronously (``200`` with a
-``surrogate: true`` marker and an explicit error bound) without touching
-the queue or the exact result store; ``auto`` submissions whose
-uncertainty exceeds the gate threshold escalate into the normal queue
-path, and each escalated execution — by the local claimant or a remote
-worker — feeds the calibration table via the queue's ``on_executed``
-hook.
+* **framing** — a request head ends at ``\\r\\n\\r\\n`` within
+  :data:`MAX_HEAD_BYTES`, a body is ``Content-Length`` bytes up to
+  :data:`MAX_BODY_BYTES`; a longer head closes the connection
+  unanswered, a longer declared body is a 413 that closes it unread;
+* **replies in order** — each connection answers its requests in the
+  order they arrived: while a parked claim or a pool hop runs as a
+  task, the requests behind it wait in the buffer;
+* **what leaves the loop** — what memory holds is answered inside
+  ``data_received`` (lock-only handlers, finished job records, warm
+  surrogate answers); only disk, table builds and enqueueing hop to the
+  thread pool, and a parked ``GET /jobs/claim`` is a future the queue
+  resolves;
+* **drain** — ``stop()`` turns ``/healthz`` to 503, closes the listener
+  and every idle keep-alive connection, answers parked claims empty,
+  lets in-flight requests finish with ``Connection: close``, then stops
+  the queue.
 """
 
 from __future__ import annotations

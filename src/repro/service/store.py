@@ -482,23 +482,6 @@ class ResultStore:
         """
         return self._each_once(_ShardDir.entries)
 
-    def query(
-        self, predicate: Callable[[Dict[str, Any]], bool]
-    ) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        """Yield stored entries whose payload satisfies ``predicate``.
-
-        A predicate that raises on an unexpected payload shape is
-        treated as "no match" rather than aborting the scan — stores mix
-        simulation results with campaign manifests and sweep cells.
-        """
-        for fp, payload in self.iter_entries():
-            try:
-                keep = predicate(payload)
-            except Exception:  # noqa: BLE001 — malformed entry: skip
-                continue
-            if keep:
-                yield fp, payload
-
     def size_bytes(self) -> int:
         return sum(shard.size_bytes() for shard in self._shards.values())
 

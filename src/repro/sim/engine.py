@@ -51,7 +51,6 @@ def run_with_window(
     warmup: int,
     measure: int,
     monitor: Optional[DeadlockMonitor] = None,
-    stop_on_deadlock: bool = False,
     obs=None,
 ) -> WindowResult:
     """Warm up, then measure latency/throughput over ``measure`` cycles.
@@ -71,15 +70,11 @@ def run_with_window(
             network.step()
             if monitor is not None and monitor.check(network, network.cycle):
                 deadlocked = True
-                if stop_on_deadlock:
-                    return WindowResult(0.0, 0.0, 0, True, network.cycle)
         network.stats.begin_window(network.cycle)
         for _ in range(measure):
             network.step()
             if monitor is not None and monitor.check(network, network.cycle):
                 deadlocked = True
-                if stop_on_deadlock:
-                    break
         stats = network.stats
         return WindowResult(
             avg_latency=stats.window_avg_latency(),

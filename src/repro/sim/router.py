@@ -348,7 +348,7 @@ class Router:
         """
         return self._occupancy - self._port_load[self.local]
 
-    def port_vcs(self, port: int, include_bubble: bool = True):
+    def port_vcs(self, port: int):
         """VCs logically attached to ``port``.
 
         The static bubble counts while it is active or still holds a
@@ -357,8 +357,7 @@ class Router:
         """
         yield from self.input_vcs[port]
         if (
-            include_bubble
-            and self.bubble is not None
+            self.bubble is not None
             and (self.bubble_active or self.bubble.packet is not None)
             and self.bubble.port == port
         ):

@@ -12,11 +12,11 @@ The oracle answers a :class:`~repro.service.spec.SimSpec` in microseconds
 * :mod:`repro.surrogate.uncertainty` — the reported error bound
   (fit residual + distance-to-support) and the ``auto``-mode gate.
 
-:class:`SurrogateOracle` is the facade the service, the CLI, and the
-sweep fast lane all share.  Every answer carries an explicit
-``error_bound`` and ``provenance`` field; every escalated exact result
-feeds back through :meth:`SurrogateOracle.observe`, so the surrogate
-self-improves as campaigns run.
+:class:`SurrogateOracle` is the facade the service and the CLI share.
+Every answer carries an explicit ``error_bound`` and ``provenance``
+field; every escalated exact result feeds back through
+:meth:`SurrogateOracle.observe`, so the surrogate self-improves as
+campaigns run.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry, proc_registry
 from repro.service.spec import SimSpec
@@ -277,13 +277,6 @@ class SurrogateOracle:
     def predict(self, spec: SimSpec) -> Prediction:
         return self._calibrated(self.model.predict_spec(spec))
 
-    def predict_cell(
-        self, topo, scheme: str, pattern: str, rate: float, config, warmup: int, measure: int
-    ) -> Prediction:
-        return self._calibrated(
-            self.model.predict_cell(topo, scheme, pattern, rate, config, warmup, measure)
-        )
-
     # -- the fast-lane decision ------------------------------------------
 
     def answer(self, spec: SimSpec, mode: Optional[str] = None) -> Optional[Dict[str, Any]]:
@@ -313,34 +306,6 @@ class SurrogateOracle:
         return None
 
 
-def synthetic_cell_predictor(oracle: SurrogateOracle, mode: str = "auto"):
-    """``fan_out`` fast-lane adapter for fig8/fig9-shaped sweep cells.
-
-    The figure sweeps fan out module-level functions whose args tuple is
-    ``(topo, scheme, pattern, rate, config, warmup, measure, seed)`` and
-    whose return value is ``(avg_latency, packets_ejected)``.  This
-    predictor answers such cells from the oracle when the uncertainty
-    gate allows it, and returns None (escalate to simulation) otherwise.
-    """
-
-    def predict(args: Tuple, lane_mode: Optional[str] = None):
-        effective = lane_mode if lane_mode is not None else mode
-        if len(args) != 8:
-            return None
-        topo, scheme, pattern, rate, config, warmup, measure, _seed = args
-        try:
-            prediction = oracle.predict_cell(
-                topo, scheme, pattern, rate, config, warmup, measure
-            )
-        except (ValueError, KeyError, AttributeError):
-            return None
-        if effective == "surrogate" or oracle.gate.answers(prediction.uncertainty):
-            return (prediction.latency, int(round(prediction.window_packets)))
-        return None
-
-    return predict
-
-
 __all__ = [
     "AnalyticalModel",
     "CalibrationTable",
@@ -350,5 +315,4 @@ __all__ = [
     "SurrogateOracle",
     "Uncertainty",
     "UncertaintyGate",
-    "synthetic_cell_predictor",
 ]

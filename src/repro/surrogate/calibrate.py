@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.service.spec import SimSpec
 from repro.service.store import CODE_SALT, ResultStore, spec_fingerprint
@@ -326,29 +326,22 @@ def sample_from_payload(
 
 
 def calibrate_from_store(
-    store: ResultStore,
-    model: Optional[AnalyticalModel] = None,
-    limit: Optional[int] = None,
-    predicate: Optional[Callable[[Dict[str, Any]], bool]] = None,
+    store: ResultStore, model: Optional[AnalyticalModel] = None
 ) -> CalibrationTable:
     """Harvest every usable (spec, result) pair and fit the table.
 
-    Uses the store's :meth:`~repro.service.store.ResultStore.query`
-    iteration API — calibration never reaches into shard internals.
+    Reads :meth:`~repro.service.store.ResultStore.iter_entries` — no
+    cache counters touched, corrupt blobs skipped — so calibration never
+    reaches into shard internals.
     """
     model = model if model is not None else AnalyticalModel()
     table = CalibrationTable()
-    harvested = 0
-    for fp, payload in store.query(predicate if predicate is not None else lambda _: True):
+    for fp, payload in store.iter_entries():
         parsed = sample_from_payload(model, payload, fp)
         if parsed is None:
             continue
         key, sample = parsed
-        cell = table.cells.setdefault(key, CalibrationCell(key))
-        cell.samples.append(sample)
-        harvested += 1
-        if limit is not None and harvested >= limit:
-            break
+        table.cells.setdefault(key, CalibrationCell(key)).samples.append(sample)
     for cell in table.cells.values():
         cell.refit()
     return table

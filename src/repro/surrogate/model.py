@@ -409,19 +409,6 @@ class AnalyticalModel:
             pattern=profile.pattern,
         )
 
-    def predict_cell(
-        self,
-        topo: Topology,
-        scheme: str,
-        pattern: str,
-        rate: float,
-        config: SimConfig,
-        warmup: int,
-        measure: int,
-    ) -> RawPrediction:
-        profile = self.profile(topo, scheme, pattern, config)
-        return self.evaluate(profile, rate, warmup, measure)
-
     def predict_spec(self, spec) -> RawPrediction:
         """Predict a :class:`repro.service.spec.SimSpec` (materializes it
         the first time its topology is seen)."""

@@ -56,38 +56,40 @@ class FaultSchedule:
         return f"FaultSchedule({len(self.events)} events, last={self.last_cycle})"
 
 
+#: Chance that a chaos event restores a failed element (once one exists).
+CHAOS_P_RESTORE = 0.35
+#: Chance that a failing chaos event kills a router rather than a link.
+CHAOS_P_ROUTER = 0.25
+
+
 def random_fault_schedule(
     topo: Topology,
     n_events: int,
     rng: random.Random,
     first_cycle: int = 100,
     spacing: int = 200,
-    p_router: float = 0.25,
-    p_restore: float = 0.35,
-    min_active_routers: Optional[int] = None,
 ) -> FaultSchedule:
     """A random live-fault script for chaos campaigns (``repro chaos``).
 
     Events land at increasing random cycles (1..``spacing`` apart,
     starting after ``first_cycle``).  Each event either fails one random
-    currently-active link or router, or (with ``p_restore``, once
+    currently-active link or router (a router with
+    :data:`CHAOS_P_ROUTER`), or (with :data:`CHAOS_P_RESTORE`, once
     something has failed) restores one previously failed element —
     gate/un-gate round trips included.  A shadow copy of ``topo`` tracks
     the evolving state so the script is always applicable; ``topo`` itself
-    is not modified.  Router kills stop once only ``min_active_routers``
-    (default: half) would remain, so the network never degenerates to
-    nothing.
+    is not modified.  Router kills stop once only half the routers (at
+    least two) would remain, so the network never degenerates to nothing.
     """
     shadow = topo.copy()
-    if min_active_routers is None:
-        min_active_routers = max(2, len(shadow.active_nodes()) // 2)
+    min_active_routers = max(2, len(shadow.active_nodes()) // 2)
     failed_links: List[Tuple[int, int]] = []
     failed_routers: List[int] = []
     events: List[FaultEvent] = []
     cycle = first_cycle
     for _ in range(n_events):
         cycle += rng.randrange(1, spacing + 1)
-        if (failed_links or failed_routers) and rng.random() < p_restore:
+        if (failed_links or failed_routers) and rng.random() < CHAOS_P_RESTORE:
             pool = [("link", link) for link in failed_links]
             pool += [("router", node) for node in failed_routers]
             kind, target = pool[rng.randrange(len(pool))]
@@ -101,7 +103,7 @@ def random_fault_schedule(
                 events.append(FaultEvent(cycle, "restore", routers=(target,)))
             continue
         kill_router = (
-            rng.random() < p_router
+            rng.random() < CHAOS_P_ROUTER
             and len(shadow.active_nodes()) > min_active_routers
         )
         if kill_router:

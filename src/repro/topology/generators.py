@@ -5,9 +5,9 @@ adjacency-list instance of :class:`repro.topology.base.BaseTopology` —
 and registers a ``kind`` tag so :func:`repro.topology.base.topology_from_spec`
 can round-trip it through the ResultStore and the campaign server:
 
-* :func:`mesh3d` / :func:`torus3d` — 3D grids (XYZ dimension-ordered
-  routing applies on the mesh; the torus needs an adaptive/recovery
-  scheme, since DOR without datelines is cyclic on rings).
+* :func:`mesh3d` / :func:`torus3d` — 3D grids (minimal routing plus a
+  recovery scheme; dimension-ordered routing without datelines is
+  cyclic on the torus rings).
 * :func:`circulant` — ring circulant ``C(n; s1, s2)`` (Romanov-style
   NoC rings: every node links to ``±s1`` and ``±s2`` mod ``n``).
 * :func:`full_mesh` — the complete graph ``K_n``, whose per-node
@@ -175,7 +175,7 @@ class Grid3D(GraphTopology):
 
 
 def mesh3d(x: int, y: int, z: int) -> Grid3D:
-    """A healthy ``x * y * z`` 3D mesh (XYZ dimension-ordered routable)."""
+    """A healthy ``x * y * z`` 3D mesh."""
     if min(x, y, z) < 1:
         raise ValueError("3D mesh dimensions must be >= 1")
     return Grid3D("mesh3d", (x, y, z), wrap=False)

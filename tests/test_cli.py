@@ -5,11 +5,24 @@ import signal
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import repro
+from repro import cli as cli_mod
 from repro.cli import build_parser, main
+from repro.experiments.common import CACHE_ENV_VAR
+from repro.obs.metrics import OBS_ENV_VAR
+from repro.parallel import Job, run_jobs
+
+#: The two variables ``experiment --obs`` / ``--cached`` switch on.
+SWITCHES = (OBS_ENV_VAR, CACHE_ENV_VAR)
+
+
+def _switches_seen():
+    """A pool job: the switch values its (forked) worker inherited."""
+    return tuple(os.environ.get(name) for name in SWITCHES)
 
 
 class TestPlacement:
@@ -219,6 +232,47 @@ class TestExperiment:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+class TestExperimentSwitches:
+    """``--obs`` and ``--cached`` hold for one command: its pool workers
+    see them, the calling process does not keep them.  The environment
+    is never patched here; only ``ALL_EXPERIMENTS`` gains a tiny entry."""
+
+    @pytest.fixture()
+    def seen(self, monkeypatch):
+        seen = []
+
+        class TinyParams:
+            workers = 1
+
+            @classmethod
+            def quick(cls):
+                return cls()
+
+        def run(params):
+            seen.extend(run_jobs([Job(_switches_seen, ())] * 2, workers=params.workers))
+            if params.workers == 3:  # a run that fails after its pool ran
+                raise RuntimeError("run failed")
+            return len(seen)
+
+        tiny = SimpleNamespace(TinyParams=TinyParams, run=run, report=str)
+        monkeypatch.setitem(cli_mod.ALL_EXPERIMENTS, "tiny", tiny)
+        return seen
+
+    def test_switches_reach_pool_workers_and_are_restored(self, seen):
+        before = dict(os.environ)
+        argv = ["experiment", "tiny", "--workers", "2", "--obs", "--cached"]
+        assert main(argv) == 0
+        assert seen == [("1", "1"), ("1", "1")]
+        assert dict(os.environ) == before
+
+    def test_a_raising_run_restores_them_too(self, seen):
+        before = dict(os.environ)
+        with pytest.raises(RuntimeError, match="run failed"):
+            main(["experiment", "tiny", "--workers", "3", "--obs", "--cached"])
+        assert seen == [("1", "1"), ("1", "1")]
+        assert dict(os.environ) == before
 
 
 #: ``{command: {dest: default}}`` as the parser produced it before the

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing.dor import build_dor_tables, xyz_route
 from repro.routing.paths import (
     bfs_distances,
     minimal_routes,
@@ -242,25 +241,6 @@ def test_minimal_routes_survive_one_fault(seed, pick):
             for route in minimal_routes(topo, src, dst, max_paths=2):
                 assert route_is_valid(topo, src, dst, route)
                 assert len(route) == dist[dst] + 1
-
-
-def test_xyz_dor_tables_minimal_and_connected():
-    topo = mesh3d(3, 3, 3)
-    tables = build_dor_tables(topo)
-    for src in topo.active_nodes():
-        dist = bfs_distances(topo, src)
-        dests = set(tables[src].destinations())
-        assert dests == set(topo.active_nodes()) - {src}
-        for dst in dests:
-            (route,) = tables[src].routes(dst)
-            assert route == xyz_route(topo, src, dst)
-            assert route_is_valid(topo, src, dst, route)
-            assert len(route) == dist[dst] + 1
-
-
-def test_xyz_dor_rejects_torus():
-    with pytest.raises(ValueError):
-        build_dor_tables(torus3d(3, 3, 3))
 
 
 # -- static-bubble certificates off the mesh -------------------------------

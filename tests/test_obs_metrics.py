@@ -223,7 +223,7 @@ class TestCliSurfaces:
         assert "metrics:" in out
 
     def test_experiment_obs_flag(self, capsys, monkeypatch):
-        """--obs turns REPRO_OBS on and prints the merged registry."""
+        """--obs turns REPRO_OBS on for the run and prints the merged registry."""
         import types
 
         import repro.cli as cli_mod
@@ -256,5 +256,4 @@ class TestCliSurfaces:
         assert "tiny:" in out
         assert "observability metrics" in out
         assert "sims" in out
-        monkeypatch.delenv(OBS_ENV_VAR, raising=False)
         drain_proc_registry()

@@ -54,10 +54,6 @@ def _unordered(x):
     return {x + 1: "b", x: "a"}, (x,)
 
 
-def _exact(x):
-    return ("exact", x)
-
-
 @pytest.fixture
 def store(tmp_path):
     return ResultStore(tmp_path / "store", registry=MetricsRegistry())
@@ -120,7 +116,7 @@ class TestColdIsWarm:
     ):
         from repro.cli import main
 
-        monkeypatch.setenv(CACHE_ENV_VAR, "0")  # `--cached` sets it
+        monkeypatch.setenv(CACHE_ENV_VAR, "0")  # the plain run stays plain
         monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path / "store"))
         outputs = []
         for extra in ([], ["--cached"], ["--cached"]):
@@ -161,24 +157,3 @@ class TestStoredBySeparateLoops:
         assert "service.store.miss" not in counters
         assert "service.store.put" not in counters
 
-
-class TestSurrogateLaneFirst:
-    def test_predicted_cells_skip_the_store_and_escalations_keep_positions(
-        self, store
-    ):
-        def predictor(args, mode):
-            return ("predicted", args[0]) if args[0] % 2 == 0 else None
-
-        args = [(i,) for i in range(6)]
-        results = fan_out(
-            _exact, args, workers=2, cached=True, store=store,
-            mode="auto", predictor=predictor,
-        )
-        assert results == [
-            ("predicted", 0), ("exact", 1), ("predicted", 2),
-            ("exact", 3), ("predicted", 4), ("exact", 5),
-        ]
-        counters = store.registry.counters
-        assert (counters["service.store.miss"], counters["service.store.put"]) == (3, 3)
-        assert "service.store.hit" not in counters
-        assert len(store) == 3

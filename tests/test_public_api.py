@@ -6,6 +6,8 @@ experiment registry exposes quick/full parameterizations with run/report.
 """
 
 import dataclasses
+import re
+from pathlib import Path
 
 import repro
 from repro.experiments import ALL_EXPERIMENTS
@@ -172,3 +174,23 @@ class TestServiceSurface:
         assert fleet.map.replicas == 2
         one = _resolve_store_arg(parse(["serve", "--store", str(a)]))
         assert one.map.to_dict() == ResultStore(a).map.to_dict()
+
+
+#: The environment variables ``src/`` reads, each by one function.
+KNOBS = {"REPRO_CACHE", "REPRO_OBS", "REPRO_STORE", "REPRO_STORE_MAX_BYTES", "REPRO_WORKERS"}
+
+
+class TestKnobs:
+    """Every knob has a setter and a row in README's knob table; a new
+    ``REPRO_*`` name has to be added to both on purpose."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_src_reads_exactly_the_readme_knob_table(self):
+        read = set()
+        for path in (self.ROOT / "src").rglob("*.py"):
+            read.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+        assert read == KNOBS
+        readme = (self.ROOT / "README.md").read_text()
+        table = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", readme, re.MULTILINE))
+        assert table == KNOBS

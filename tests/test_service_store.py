@@ -147,18 +147,6 @@ class TestQueryApi:
         assert before.get("service.store.hit", 0) == after.get("service.store.hit", 0)
         assert before.get("service.store.miss", 0) == after.get("service.store.miss", 0)
 
-    def test_query_filters_by_predicate(self, store):
-        for i in range(6):
-            store.put(spec_fingerprint({"i": i}), {"value": i})
-        even = dict(store.query(lambda p: p["value"] % 2 == 0))
-        assert sorted(p["value"] for p in even.values()) == [0, 2, 4]
-
-    def test_query_raising_predicate_skips_entry(self, store):
-        store.put(spec_fingerprint({"i": "shaped"}), {"value": 1})
-        store.put(spec_fingerprint({"i": "manifest"}), {"cells": {}})
-        found = dict(store.query(lambda p: p["value"] > 0))  # KeyError on manifest
-        assert [p.get("value") for p in found.values()] == [1]
-
 
 class TestEnvironment:
     def test_env_var_overrides_root(self, tmp_path, monkeypatch):
