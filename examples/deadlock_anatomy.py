@@ -14,17 +14,7 @@ from repro import Network, Port, SimConfig, StaticBubbleScheme, mesh
 from repro.core.fsm import FsmState
 from repro.core.messages import MsgType
 from repro.sim.deadlock import find_wait_cycle
-from repro.sim.packet import Packet
-
-
-def place(net, node, in_port, pid, src, dst, route):
-    router = net.routers[node]
-    vc = router.input_vcs[in_port][0]
-    packet = Packet(pid, src, dst, 0, 1, route, 0)
-    packet.injected_at = 0
-    packet.hop = 1
-    router.place(vc, packet, 0)
-    return packet
+from repro.sim.scenarios import place_packet as place
 
 
 def main() -> None:

@@ -4,8 +4,9 @@ Three pieces (see DESIGN.md §2 and the README "Observability" section):
 
 * **Event bus** (:mod:`repro.obs.events`): typed events from the packet
   hot path, the special-message transport, the recovery FSMs, and the
-  deadlock oracle.  Zero-cost when no observer is attached — every
-  emission site is a single ``network.obs is not None`` check.
+  deadlock oracle.  Zero-cost when nothing traces (no observer, or a
+  metrics-only one) — every emission site is a single
+  ``network.tracer is not None`` check.
 * **Sinks** (:mod:`repro.obs.tracer`, :mod:`repro.obs.transcript`): a
   bounded ring buffer, JSONL export, Chrome ``trace_event`` export (open
   in Perfetto for per-router timelines), and per-recovery transcripts

@@ -1,11 +1,14 @@
 """The :class:`Observer` facade wiring tracer + metrics into a network.
 
-Attachment contract (``Network.attach_obs``): the network keeps a single
-``obs`` attribute, ``None`` by default.  Every hot-path emission site
-guards with one ``is not None`` check, so a network without an observer
-pays one attribute load per candidate event and nothing else: it enters
-no ``repro.obs`` frame (``repro.sim.debug.cost_profile`` counts them,
-pinned at 0 in ``tests/test_router_sleep.py``).
+Attachment contract (``Network.attach_obs``): the network keeps the
+observer in ``obs`` and its tracer in ``tracer``, both ``None`` by
+default.  Every hot-path emission site guards with one ``tracer is not
+None`` check and calls :meth:`Tracer.emit` directly, so a network that
+nothing traces pays one attribute load per candidate event and nothing
+else: unobserved, it enters no ``repro.obs`` frame; under a metrics-only
+observer, only ``end_cycle`` and ``packet_ejected`` and what they call
+(``repro.sim.debug.cost_profile`` counts them, pinned in
+``tests/test_router_sleep.py``).
 
 The observer owns:
 
@@ -18,7 +21,7 @@ The observer owns:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.obs.events import PACKET_EJECT
 from repro.obs.metrics import (
@@ -78,10 +81,6 @@ class Observer:
         self._last_special_cycles = dict(stats.link_special_cycles)
 
     # -- event emission --------------------------------------------------
-
-    def emit(self, cycle: int, kind: str, node: int, data: Dict[str, Any]) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(cycle, kind, node, data)
 
     def packet_ejected(self, packet: "Packet", latency: int, now: int) -> None:
         if self.metrics is not None:

@@ -70,7 +70,7 @@ class AdaptiveSelectionMixin:
             hops: Dict[int, Tuple[int, ...]] = {}
             for dst in table.destinations():
                 hops[dst] = tuple(
-                    sorted({int(route[0]) for route in table.routes(dst)})
+                    sorted({route[0] for route in table.routes(dst)})
                 )
             next_hops[node] = hops
         self._next_hops = next_hops

@@ -248,7 +248,7 @@ class StaticBubbleScheme(DeadlockScheme):
             if restored:
                 # Same FSM visit order as a network rebuilt on this topology.
                 self.states = dict(sorted(self.states.items()))
-                if network.obs is not None:
+                if network.tracer is not None:
                     self.attach_obs(network, network.obs)
 
         fsms_reset = 0
@@ -302,10 +302,14 @@ class StaticBubbleScheme(DeadlockScheme):
         return True
 
     def attach_obs(self, network: "Network", observer) -> None:
-        """Install FSM transition tracing (called by ``attach_obs``)."""
+        """Install FSM transition tracing (called by ``attach_obs``) if
+        ``observer`` traces."""
+        tracer = observer.tracer
+        if tracer is None:
+            return
 
         def trace(fsm, old, new):
-            observer.emit(
+            tracer.emit(
                 network.cycle,
                 FSM_TRANSITION,
                 fsm.node,
@@ -317,14 +321,14 @@ class StaticBubbleScheme(DeadlockScheme):
 
     @staticmethod
     def _emit(network: "Network", kind: str, node: int, **data) -> None:
-        """Trace-event emission guard (no-op when no observer attached)."""
-        obs = network.obs
-        if obs is not None:
-            obs.emit(network.cycle, kind, node, data)
+        """Trace-event emission guard (no-op when nothing traces)."""
+        tracer = network.tracer
+        if tracer is not None:
+            tracer.emit(network.cycle, kind, node, data)
 
     def _drop(self, network: "Network", router: "Router", msg, reason: str) -> None:
         """Trace a special message that dies at ``router``."""
-        if network.obs is not None:  # (probe drops are frequent)
+        if network.tracer is not None:  # (probe drops are frequent)
             self._emit(
                 network, SPECIAL_DROP, router.node,
                 mtype=msg.mtype.name, sender=msg.sender, reason=reason,

@@ -5,10 +5,12 @@ schemes: every packet follows a shortest path in the *current* topology
 graph, chosen uniformly at random among the available minimal paths at
 injection time (deadlock-prone by design — recovery handles the rest).
 
-A route is a tuple of output ports: element ``i`` is the port taken at
-the ``i``-th router on the path, and the final element is the topology's
-local port (ejection at the destination) — ``Port.LOCAL`` on the 2D
-mesh, ``topo.local_port`` in general.
+A route is an immutable ``bytes`` string of output ports: element ``i``
+is the port taken at the ``i``-th router on the path, and the final
+element is the topology's local port (ejection at the destination) —
+``Port.LOCAL`` on the 2D mesh, ``topo.local_port`` in general.  Indexing
+a route yields the port as an ``int``; a port must fit in a byte, which
+is why a topology's radix is bounded by ``MAX_RADIX``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.topology.base import BaseTopology as Topology
 
-Route = Tuple[int, ...]
+Route = bytes
+
+#: ``HOPS[port]`` is the one-port route ``bytes((port,))``: routes are
+#: grown by concatenating these, so no builder allocates them per hop.
+HOPS: Tuple[Route, ...] = tuple(bytes((port,)) for port in range(256))
 
 #: Snapshot of the active links: active node -> its ``(port, neighbor)``
 #: pairs in ``active_neighbors`` order.  Every batch derivation (tables,
@@ -93,7 +99,7 @@ def node_path_to_route(topo: Topology, node_path: Sequence[int]) -> Route:
     for u, v in zip(node_path, node_path[1:]):
         ports.append(topo.port_between(u, v))
     ports.append(topo.local_port)
-    return tuple(ports)
+    return bytes(ports)
 
 
 def minimal_routes(
@@ -129,13 +135,14 @@ def minimal_routes_to(
     routes: Dict[int, List[Route]] = {}
     for node, here in dist.items():
         if node == dst:
-            routes[node] = [(local_port,)]
+            routes[node] = [HOPS[local_port]]
             continue
         found: List[Route] = []
         for port, neighbor in reversed(adjacency[node]):
             if dist[neighbor] == here - 1:
+                head = HOPS[port]
                 for tail in routes[neighbor]:
-                    found.append((port,) + tail)
+                    found.append(head + tail)
                 if len(found) >= max_paths:
                     del found[max_paths:]
                     break

@@ -26,6 +26,7 @@ from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.routing.paths import (
+    HOPS,
     Adjacency,
     Route,
     active_adjacency,
@@ -159,7 +160,7 @@ def updown_route(
     if not (tree.covers(src) and tree.covers(dst)):
         return None
     if src == dst:
-        return (topo.local_port,)
+        return HOPS[topo.local_port]
     start = (src, False)
     parent_state: Dict[Tuple[int, bool], Tuple[int, bool]] = {start: start}
     queue = deque([start])
@@ -210,8 +211,9 @@ def updown_routes_from(
     depth = tree.depth
     start = (src, False)
     #: state -> ports taken from ``src`` to reach it.
-    ports_to: Dict[Tuple[int, bool], Route] = {start: ()}
+    ports_to: Dict[Tuple[int, bool], Route] = {start: b""}
     routes: Dict[int, Route] = {}
+    eject = HOPS[local_port]
     queue = deque([start])
     while queue:
         state = queue.popleft()
@@ -227,9 +229,9 @@ def updown_routes_from(
             reached = (neighbor, gone_down or not edge_up)
             if reached in ports_to:
                 continue
-            ports_to[reached] = through = taken + (port,)
+            ports_to[reached] = through = taken + HOPS[port]
             if neighbor != src and neighbor not in routes:
-                routes[neighbor] = through + (local_port,)
+                routes[neighbor] = through + eject
             queue.append(reached)
     return routes
 

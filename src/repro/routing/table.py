@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import random
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.routing.paths import Adjacency, Route, active_adjacency, minimal_routes_to
 from repro.routing.spanning_tree import (
@@ -36,33 +36,60 @@ from repro.routing.spanning_tree import (
 from repro.topology.mesh import Topology
 
 
+#: One source's routes by destination id (``RoutingTable._by_dst``).
+Row = List[Optional[Tuple[Route, ...]]]
+
+
 class RoutingTable:
-    """Routes from one source node to every reachable destination."""
+    """Routes from one source node to every reachable destination.
+
+    ``_by_dst[dst]`` is the tuple of routes to ``dst``, or ``None`` where
+    ``dst`` is unreachable (or is the source itself): one list slot per
+    node id, so a lookup is an index, not a hash.
+    """
+
+    __slots__ = ("source", "_by_dst")
 
     def __init__(self, source: int) -> None:
         self.source = source
-        self._routes: Dict[int, List[Route]] = {}
+        self._by_dst: Row = []
 
-    def add_route(self, dst: int, route: Route) -> None:
-        self._routes.setdefault(dst, []).append(route)
+    def add_route(self, dst: int, route: Sequence[int]) -> None:
+        by_dst = self._by_dst
+        if dst >= len(by_dst):
+            by_dst.extend([None] * (dst + 1 - len(by_dst)))
+        by_dst[dst] = (by_dst[dst] or ()) + (bytes(route),)
 
     def destinations(self) -> List[int]:
-        return sorted(self._routes)
+        return [dst for dst, options in enumerate(self._by_dst) if options is not None]
 
     def has_route(self, dst: int) -> bool:
-        return dst in self._routes
+        return self._options(dst) is not None
 
-    def routes(self, dst: int) -> List[Route]:
-        return self._routes.get(dst, [])
+    def routes(self, dst: int) -> Tuple[Route, ...]:
+        return self._options(dst) or ()
 
     def pick_route(self, dst: int, rng: random.Random) -> Optional[Route]:
         """Uniformly random choice among the stored routes (paper fn. 1)."""
-        options = self._routes.get(dst)
-        if not options:
+        options = self._options(dst)
+        if options is None:
             return None
         if len(options) == 1:
             return options[0]
         return options[rng.randrange(len(options))]
+
+    def _options(self, dst: int) -> Optional[Tuple[Route, ...]]:
+        by_dst = self._by_dst
+        return by_dst[dst] if dst < len(by_dst) else None
+
+
+def _tables(rows: Dict[int, Row]) -> Dict[int, RoutingTable]:
+    """One :class:`RoutingTable` per source over its filled row."""
+    tables = {}
+    for node, row in rows.items():
+        table = tables[node] = RoutingTable(node)
+        table._by_dst = row
+    return tables
 
 
 class _Derived:
@@ -126,14 +153,17 @@ def build_minimal_tables(
     tables = entry.minimal.get(max_paths)
     if tables is None:
         adjacency, local = entry.adjacency, topo.local_port
-        tables = {node: RoutingTable(node) for node in adjacency}
-        # Equal port sequences recur across pairs (~7x at 8x8): keep one
-        # tuple of each, a table is then mostly references.
-        shared: Dict[Route, Route] = {}
+        rows: Dict[int, Row] = {node: [None] * topo.num_nodes for node in adjacency}
+        # Equal port strings recur across pairs (~7x at 8x8), and so do
+        # equal route tuples: keep one object of each, a table is then
+        # mostly references.
+        shared: Dict[object, object] = {}
         for dst in adjacency:
             for src, routes in minimal_routes_to(adjacency, dst, local, max_paths).items():
                 if src != dst and routes:
-                    tables[src]._routes[dst] = [shared.setdefault(r, r) for r in routes]
+                    options = tuple([shared.setdefault(r, r) for r in routes])
+                    rows[src][dst] = shared.setdefault(options, options)
+        tables = _tables(rows)
         entry.minimal[max_paths] = tables
     return dict(tables)
 
@@ -160,18 +190,18 @@ def escape_next_hop_tables(topo: Topology) -> Dict[int, Dict[int, int]]:
 def _updown_tables(
     topo: Topology, trees: List[SpanningTree], adjacency: Adjacency
 ) -> Dict[int, RoutingTable]:
-    local = topo.local_port
-    tables = {node: RoutingTable(node) for node in adjacency}
-    shared: Dict[Route, Route] = {}  # as in ``build_minimal_tables``
+    rows: Dict[int, Row] = {node: [None] * topo.num_nodes for node in adjacency}
+    shared: Dict[Route, Tuple[Route]] = {}  # as in ``build_minimal_tables``
     for tree in trees:
         members = sorted(tree.nodes())
         for src in members:
-            routes = updown_routes_from(adjacency, tree, src, local)
+            routes = updown_routes_from(adjacency, tree, src, topo.local_port)
+            row = rows[src]
             for dst in members:
                 route = routes.get(dst)
                 if route is not None:
-                    tables[src].add_route(dst, shared.setdefault(route, route))
-    return tables
+                    row[dst] = shared.setdefault(route, (route,))
+    return _tables(rows)
 
 
 def build_updown_tables(

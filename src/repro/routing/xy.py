@@ -26,7 +26,7 @@ def xy_route(topo: Topology, src: int, dst: int) -> Route:
     step_y = Port.NORTH if dy > sy else Port.SOUTH
     ports.extend([step_y] * abs(dy - sy))
     ports.append(Port.LOCAL)
-    return tuple(ports)
+    return bytes(ports)
 
 
 def xy_route_is_usable(topo: Topology, src: int, dst: int) -> bool:

@@ -193,9 +193,9 @@ class DeadlockMonitor:
         if new:
             network.stats.deadlocks_observed += 1
             self.deadlocked_pids.update(cycle)
-            obs = getattr(network, "obs", None)
-            if obs is not None:
-                obs.emit(now, ORACLE_DEADLOCK, -1, {"pids": list(cycle), "new": new})
+            tracer = getattr(network, "tracer", None)
+            if tracer is not None:
+                tracer.emit(now, ORACLE_DEADLOCK, -1, {"pids": list(cycle), "new": new})
         if self.first_deadlock_cycle is None:
             # The cycle formed somewhere between the last clear build and
             # now; backdate to the start of that blind window rather than

@@ -15,8 +15,8 @@ Per-cycle order (one ``step()``):
    cycle's switch allocation has already run (footnote 10 timing).
 
 An attached ``repro.obs.Observer`` (see ``attach_obs``) receives typed
-events from every phase plus an end-of-cycle sampling hook; when no
-observer is attached each emission site costs one attribute check.
+events from every phase, if it traces, plus an end-of-cycle sampling
+hook; when nothing traces each emission site costs one attribute check.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from repro.obs.events import (
     SPECIAL_SEND,
     VERIFY_CERTIFICATE,
 )
+from repro.routing.paths import HOPS
 from repro.routing.table import RoutingTable
 from repro.sim.config import SimConfig
 from repro.sim.ni import NetworkInterface
@@ -91,10 +92,14 @@ class Network:
         self.cycle = 0
         self._seed = seed
         self._rng = spawn_rng(seed, "network")
-        #: Attached observer (``repro.obs.Observer``) or None.  Every
-        #: emission site is gated on one ``is not None`` check, so an
-        #: unobserved network pays nothing beyond the attribute load.
+        #: Attached observer (``repro.obs.Observer``) or None: its
+        #: end-of-cycle sampling and latency histogram.
         self.obs = None
+        #: The attached observer's event ``Tracer``, or None (also under a
+        #: metrics-only observer).  Every emission site is gated on one
+        #: ``is not None`` check of it, so a network nothing traces builds
+        #: no event payload and pays nothing beyond the attribute load.
+        self.tracer = None
         #: True while ``step()`` is past switch allocation for the current
         #: cycle: a special launched then must claim the *next* cycle's
         #: mux, because this cycle's arbitration has already happened
@@ -171,7 +176,7 @@ class Network:
         ni._queued = self._queued_nodes
         # Closed-loop traffic sources react to packet deliveries.
         ni.eject_hook = getattr(self.traffic, "on_packet_ejected", None)
-        ni.obs = self.obs
+        ni.obs, ni.tracer = self.obs, self.tracer
         self.nis[node] = ni
 
     # -- access --------------------------------------------------------
@@ -184,11 +189,13 @@ class Network:
 
         Wires the observer into the NIs (inject/eject events, latency
         histogram), the scheme (FSM transition tracing), and the per-cycle
-        sampling hook.  Detach by assigning ``network.obs = None``.
+        sampling hook.  Events are wired only if the observer traces: a
+        metrics-only observer is called once per cycle and per ejection.
         """
         self.obs = observer
+        self.tracer = observer.tracer
         for ni in self._ni_list:
-            ni.obs = observer
+            ni.obs, ni.tracer = observer, observer.tracer
         observer.bind(self)
         self.scheme.attach_obs(self, observer)
 
@@ -234,8 +241,8 @@ class Network:
         self._special_arrivals.setdefault(arrival, []).append(
             (link.dest_node, link.dest_in_port, msg)
         )
-        if self.obs is not None:
-            self.obs.emit(
+        if self.tracer is not None:
+            self.tracer.emit(
                 self.cycle,
                 SPECIAL_SEND,
                 from_node,
@@ -253,13 +260,13 @@ class Network:
         arrivals = self._special_arrivals.pop(now, None)
         if not arrivals:
             return
-        obs = self.obs
+        tracer = self.tracer
         by_router: Dict[int, List[Tuple[int, SpecialMessage]]] = {}
         for node, in_port, msg in arrivals:
             if node in self.routers:
                 by_router.setdefault(node, []).append((in_port, msg))
-                if obs is not None:
-                    obs.emit(
+                if tracer is not None:
+                    tracer.emit(
                         now,
                         SPECIAL_DELIVER,
                         node,
@@ -276,8 +283,8 @@ class Network:
                 # sender FSM recovers via its timeout — but the loss must
                 # be visible, not silent.
                 self.stats.specials_dropped += 1
-                if obs is not None:
-                    obs.emit(
+                if tracer is not None:
+                    tracer.emit(
                         now,
                         SPECIAL_DROP,
                         node,
@@ -385,14 +392,14 @@ class Network:
                 if self._route_intact(router.node, packet.route, packet.hop):
                     continue
                 if packet.dst == router.node:
-                    packet.route = (self._local,)
+                    packet.route = HOPS[self._local]
                 else:
                     packet.route = table.pick_route(packet.dst, self._rng)
                 packet.hop = 0
                 rerouted += 1
                 self.stats.packets_rerouted += 1
-                if self.obs is not None:
-                    self.obs.emit(
+                if self.tracer is not None:
+                    self.tracer.emit(
                         now,
                         PACKET_REROUTE,
                         router.node,
@@ -417,8 +424,8 @@ class Network:
             "seals_cleared": scheme_summary.get("seals_cleared", 0),
             "fsms_reset": scheme_summary.get("fsms_reset", 0),
         }
-        if self.obs is not None:
-            self.obs.emit(now, RECONFIG_APPLY, -1, summary)
+        if self.tracer is not None:
+            self.tracer.emit(now, RECONFIG_APPLY, -1, summary)
         if self.verify_on_reconfig:
             self.certify()
         return summary
@@ -467,8 +474,8 @@ class Network:
         self.wake_all()
 
         summary = {"links": len(link_list), "routers": len(new_routers)}
-        if self.obs is not None:
-            self.obs.emit(now, RECONFIG_RESTORE, -1, summary)
+        if self.tracer is not None:
+            self.tracer.emit(now, RECONFIG_RESTORE, -1, summary)
         if self.verify_on_reconfig:
             self.certify()
         return summary
@@ -495,8 +502,8 @@ class Network:
         self.last_certificate = cert
         if not cert.ok:
             self.cert_failures += 1
-        if self.obs is not None:
-            self.obs.emit(
+        if self.tracer is not None:
+            self.tracer.emit(
                 self.cycle,
                 VERIFY_CERTIFICATE,
                 -1,
@@ -513,8 +520,8 @@ class Network:
 
     def _count_drop(self, packet: Packet, reason: str, now: int) -> int:
         self.stats.packets_dropped_reconfig += 1
-        if self.obs is not None:
-            self.obs.emit(
+        if self.tracer is not None:
+            self.tracer.emit(
                 now, PACKET_DROP, packet.src, {"reason": reason, "dst": packet.dst}
             )
         return 1
@@ -571,7 +578,7 @@ class Network:
     def _purge_dead_specials(self, now: int) -> int:
         """Cancel scheduled special arrivals that crossed a dead element."""
         cancelled = 0
-        obs = self.obs
+        tracer = self.tracer
         for arrival in list(self._special_arrivals):
             kept: List[Tuple[int, int, SpecialMessage]] = []
             for node, in_port, msg in self._special_arrivals[arrival]:
@@ -587,8 +594,8 @@ class Network:
                     continue
                 cancelled += 1
                 self.stats.specials_dropped += 1
-                if obs is not None:
-                    obs.emit(
+                if tracer is not None:
+                    tracer.emit(
                         now,
                         SPECIAL_DROP,
                         node,
@@ -674,8 +681,8 @@ class Network:
             ni = self.nis.get(src)
             if ni is None:
                 self.stats.packets_dropped_unreachable += 1
-                if self.obs is not None:
-                    self.obs.emit(
+                if self.tracer is not None:
+                    self.tracer.emit(
                         now, PACKET_DROP, src, {"reason": "unreachable_src", "dst": dst}
                     )
                 continue
@@ -894,8 +901,8 @@ class Network:
                 # Any cached adaptive preference referred to the router
                 # just left; the next allocation scan re-chooses here.
                 packet.adapt_out = -1
-            if self.obs is not None:
-                self.obs.emit(
+            if self.tracer is not None:
+                self.tracer.emit(
                     now,
                     PACKET_TRANSFER,
                     router.node,

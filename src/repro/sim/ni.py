@@ -46,8 +46,10 @@ class NetworkInterface:
         self.packets_refused = 0
         #: Optional callback invoked on every delivery (closed-loop traffic).
         self.eject_hook = None
-        #: Attached observer (set by ``Network.attach_obs``) or None.
+        #: Attached observer and its event tracer (set by
+        #: ``Network.attach_obs``), each None when absent.
         self.obs = None
+        self.tracer = None
 
     def create_packet(
         self, dst: int, vnet: int, size: int, now: int
@@ -61,8 +63,8 @@ class NetworkInterface:
         route = self.table.pick_route(dst, self.rng)
         if route is None:
             self.stats.packets_dropped_unreachable += 1
-            if self.obs is not None:
-                self.obs.emit(
+            if self.tracer is not None:
+                self.tracer.emit(
                     now, PACKET_DROP, self.node, {"reason": "unreachable", "dst": dst}
                 )
             return None
@@ -108,8 +110,8 @@ class NetworkInterface:
         self.stats.packets_injected += 1
         self.stats.flits_injected += packet.size
         self.stats.buffer_writes += packet.size
-        if self.obs is not None:
-            self.obs.emit(
+        if self.tracer is not None:
+            self.tracer.emit(
                 now,
                 PACKET_INJECT,
                 self.node,
@@ -143,8 +145,8 @@ class NetworkInterface:
             if route is None:
                 dropped += 1
                 self.stats.packets_dropped_reconfig += 1
-                if self.obs is not None:
-                    self.obs.emit(
+                if self.tracer is not None:
+                    self.tracer.emit(
                         now,
                         PACKET_DROP,
                         self.node,
@@ -155,8 +157,8 @@ class NetworkInterface:
             survivors.append(packet)
             rerouted += 1
             self.stats.packets_rerouted += 1
-            if self.obs is not None:
-                self.obs.emit(
+            if self.tracer is not None:
+                self.tracer.emit(
                     now,
                     PACKET_REROUTE,
                     self.node,

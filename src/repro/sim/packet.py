@@ -7,16 +7,18 @@ packet's flit count still matters for link serialization and energy.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.core.turns import Port
+from repro.routing.paths import Route
 
 
 class Packet:
     """One packet in flight.
 
-    ``route`` is the source route embedded at injection (Section II-D);
-    ``hop`` indexes the next output port to take.  A packet diverted into
+    ``route`` is the source route embedded at injection (Section II-D),
+    a ``bytes`` string of output ports; ``hop`` indexes the next one to
+    take.  A packet diverted into
     the escape layer sets ``is_escape`` and thereafter ignores ``route``,
     following the per-router escape tables instead.  Under an adaptive
     scheme the stamped route is likewise advisory: the router re-chooses
@@ -46,7 +48,7 @@ class Packet:
         dst: int,
         vnet: int,
         size: int,
-        route: Tuple[Port, ...],
+        route: Route,
         created_at: int,
     ) -> None:
         self.pid = pid

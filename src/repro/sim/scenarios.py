@@ -41,7 +41,7 @@ def place_packet(
     router = net.routers[node]
     vc = router.input_vcs[in_port][vc_index]
     assert vc.packet is None, "scenario VC already occupied"
-    packet = Packet(pid, src, dst, 0, size, tuple(route), 0)
+    packet = Packet(pid, src, dst, 0, size, bytes(route), 0)
     packet.injected_at = 0
     packet.hop = 1
     router.place(vc, packet, 0)

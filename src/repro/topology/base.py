@@ -17,7 +17,10 @@ bidirectional link) and port ``r`` is the local ejection/injection port
 (``local_port``).  For the 2D mesh ``r == 4`` and the network ports
 coincide numerically with the legacy compass enum, which keeps the
 mesh's ``% 5`` port arithmetic — and therefore its cycle-exact
-behaviour — unchanged.
+behaviour — unchanged.  A source route is a ``bytes`` string of ports,
+so every port, the local one included, must fit in a byte: the radix is
+at most :data:`MAX_RADIX` (255), and a generator that would exceed it
+raises ``ValueError`` when it builds the topology.
 
 The opposite-port relation is per *edge*, not global:
 ``arrival_port(u, p)`` answers "a packet leaving ``u`` on port ``p``
@@ -42,6 +45,10 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 Link = FrozenSet[int]
+
+#: Largest radix a topology may have: ports ``0..radix`` must each fit
+#: in one byte of a source route (``repro.routing.paths.Route``).
+MAX_RADIX = 255
 
 #: Bits available for the recorded path in one 128-bit probe flit after
 #: the fixed header (message type, sender id, travel port).  With the

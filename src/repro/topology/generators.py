@@ -27,6 +27,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.topology.base import (
+    MAX_RADIX,
     BaseTopology,
     Link,
     _require_spec_fields,
@@ -51,6 +52,11 @@ class GraphTopology(BaseTopology):
         self.kind = kind
         self.num_nodes = len(neighbors)
         self.radix = max((len(row) for row in neighbors), default=0)
+        if self.radix > MAX_RADIX:
+            raise ValueError(
+                f"radix {self.radix} > {MAX_RADIX}: a router's ports must "
+                f"fit in one byte of a source route"
+            )
         self._params = dict(params)
         padded: List[Tuple[Optional[int], ...]] = []
         port_to: List[Dict[int, int]] = []

@@ -104,6 +104,11 @@ class TestSimulate:
     def test_bad_topology_flag_exits_2(self, capsys):
         assert main(["simulate", "--topology", "klein-bottle:3"]) == 2
 
+    def test_a_router_past_the_port_bound_exits_2(self, capsys):
+        """Routes are bytes: 300 ports per router cannot be routed."""
+        assert main(["simulate", "--topology", "fullmesh:300", "--cycles", "10"]) == 2
+        assert "radix 299 > 255" in capsys.readouterr().err
+
     def test_invalid_engine_rejected(self, capsys):
         """There is one simulator: ``--engine`` is no longer a flag."""
         for argv in (["simulate", "--engine", "fast"], ["submit", "--engine", "fast"]):

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
+import json
 import random
 from pathlib import Path
 
@@ -228,13 +230,14 @@ PINNED = {
 
 
 #: Calls into ``repro.obs`` per 1,000 cycles of the seed-1 ``sim-sat`` and
-#: ``sim-lowload`` runs with a metrics-only observer attached: one ``emit``
-#: per guarded emission site reached, one latency sample per ejection, one
-#: ``end_cycle`` per cycle and a sample every 64 cycles.  Without an
-#: observer every pinned run enters no ``repro.obs`` frame at all.
+#: ``sim-lowload`` runs with a metrics-only observer attached: one latency
+#: sample per ejection, one ``end_cycle`` per cycle and a sample every 64
+#: cycles.  No emission site is wired to an observer that does not trace,
+#: so not one event is emitted.  Without an observer every pinned run
+#: enters no ``repro.obs`` frame at all.
 OBSERVED = {
     "sim-sat": {
-        "Observer.emit": 20198, "Observer.end_cycle": 1000,
+        "Observer.emit": 0, "Observer.end_cycle": 1000,
         "Observer.packet_ejected": 2154, "Observer._sample": 15,
         "MetricsRegistry.histogram": 2229, "Histogram.__init__": 6,
         "Histogram.add": 2229, "MetricsRegistry.counter": 315,
@@ -242,13 +245,30 @@ OBSERVED = {
         "MetricsRegistry.gauge": 15, "Gauge.__init__": 1, "Gauge.set": 15,
     },
     "sim-lowload": {
-        "Observer.emit": 4157, "Observer.end_cycle": 1000,
+        "Observer.emit": 0, "Observer.end_cycle": 1000,
         "Observer.packet_ejected": 412, "Observer._sample": 15,
         "MetricsRegistry.histogram": 487, "Histogram.__init__": 6,
         "Histogram.add": 487, "MetricsRegistry.counter": 315,
         "Counter.__init__": 2, "Counter.inc": 315,
         "MetricsRegistry.gauge": 15, "Gauge.__init__": 1, "Gauge.set": 15,
     },
+}
+
+#: What observing the same 1,000 cycles records: the sha256 of the metrics
+#: registry (``to_dict``, canonical JSON) — the same whether the observer
+#: traces or not — and the event count and sha256 of a tracing observer's
+#: ``write_jsonl`` export.
+RECORDED = {
+    "sim-sat": (
+        "c0dd5f57a4871e9da7467bc665c5f20c1a46116eddae64f4124cce7a6a82f34e",
+        22352,
+        "ebc510bd192dd5397fcafe2bba811fd5a076e10e1926af2103d7d4330be10619",
+    ),
+    "sim-lowload": (
+        "116e085a3fdc6a36edc118476cf27b95cb67392f0c8b71e38d04278f7b54b24d",
+        4569,
+        "9edcb83d89fc54bb70229da6838a95101e2941032a8c17555c8c05094c78f740",
+    ),
 }
 
 
@@ -285,11 +305,37 @@ def test_sweeps_transfers_and_summary_are_pinned(workload):
     assert _obs_calls(profile) == {}
 
 
+def _sha256_of(registry):
+    blob = json.dumps(registry.to_dict(), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("workload", list(OBSERVED))
 def test_a_metrics_only_observer_costs_pinned_calls(workload):
-    """Observing changes no statistic, and costs exactly its calls."""
-    profile = _pinned_run(workload, repro.obs.Observer(trace=False))
-    assert _obs_calls(profile) == OBSERVED[workload]
+    """Observing changes no statistic, records the pinned metrics, and
+    costs exactly its calls."""
+    observer = repro.obs.Observer(trace=False)
+    calls = _obs_calls(_pinned_run(workload, observer))
+    expected = OBSERVED[workload]
+    assert {name: calls.get(name, 0) for name in expected} == expected
+    assert set(calls) <= set(expected)
+    assert _sha256_of(observer.metrics) == RECORDED[workload][0]
+
+
+@pytest.mark.parametrize("workload", list(RECORDED))
+def test_a_tracing_observer_exports_the_pinned_events(workload, tmp_path):
+    (scheme, topology, faults, rate, label), _, summary = PINNED[workload]
+    seed = random.Random(f"harness:1:{label}").randrange(1, 2**31)
+    net = _saturated(scheme, topology, faults, rate, seed)
+    observer = repro.obs.Observer()
+    net.attach_obs(observer)
+    net.run(1000)
+    assert net.stats.summary() == summary
+    path = tmp_path / "events.jsonl"
+    count = repro.obs.write_jsonl(observer.events, str(path))
+    metrics, events, digest = RECORDED[workload]
+    assert (count, hashlib.sha256(path.read_bytes()).hexdigest()) == (events, digest)
+    assert _sha256_of(observer.metrics) == metrics
 
 
 # -- (c) one test per wake event ----------------------------------------------

@@ -100,9 +100,9 @@ class TestXY:
     def test_xy_route_shape(self):
         topo = mesh(4, 4)
         route = xy_route(topo, 0, topo.node_id(2, 3))
-        assert route == (
+        assert route == bytes((
             Port.EAST, Port.EAST, Port.NORTH, Port.NORTH, Port.NORTH, Port.LOCAL
-        )
+        ))
 
     def test_xy_usable_on_healthy_mesh(self):
         topo = mesh(4, 4)
@@ -118,7 +118,7 @@ class TestXY:
 
     def test_xy_to_self(self):
         topo = mesh(4, 4)
-        assert xy_route(topo, 5, 5) == (Port.LOCAL,)
+        assert xy_route(topo, 5, 5) == bytes((Port.LOCAL,))
 
 
 class TestRoutingTable:

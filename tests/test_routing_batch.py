@@ -70,7 +70,11 @@ def split_mesh():
 
 
 def dumped(tables):
-    return {src: list(table._routes.items()) for src, table in tables.items()}
+    """Each source's ``(destination, routes)`` pairs through the public API."""
+    return {
+        src: [(dst, list(table.routes(dst))) for dst in table.destinations()]
+        for src, table in tables.items()
+    }
 
 
 def oracle_minimal(topo, max_paths):

@@ -98,6 +98,14 @@ class TestEndpoints:
             with pytest.raises(ValueError):
                 SimSpec.from_dict(body)
 
+    def test_a_router_past_the_port_bound_is_a_400(self, client):
+        """Routes are bytes: 300 ports per router cannot be routed."""
+        status, payload, _ = client._request(
+            "POST", "/jobs", {"topology": "fullmesh:300"}
+        )
+        assert status == 400
+        assert "radix 299 > 255" in payload["error"]
+
     def test_engine_field_is_validated_echoed_and_ignored(self, client):
         """There is one simulator; stored specs and old clients still say
         ``engine``.  An unknown spelling is refused, a known one rides
