@@ -1,8 +1,11 @@
 """Experiment harnesses — one module per figure/table in the evaluation.
 
 Each module exposes ``Params.quick()`` / ``Params.full()``, ``run`` and
-``report``; the benchmark harness under ``benchmarks/`` drives the quick
-configurations and prints the same rows the paper's figures show.
+``report``; the benchmarks under ``benchmarks/`` drive the quick
+configurations and print the same rows the paper's figures show.  A
+figure's ``run`` declares its sweep as ``(key, args)`` cells and reduces
+the per-key outcome lists that :func:`repro.experiments.common.sweep_cells`
+returns.
 """
 
 from repro.experiments import (

@@ -1,4 +1,4 @@
-"""Shared experiment plumbing: topology sampling, sim runs, normalization.
+"""Shared experiment plumbing: topology sampling, sweeps, normalization.
 
 Every experiment module follows the same shape:
 
@@ -8,6 +8,14 @@ Every experiment module follows the same shape:
 * a ``run(params) -> *Result`` function returning structured data;
 * a ``report(result) -> str`` function printing the same rows/series the
   paper's figure or table shows.
+
+A figure's ``run`` declares its sweep as ``(key, args)`` cells — one
+per sampled topology and scheme (and pattern, workload or t_DD) — and
+:func:`sweep_cells` runs them through :func:`fan_out` and hands back
+``{key: [outcome per cell]}`` in cell order, which the figure reduces
+(usually to a mean per key).  :func:`fault_samples` walks the
+link-then-router fault axes (:func:`fault_axes`) the two-axis figures
+share.
 """
 
 from __future__ import annotations
@@ -54,6 +62,23 @@ def topologies_for(
             require_memory_controllers=require_mcs,
         )
     )
+
+
+def fault_axes(params) -> Tuple[Tuple[str, List[int]], Tuple[str, List[int]]]:
+    """The ``(kind, counts)`` axes of a two-axis figure: links, then routers."""
+    return (("link", params.link_fault_counts), ("router", params.router_fault_counts))
+
+
+def fault_samples(
+    params, require_mcs: Optional[List[int]] = None
+) -> Iterable[Tuple[str, int, List[Topology]]]:
+    """``(kind, count, topologies)`` for each point of both fault axes."""
+    for kind, counts in fault_axes(params):
+        for count in counts:
+            yield kind, count, topologies_for(
+                params.width, params.height, kind, count, params.samples,
+                params.seed, require_mcs,
+            )
 
 
 def run_synthetic(
@@ -155,6 +180,24 @@ def fan_out(
                 raise JobError(f"{job.describe()} failed: {value}")
         return [from_jsonable(blob["result"]) for _, blob in outcomes]
     return run_jobs(jobs, workers=workers)
+
+
+def sweep_cells(
+    func: Callable, cells: Iterable[Tuple[Any, Sequence]], workers: Optional[int]
+) -> Dict[Any, List]:
+    """Run ``(key, args)`` cells through :func:`fan_out` and group them.
+
+    Returns ``{key: [func(*args) for each of the key's cells]}``: keys in
+    first-seen order, each list in cell order (so per-topology outcomes
+    of different keys pair up by position).  The args alone reach
+    :func:`fan_out`, so the cached store key of a cell is its args.
+    """
+    cells = list(cells)
+    outcomes = fan_out(func, [args for _, args in cells], workers=workers)
+    groups: Dict[Any, List] = {}
+    for (key, _), outcome in zip(cells, outcomes):
+        groups.setdefault(key, []).append(outcome)
+    return groups
 
 
 def _stored_result(job: Job) -> Dict[str, Any]:

@@ -16,8 +16,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.energy.model import EnergyModel
 from repro.experiments.common import (
     SCHEME_ORDER,
-    fan_out,
+    normalize_to,
     run_synthetic,
+    sweep_cells,
     topologies_for,
 )
 from repro.sim.config import SimConfig
@@ -54,8 +55,10 @@ class Fig10Result:
     energy: Dict[Tuple[int, str], Dict[str, float]]
 
     def normalized_total(self, count: int, scheme: str) -> float:
-        base = self.energy[(count, "spanning-tree")]["total"]
-        return self.energy[(count, scheme)]["total"] / base if base else 1.0
+        return normalize_to(
+            self.energy[(count, "spanning-tree")]["total"],
+            self.energy[(count, scheme)]["total"],
+        )
 
 
 def _energy_breakdown(
@@ -76,35 +79,29 @@ def _energy_breakdown(
 
 def run(params: Fig10Params) -> Fig10Result:
     config = SimConfig(width=params.width, height=params.height)
-    energy: Dict[Tuple[int, str], Dict[str, float]] = {}
-    keys: List[Tuple[int, str]] = []
-    argslist: List[tuple] = []
-    sizes: Dict[Tuple[int, str], int] = {}
+    cells = []
     for count in params.router_fault_counts:
         topos = topologies_for(
             params.width, params.height, "router", count, params.samples, params.seed
         )
-        for scheme in SCHEME_ORDER:
-            sizes[(count, scheme)] = len(topos)
-            for i, topo in enumerate(topos):
-                keys.append((count, scheme))
-                argslist.append(
-                    (
-                        topo,
-                        scheme,
-                        params.rate,
-                        config,
-                        params.warmup,
-                        params.measure,
-                        params.seed + i,
-                    )
-                )
-    outcomes = fan_out(_energy_breakdown, argslist, workers=params.workers)
-    for key, breakdown in zip(keys, outcomes):
-        acc = energy.setdefault(key, {})
-        for component, value in breakdown.items():
-            acc[component] = acc.get(component, 0.0) + value / sizes[key]
+        cells += [
+            ((count, scheme), (topo, scheme, params.rate, config, params.warmup,
+                               params.measure, params.seed + i))
+            for scheme in SCHEME_ORDER
+            for i, topo in enumerate(topos)
+        ]
+    groups = sweep_cells(_energy_breakdown, cells, params.workers)
+    energy: Dict[Tuple[int, str], Dict[str, float]] = {}
+    for key, breakdowns in groups.items():
+        acc = energy[key] = {}
+        for breakdown in breakdowns:
+            for component, value in breakdown.items():
+                acc[component] = acc.get(component, 0.0) + value / len(breakdowns)
     return Fig10Result(params, energy)
+
+
+#: The breakdown columns of each report row, in the paper's order.
+_PARTS = ("router_dynamic", "router_leakage", "link_dynamic", "link_leakage", "total")
 
 
 def report(result: Fig10Result) -> str:
@@ -114,16 +111,7 @@ def report(result: Fig10Result) -> str:
         rows = []
         for scheme in SCHEME_ORDER:
             e = result.energy[(count, scheme)]
-            rows.append(
-                [
-                    scheme,
-                    e["router_dynamic"] / base if base else 0.0,
-                    e["router_leakage"] / base if base else 0.0,
-                    e["link_dynamic"] / base if base else 0.0,
-                    e["link_leakage"] / base if base else 0.0,
-                    e["total"] / base if base else 0.0,
-                ]
-            )
+            rows.append([scheme] + [normalize_to(base, e[part]) for part in _PARTS])
         rep.table(
             ["scheme", "rtr dyn", "rtr leak", "link dyn", "link leak", "total"],
             rows,

@@ -13,10 +13,10 @@ detection).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.common import fan_out, safe_mean, topologies_for
+from repro.experiments.common import safe_mean, sweep_cells, topologies_for
 from repro.protocols import make_scheme
 from repro.sim.config import SimConfig
 from repro.sim.network import Network
@@ -82,7 +82,7 @@ def _tdd_point(
     """One (topology, scheme, t_DD) run: (probes, link share, latency)."""
     traffic = UniformRandomTraffic(topo, rate=rate, seed=seed)
     network = Network(
-        topo, config, make_scheme(scheme, t_dd=t_dd), traffic, seed=seed
+        topo, replace(config, sb_t_dd=t_dd), make_scheme(scheme), traffic, seed=seed
     )
     network.run(cycles)
     stats = network.stats
@@ -104,41 +104,40 @@ def run(params: Fig11Params) -> Fig11Result:
         params.samples,
         params.seed,
     )
-    keys: List[Tuple[str, int]] = []
-    argslist: List[tuple] = []
-    for scheme in params.schemes:
-        for t_dd in params.t_dd_values:
-            for i, topo in enumerate(topos):
-                keys.append((scheme, t_dd))
-                argslist.append(
-                    (
-                        topo,
-                        scheme,
-                        t_dd,
-                        params.rate,
-                        config,
-                        params.cycles,
-                        params.seed + i,
-                    )
-                )
-    outcomes = fan_out(_tdd_point, argslist, workers=params.workers)
-    probes: Dict[Tuple[str, int], List[float]] = {}
-    shares: Dict[Tuple[str, int, str], List[float]] = {}
-    latency: Dict[Tuple[str, int], List[float]] = {}
-    for (scheme, t_dd), (n_probes, share_by_class, lat) in zip(keys, outcomes):
-        probes.setdefault((scheme, t_dd), []).append(n_probes)
-        for cls, share in share_by_class.items():
-            shares.setdefault((scheme, t_dd, cls), []).append(share)
-        if lat is not None:
-            latency.setdefault((scheme, t_dd), []).append(lat)
+    groups = sweep_cells(
+        _tdd_point,
+        (
+            (
+                (scheme, t_dd),
+                (topo, scheme, t_dd, params.rate, config, params.cycles,
+                 params.seed + i),
+            )
+            for scheme in params.schemes
+            for t_dd in params.t_dd_values
+            for i, topo in enumerate(topos)
+        ),
+        params.workers,
+    )
+    probes = {
+        key: safe_mean(n_probes for n_probes, _, _ in points)
+        for key, points in groups.items()
+    }
+    # Every run reports the same message classes.
+    link_share = {
+        (scheme, t_dd, cls): safe_mean(shares[cls] for _, shares, _ in points)
+        for (scheme, t_dd), points in groups.items()
+        for cls in points[0][1]
+    }
+    lats = {
+        key: [lat for _, _, lat in points if lat is not None]
+        for key, points in groups.items()
+    }
     return Fig11Result(
         params,
-        probes={k: safe_mean(v) for k, v in probes.items()},
-        probes_per_cycle={
-            k: safe_mean(v) / params.cycles for k, v in probes.items()
-        },
-        link_share={k: safe_mean(v) for k, v in shares.items()},
-        latency={k: safe_mean(v) for k, v in latency.items()},
+        probes=probes,
+        probes_per_cycle={key: n / params.cycles for key, n in probes.items()},
+        link_share=link_share,
+        latency={key: safe_mean(values) for key, values in lats.items() if values},
     )
 
 

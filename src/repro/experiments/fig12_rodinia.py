@@ -16,9 +16,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.common import (
     SCHEME_ORDER,
-    fan_out,
+    fault_axes,
+    fault_samples,
+    normalize_to,
     safe_mean,
-    topologies_for,
+    sweep_cells,
 )
 from repro.protocols import make_scheme
 from repro.sim.config import SimConfig
@@ -74,9 +76,10 @@ class Fig12Result:
     throughput: Dict[Tuple[str, str, int, str], float]
 
     def normalized(self, workload: str, kind: str, count: int, scheme: str) -> float:
-        base = self.throughput[(workload, kind, count, "spanning-tree")]
-        value = self.throughput[(workload, kind, count, scheme)]
-        return value / base if base else 1.0
+        return normalize_to(
+            self.throughput[(workload, kind, count, "spanning-tree")],
+            self.throughput[(workload, kind, count, scheme)],
+        )
 
 
 def _app_throughput(topo, workload, scheme_name, params, config, seed) -> float:
@@ -97,44 +100,28 @@ def _app_throughput(topo, workload, scheme_name, params, config, seed) -> float:
 def run(params: Fig12Params) -> Fig12Result:
     config = SimConfig(width=params.width, height=params.height)
     mcs = default_memory_controllers(params.width, params.height)
-    keys: List[Tuple[str, str, int, str]] = []
-    argslist: List[tuple] = []
-    for kind, counts in (
-        ("link", params.link_fault_counts),
-        ("router", params.router_fault_counts),
-    ):
-        for count in counts:
-            topos = topologies_for(
-                params.width,
-                params.height,
-                kind,
-                count,
-                params.samples,
-                params.seed,
-                require_mcs=mcs,
+    groups = sweep_cells(
+        _app_throughput,
+        (
+            (
+                (workload, kind, count, scheme),
+                (topo, workload, scheme, params, config, params.seed + i),
             )
-            for workload in params.workloads:
-                for scheme in SCHEME_ORDER:
-                    for i, topo in enumerate(topos):
-                        keys.append((workload, kind, count, scheme))
-                        argslist.append(
-                            (topo, workload, scheme, params, config, params.seed + i)
-                        )
-    outcomes = fan_out(_app_throughput, argslist, workers=params.workers)
-    by_key: Dict[Tuple[str, str, int, str], List[float]] = {}
-    for key, value in zip(keys, outcomes):
-        by_key.setdefault(key, []).append(value)
-    throughput = {key: safe_mean(values) for key, values in by_key.items()}
+            for kind, count, topos in fault_samples(params, require_mcs=mcs)
+            for workload in params.workloads
+            for scheme in SCHEME_ORDER
+            for i, topo in enumerate(topos)
+        ),
+        params.workers,
+    )
+    throughput = {key: safe_mean(values) for key, values in groups.items()}
     return Fig12Result(params, throughput)
 
 
 def report(result: Fig12Result) -> str:
     rep = Reporter("Fig. 12 — Rodinia-like app throughput normalized to Sp-Tree")
     params = result.params
-    for kind, counts in (
-        ("link", params.link_fault_counts),
-        ("router", params.router_fault_counts),
-    ):
+    for kind, counts in fault_axes(params):
         rows = []
         for workload in params.workloads:
             for count in counts:

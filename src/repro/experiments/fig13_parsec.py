@@ -18,8 +18,9 @@ from repro.energy.edp import network_edp
 from repro.energy.model import EnergyModel
 from repro.experiments.common import (
     SCHEME_ORDER,
-    fan_out,
+    normalize_to,
     safe_mean,
+    sweep_cells,
     topologies_for,
 )
 from repro.protocols import make_scheme
@@ -64,12 +65,14 @@ class Fig13Result:
     edp: Dict[Tuple[str, str], float]
 
     def normalized_runtime(self, workload: str, scheme: str) -> float:
-        base = self.runtime[(workload, "spanning-tree")]
-        return self.runtime[(workload, scheme)] / base if base else 1.0
+        return normalize_to(
+            self.runtime[(workload, "spanning-tree")], self.runtime[(workload, scheme)]
+        )
 
     def normalized_edp(self, workload: str, scheme: str) -> float:
-        base = self.edp[(workload, "spanning-tree")]
-        return self.edp[(workload, scheme)] / base if base else 1.0
+        return normalize_to(
+            self.edp[(workload, "spanning-tree")], self.edp[(workload, scheme)]
+        )
 
 
 def _parsec_point(
@@ -105,36 +108,26 @@ def run(params: Fig13Params) -> Fig13Result:
         params.seed,
         require_mcs=mcs,
     )
-    keys: List[Tuple[str, str]] = []
-    argslist: List[tuple] = []
-    for workload in params.workloads:
-        for scheme in SCHEME_ORDER:
-            for i, topo in enumerate(topos):
-                keys.append((workload, scheme))
-                argslist.append(
-                    (
-                        topo,
-                        workload,
-                        scheme,
-                        # Per-sample relocation off any faulted corner.
-                        default_memory_controllers(
-                            params.width, params.height, topo
-                        ),
-                        config,
-                        params.transactions_per_core,
-                        params.max_cycles,
-                        params.seed + i,
-                    )
-                )
-    outcomes = fan_out(_parsec_point, argslist, workers=params.workers)
-    rts: Dict[Tuple[str, str], List[float]] = {}
-    edps: Dict[Tuple[str, str], List[float]] = {}
-    for key, (cycles, point_edp) in zip(keys, outcomes):
-        rts.setdefault(key, []).append(cycles)
-        edps.setdefault(key, []).append(point_edp)
-    out_rt = {key: safe_mean(values) for key, values in rts.items()}
-    out_edp = {key: safe_mean(values) for key, values in edps.items()}
-    return Fig13Result(params, out_rt, out_edp)
+    groups = sweep_cells(
+        _parsec_point,
+        (
+            (
+                (workload, scheme),
+                # Per-sample relocation of the MCs off any faulted corner.
+                (topo, workload, scheme,
+                 default_memory_controllers(params.width, params.height, topo),
+                 config, params.transactions_per_core, params.max_cycles,
+                 params.seed + i),
+            )
+            for workload in params.workloads
+            for scheme in SCHEME_ORDER
+            for i, topo in enumerate(topos)
+        ),
+        params.workers,
+    )
+    runtime = {key: safe_mean(rt for rt, _ in points) for key, points in groups.items()}
+    edp = {key: safe_mean(e for _, e in points) for key, points in groups.items()}
+    return Fig13Result(params, runtime, edp)
 
 
 def report(result: Fig13Result) -> str:

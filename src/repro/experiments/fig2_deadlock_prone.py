@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.experiments.common import fan_out, topologies_for
+from repro.experiments.common import fault_samples, sweep_cells
 from repro.protocols import MinimalUnprotected
 from repro.sim.config import SimConfig
 from repro.sim.engine import deadlocks_within
@@ -84,34 +84,27 @@ def _is_deadlock_prone_sim(topo, params: Fig2Params) -> bool:
 
 
 def run(params: Fig2Params) -> Fig2Result:
-    series: Dict[str, Dict[int, float]] = {"link": {}, "router": {}}
-    # Fan one deadlock-proneness check per sampled topology.  The graph
-    # method is cheap enough that the serial path wins; the sim method
-    # profits from worker processes.
-    keys: List[tuple] = []
-    argslist: List[tuple] = []
-    totals: Dict[tuple, int] = {}
-    for kind, counts in (
-        ("link", params.link_fault_counts),
-        ("router", params.router_fault_counts),
-    ):
-        for count in counts:
-            topos = topologies_for(
-                params.width, params.height, kind, count, params.samples, params.seed
-            )
-            totals[(kind, count)] = len(topos)
-            for topo in topos:
-                keys.append((kind, count))
-                argslist.append((topo, params))
+    # One deadlock-proneness check per sampled topology.  The graph
+    # method is cheap enough to run inline; the sim method fans out.
+    samples = list(fault_samples(params))
     if params.method == "graph":
-        outcomes = [tgraph.has_cycle(topo) for topo, _ in argslist]
+        prone = {
+            (kind, count): [tgraph.has_cycle(topo) for topo in topos]
+            for kind, count, topos in samples
+        }
     else:
-        outcomes = fan_out(_is_deadlock_prone_sim, argslist, workers=params.workers)
-    prone: Dict[tuple, int] = {}
-    for key, is_prone in zip(keys, outcomes):
-        prone[key] = prone.get(key, 0) + (1 if is_prone else 0)
-    for (kind, count), total in totals.items():
-        series[kind][count] = 100.0 * prone.get((kind, count), 0) / total
+        prone = sweep_cells(
+            _is_deadlock_prone_sim,
+            (
+                ((kind, count), (topo, params))
+                for kind, count, topos in samples
+                for topo in topos
+            ),
+            params.workers,
+        )
+    series: Dict[str, Dict[int, float]] = {"link": {}, "router": {}}
+    for (kind, count), flags in prone.items():
+        series[kind][count] = 100.0 * sum(flags) / len(flags)
     return Fig2Result(params, series["link"], series["router"])
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.common import fan_out, topologies_for
+from repro.experiments.common import sweep_cells, topologies_for
 from repro.protocols import MinimalUnprotected
 from repro.sim.config import SimConfig
 from repro.sim.engine import deadlocks_within
@@ -77,22 +77,20 @@ def _min_deadlock_rate(topo, params: Fig3Params) -> Optional[float]:
 
 
 def run(params: Fig3Params) -> Fig3Result:
-    heatmap: Dict[Tuple[int, float], float] = {}
-    min_rates: Dict[int, List[Optional[float]]] = {}
-    # One job per sampled topology: its full rate sweep (internally
+    # One cell per sampled topology: its full rate sweep (internally
     # early-exiting at the first deadlocking rate).
-    counts_order: List[int] = []
-    argslist: List[tuple] = []
-    for count in params.link_fault_counts:
-        topos = topologies_for(
-            params.width, params.height, "link", count, params.samples, params.seed
-        )
-        for topo in topos:
-            counts_order.append(count)
-            argslist.append((topo, params))
-    outcomes = fan_out(_min_deadlock_rate, argslist, workers=params.workers)
-    for count, min_rate in zip(counts_order, outcomes):
-        min_rates.setdefault(count, []).append(min_rate)
+    min_rates = sweep_cells(
+        _min_deadlock_rate,
+        (
+            (count, (topo, params))
+            for count in params.link_fault_counts
+            for topo in topologies_for(
+                params.width, params.height, "link", count, params.samples, params.seed
+            )
+        ),
+        params.workers,
+    )
+    heatmap: Dict[Tuple[int, float], float] = {}
     for count, per_topo in min_rates.items():
         for rate in params.rates:
             deadlocked = sum(1 for r in per_topo if r is not None and r <= rate)

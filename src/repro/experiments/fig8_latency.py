@@ -16,10 +16,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.common import (
     SCHEME_ORDER,
-    fan_out,
+    fault_axes,
+    fault_samples,
+    normalize_to,
     run_synthetic,
     safe_mean,
-    topologies_for,
+    sweep_cells,
 )
 from repro.sim.config import SimConfig
 from repro.topology.mesh import Topology
@@ -71,8 +73,10 @@ class Fig8Result:
     def normalized(
         self, pattern: str, kind: str, count: int, scheme: str
     ) -> float:
-        base = self.latency[(pattern, kind, count, "spanning-tree")]
-        return self.latency[(pattern, kind, count, scheme)] / base if base else 1.0
+        return normalize_to(
+            self.latency[(pattern, kind, count, "spanning-tree")],
+            self.latency[(pattern, kind, count, scheme)],
+        )
 
 
 def _measure_latency(
@@ -94,42 +98,25 @@ def _measure_latency(
 
 def run(params: Fig8Params) -> Fig8Result:
     config = SimConfig(width=params.width, height=params.height)
-    # Enumerate every sweep point up front, fan it over workers, then
-    # aggregate — results come back in argslist order, so the means are
-    # bit-identical to the old nested-loop serial run.
-    keys: List[Tuple[str, str, int, str]] = []
-    argslist: List[tuple] = []
-    for kind, counts in (
-        ("link", params.link_fault_counts),
-        ("router", params.router_fault_counts),
-    ):
-        for count in counts:
-            topos = topologies_for(
-                params.width, params.height, kind, count, params.samples, params.seed
+    groups = sweep_cells(
+        _measure_latency,
+        (
+            (
+                (pattern, kind, count, scheme),
+                (topo, scheme, pattern, params.rate, config, params.warmup,
+                 params.measure, params.seed + i),
             )
-            for pattern in params.patterns:
-                for scheme in SCHEME_ORDER:
-                    for i, topo in enumerate(topos):
-                        keys.append((pattern, kind, count, scheme))
-                        argslist.append(
-                            (
-                                topo,
-                                scheme,
-                                pattern,
-                                params.rate,
-                                config,
-                                params.warmup,
-                                params.measure,
-                                params.seed + i,
-                            )
-                        )
-    outcomes = fan_out(_measure_latency, argslist, workers=params.workers)
-    by_key: Dict[Tuple[str, str, int, str], List[float]] = {}
-    for key, (avg_latency, ejected) in zip(keys, outcomes):
-        by_key.setdefault(key, [])
-        if ejected:
-            by_key[key].append(avg_latency)
-    latency = {key: safe_mean(values) for key, values in by_key.items()}
+            for kind, count, topos in fault_samples(params)
+            for pattern in params.patterns
+            for scheme in SCHEME_ORDER
+            for i, topo in enumerate(topos)
+        ),
+        params.workers,
+    )
+    latency = {
+        key: safe_mean(lat for lat, ejected in outcomes if ejected)
+        for key, outcomes in groups.items()
+    }
     return Fig8Result(params, latency)
 
 
@@ -137,10 +124,7 @@ def report(result: Fig8Result) -> str:
     rep = Reporter("Fig. 8 — low-load latency normalized to Spanning Tree")
     params = result.params
     for pattern in params.patterns:
-        for kind, counts in (
-            ("link", params.link_fault_counts),
-            ("router", params.router_fault_counts),
-        ):
+        for kind, counts in fault_axes(params):
             rows = []
             for count in counts:
                 rows.append(

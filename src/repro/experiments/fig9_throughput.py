@@ -16,10 +16,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.common import (
     SCHEME_ORDER,
-    fan_out,
+    fault_axes,
+    fault_samples,
+    normalize_to,
     safe_mean,
     saturation_throughput,
-    topologies_for,
+    sweep_cells,
 )
 from repro.sim.config import SimConfig
 from repro.utils.reporting import Reporter
@@ -66,53 +68,37 @@ class Fig9Result:
     throughput: Dict[Tuple[str, int, str], float]
 
     def normalized(self, kind: str, count: int, scheme: str) -> float:
-        base = self.throughput[(kind, count, "spanning-tree")]
-        return self.throughput[(kind, count, scheme)] / base if base else 1.0
+        return normalize_to(
+            self.throughput[(kind, count, "spanning-tree")],
+            self.throughput[(kind, count, scheme)],
+        )
 
 
 def run(params: Fig9Params) -> Fig9Result:
     config = SimConfig(width=params.width, height=params.height)
-    # One job per (topology, scheme): a whole offered-load sweep, fanned
-    # over workers; aggregation order matches the old serial loops.
-    keys: List[Tuple[str, int, str]] = []
-    argslist: List[tuple] = []
-    for kind, counts in (
-        ("link", params.link_fault_counts),
-        ("router", params.router_fault_counts),
-    ):
-        for count in counts:
-            topos = topologies_for(
-                params.width, params.height, kind, count, params.samples, params.seed
+    # One cell per (topology, scheme): a whole offered-load sweep.
+    groups = sweep_cells(
+        saturation_throughput,
+        (
+            (
+                (kind, count, scheme),
+                (topo, scheme, config, params.rates, params.warmup,
+                 params.measure, params.seed + i),
             )
-            for scheme in SCHEME_ORDER:
-                for i, topo in enumerate(topos):
-                    keys.append((kind, count, scheme))
-                    argslist.append(
-                        (
-                            topo,
-                            scheme,
-                            config,
-                            params.rates,
-                            params.warmup,
-                            params.measure,
-                            params.seed + i,
-                        )
-                    )
-    outcomes = fan_out(saturation_throughput, argslist, workers=params.workers)
-    by_key: Dict[Tuple[str, int, str], List[float]] = {}
-    for key, value in zip(keys, outcomes):
-        by_key.setdefault(key, []).append(value)
-    throughput = {key: safe_mean(values) for key, values in by_key.items()}
+            for kind, count, topos in fault_samples(params)
+            for scheme in SCHEME_ORDER
+            for i, topo in enumerate(topos)
+        ),
+        params.workers,
+    )
+    throughput = {key: safe_mean(values) for key, values in groups.items()}
     return Fig9Result(params, throughput)
 
 
 def report(result: Fig9Result) -> str:
     rep = Reporter("Fig. 9 — saturation throughput normalized to Spanning Tree")
     params = result.params
-    for kind, counts in (
-        ("link", params.link_fault_counts),
-        ("router", params.router_fault_counts),
-    ):
+    for kind, counts in fault_axes(params):
         rows = []
         for count in counts:
             rows.append(

@@ -121,17 +121,18 @@ def run(params: TopoSweepParams) -> TopoSweepResult:
         for scheme in params.schemes:
             certified[(spec, scheme)] = make_scheme(scheme).verify(topo, config).ok
 
-    keys: List[Tuple[str, str, float]] = []
-    argslist: List[tuple] = []
-    for spec in params.topologies:
-        for scheme in params.schemes:
-            for rate in params.rates:
-                keys.append((spec, scheme, rate))
-                argslist.append(
-                    (spec, scheme, rate, config, params.warmup,
-                     params.measure, params.seed)
-                )
-    outcomes = fan_out(_sweep_point, argslist, workers=params.workers)
+    # One cell per key, whose args are the key and the shared settings.
+    keys = [
+        (spec, scheme, rate)
+        for spec in params.topologies
+        for scheme in params.schemes
+        for rate in params.rates
+    ]
+    outcomes = fan_out(
+        _sweep_point,
+        [(*key, config, params.warmup, params.measure, params.seed) for key in keys],
+        workers=params.workers,
+    )
     latency: Dict[Tuple[str, str, float], float] = {}
     throughput: Dict[Tuple[str, str, float], float] = {}
     violations: List[Tuple[str, str, float]] = []

@@ -100,13 +100,10 @@ class StaticBubbleScheme(DeadlockScheme):
 
     def __init__(
         self,
-        t_dd: Optional[int] = None,
         fork_probes: bool = True,
         use_check_probe: bool = True,
         placement_override: Optional[set] = None,
     ) -> None:
-        #: Optional override of the config's deadlock-detection threshold.
-        self._t_dd_override = t_dd
         #: Ablations (DESIGN.md §7): without forking, a probe is forwarded
         #: only when every VC at the probed port wants the same output;
         #: without the check_probe optimization, each bubble re-claim goes
@@ -173,9 +170,7 @@ class StaticBubbleScheme(DeadlockScheme):
         # deterministic pattern every period (collisions drop the lower-id
         # probe, Section IV-B).
         stagger = (node * 7) % 13
-        fsm = CounterFsm(
-            node, (self._t_dd_override or config.sb_t_dd) + stagger, awake=self._awake
-        )
+        fsm = CounterFsm(node, config.sb_t_dd + stagger, awake=self._awake)
         self.states[node] = _SbRouterState(fsm)
 
     def resync_awake(self) -> None:

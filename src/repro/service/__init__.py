@@ -29,7 +29,6 @@ import importlib
 #: needs only :mod:`repro.service.spec` — does not import the server,
 #: client, queue and fabric.
 _EXPORTS = {
-    "AsyncServiceServer": "fabric",
     "CampaignReport": "campaign",
     "FabricWorker": "fabric",
     "JobFailedError": "client",

@@ -12,8 +12,10 @@ Sharded storage is not a separate store: :class:`ShardMap`,
 and ``ShardedResultStore`` is :class:`~repro.service.store.ResultStore`
 under the name it was born with — a one-root store is a one-shard map.
 Likewise the front end a fleet talks to is
-:class:`repro.service.server.ServiceServer`; ``AsyncServiceServer`` is
-that same class.
+:class:`repro.service.server.ServiceServer`, and that is its one public
+name.  ``AsyncServiceServer`` is still importable from here, outside
+``__all__``, because the benchmark harness under ``benchmarks/harness``
+names it; drop it when the harness moves to ``ServiceServer``.
 """
 
 from repro.service.server import ServiceServer as AsyncServiceServer
@@ -22,7 +24,6 @@ from repro.service.store import Shard, ShardMap, rebalance
 from repro.service.fabric.worker import FabricWorker, WorkerStats, run_worker
 
 __all__ = [
-    "AsyncServiceServer",
     "FabricWorker",
     "Shard",
     "ShardMap",

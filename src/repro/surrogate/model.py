@@ -41,7 +41,7 @@ import json
 import threading
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.energy.model import EnergyParams
 from repro.routing.paths import active_adjacency
@@ -154,10 +154,7 @@ class LoadProfile:
     hops_total: float
     hops_mean: float
     n_active: int
-    n_links: int
     mean_flits: float
-    #: Leaked-buffer count for the closed-form leakage term.
-    buffers_total: int
 
     @property
     def g_max(self) -> float:
@@ -320,18 +317,6 @@ class AnalyticalModel:
                     hops_total += route_share * (len(route) - 1)
         # 0.5/0.5 ctrl/data mix, as repro.traffic.synthetic defaults.
         mean_flits = 0.5 * (config.data_packet_flits + config.ctrl_packet_flits)
-        base_buffers = topo.num_ports * config.vcs_per_port()
-        extra = 0
-        try:
-            from repro.protocols import make_scheme
-
-            proto = make_scheme(scheme)
-            extra = sum(
-                proto.extra_vcs_per_router(node, config)
-                for node in topo.active_nodes()
-            )
-        except Exception:
-            extra = 0  # leakage detail only; calibration absorbs it anyway
         return LoadProfile(
             family=topology_family(topo),
             scheme=scheme,
@@ -342,9 +327,7 @@ class AnalyticalModel:
             hops_total=hops_total,
             hops_mean=hops_total / routable if routable else 0.0,
             n_active=len(topo.active_nodes()),
-            n_links=len(topo.active_links()),
             mean_flits=mean_flits,
-            buffers_total=len(topo.active_nodes()) * base_buffers + extra,
         )
 
     # -- evaluation ------------------------------------------------------

@@ -62,8 +62,21 @@ class TestRegistryAndSpec:
         assert isinstance(make_scheme("adaptive-escape"), AdaptiveEscapeScheme)
 
     def test_adaptive_accepts_sb_tuning(self):
-        scheme = make_scheme("adaptive", t_dd=20)
-        assert scheme._t_dd_override == 20
+        # The FSM thresholds follow the config's t_DD (plus the per-node
+        # stagger); there is no second knob on the scheme.
+        topo = mesh(4, 4)
+        t_dds = {}
+        for t_dd in (20, 34):
+            config = SimConfig(width=4, height=4, sb_t_dd=t_dd)
+            net = Network(topo, config, make_scheme("adaptive"), None, seed=1)
+            t_dds[t_dd] = {
+                node: state.fsm.t_dd for node, state in net.scheme.states.items()
+            }
+        assert t_dds[20]
+        assert {n: t - 20 for n, t in t_dds[20].items()} == {
+            n: t - 34 for n, t in t_dds[34].items()
+        }
+        assert all(0 <= t - 20 < 13 for t in t_dds[20].values())
 
     def test_simspec_accepts_adaptive(self):
         SimSpec(scheme="adaptive").validate()

@@ -19,11 +19,28 @@ from repro.experiments import (
     topo_sweep,
 )
 from repro.experiments.common import (
+    CACHE_ENV_VAR,
     SCHEME_ORDER,
+    fault_samples,
     normalize_to,
     safe_mean,
+    sweep_cells,
     topologies_for,
 )
+from repro.service.store import STORE_ENV_VAR
+
+#: Keys are deliberately not in sorted order: groups must keep the order
+#: each key was first seen, and each group its cells' order.
+CELLS = [("b", (1,)), ("a", (2,)), ("b", (3,)), ("c", (4,)), ("a", (5,)), ("b", (6,))]
+GROUPS = {"b": [(1, 1), (3, 9), (6, 36)], "a": [(2, 4), (5, 25)], "c": [(4, 16)]}
+
+#: Arguments ``_square`` has run on in this process (serial runs only).
+CALLS = []
+
+
+def _square(x):
+    CALLS.append(x)
+    return x, x * x
 
 
 class TestCommon:
@@ -39,6 +56,18 @@ class TestCommon:
         assert normalize_to(2.0, 1.0) == 0.5
         assert normalize_to(0.0, 1.0) == 1.0
 
+    def test_fault_samples_walk_links_then_routers(self):
+        params = fig8_latency.Fig8Params(
+            link_fault_counts=[4, 1], router_fault_counts=[2], samples=2, seed=3
+        )
+        samples = list(fault_samples(params))
+        assert [(kind, count) for kind, count, _ in samples] == [
+            ("link", 4), ("link", 1), ("router", 2)
+        ]
+        for kind, count, topos in samples:
+            expected = topologies_for(8, 8, kind, count, 2, seed=3)
+            assert [t.to_spec() for t in topos] == [t.to_spec() for t in expected]
+
     def test_scheme_order(self):
         assert SCHEME_ORDER == (
             "spanning-tree",
@@ -46,6 +75,33 @@ class TestCommon:
             "static-bubble",
             "adaptive",
         )
+
+
+class TestSweepCells:
+    def test_groups_in_first_seen_key_order_and_cell_order(self):
+        groups = sweep_cells(_square, CELLS, workers=1)
+        assert list(groups) == ["b", "a", "c"]
+        assert groups == GROUPS
+
+    def test_two_workers_equal_one(self):
+        assert repr(sweep_cells(_square, CELLS, workers=2)) == repr(
+            sweep_cells(_square, CELLS, workers=1)
+        )
+
+    def test_cached_equals_uncached_and_rerun_executes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path / "store"))
+        monkeypatch.setenv(CACHE_ENV_VAR, "1")
+        CALLS.clear()
+        cold = sweep_cells(_square, CELLS, workers=1)
+        assert sorted(CALLS) == [1, 2, 3, 4, 5, 6]
+        CALLS.clear()
+        warm = sweep_cells(_square, CELLS, workers=1)
+        assert CALLS == []
+        monkeypatch.setenv(CACHE_ENV_VAR, "0")
+        assert repr(cold) == repr(warm) == repr(sweep_cells(_square, CELLS, workers=1))
+        assert list(cold) == ["b", "a", "c"] and cold == GROUPS
 
 
 class TestFig2:

@@ -25,16 +25,13 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.fabric import (
-    AsyncServiceServer,
-    ShardMap,
-    ShardedResultStore,
-)
+from repro.service.fabric import ShardMap, ShardedResultStore
 from repro.service.server import (
     MAX_BODY_BYTES,
     MAX_HEAD_BYTES,
     PARSE_MEMO_ENTRIES,
     Response,
+    ServiceServer,
     fingerprint_for,
 )
 from repro.service.spec import SimSpec, run_sim_spec
@@ -50,7 +47,7 @@ TLS_KEY = Path(__file__).parent / "data" / "tls_key.pem"
 @pytest.fixture()
 def server(tmp_path):
     store = ResultStore(root=tmp_path / "store", registry=MetricsRegistry())
-    with AsyncServiceServer(port=0, store=store, workers=2, quiet=True) as srv:
+    with ServiceServer(port=0, store=store, workers=2, quiet=True) as srv:
         yield srv
 
 
@@ -188,7 +185,7 @@ class TestDrain:
 
     def test_stop_is_graceful(self, tmp_path):
         store = ResultStore(root=tmp_path / "store", registry=MetricsRegistry())
-        server = AsyncServiceServer(port=0, store=store, workers=2, quiet=True)
+        server = ServiceServer(port=0, store=store, workers=2, quiet=True)
         server.start()
         client = ServiceClient(server.url, transient_retries=0)
         client.healthz()
@@ -201,7 +198,7 @@ class TestShardedHealth:
     def test_shard_outage_degrades_healthz(self, tmp_path):
         smap = ShardMap.local([tmp_path / "s0", tmp_path / "s1"], replicas=2)
         store = ShardedResultStore(smap, registry=MetricsRegistry())
-        with AsyncServiceServer(
+        with ServiceServer(
             port=0, store=store, workers=2, quiet=True
         ) as server:
             client = ServiceClient(server.url)
@@ -620,7 +617,7 @@ class TestDrainKeepAlive:
         self, tmp_path, monkeypatch, caplog
     ):
         store = ResultStore(root=tmp_path / "store", registry=MetricsRegistry())
-        server = AsyncServiceServer(port=0, store=store, workers=2, quiet=True)
+        server = ServiceServer(port=0, store=store, workers=2, quiet=True)
         server.start()
         idle = ServiceClient(server.url, transient_retries=0)
         idle.healthz()  # its connection now sits parked on the request line
@@ -879,7 +876,7 @@ class TestParseMemo:
     def remote(self, tmp_path):
         """A front end that never executes: jobs wait for a claimant."""
         store = ResultStore(root=tmp_path / "store", registry=MetricsRegistry())
-        with AsyncServiceServer(
+        with ServiceServer(
             port=0, store=store, local_exec=False, max_depth=1024, retries=0
         ) as srv:
             yield srv
@@ -928,7 +925,7 @@ class TestParseMemo:
 
     def test_memoised_body_past_its_record_ttl_reads_the_store(self, tmp_path):
         store = ResultStore(root=tmp_path / "store", registry=MetricsRegistry())
-        with AsyncServiceServer(port=0, store=store, record_ttl=0.3) as srv:
+        with ServiceServer(port=0, store=store, record_ttl=0.3) as srv:
             client = ServiceClient(srv.url)
             spec = SimSpec(**TINY)
             first = client.run(spec, timeout=60)
@@ -989,7 +986,7 @@ class TestEncodedBodies:
 
     def test_status_of_an_unfinished_job_is_never_kept(self, tmp_path):
         store = ResultStore(root=tmp_path / "store", registry=MetricsRegistry())
-        with AsyncServiceServer(port=0, store=store, local_exec=False) as srv:
+        with ServiceServer(port=0, store=store, local_exec=False) as srv:
             client = ServiceClient(srv.url)
             spec = SimSpec(**TINY)
             fp = client.submit(spec)["job_id"]
@@ -1109,7 +1106,7 @@ class TestFraming:
         self, tmp_path, monkeypatch
     ):
         store = ResultStore(root=tmp_path / "store", registry=MetricsRegistry())
-        server = AsyncServiceServer(port=0, store=store)
+        server = ServiceServer(port=0, store=store)
         server.start()
         entered, release = threading.Event(), threading.Event()
 
@@ -1136,7 +1133,7 @@ class TestFraming:
 
     def test_drain_answers_a_parked_claim_at_once(self, tmp_path):
         store = ResultStore(root=tmp_path / "store", registry=MetricsRegistry())
-        server = AsyncServiceServer(port=0, store=store, local_exec=False)
+        server = ServiceServer(port=0, store=store, local_exec=False)
         server.start()
         replies = []
         poll = threading.Thread(
@@ -1159,7 +1156,7 @@ class TestParkedClaims:
     def remote(self, tmp_path):
         """A front end that never executes: jobs wait for a claimant."""
         store = ResultStore(root=tmp_path / "store", registry=MetricsRegistry())
-        with AsyncServiceServer(
+        with ServiceServer(
             port=0, store=store, local_exec=False, lease_ttl=0.5
         ) as srv:
             yield srv
@@ -1279,7 +1276,7 @@ class TestSurrogateMemo:
         unmodelled = _encode(
             SimSpec(**{**TINY, "width": 4, "pattern": "transpose"}, mode="surrogate").to_dict()
         )
-        with AsyncServiceServer(port=0, store=store, local_exec=False) as srv:
+        with ServiceServer(port=0, store=store, local_exec=False) as srv:
             with socket.create_connection(srv.address, timeout=10) as sock:
                 rfile = sock.makefile("rb")
                 for _ in range(2):

@@ -14,12 +14,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.service.client import ServiceClient
-from repro.service.fabric import (
-    AsyncServiceServer,
-    FabricWorker,
-    ShardMap,
-    ShardedResultStore,
-)
+from repro.service.fabric import FabricWorker, ShardMap, ShardedResultStore
 from repro.service.server import ServiceServer, fingerprint_for
 from repro.service.spec import SimSpec
 from repro.service.store import ResultStore
@@ -30,7 +25,7 @@ TINY = dict(width=3, height=3, rate=0.03, warmup=30, measure=80, seed=5)
 @pytest.fixture(params=["async"])  # the param keeps the test ids stable
 def server(tmp_path):
     store = ResultStore(root=tmp_path / "store", registry=MetricsRegistry())
-    with AsyncServiceServer(
+    with ServiceServer(
         port=0,
         store=store,
         workers=2,
@@ -78,7 +73,7 @@ class TestWorkerExecution:
         remote_store = ResultStore(
             root=tmp_path / "remote", registry=MetricsRegistry()
         )
-        with AsyncServiceServer(
+        with ServiceServer(
             port=0, store=remote_store, workers=2, quiet=True,
             local_exec=False, lease_ttl=5.0,
         ) as remote_srv:

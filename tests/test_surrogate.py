@@ -397,6 +397,27 @@ class TestWarmCaches:
             self.WARM_PREDICT_FRAMES
         )
 
+    def test_a_cold_profile_places_no_bubble(self):
+        """A cold load profile routes the demand over the routing tables
+        and stops there: it builds no scheme, so it never asks where the
+        static bubbles go (exact frame counts, whatever the host)."""
+        spec = SimSpec(**FIG8)
+        topo, config = spec.build_topology(), spec.build_config()
+        entered = Counter()
+
+        def count(frame, event, arg):
+            if event == "call":
+                entered[frame.f_globals.get("__name__", "")] += 1
+
+        sys.setprofile(count)
+        try:
+            AnalyticalModel().profile(topo, "static-bubble", spec.pattern, config)
+        finally:
+            sys.setprofile(None)
+        assert entered["repro.surrogate.model"] > 0
+        assert entered["repro.core.placement"] == 0
+        assert entered["repro.protocols.static_bubble"] == 0
+
     def test_grid_payloads_identical_warm_and_fresh(self, calibrated):
         """Topology x scheme x pattern: the memoized path answers every
         cell byte for byte as an oracle that has memoized nothing."""
