@@ -34,6 +34,7 @@ from repro.routing.paths import (
     node_path_to_route,
 )
 from repro.topology.base import BaseTopology as Topology
+from repro.topology.graph import components
 
 
 class SpanningTree:
@@ -118,22 +119,6 @@ def choose_root(
     return best_node
 
 
-def _components(adjacency: Adjacency) -> List[Set[int]]:
-    """Connected components, largest first (ties: lowest member first).
-
-    The order :func:`repro.topology.graph.connected_components` gives.
-    """
-    seen: Set[int] = set()
-    components = []
-    for node in adjacency:
-        if node not in seen:
-            component = set(adjacency_distances(adjacency, node))
-            seen |= component
-            components.append(component)
-    components.sort(key=len, reverse=True)
-    return components
-
-
 def build_spanning_trees(
     topo: Topology, adjacency: Optional[Adjacency] = None
 ) -> List[SpanningTree]:
@@ -142,7 +127,9 @@ def build_spanning_trees(
         adjacency = active_adjacency(topo)
     return [
         SpanningTree(topo, choose_root(topo, component, adjacency), adjacency)
-        for component in _components(adjacency)
+        for component in components(
+            {node: [v for _, v in hops] for node, hops in adjacency.items()}
+        )
     ]
 
 

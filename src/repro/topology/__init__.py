@@ -29,7 +29,6 @@ from repro.topology.graph import (
     largest_component,
     nodes_reachable_from,
     simple_cycles,
-    to_networkx,
 )
 
 __all__ = [
@@ -56,5 +55,4 @@ __all__ = [
     "largest_component",
     "nodes_reachable_from",
     "simple_cycles",
-    "to_networkx",
 ]

@@ -13,6 +13,12 @@ Entry points: ``scheme.verify(topo, config)`` on every deadlock scheme,
 ``Network.certify()`` on a live network, and the ``repro verify`` CLI.
 """
 
+from repro.topology.graph import (
+    bounded_cycles,
+    cyclic_components,
+    shortest_cycle,
+    strongly_connected_components,
+)
 from repro.verify.cdg import (
     LAYER_ESCAPE,
     LAYER_NORMAL,
@@ -26,12 +32,8 @@ from repro.verify.cdg import (
 )
 from repro.verify.certify import (
     Certificate,
-    bounded_cycles,
     certify_acyclic,
     certify_cycle_cover,
-    cyclic_components,
-    shortest_cycle,
-    strongly_connected_components,
 )
 from repro.verify.model import (
     ModelCheckResult,

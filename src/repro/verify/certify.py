@@ -15,9 +15,10 @@ Two machine-checked claims back the schemes' deadlock stories:
 
 Both emit a serializable :class:`Certificate` — success carries the
 graph statistics and a content fingerprint; failure carries a concrete
-counterexample cycle (shortest in the restricted graph).  A bounded
-cycle enumerator (:func:`bounded_cycles`) backs diagnostics and the
-test-suite's cross-checks; it is *not* part of the proof obligation.
+counterexample cycle (shortest in the restricted graph).  The graph
+algorithms — Tarjan's SCC, the cyclic-SCC filter, the shortest cycle
+and a bounded cycle enumerator for diagnostics — live in
+:mod:`repro.topology.graph`.
 """
 
 from __future__ import annotations
@@ -25,147 +26,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.topology.base import BaseTopology as Topology
+from repro.topology.graph import cyclic_components, shortest_cycle
 from repro.verify.cdg import Channel, ChannelDependencyGraph, describe_channel
-
-Adjacency = Dict[Channel, Set[Channel]]
-
-
-# -- graph algorithms -----------------------------------------------------
-
-
-def strongly_connected_components(adj: Adjacency) -> List[List[Channel]]:
-    """Tarjan's SCC decomposition, iterative (CDGs can be deep)."""
-    index: Dict[Channel, int] = {}
-    lowlink: Dict[Channel, int] = {}
-    on_stack: Set[Channel] = set()
-    stack: List[Channel] = []
-    sccs: List[List[Channel]] = []
-    counter = 0
-
-    for root in adj:
-        if root in index:
-            continue
-        work: List[Tuple[Channel, Iterable[Channel]]] = [(root, iter(adj[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in adj:
-                    continue
-                if succ not in index:
-                    index[succ] = lowlink[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(adj[succ])))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(component)
-    return sccs
-
-
-def cyclic_components(adj: Adjacency) -> List[List[Channel]]:
-    """SCCs that contain a cycle (size > 1, or a self-loop)."""
-    return [
-        scc
-        for scc in strongly_connected_components(adj)
-        if len(scc) > 1 or scc[0] in adj.get(scc[0], ())
-    ]
-
-
-def shortest_cycle(adj: Adjacency) -> Optional[List[Channel]]:
-    """A shortest cycle of the graph, or None if it is acyclic.
-
-    BFS from every member of every cyclic SCC back to itself, restricted
-    to that SCC — exact and fast at CDG sizes (hundreds of channels).
-    """
-    best: Optional[List[Channel]] = None
-    for scc in cyclic_components(adj):
-        members = set(scc)
-        for start in scc:
-            if start in adj.get(start, ()):
-                return [start]  # self-loop: cannot be beaten
-            parent: Dict[Channel, Channel] = {}
-            frontier = [start]
-            found = False
-            while frontier and not found:
-                nxt: List[Channel] = []
-                for node in frontier:
-                    for succ in adj.get(node, ()):
-                        if succ == start:
-                            cycle = [node]
-                            while cycle[-1] != start:
-                                cycle.append(parent[cycle[-1]])
-                            cycle.reverse()
-                            if best is None or len(cycle) < len(best):
-                                best = cycle
-                            found = True
-                            break
-                        if succ in members and succ not in parent:
-                            parent[succ] = node
-                            nxt.append(succ)
-                    if found:
-                        break
-                if best is not None and len(best) <= len(parent) + 1:
-                    break  # no shorter cycle reachable from this start
-                frontier = nxt
-    return best
-
-
-def bounded_cycles(
-    adj: Adjacency, length_bound: int, limit: int = 10_000
-) -> List[List[Channel]]:
-    """Simple cycles up to ``length_bound`` channels (diagnostics only).
-
-    DFS from each vertex, only visiting vertices ordered after the start
-    (each cycle reported once, rooted at its smallest vertex).  Bounded
-    by ``limit`` results; exponential in general, so keep bounds tight.
-    """
-    order = {channel: i for i, channel in enumerate(sorted(adj))}
-    cycles: List[List[Channel]] = []
-    for start in sorted(adj):
-        stack: List[Tuple[Channel, List[Channel]]] = [(start, [start])]
-        while stack:
-            node, path = stack.pop()
-            for succ in adj.get(node, ()):
-                if succ == start and len(path) > 0:
-                    cycles.append(list(path))
-                    if len(cycles) >= limit:
-                        return cycles
-                elif (
-                    len(path) < length_bound
-                    and succ in order
-                    and order[succ] > order[start]
-                    and succ not in path
-                ):
-                    stack.append((succ, path + [succ]))
-    return cycles
-
-
-# -- certificates ---------------------------------------------------------
 
 
 @dataclass

@@ -18,7 +18,13 @@ import re
 
 import pytest
 
-from repro.core.fsm import RECOVERY_STATES, TRANSITIONS, FsmEvent, FsmState
+from repro.core.fsm import (
+    RECOVERY_STATES,
+    TRANSITIONS,
+    FsmEvent,
+    FsmState,
+    recovery_threshold,
+)
 from repro.protocols.static_bubble import StaticBubbleScheme
 from repro.service.spec import SimSpec
 from repro.verify.model import check_scenario
@@ -95,6 +101,48 @@ def test_reset_to_off():
     row = fire(net, 3, FsmEvent.RESET)
     assert key(row) == (RECOVERY_STATES, FsmEvent.RESET, None)
     assert fsm.state is FsmState.S_OFF and not router.bubble_active
+
+
+def _ring_owner(state):
+    """Node 3 of the 2x2 ring deadlock (a resident at its south port) in
+    ``state``, its threshold still the latched ``t_dr`` of a 3-turn path."""
+    net, scheme = build_2x2_ring_deadlock()
+    fsm = scheme.states[3].fsm
+    if state is not FsmState.S_OFF:
+        fsm.transition(state)
+    fsm.threshold = recovery_threshold(3)
+    assert fsm.threshold != fsm.t_dd
+    return net, fsm
+
+
+def test_enable_timeout_with_resident_restarts_detection():
+    """Retries exhausted while a compass VC is occupied: the abort lands
+    in ``S_DD`` under ``t_dd``, not in ``S_OFF``."""
+    net, fsm = _ring_owner(FsmState.S_ENABLE)
+    fsm.enable_retries = net.config.sb_enable_retries
+    row = fire(net, 3, FsmEvent.TIMEOUT)
+    assert key(row) == (FsmState.S_ENABLE, FsmEvent.TIMEOUT, "active")
+    assert fsm.state is FsmState.S_DD and fsm.threshold == fsm.t_dd
+
+
+def test_foreign_enable_rearms_detection_under_t_dd():
+    """An ``S_OFF`` router still holding a latched ``t_dr`` restarts
+    detection with threshold ``t_dd`` when a foreign enable clears it."""
+    net, fsm = _ring_owner(FsmState.S_OFF)
+    row = fire(net, 3, FsmEvent.FOREIGN_ENABLE)
+    assert key(row) == (FsmState.S_OFF, FsmEvent.FOREIGN_ENABLE, "active")
+    assert fsm.state is FsmState.S_DD and fsm.threshold == fsm.t_dd
+
+
+def test_reset_with_resident_rearms_detection_under_t_dd():
+    """A ``RESET`` of a recovery owner with a resident drops the latched
+    ``t_dr`` for ``t_dd``."""
+    net, fsm = _ring_owner(FsmState.S_SB_ACTIVE)
+    net.routers[3].activate_bubble(3)
+    row = fire(net, 3, FsmEvent.RESET)
+    assert key(row) == (RECOVERY_STATES, FsmEvent.RESET, "active")
+    assert fsm.state is FsmState.S_DD and fsm.threshold == fsm.t_dd
+    assert not net.routers[3].bubble_active
 
 
 def _deviation_entries():

@@ -20,7 +20,7 @@ from repro.topology.graph import (
     largest_component,
     nodes_reachable_from,
     simple_cycles,
-    to_networkx,
+    topology_adjacency,
 )
 from repro.topology.mesh import mesh
 
@@ -47,7 +47,7 @@ class TestGraphAnalysis:
         topo.deactivate_link(0, 1)
         topo.deactivate_link(2, 3)
         comps = connected_components(topo)
-        assert len(comps) == 2
+        assert comps == [{0, 2}, {1, 3}]  # equal sizes: lowest node first
         assert not is_connected(topo)
         assert not has_cycle(topo)
 
@@ -72,11 +72,11 @@ class TestGraphAnalysis:
         assert len(cycles) == 1
         assert sorted(cycles[0]) == [0, 1, 2, 3]
 
-    def test_to_networkx_counts(self):
-        topo = mesh(4, 4)
-        graph = to_networkx(topo)
-        assert graph.number_of_nodes() == 16
-        assert graph.number_of_edges() == 24
+    def test_adjacency_counts(self):
+        adj = topology_adjacency(mesh(4, 4))
+        assert len(adj) == 16
+        assert sum(len(succs) for succs in adj.values()) == 2 * 24
+        assert cycle_count_upper_bound(mesh(4, 4)) == 24 - 16 + 1
 
 
 class TestFaultInjection:

@@ -180,6 +180,38 @@ class TestServiceSurface:
         assert one.map.to_dict() == ResultStore(a).map.to_dict()
 
 
+class TestGraphSurface:
+    """One stdlib graph module; networkx is a test-only oracle."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_one_graph_module(self):
+        import repro.routing.spanning_tree
+        import repro.topology
+        import repro.verify
+        from repro.topology import graph
+
+        for name in ("to_networkx", "reachable_pairs"):
+            assert not hasattr(graph, name), name
+            assert name not in repro.topology.__all__, name
+        assert not hasattr(repro.routing.spanning_tree, "_components")
+        for name in (
+            "strongly_connected_components",
+            "cyclic_components",
+            "shortest_cycle",
+            "bounded_cycles",
+        ):
+            assert getattr(repro.verify, name) is getattr(graph, name), name
+
+    def test_no_runtime_dependencies(self):
+        pyproject = (self.ROOT / "pyproject.toml").read_text()
+        assert re.search(r"^dependencies = \[\]$", pyproject, re.MULTILINE)
+        dev = re.search(r"^dev = \[(.*)\]$", pyproject, re.MULTILINE).group(1)
+        assert '"networkx"' in dev
+        for path in (self.ROOT / "src").rglob("*.py"):
+            assert "networkx" not in path.read_text(), path
+
+
 #: The environment variables ``src/`` reads, each by one function.
 KNOBS = {"REPRO_CACHE", "REPRO_OBS", "REPRO_STORE", "REPRO_STORE_MAX_BYTES", "REPRO_WORKERS"}
 
