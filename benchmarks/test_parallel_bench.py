@@ -15,18 +15,12 @@ import time
 
 from repro.experiments import fig8_latency
 from repro.parallel import Job, run_jobs
-from repro.sim.config import SimConfig
-from repro.topology.mesh import mesh
+from repro.service.spec import SimSpec, run_window
 
 
 def _simulate(rate: float, seed: int):
-    from repro.experiments.common import run_synthetic
-
-    topo = mesh(8, 8)
-    config = SimConfig()
-    result, _ = run_synthetic(
-        topo, "static-bubble", "uniform_random", rate, config, 100, 400, seed
-    )
+    spec = SimSpec(rate=rate, warmup=100, measure=400, seed=seed)
+    result, _ = run_window(spec)
     return result
 
 

@@ -20,17 +20,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.experiments.common import SCHEME_ORDER, fan_out
+from repro.experiments.common import SCHEME_ORDER, cell_spec, fan_out
 from repro.parallel import job_seed
-from repro.protocols import make_scheme
-from repro.sim.config import SimConfig
+from repro.service.spec import SimSpec
 from repro.sim.engine import run_with_faults
-from repro.sim.network import Network
 from repro.topology.faults import random_fault_schedule
-from repro.topology.mesh import mesh
-from repro.traffic.synthetic import make_pattern
 from repro.utils.reporting import Reporter
 
 
@@ -118,41 +114,30 @@ class ChaosResult:
         )
 
 
-def _chaos_job(scheme_name: str, campaign: int, params: ChaosParams) -> ChaosCampaignResult:
-    seed = job_seed(params.seed, "chaos", scheme_name, campaign)
-    rng = random.Random(seed)
-    topo = mesh(params.width, params.height)
+def _chaos_job(
+    spec: Dict[str, Any],
+    campaign: int,
+    events: int,
+    traffic_cycles: int,
+    max_cycles: int,
+    verify_reconfig: bool,
+) -> ChaosCampaignResult:
+    """One campaign: ``spec``'s healthy mesh under a schedule from its seed."""
+    spec = SimSpec.from_dict(spec)
+    network = spec.build_network()
     schedule = random_fault_schedule(
-        topo,
-        params.events,
-        rng,
+        network.topo,
+        events,
+        random.Random(spec.seed),
         first_cycle=100,
-        spacing=max(50, params.traffic_cycles // max(1, params.events)),
+        spacing=max(50, traffic_cycles // max(1, events)),
     )
-    config = SimConfig(
-        width=params.width,
-        height=params.height,
-        vcs_per_vnet=params.vcs_per_vnet,
-    )
-    traffic = make_pattern(
-        params.pattern,
-        topo,
-        params.rate,
-        seed=seed,
-        vnets=config.vnets,
-        data_flits=config.data_packet_flits,
-        ctrl_flits=config.ctrl_packet_flits,
-    )
-    network = Network(topo, config, make_scheme(scheme_name), traffic, seed=seed)
-    network.verify_on_reconfig = params.verify_reconfig
+    network.verify_on_reconfig = verify_reconfig
     result = run_with_faults(
-        network,
-        schedule,
-        params.max_cycles,
-        stop_traffic_at=params.traffic_cycles,
+        network, schedule, max_cycles, stop_traffic_at=traffic_cycles
     )
     return ChaosCampaignResult(
-        scheme=scheme_name,
+        scheme=spec.scheme,
         campaign=campaign,
         drained=result.drained,
         cycles=result.cycles,
@@ -169,7 +154,16 @@ def _chaos_job(scheme_name: str, campaign: int, params: ChaosParams) -> ChaosCam
 
 def run(params: ChaosParams) -> ChaosResult:
     argslist = [
-        (scheme, campaign, params)
+        (
+            cell_spec(SimSpec(
+                width=params.width, height=params.height, scheme=scheme,
+                pattern=params.pattern, rate=params.rate,
+                vcs_per_vnet=params.vcs_per_vnet,
+                seed=job_seed(params.seed, "chaos", scheme, campaign),
+            )),
+            campaign, params.events, params.traffic_cycles, params.max_cycles,
+            params.verify_reconfig,
+        )
         for scheme in params.schemes
         for campaign in range(params.campaigns)
     ]

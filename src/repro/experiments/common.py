@@ -13,9 +13,12 @@ A figure's ``run`` declares its sweep as ``(key, args)`` cells — one
 per sampled topology and scheme (and pattern, workload or t_DD) — and
 :func:`sweep_cells` runs them through :func:`fan_out` and hands back
 ``{key: [outcome per cell]}`` in cell order, which the figure reduces
-(usually to a mean per key).  :func:`fault_samples` walks the
+(usually to a mean per key).  A simulating cell's args are a
+:class:`~repro.service.spec.SimSpec` dict (:func:`cell_spec`) and the
+plain values its function reads (a rate list, a cycle budget, a
+workload name); the cell's network is built by that spec.  :func:`fault_samples` walks the
 link-then-router fault axes (:func:`fault_axes`) the two-axis figures
-share.
+share, one spec per sampled topology.
 """
 
 from __future__ import annotations
@@ -25,14 +28,8 @@ from statistics import mean
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.parallel import Job, JobError, run_jobs
-from repro.protocols import make_scheme
-from repro.sim.config import SimConfig
-from repro.sim.deadlock import DeadlockMonitor
-from repro.sim.engine import WindowResult, run_with_window
-from repro.sim.network import Network
+from repro.service.spec import SimSpec, run_window, spec_identity
 from repro.topology.faults import sample_topologies
-from repro.topology.mesh import Topology
-from repro.traffic.synthetic import make_pattern
 from repro.utils.serialize import from_jsonable, to_jsonable
 
 #: Scheme names in the order the paper's figures list them, plus the
@@ -41,83 +38,49 @@ from repro.utils.serialize import from_jsonable, to_jsonable
 SCHEME_ORDER = ("spanning-tree", "escape-vc", "static-bubble", "adaptive")
 
 
-def topologies_for(
-    width: int,
-    height: int,
-    fault_kind: str,
-    fault_count: int,
-    samples: int,
-    seed: int,
-    require_mcs: Optional[List[int]] = None,
-) -> List[Topology]:
-    """Materialized topology sample (shared across schemes for fairness)."""
-    return list(
-        sample_topologies(
-            width,
-            height,
-            fault_kind,
-            fault_count,
-            samples,
-            seed,
-            require_memory_controllers=require_mcs,
-        )
-    )
-
-
 def fault_axes(params) -> Tuple[Tuple[str, List[int]], Tuple[str, List[int]]]:
     """The ``(kind, counts)`` axes of a two-axis figure: links, then routers."""
     return (("link", params.link_fault_counts), ("router", params.router_fault_counts))
 
 
+def cell_spec(spec: SimSpec) -> Dict[str, Any]:
+    """A figure cell's spec arg: the spec's identity as a plain dict.
+
+    Execution-only fields (:func:`~repro.service.spec.spec_identity`)
+    are left out, so they are not part of the cell's store key.
+    """
+    return spec_identity(spec.to_dict())
+
+
+def fault_specs(
+    params, kind: str, count: int, require_mcs: Optional[List[int]] = None
+) -> List[SimSpec]:
+    """One spec per sampled ``kind`` x ``count`` topology of ``params``.
+
+    Each spec's ``fault_seed`` is the attempt seed
+    :func:`sample_topologies` drew, so ``build_topology`` rebuilds that
+    sample (shared across schemes for fairness); a figure fills in the
+    scheme, traffic and seed with :func:`dataclasses.replace`.
+    """
+    faults = {"link_faults" if kind == "link" else "router_faults": count}
+    return [
+        SimSpec(
+            width=params.width, height=params.height, fault_seed=fault_seed, **faults
+        )
+        for fault_seed, _ in sample_topologies(
+            params.width, params.height, kind, count, params.samples, params.seed,
+            require_memory_controllers=require_mcs,
+        )
+    ]
+
+
 def fault_samples(
     params, require_mcs: Optional[List[int]] = None
-) -> Iterable[Tuple[str, int, List[Topology]]]:
-    """``(kind, count, topologies)`` for each point of both fault axes."""
+) -> Iterable[Tuple[str, int, List[SimSpec]]]:
+    """``(kind, count, specs)`` for each point of both fault axes."""
     for kind, counts in fault_axes(params):
         for count in counts:
-            yield kind, count, topologies_for(
-                params.width, params.height, kind, count, params.samples,
-                params.seed, require_mcs,
-            )
-
-
-def run_synthetic(
-    topo: Topology,
-    scheme_name: str,
-    pattern: str,
-    rate: float,
-    config: SimConfig,
-    warmup: int,
-    measure: int,
-    seed: int,
-    monitor: bool = False,
-    obs=None,
-) -> Tuple[WindowResult, Network]:
-    """One warmup+measure simulation of a synthetic pattern.
-
-    ``obs``: optional :class:`repro.obs.Observer` to attach for this run;
-    when ``None`` but ``REPRO_OBS`` is set, the engine attaches a
-    metrics-only observer bound to the per-process registry so sweep
-    counters aggregate across pool workers with no tracing overhead.
-    """
-    traffic = make_pattern(
-        pattern,
-        topo,
-        rate,
-        seed=seed,
-        vnets=config.vnets,
-        data_flits=config.data_packet_flits,
-        ctrl_flits=config.ctrl_packet_flits,
-    )
-    network = Network(topo, config, make_scheme(scheme_name), traffic, seed=seed)
-    result = run_with_window(
-        network,
-        warmup,
-        measure,
-        monitor=DeadlockMonitor() if monitor else None,
-        obs=obs,
-    )
-    return result, network
+            yield kind, count, fault_specs(params, kind, count, require_mcs)
 
 
 #: Environment variable routing every ``fan_out`` sweep through the
@@ -147,14 +110,15 @@ def fan_out(
     must be a module-level (picklable) callable.
 
     ``cached`` routes the cells through the content-addressed result
-    store: :func:`repro.service.campaign.sweep` keys each cell by
-    the canonical fingerprint of ``(func, args)`` — the topology, config,
-    rate, and seed are all part of ``args``, so the fingerprint is the
-    cell's full identity — runs only the missing ones and stores each as
-    it finishes, so a failing cell (raised as :class:`JobError` once the
-    sweep ends) loses no other.  ``None`` defers to the ``REPRO_CACHE``
+    store: :func:`repro.service.campaign.sweep` keys each cell by the
+    fingerprint of ``("fan_out", (module, qualname), args)`` — the
+    function names the cell's kind and its JSON-native args (for a
+    figure, the spec and plain values) are the rest of its identity —
+    runs only the missing ones and stores each as it finishes, so a
+    failing cell (raised as :class:`JobError` once the sweep ends) loses
+    no other.  ``None`` defers to the ``REPRO_CACHE``
     environment variable, which is how ``repro experiment --cached``
-    reaches all nine figure sweeps through this one entry point.  Fresh
+    reaches every figure sweep through this one entry point.  Fresh
     and stored values alike come back through
     :mod:`repro.utils.serialize`, so a cold cached sweep returns exactly
     what a warm one does.
@@ -205,18 +169,11 @@ def _stored_result(job: Job) -> Dict[str, Any]:
     return {"result": to_jsonable(job.func(*job.args))}
 
 
-def saturation_throughput(
-    topo: Topology,
-    scheme_name: str,
-    config: SimConfig,
-    rates: Sequence[float],
-    warmup: int,
-    measure: int,
-    seed: int,
-) -> float:
+def saturation_throughput(spec: Dict[str, Any], rates: Sequence[float]) -> float:
     """Peak accepted throughput (flits/node/cycle) over an offered sweep.
 
-    The standard saturation metric: accepted throughput rises with offered
+    ``spec`` at each of ``rates`` (its own ``rate`` is not read).  The
+    standard saturation metric: accepted throughput rises with offered
     load until the network saturates; the plateau/peak is the saturation
     throughput.  Sweeping past the knee and taking the max is robust to
     post-saturation degradation.
@@ -232,9 +189,7 @@ def saturation_throughput(
     prev = None
     declines = 0
     for rate in rates:
-        result, _ = run_synthetic(
-            topo, scheme_name, "uniform_random", rate, config, warmup, measure, seed
-        )
+        result, _ = run_window(SimSpec.from_dict({**spec, "rate": rate}))
         accepted = result.throughput_flits_node_cycle
         best = max(best, accepted)
         if prev is not None and accepted < prev:

@@ -10,19 +10,18 @@ leakage grows as a fraction at high fault counts as dynamic energy dips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.energy.model import EnergyModel
 from repro.experiments.common import (
     SCHEME_ORDER,
+    cell_spec,
+    fault_specs,
     normalize_to,
-    run_synthetic,
     sweep_cells,
-    topologies_for,
 )
-from repro.sim.config import SimConfig
-from repro.topology.mesh import Topology
+from repro.service.spec import SimSpec, run_window
 from repro.utils.reporting import Reporter
 
 
@@ -61,34 +60,22 @@ class Fig10Result:
         )
 
 
-def _energy_breakdown(
-    topo: Topology,
-    scheme: str,
-    rate: float,
-    config: SimConfig,
-    warmup: int,
-    measure: int,
-    seed: int,
-) -> Dict[str, float]:
+def _energy_breakdown(spec: Dict[str, Any]) -> Dict[str, float]:
     """Simulate one point and return its energy breakdown (picklable)."""
-    _, network = run_synthetic(
-        topo, scheme, "uniform_random", rate, config, warmup, measure, seed
-    )
+    _, network = run_window(SimSpec.from_dict(spec))
     return EnergyModel().network_energy(network).as_dict()
 
 
 def run(params: Fig10Params) -> Fig10Result:
-    config = SimConfig(width=params.width, height=params.height)
     cells = []
     for count in params.router_fault_counts:
-        topos = topologies_for(
-            params.width, params.height, "router", count, params.samples, params.seed
-        )
+        specs = fault_specs(params, "router", count)
         cells += [
-            ((count, scheme), (topo, scheme, params.rate, config, params.warmup,
-                               params.measure, params.seed + i))
+            ((count, scheme), (cell_spec(replace(
+                spec, scheme=scheme, rate=params.rate, warmup=params.warmup,
+                measure=params.measure, seed=params.seed + i)),))
             for scheme in SCHEME_ORDER
-            for i, topo in enumerate(topos)
+            for i, spec in enumerate(specs)
         ]
     groups = sweep_cells(_energy_breakdown, cells, params.workers)
     energy: Dict[Tuple[int, str], Dict[str, float]] = {}

@@ -14,14 +14,11 @@ detection).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.experiments.common import safe_mean, sweep_cells, topologies_for
-from repro.protocols import make_scheme
-from repro.sim.config import SimConfig
-from repro.sim.network import Network
-from repro.topology.mesh import Topology
-from repro.traffic.synthetic import UniformRandomTraffic
+from repro.experiments.common import cell_spec, fault_specs, safe_mean, sweep_cells
+from repro.service.spec import SimSpec
+from repro.sim.engine import run_cycles
 from repro.utils.reporting import Reporter
 
 
@@ -71,20 +68,11 @@ class Fig11Result:
 
 
 def _tdd_point(
-    topo: Topology,
-    scheme: str,
-    t_dd: int,
-    rate: float,
-    config: SimConfig,
-    cycles: int,
-    seed: int,
+    spec: Dict[str, Any], cycles: int
 ) -> Tuple[float, Dict[str, float], Optional[float]]:
     """One (topology, scheme, t_DD) run: (probes, link share, latency)."""
-    traffic = UniformRandomTraffic(topo, rate=rate, seed=seed)
-    network = Network(
-        topo, replace(config, sb_t_dd=t_dd), make_scheme(scheme), traffic, seed=seed
-    )
-    network.run(cycles)
+    network = SimSpec.from_dict(spec).build_network()
+    run_cycles(network, cycles)
     stats = network.stats
     lat = stats.avg_latency if stats.packets_ejected else None
     return (
@@ -95,26 +83,19 @@ def _tdd_point(
 
 
 def run(params: Fig11Params) -> Fig11Result:
-    config = SimConfig(width=params.width, height=params.height)
-    topos = topologies_for(
-        params.width,
-        params.height,
-        "router",
-        params.router_faults,
-        params.samples,
-        params.seed,
-    )
+    specs = fault_specs(params, "router", params.router_faults)
     groups = sweep_cells(
         _tdd_point,
         (
             (
                 (scheme, t_dd),
-                (topo, scheme, t_dd, params.rate, config, params.cycles,
-                 params.seed + i),
+                (cell_spec(replace(spec, scheme=scheme, sb_t_dd=t_dd,
+                                   rate=params.rate, seed=params.seed + i)),
+                 params.cycles),
             )
             for scheme in params.schemes
             for t_dd in params.t_dd_values
-            for i, topo in enumerate(topos)
+            for i, spec in enumerate(specs)
         ),
         params.workers,
     )

@@ -11,11 +11,12 @@ little path diversity survives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.common import (
     SCHEME_ORDER,
+    cell_spec,
     fault_axes,
     fault_samples,
     normalize_to,
@@ -23,7 +24,7 @@ from repro.experiments.common import (
     sweep_cells,
 )
 from repro.protocols import make_scheme
-from repro.sim.config import SimConfig
+from repro.service.spec import SimSpec
 from repro.sim.engine import run_to_drain
 from repro.sim.network import Network
 from repro.topology.faults import default_memory_controllers
@@ -82,35 +83,39 @@ class Fig12Result:
         )
 
 
-def _app_throughput(topo, workload, scheme_name, params, config, seed) -> float:
+def _app_throughput(
+    spec: Dict[str, Any], workload: str, trace_duration: int, max_cycles: int
+) -> float:
+    spec = SimSpec.from_dict(spec)
+    topo = spec.build_topology()
     # MCs relocate off any faulted corner of *this* sample's topology.
-    mcs = default_memory_controllers(params.width, params.height, topo)
-    trace = rodinia_trace(
-        workload, topo, mcs, duration=params.trace_duration, seed=seed
-    )
+    mcs = default_memory_controllers(spec.width, spec.height, topo)
+    trace = rodinia_trace(workload, topo, mcs, duration=trace_duration, seed=spec.seed)
     total_flits = trace.total_flits()
-    network = Network(topo, config, make_scheme(scheme_name), trace, seed=seed)
-    runtime = run_to_drain(network, params.max_cycles)
+    network = Network(
+        topo, spec.build_config(), make_scheme(spec.scheme), trace, seed=spec.seed
+    )
+    runtime = run_to_drain(network, max_cycles)
     if runtime is None:
-        runtime = params.max_cycles  # censored: count what was delivered
+        runtime = max_cycles  # censored: count what was delivered
         total_flits = network.stats.flits_ejected
     return total_flits / runtime if runtime else 0.0
 
 
 def run(params: Fig12Params) -> Fig12Result:
-    config = SimConfig(width=params.width, height=params.height)
     mcs = default_memory_controllers(params.width, params.height)
     groups = sweep_cells(
         _app_throughput,
         (
             (
                 (workload, kind, count, scheme),
-                (topo, workload, scheme, params, config, params.seed + i),
+                (cell_spec(replace(spec, scheme=scheme, seed=params.seed + i)),
+                 workload, params.trace_duration, params.max_cycles),
             )
-            for kind, count, topos in fault_samples(params, require_mcs=mcs)
+            for kind, count, specs in fault_samples(params, require_mcs=mcs)
             for workload in params.workloads
             for scheme in SCHEME_ORDER
-            for i, topo in enumerate(topos)
+            for i, spec in enumerate(specs)
         ),
         params.workers,
     )

@@ -11,24 +11,24 @@ tree and ~17% lower than escape VC (fewer buffers leaking).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.energy.edp import network_edp
 from repro.energy.model import EnergyModel
 from repro.experiments.common import (
     SCHEME_ORDER,
+    cell_spec,
+    fault_specs,
     normalize_to,
     safe_mean,
     sweep_cells,
-    topologies_for,
 )
 from repro.protocols import make_scheme
-from repro.sim.config import SimConfig
+from repro.service.spec import SimSpec
 from repro.sim.engine import run_to_drain
 from repro.sim.network import Network
 from repro.topology.faults import default_memory_controllers
-from repro.topology.mesh import Topology
 from repro.traffic.workloads import parsec_closed_loop
 from repro.utils.reporting import Reporter
 
@@ -76,20 +76,19 @@ class Fig13Result:
 
 
 def _parsec_point(
-    topo: Topology,
-    workload: str,
-    scheme: str,
-    mcs: List[int],
-    config: SimConfig,
-    transactions_per_core: int,
-    max_cycles: int,
-    seed: int,
+    spec: Dict[str, Any], workload: str, transactions_per_core: int, max_cycles: int
 ) -> Tuple[float, float]:
     """One run-to-drain: (runtime cycles, network EDP).  Picklable."""
+    spec = SimSpec.from_dict(spec)
+    topo = spec.build_topology()
+    # MCs relocate off any faulted corner of *this* sample's topology.
+    mcs = default_memory_controllers(spec.width, spec.height, topo)
     traffic = parsec_closed_loop(
-        workload, topo, mcs, seed=seed, transactions_per_core=transactions_per_core
+        workload, topo, mcs, seed=spec.seed, transactions_per_core=transactions_per_core
     )
-    network = Network(topo, config, make_scheme(scheme), traffic, seed=seed)
+    network = Network(
+        topo, spec.build_config(), make_scheme(spec.scheme), traffic, seed=spec.seed
+    )
     cycles = run_to_drain(network, max_cycles)
     if cycles is None:
         cycles = max_cycles
@@ -97,31 +96,19 @@ def _parsec_point(
 
 
 def run(params: Fig13Params) -> Fig13Result:
-    config = SimConfig(width=params.width, height=params.height)
     mcs = default_memory_controllers(params.width, params.height)
-    topos = topologies_for(
-        params.width,
-        params.height,
-        "link",
-        params.link_faults,
-        params.samples,
-        params.seed,
-        require_mcs=mcs,
-    )
+    specs = fault_specs(params, "link", params.link_faults, require_mcs=mcs)
     groups = sweep_cells(
         _parsec_point,
         (
             (
                 (workload, scheme),
-                # Per-sample relocation of the MCs off any faulted corner.
-                (topo, workload, scheme,
-                 default_memory_controllers(params.width, params.height, topo),
-                 config, params.transactions_per_core, params.max_cycles,
-                 params.seed + i),
+                (cell_spec(replace(spec, scheme=scheme, seed=params.seed + i)),
+                 workload, params.transactions_per_core, params.max_cycles),
             )
             for workload in params.workloads
             for scheme in SCHEME_ORDER
-            for i, topo in enumerate(topos)
+            for i, spec in enumerate(specs)
         ),
         params.workers,
     )

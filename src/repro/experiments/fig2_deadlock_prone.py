@@ -19,16 +19,14 @@ become trees).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional
 
-from repro.experiments.common import fault_samples, sweep_cells
-from repro.protocols import MinimalUnprotected
-from repro.sim.config import SimConfig
+from repro.experiments.common import cell_spec, fault_axes, fault_samples, sweep_cells
+from repro.service.spec import SimSpec
 from repro.sim.engine import deadlocks_within
-from repro.sim.network import Network
 from repro.topology import graph as tgraph
-from repro.traffic.synthetic import UniformRandomTraffic
+from repro.topology.faults import sample_topologies
 from repro.utils.reporting import Reporter
 
 
@@ -72,33 +70,36 @@ class Fig2Result:
     router_series: Dict[int, float]
 
 
-def _is_deadlock_prone_sim(topo, params: Fig2Params) -> bool:
-    config = SimConfig(
-        width=params.width,
-        height=params.height,
-        vcs_per_vnet=params.vcs_per_vnet,
-    )
-    traffic = UniformRandomTraffic(topo, rate=params.sim_rate, seed=params.seed)
-    network = Network(topo, config, MinimalUnprotected(), traffic, seed=params.seed)
-    return deadlocks_within(network, params.sim_cycles)
+def _is_deadlock_prone_sim(spec: Dict[str, Any], cycles: int) -> bool:
+    return deadlocks_within(SimSpec.from_dict(spec).build_network(), cycles)
 
 
 def run(params: Fig2Params) -> Fig2Result:
     # One deadlock-proneness check per sampled topology.  The graph
-    # method is cheap enough to run inline; the sim method fans out.
-    samples = list(fault_samples(params))
+    # method is cheap enough to run inline on the sampled topologies;
+    # the sim method fans out their specs.
     if params.method == "graph":
         prone = {
-            (kind, count): [tgraph.has_cycle(topo) for topo in topos]
-            for kind, count, topos in samples
+            (kind, count): [tgraph.has_cycle(topo) for _, topo in sample_topologies(
+                params.width, params.height, kind, count, params.samples, params.seed
+            )]
+            for kind, counts in fault_axes(params)
+            for count in counts
         }
     else:
         prone = sweep_cells(
             _is_deadlock_prone_sim,
             (
-                ((kind, count), (topo, params))
-                for kind, count, topos in samples
-                for topo in topos
+                (
+                    (kind, count),
+                    (cell_spec(replace(spec, scheme="minimal-unprotected",
+                                       rate=params.sim_rate,
+                                       vcs_per_vnet=params.vcs_per_vnet,
+                                       seed=params.seed)),
+                     params.sim_cycles),
+                )
+                for kind, count, specs in fault_samples(params)
+                for spec in specs
             ),
             params.workers,
         )

@@ -10,15 +10,12 @@ recovery over avoidance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.common import sweep_cells, topologies_for
-from repro.protocols import MinimalUnprotected
-from repro.sim.config import SimConfig
+from repro.experiments.common import cell_spec, fault_specs, sweep_cells
+from repro.service.spec import SimSpec
 from repro.sim.engine import deadlocks_within
-from repro.sim.network import Network
-from repro.traffic.synthetic import UniformRandomTraffic
 from repro.utils.reporting import Reporter
 
 
@@ -63,15 +60,13 @@ class Fig3Result:
     min_rates: Dict[int, List[Optional[float]]]
 
 
-def _min_deadlock_rate(topo, params: Fig3Params) -> Optional[float]:
+def _min_deadlock_rate(
+    spec: Dict[str, Any], rates: Sequence[float], cycles: int
+) -> Optional[float]:
     """Lowest swept rate at which this topology deadlocks (None = never)."""
-    config = SimConfig(
-        width=params.width, height=params.height, vcs_per_vnet=params.vcs_per_vnet
-    )
-    for rate in sorted(params.rates):
-        traffic = UniformRandomTraffic(topo, rate=rate, seed=params.seed)
-        network = Network(topo, config, MinimalUnprotected(), traffic, seed=params.seed)
-        if deadlocks_within(network, params.cycles):
+    for rate in sorted(rates):
+        network = SimSpec.from_dict({**spec, "rate": rate}).build_network()
+        if deadlocks_within(network, cycles):
             return rate
     return None
 
@@ -82,11 +77,15 @@ def run(params: Fig3Params) -> Fig3Result:
     min_rates = sweep_cells(
         _min_deadlock_rate,
         (
-            (count, (topo, params))
-            for count in params.link_fault_counts
-            for topo in topologies_for(
-                params.width, params.height, "link", count, params.samples, params.seed
+            (
+                count,
+                (cell_spec(replace(spec, scheme="minimal-unprotected",
+                                   vcs_per_vnet=params.vcs_per_vnet,
+                                   seed=params.seed)),
+                 params.rates, params.cycles),
             )
+            for count in params.link_fault_counts
+            for spec in fault_specs(params, "link", count)
         ),
         params.workers,
     )

@@ -11,20 +11,19 @@ their advantage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.common import (
     SCHEME_ORDER,
+    cell_spec,
     fault_axes,
     fault_samples,
     normalize_to,
-    run_synthetic,
     safe_mean,
     sweep_cells,
 )
-from repro.sim.config import SimConfig
-from repro.topology.mesh import Topology
+from repro.service.spec import SimSpec, run_window
 from repro.utils.reporting import Reporter
 
 
@@ -79,37 +78,26 @@ class Fig8Result:
         )
 
 
-def _measure_latency(
-    topo: Topology,
-    scheme: str,
-    pattern: str,
-    rate: float,
-    config: SimConfig,
-    warmup: int,
-    measure: int,
-    seed: int,
-) -> Tuple[float, int]:
+def _measure_latency(spec: Dict[str, Any]) -> Tuple[float, int]:
     """One sweep point (module-level so it pickles to worker processes)."""
-    result, _ = run_synthetic(
-        topo, scheme, pattern, rate, config, warmup, measure, seed
-    )
+    result, _ = run_window(SimSpec.from_dict(spec))
     return result.avg_latency, result.packets_ejected
 
 
 def run(params: Fig8Params) -> Fig8Result:
-    config = SimConfig(width=params.width, height=params.height)
     groups = sweep_cells(
         _measure_latency,
         (
             (
                 (pattern, kind, count, scheme),
-                (topo, scheme, pattern, params.rate, config, params.warmup,
-                 params.measure, params.seed + i),
+                (cell_spec(replace(spec, scheme=scheme, pattern=pattern,
+                                   rate=params.rate, warmup=params.warmup,
+                                   measure=params.measure, seed=params.seed + i)),),
             )
-            for kind, count, topos in fault_samples(params)
+            for kind, count, specs in fault_samples(params)
             for pattern in params.patterns
             for scheme in SCHEME_ORDER
-            for i, topo in enumerate(topos)
+            for i, spec in enumerate(specs)
         ),
         params.workers,
     )

@@ -11,11 +11,12 @@ diversity left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.common import (
     SCHEME_ORDER,
+    cell_spec,
     fault_axes,
     fault_samples,
     normalize_to,
@@ -23,7 +24,6 @@ from repro.experiments.common import (
     saturation_throughput,
     sweep_cells,
 )
-from repro.sim.config import SimConfig
 from repro.utils.reporting import Reporter
 
 
@@ -75,19 +75,19 @@ class Fig9Result:
 
 
 def run(params: Fig9Params) -> Fig9Result:
-    config = SimConfig(width=params.width, height=params.height)
     # One cell per (topology, scheme): a whole offered-load sweep.
     groups = sweep_cells(
         saturation_throughput,
         (
             (
                 (kind, count, scheme),
-                (topo, scheme, config, params.rates, params.warmup,
-                 params.measure, params.seed + i),
+                (cell_spec(replace(spec, scheme=scheme, warmup=params.warmup,
+                                   measure=params.measure, seed=params.seed + i)),
+                 params.rates),
             )
-            for kind, count, topos in fault_samples(params)
+            for kind, count, specs in fault_samples(params)
             for scheme in SCHEME_ORDER
-            for i, topo in enumerate(topos)
+            for i, spec in enumerate(specs)
         ),
         params.workers,
     )

@@ -17,9 +17,10 @@ low-latency one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.experiments.common import fan_out, run_synthetic
+from repro.experiments.common import cell_spec, fan_out
+from repro.service.spec import SimSpec, run_window
 from repro.sim.config import SimConfig
 from repro.utils.reporting import Reporter
 
@@ -89,17 +90,9 @@ class TopoSweepResult:
         )
 
 
-def _sweep_point(
-    spec: str, scheme: str, rate: float, config: SimConfig, warmup: int,
-    measure: int, seed: int,
-) -> Tuple[float, float, int]:
+def _sweep_point(spec: Dict[str, Any]) -> Tuple[float, float, int]:
     """(latency, throughput, unaccounted packets); picklable for workers."""
-    from repro.topology.generators import parse_topology
-
-    topo = parse_topology(spec)
-    result, network = run_synthetic(
-        topo, scheme, "uniform_random", rate, config, warmup, measure, seed
-    )
+    result, network = run_window(SimSpec.from_dict(spec))
     stats = network.stats
     unaccounted = (
         stats.packets_injected
@@ -116,21 +109,26 @@ def run(params: TopoSweepParams) -> TopoSweepResult:
 
     config = SimConfig()
     certified: Dict[Tuple[str, str], bool] = {}
-    for spec in params.topologies:
-        topo = parse_topology(spec)
+    for topology in params.topologies:
+        topo = parse_topology(topology)
         for scheme in params.schemes:
-            certified[(spec, scheme)] = make_scheme(scheme).verify(topo, config).ok
+            certified[(topology, scheme)] = make_scheme(scheme).verify(topo, config).ok
 
-    # One cell per key, whose args are the key and the shared settings.
+    # One cell per key: the spec of that topology, scheme and rate.
     keys = [
-        (spec, scheme, rate)
-        for spec in params.topologies
+        (topology, scheme, rate)
+        for topology in params.topologies
         for scheme in params.schemes
         for rate in params.rates
     ]
     outcomes = fan_out(
         _sweep_point,
-        [(*key, config, params.warmup, params.measure, params.seed) for key in keys],
+        [
+            (cell_spec(SimSpec(topology=topology, scheme=scheme, rate=rate,
+                               warmup=params.warmup, measure=params.measure,
+                               seed=params.seed)),)
+            for topology, scheme, rate in keys
+        ],
         workers=params.workers,
     )
     latency: Dict[Tuple[str, str, float], float] = {}

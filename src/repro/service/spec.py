@@ -13,8 +13,9 @@ through it (or :meth:`SimSpec.build_topology`), and ``submit`` /
 ``predict`` send or answer the same :class:`SimSpec`.
 ``run_sim_spec`` is the module-level executable form (picklable, so the
 job queue can fan it over :func:`repro.parallel.run_jobs` workers); it
-returns a plain-JSON payload so results cross process and HTTP
-boundaries without a custom decoder.
+runs :func:`run_window`, the run figure cells make too, and returns a
+plain-JSON payload so results cross process and HTTP boundaries
+without a custom decoder.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.protocols import SCHEMES, make_scheme
 from repro.sim.config import SimConfig
@@ -55,7 +56,8 @@ class SimSpec:
     #: unchanged.
     topology: Optional[str] = None
     #: Faults derived from the healthy topology with
-    #: ``random.Random(seed)``, link faults first (:meth:`build_topology`).
+    #: ``random.Random(fault_seed)`` (``random.Random(seed)`` when it is
+    #: ``None``), link faults first (:meth:`build_topology`).
     link_faults: int = 0
     router_faults: int = 0
     scheme: str = "static-bubble"
@@ -80,6 +82,13 @@ class SimSpec:
     #: selects *how* an answer is produced, not *what* the spec
     #: identifies — it is stripped from fingerprints.
     mode: str = "exact"
+    #: Seed of the fault derivation alone, when it is not ``seed``: a
+    #: figure's sampled topology is derived from the attempt seed
+    #: :func:`~repro.topology.faults.sample_topologies` yields, while
+    #: ``seed`` drives the traffic and the network.  ``None`` is omitted
+    #: from :meth:`to_dict`, like ``topology``, so no stored fingerprint
+    #: moves.
+    fault_seed: Optional[int] = None
 
     def validate(self) -> None:
         if self.scheme not in SCHEMES:
@@ -104,6 +113,10 @@ class SimSpec:
                 raise ValueError(f"scheme 'xy' needs a 2D mesh, not {kind}")
         if self.link_faults < 0 or self.router_faults < 0:
             raise ValueError("fault counts must be >= 0")
+        if self.fault_seed is not None and (
+            type(self.fault_seed) is not int or self.fault_seed < 0
+        ):
+            raise ValueError("fault_seed must be an integer >= 0")
         if self.warmup < 0 or self.measure < 1:
             raise ValueError("need warmup >= 0 and measure >= 1")
         if not (0.0 <= self.rate <= 1.0):
@@ -114,10 +127,12 @@ class SimSpec:
     def to_dict(self) -> Dict[str, Any]:
         # Every field is a scalar: no need for ``asdict``'s recursive copy.
         payload = {name: getattr(self, name) for name in _FIELD_NAMES}
+        # Mesh specs and service specs predate these fields; omitting
+        # them keeps every previously stored fingerprint valid.
         if payload["topology"] is None:
-            # Mesh specs predate the field; omitting it keeps every
-            # previously stored fingerprint valid.
             payload.pop("topology")
+        if payload["fault_seed"] is None:
+            payload.pop("fault_seed")
         return payload
 
     @classmethod
@@ -144,7 +159,8 @@ class SimSpec:
             topo = parse_topology(self.topology)
         else:
             topo = mesh(self.width, self.height)
-        rng = random.Random(self.seed)
+        seed = self.seed if self.fault_seed is None else self.fault_seed
+        rng = random.Random(seed)
         if self.link_faults:
             topo = inject_link_faults(topo, self.link_faults, rng)
         if self.router_faults:
@@ -211,14 +227,19 @@ def sim_result_payload(
     }
 
 
+def run_window(spec: SimSpec) -> Tuple[WindowResult, Network]:
+    """Build the spec's network and run its warmup + measure window.
+
+    With ``REPRO_OBS`` set, the engine attaches a metrics-only observer
+    bound to the per-process registry, so sweep counters aggregate
+    across workers.
+    """
+    network = spec.build_network()
+    monitor = DeadlockMonitor() if spec.monitor else None
+    return run_with_window(network, spec.warmup, spec.measure, monitor), network
+
+
 def run_sim_spec(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one spec; module-level so it pickles to pool workers."""
     spec = SimSpec.from_dict(dict(spec_dict))
-    network = spec.build_network()
-    result = run_with_window(
-        network,
-        warmup=spec.warmup,
-        measure=spec.measure,
-        monitor=DeadlockMonitor() if spec.monitor else None,
-    )
-    return sim_result_payload(spec, result, network)
+    return sim_result_payload(spec, *run_window(spec))

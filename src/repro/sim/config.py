@@ -48,8 +48,6 @@ class SimConfig:
     #: models finite NI buffering; experiments that measure accepted
     #: throughput at saturation keep it bounded so offered load backs up.
     injection_queue_cap: int = 64
-    #: RNG seed for route choice inside the network.
-    seed: int = 1
 
     def vcs_per_port(self) -> int:
         return self.vnets * self.vcs_per_vnet

@@ -43,7 +43,15 @@ class WindowResult:
 
 
 def run_cycles(network: Network, cycles: int) -> None:
-    network.run(cycles)
+    """Step ``cycles`` times, under the ``REPRO_OBS`` observer if one is on."""
+    obs = _auto_observer(None)
+    if obs is not None:
+        network.attach_obs(obs)
+    try:
+        network.run(cycles)
+    finally:
+        if obs is not None:
+            obs.finalize(network)
 
 
 def run_with_window(

@@ -229,9 +229,11 @@ class AnalyticalModel:
                 memo.popitem(last=False)
 
     def _spec_topology(self, spec, build: bool = True) -> Optional[Tuple[Topology, str]]:
+        # The seed that derives the faults (``build_topology``'s).
+        fault_seed = spec.seed if spec.fault_seed is None else spec.fault_seed
         key = (
             spec.width, spec.height, spec.topology,
-            spec.link_faults, spec.router_faults, spec.seed,
+            spec.link_faults, spec.router_faults, fault_seed,
         )
         entry = self._recall(self._topologies, key)
         if entry is None and build:

@@ -167,9 +167,13 @@ def sample_topologies(
     n_samples: int,
     seed: int,
     require_memory_controllers: Optional[List[int]] = None,
-) -> Iterator[Topology]:
-    """Yield ``n_samples`` random irregular topologies.
+) -> Iterator[Tuple[int, Topology]]:
+    """Yield ``(fault_seed, topology)`` for ``n_samples`` random topologies.
 
+    ``fault_seed`` is the attempt seed whose ``random.Random`` derived the
+    topology's faults from the healthy mesh, so a
+    :class:`~repro.service.spec.SimSpec` with that ``fault_seed`` (and the
+    same dimensions and fault count) rebuilds the same topology.
     ``fault_kind`` is ``"link"`` or ``"router"``.  When
     ``require_memory_controllers`` is given (a list of node ids), only
     topologies whose largest component contains *all* those nodes are
@@ -184,7 +188,8 @@ def sample_topologies(
     attempt = 0
     max_attempts = max(50, n_samples * 50)
     while produced < n_samples and attempt < max_attempts:
-        rng = random.Random((seed * 1_000_003 + attempt) & 0xFFFFFFFF)
+        fault_seed = (seed * 1_000_003 + attempt) & 0xFFFFFFFF
+        rng = random.Random(fault_seed)
         attempt += 1
         if fault_kind == "link":
             topo = inject_link_faults(base, fault_count, rng)
@@ -195,7 +200,7 @@ def sample_topologies(
             if not all(mc in component for mc in require_memory_controllers):
                 continue
         produced += 1
-        yield topo
+        yield fault_seed, topo
     if produced < n_samples:
         raise RuntimeError(
             f"could not sample {n_samples} qualifying topologies "

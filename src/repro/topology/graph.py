@@ -205,8 +205,11 @@ def shortest_cycle(adj: Adjacency) -> Optional[List[Vertex]]:
                 return [start]  # self-loop: cannot be beaten
             parent: Dict[Vertex, Vertex] = {}
             frontier = [start]
+            depth = 0  # the frontier's distance from start
             found = False
             while frontier and not found:
+                if best is not None and len(best) <= depth + 1:
+                    break  # no shorter cycle reachable from this start
                 nxt: List[Vertex] = []
                 for node in frontier:
                     for succ in adj.get(node, ()):
@@ -224,9 +227,8 @@ def shortest_cycle(adj: Adjacency) -> Optional[List[Vertex]]:
                             nxt.append(succ)
                     if found:
                         break
-                if best is not None and len(best) <= len(parent) + 1:
-                    break  # no shorter cycle reachable from this start
                 frontier = nxt
+                depth += 1
     return best
 
 

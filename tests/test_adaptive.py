@@ -12,6 +12,7 @@ after post-warmup escape/bubble provisioning.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -315,11 +316,10 @@ class TestSaturationGain:
         """8x8, two link faults: both schemes run the same recovery
         protocol, so the ratio isolates the routing function — path
         diversity plus the credit signal (seeded; ~1.34x here)."""
-        topo = inject_link_faults(mesh(8, 8), 2, random.Random(1))
+        spec = SimSpec(link_faults=2, fault_seed=1, warmup=200, measure=500, seed=11)
         saturation = {
             name: saturation_throughput(
-                topo, name, SimConfig(), [0.14, 0.22, 0.30],
-                warmup=200, measure=500, seed=11,
+                replace(spec, scheme=name).to_dict(), [0.14, 0.22, 0.30]
             )
             for name in ("static-bubble", "adaptive")
         }

@@ -22,12 +22,13 @@ from repro.experiments.common import (
     CACHE_ENV_VAR,
     SCHEME_ORDER,
     fault_samples,
+    fault_specs,
     normalize_to,
     safe_mean,
     sweep_cells,
-    topologies_for,
 )
 from repro.service.store import STORE_ENV_VAR
+from repro.topology.faults import sample_topologies
 
 #: Keys are deliberately not in sorted order: groups must keep the order
 #: each key was first seen, and each group its cells' order.
@@ -45,8 +46,10 @@ def _square(x):
 
 class TestCommon:
     def test_topologies_for_count(self):
-        topos = topologies_for(8, 8, "link", 4, 3, seed=1)
-        assert len(topos) == 3
+        params = fig8_latency.Fig8Params(samples=3, seed=1)
+        specs = fault_specs(params, "link", 4)
+        assert len(specs) == 3
+        assert all(spec.build_topology().num_faulty_links() == 4 for spec in specs)
 
     def test_safe_mean(self):
         assert safe_mean([]) == 0.0
@@ -64,9 +67,11 @@ class TestCommon:
         assert [(kind, count) for kind, count, _ in samples] == [
             ("link", 4), ("link", 1), ("router", 2)
         ]
-        for kind, count, topos in samples:
-            expected = topologies_for(8, 8, kind, count, 2, seed=3)
-            assert [t.to_spec() for t in topos] == [t.to_spec() for t in expected]
+        for kind, count, specs in samples:
+            expected = sample_topologies(8, 8, kind, count, 2, seed=3)
+            assert [s.build_topology().to_spec() for s in specs] == [
+                t.to_spec() for _, t in expected
+            ]
 
     def test_scheme_order(self):
         assert SCHEME_ORDER == (

@@ -118,6 +118,13 @@ def test_digraphs_match_networkx(n, edges, bound):
         assert all(oracle.has_edge(u, v) for u, v in zip(closed, closed[1:]))
 
 
+def test_shortest_cycle_search_stops_by_depth_not_by_nodes_seen():
+    """From 1, BFS sees 2 and 3 at depth 1; the 2-cycle 1-2 closes at
+    depth 2 and must not be cut off by the 3-cycle 0-1-2 found first."""
+    adj = {0: {1}, 1: {2, 3}, 2: {0, 1}, 3: {0}}
+    assert sorted(graph.shortest_cycle(adj)) == [1, 2]
+
+
 def test_self_loop_is_a_cyclic_component():
     adj = {0: {0, 1}, 1: set()}
     assert graph.cyclic_components(adj) == [[0]]

@@ -21,8 +21,8 @@ from repro.parallel import Job, run_jobs
 from repro.sim.config import SimConfig
 from repro.sim.engine import run_with_window
 from repro.sim.network import Network
-from repro.experiments.common import run_synthetic
 from repro.protocols.none import MinimalUnprotected
+from repro.service.spec import SimSpec, run_window
 from repro.topology.generators import parse_topology
 from repro.topology.mesh import mesh
 from repro.traffic.synthetic import UniformRandomTraffic
@@ -142,10 +142,7 @@ class TestEngineIntegration:
     def test_run_synthetic_uses_proc_registry_when_enabled(self, monkeypatch):
         monkeypatch.setenv(OBS_ENV_VAR, "1")
         drain_proc_registry()
-        run_synthetic(
-            mesh(4, 4), "static-bubble", "uniform_random", 0.05,
-            SimConfig(width=4, height=4), warmup=20, measure=50, seed=3,
-        )
+        run_window(_tiny_spec(3))
         registry = proc_registry()
         assert registry.counters["sims"] == 1
         assert registry.counters["net.cycles"] == 70
@@ -154,19 +151,18 @@ class TestEngineIntegration:
     def test_run_synthetic_untouched_when_disabled(self, monkeypatch):
         monkeypatch.delenv(OBS_ENV_VAR, raising=False)
         drain_proc_registry()
-        run_synthetic(
-            mesh(4, 4), "static-bubble", "uniform_random", 0.05,
-            SimConfig(width=4, height=4), warmup=20, measure=50, seed=3,
-        )
+        run_window(_tiny_spec(3))
         assert proc_registry().is_empty
+
+
+def _tiny_spec(seed: int):
+    """A 70-cycle static-bubble run on a 4x4 mesh."""
+    return SimSpec(width=4, height=4, warmup=20, measure=50, seed=seed)
 
 
 def _obs_job(seed: int):
     """Module-level (picklable) sweep job used by the pool-merge test."""
-    result, _ = run_synthetic(
-        mesh(4, 4), "static-bubble", "uniform_random", 0.05,
-        SimConfig(width=4, height=4), warmup=20, measure=50, seed=seed,
-    )
+    result, _ = run_window(_tiny_spec(seed))
     return result.packets_ejected
 
 
@@ -241,10 +237,7 @@ class TestCliSurfaces:
 
         tiny = types.SimpleNamespace(
             TinyParams=TinyParams,
-            run=lambda params: run_synthetic(
-                mesh(4, 4), "static-bubble", "uniform_random", 0.05,
-                SimConfig(width=4, height=4), warmup=20, measure=50, seed=1,
-            )[0],
+            run=lambda params: run_window(_tiny_spec(1))[0],
             report=lambda result: f"tiny: {result.packets_ejected} ejected",
         )
         monkeypatch.setitem(cli_mod.ALL_EXPERIMENTS, "tiny", tiny)

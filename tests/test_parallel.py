@@ -16,7 +16,6 @@ import os
 import pytest
 
 from repro.experiments import fig8_latency
-from repro.experiments.common import run_synthetic
 from repro.parallel import (
     Job,
     JobError,
@@ -28,6 +27,7 @@ from repro.parallel import (
     run_jobs,
 )
 from repro.protocols import MinimalUnprotected, StaticBubbleScheme
+from repro.service.spec import SimSpec, run_window
 from repro.sim.config import SimConfig
 from repro.sim.deadlock import DeadlockMonitor, find_wait_cycle
 from repro.sim.engine import deadlocks_within
@@ -45,11 +45,8 @@ def _square(x: int) -> int:
 
 def _simulate_point(rate: float, seed: int):
     """Small measured run returning its WindowResult (picklable)."""
-    topo = mesh(4, 4)
-    config = SimConfig(width=4, height=4)
-    result, _ = run_synthetic(
-        topo, "static-bubble", "uniform_random", rate, config, 50, 150, seed
-    )
+    spec = SimSpec(width=4, height=4, rate=rate, warmup=50, measure=150, seed=seed)
+    result, _ = run_window(spec)
     return result
 
 
@@ -206,9 +203,7 @@ def test_fig8_parallel_bit_identical_to_serial():
 
 
 def _faulty_net(seed: int, rate: float, full_scan: bool) -> Network:
-    topo = list(
-        sample_topologies(4, 4, "link", 3, 1, seed)
-    )[0]
+    ((_, topo),) = sample_topologies(4, 4, "link", 3, 1, seed)
     config = SimConfig(width=4, height=4, vcs_per_vnet=2)
     traffic = UniformRandomTraffic(topo, rate=rate, seed=seed)
     net = Network(topo, config, MinimalUnprotected(), traffic, seed=seed)

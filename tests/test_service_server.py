@@ -92,6 +92,9 @@ class TestEndpoints:
             {"vnets": 0},
             {"sb_t_dd": -5},
             {"scheme": "xy", "topology": "torus3d:3x3x3"},
+            {"fault_seed": True},
+            {"fault_seed": 1.5},
+            {"fault_seed": -1},
         ):
             status, payload, _ = client._request("POST", "/jobs", body)
             assert status == 400, body

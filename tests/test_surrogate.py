@@ -478,6 +478,21 @@ class TestWarmCaches:
         assert not model.is_warm(base)  # evicted, oldest first
         assert model.is_warm(SimSpec(width=3, height=3, link_faults=1, seed=seed))
 
+    @pytest.mark.parametrize("first", [None, 7])
+    def test_topology_memo_keys_on_the_fault_seed(self, first):
+        """Specs differing only in ``fault_seed`` get their own topology,
+        whichever is predicted first."""
+        other = 7 if first is None else None
+        model = AnalyticalModel()
+        for fault_seed in (first, other):
+            spec = SimSpec(**{**FIG8, "seed": 1, "fault_seed": fault_seed})
+            model.predict_spec(spec)
+            topo, _ = model._spec_topology(spec, build=False)
+            assert topo.to_spec() == spec.build_topology().to_spec()
+        assert len(model._topologies) == 2
+        # ``fault_seed`` equal to ``seed`` derives the same topology.
+        assert model.is_warm(SimSpec(**{**FIG8, "seed": 7}))
+
 
 class TestServerFastLane:
     @pytest.fixture()

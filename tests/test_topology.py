@@ -175,7 +175,7 @@ def test_networkx_is_imported_on_first_use():
         "params = Fig12Params.quick()\n"
         "mcs = default_memory_controllers(params.width, params.height)\n"
         "samples = list(fault_samples(params, require_mcs=mcs))\n"
-        "topo = samples[-1][2][0]\n"
+        "topo = samples[-1][2][0].build_topology()\n"
         "assert topo.num_faulty_nodes() == params.router_fault_counts[-1]\n"
         "mcs = default_memory_controllers(params.width, params.height, topo)\n"
         "assert rodinia_trace('bplus', topo, mcs, duration=50).total_flits() > 0\n"
